@@ -388,15 +388,15 @@ class CaseGraph:
         """All IoC nodes in the case, normalized, sorted by (kind, value)."""
         out = []
         for t in self._graph.match(None, RDF_TYPE, CLS_HASH_VALUE):
-            value = _first_literal(self._graph, t.subject, PROP_MD5)
+            value = first_literal(self._graph, t.subject, PROP_MD5)
             if value is not None:
                 out.append(Ioc("Md5Hash", value,
-                               _first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
+                               first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
         for t in self._graph.match(None, RDF_TYPE, CLS_DOMAIN_INDICATOR):
-            value = _first_literal(self._graph, t.subject, PROP_DOMAIN_NAME)
+            value = first_literal(self._graph, t.subject, PROP_DOMAIN_NAME)
             if value is not None:
                 out.append(Ioc("Domain", value,
-                               _first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
+                               first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
         out.sort(key=lambda i: (i.kind, i.value))
         return out
 
@@ -468,7 +468,8 @@ class CaseGraph:
         return validate_graph(self._graph, self.schema, self.catalog)
 
 
-def _first_literal(g: Graph, subject, predicate) -> Optional[str]:
+def first_literal(g: Graph, subject, predicate) -> Optional[str]:
+    """Lexical form of the first literal value, in canonical order, or None."""
     for o in g.objects_of(subject, predicate):
         if isinstance(o, Literal):
             return o.lexical

@@ -23,7 +23,7 @@ from . import casekit
 from .catalog import load_default_catalog
 from .errors import InvalidCaseError, ScopeKitError
 from .namespaces import STANDARD_PREFIXES
-from .ntriples import _render_term_nt, parse_ntriples, serialize_ntriples_canonical
+from .ntriples import parse_ntriples, render_triple, serialize_ntriples_canonical
 from .query import run_text_query
 from .report import render_markdown, summarize
 from .schema import Schema, load_default_schema, load_schema_dir
@@ -107,12 +107,7 @@ def cmd_diff(args) -> int:
     b = _read_graph(args.b)
     added = sorted(b.triples - a.triples, key=triple_sort_key)
     removed = sorted(a.triples - b.triples, key=triple_sort_key)
-    lines = ["# added"]
-    lines += [f"{_render_term_nt(t.subject)} {_render_term_nt(t.predicate)} "
-              f"{_render_term_nt(t.object)} ." for t in added]
-    lines.append("# removed")
-    lines += [f"{_render_term_nt(t.subject)} {_render_term_nt(t.predicate)} "
-              f"{_render_term_nt(t.object)} ." for t in removed]
+    lines = ["# added", *map(render_triple, added), "# removed", *map(render_triple, removed)]
     _emit("\n".join(lines) + "\n", args.output)
     return 1 if (added or removed) else 0
 
@@ -268,3 +263,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

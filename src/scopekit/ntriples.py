@@ -1,9 +1,19 @@
-"""N-Triples parser and canonical serializer.
+"""N-Triples parser and canonical serializer, and the term syntax it shares.
 
 Line-oriented grammar: one triple per non-blank, non-comment line, full IRIs
-only, no prefix machinery. The canonical serializer writes one triple per
-line with lines sorted bytewise, so output is stable across runs and
-insertion orders.
+only, no prefix machinery. Each term is read with one compiled pattern; a
+term that does not match is diagnosed where it starts, by a few checks.
+
+Turtle and the query text build on this grammar. They take from here the term
+sub-patterns, `unescape`, `escape_string_literal`, `decode_document` and the
+N-Triples rendering of terms. String literals accept the escapes \\t \\b \\n
+\\r \\f \\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must
+name a Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a
+number above U+10FFFF is a parse error, so every parsed literal is valid
+UTF-8 text.
+
+The canonical serializer writes one triple per line with lines sorted
+bytewise, so output is stable across runs and insertion orders.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .errors import BlankNodePresentError, InvalidIriError, ParseError
+from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
 from .terms import (
     XSD_STRING,
     BlankNode,
@@ -21,174 +31,207 @@ from .terms import (
     Term,
     Triple,
 )
-from .turtle import MAX_DOCUMENT_BYTES, _STRING_UNESCAPES, _coerce_text, escape_string_literal
 
-_LANGTAG_SHAPE_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
+MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
+
+# Term sub-patterns. None holds a capturing group, so each grammar names the
+# groups it needs. STRING_CHARS is the inside of STRING_LITERAL_QUOTE; its
+# \U form stops at 0010FFFF.
+IRIREF = r"<[^>\x00-\x20]*>"
+STRING_CHARS = (r'[^"\\\n]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}'
+                r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\\n]*)*')
+STRING_LITERAL_QUOTE = f'"{STRING_CHARS}"'
+BLANK_NODE_LABEL = r"_:[A-Za-z][A-Za-z0-9_]*(?!\w)"
+LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+INTEGER = r"[+-]?[0-9]+"
+BOOLEAN = r"true|false"
+
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r",
+            ord("\t"): "\\t"}
+_ESCAPES.update({c: f"\\u{c:04X}" for c in range(0x20) if c not in _ESCAPES})
+
+# One term, the '.' that ends a triple, or an empty 'other' match where
+# neither starts.
+_TERM_RE = re.compile(rf"""[ \t]*(?:
+    (?P<iri>{IRIREF})
+  | (?P<blank>{BLANK_NODE_LABEL})
+  | (?P<literal>(?P<quoted>{STRING_LITERAL_QUOTE})
+        (?:\^\^(?P<datatype>{IRIREF}) | (?P<lang>@{LANGTAG})(?![^\W_]|-))?)
+  | (?P<dot>\.)
+  | (?P<other>)
+)""", re.X)
+# Where an IRI, a blank node label or a string literal stops matching.
+_TERM_PREFIX_RE = re.compile(rf'<[^>\x00-\x20]*|"{STRING_CHARS}|_:?\w*')
 
 
-class _LineCursor:
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.pos = 0
+def unescape(chars: str) -> str:
+    """Decode the ECHAR and UCHAR escapes in text that matches STRING_CHARS.
 
-    def _err(self, msg: str, col=None):
-        raise ParseError(msg, self.lineno, (col if col is not None else self.pos + 1))
+    Raises ValueError for a UCHAR that names a surrogate; its args are the
+    message and the offset of the escape in `chars`.
+    """
+    if "\\" not in chars:
+        return chars
 
-    def skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos] in " \t":
-            self.pos += 1
+    def decode(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits is None:
+            return _ECHARS[m.group(3)]
+        code = int(digits, 16)
+        if 0xD800 <= code <= 0xDFFF:
+            raise ValueError(f"escape {m.group()} is not a Unicode scalar value", m.start())
+        return chr(code)
 
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.line[i] if i < len(self.line) else ""
+    return _ESCAPE_RE.sub(decode, chars)
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.line)
 
-    def read_iriref(self) -> Iri:
-        col = self.pos + 1
-        self.pos += 1  # past '<'
-        start = self.pos
-        while True:
-            ch = self.peek()
-            if ch == "":
-                self._err("unterminated IRI (missing '>')", col)
-            if ch == ">":
-                break
-            if ch in " \t" or ord(ch) < 0x20:
-                self._err("whitespace or control character inside IRI")
-            self.pos += 1
-        value = self.line[start:self.pos]
-        self.pos += 1
+def escape_string_literal(s: str) -> str:
+    """The inside of a quoted literal: backslash, quote, CR, LF and TAB as
+    ECHARs, other C0 controls as \\uXXXX."""
+    return s.translate(_ESCAPES)
+
+
+def decode_document(doc: Union[str, bytes]) -> str:
+    """Document text from str or UTF-8 bytes; over 64 MiB is refused."""
+    if isinstance(doc, bytes):
+        if len(doc) > MAX_DOCUMENT_BYTES:
+            raise DocumentTooLargeError(
+                f"document is {len(doc)} bytes; limit is {MAX_DOCUMENT_BYTES}")
         try:
-            return Iri(value)
-        except InvalidIriError as e:
-            raise ParseError(str(e), self.lineno, col) from None
+            return doc.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"document is not valid UTF-8: {e.reason}") from None
+    if len(doc) > MAX_DOCUMENT_BYTES:
+        raise DocumentTooLargeError(
+            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        size = len(doc.encode("utf-8"))
+    except UnicodeEncodeError as e:
+        raise ParseError(f"document is not valid Unicode text: {e.reason}") from None
+    if size > MAX_DOCUMENT_BYTES:
+        raise DocumentTooLargeError(
+            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
+    return doc
 
-    def read_blank(self) -> BlankNode:
-        col = self.pos + 1
-        if self.peek(1) != ":":
-            self._err("expected ':' after '_' in blank node label", col)
-        self.pos += 2
-        start = self.pos
-        while self.peek() and (self.peek().isalnum() or self.peek() == "_"):
-            self.pos += 1
-        label = self.line[start:self.pos]
-        if not label or not label[0].isalpha():
-            self._err(f"malformed blank node label: {label!r}", col)
-        return BlankNode(label)
 
-    def read_string(self) -> str:
-        col = self.pos + 1
-        self.pos += 1  # past opening quote
-        parts = []
-        while True:
-            ch = self.peek()
-            if ch == "":
-                self._err("unterminated string literal", col)
-            if ch == '"':
-                self.pos += 1
-                return "".join(parts)
-            if ch == "\\":
-                ecol = self.pos + 1
-                self.pos += 1
-                esc = self.peek()
-                if esc in ("u", "U"):
-                    width = 4 if esc == "u" else 8
-                    self.pos += 1
-                    hexdigits = self.line[self.pos:self.pos + width]
-                    if len(hexdigits) < width or any(c not in "0123456789abcdefABCDEF" for c in hexdigits):
-                        self._err(f"malformed \\{esc} escape", ecol)
-                    cp = int(hexdigits, 16)
-                    if cp > 0x10FFFF:
-                        self._err("escape is not a valid code point", ecol)
-                    parts.append(chr(cp))
-                    self.pos += width
-                elif esc in _STRING_UNESCAPES:
-                    parts.append(_STRING_UNESCAPES[esc])
-                    self.pos += 1
-                else:
-                    self._err(f"unknown escape \\{esc}", ecol)
-            else:
-                parts.append(ch)
-                self.pos += 1
+def term_error(text: str, pos: int) -> tuple[str, int]:
+    """Message and offset of the first fault in the IRI, blank node label or
+    string literal that starts at text[pos] but does not match its pattern."""
+    end = _TERM_PREFIX_RE.match(text, pos).end()
+    start = text[pos]
+    if start == "_":
+        if not text.startswith("_:", pos):
+            return "expected ':' after '_' in blank node label", pos
+        return f"malformed blank node label: {text[pos + 2:end]!r}", pos
+    if end == len(text):
+        return ("unterminated IRI (missing '>')" if start == "<"
+                else "unterminated string literal"), pos
+    if start == "<":
+        return "whitespace or control character inside IRI", end
+    if text[end] == "\n":
+        return "newline inside string literal (use \\n)", end
+    esc = text[end + 1:end + 2]
+    if esc not in ("u", "U"):
+        return f"unknown escape \\{esc}", end
+    if esc == "U" and re.fullmatch("[0-9A-Fa-f]{8}", text[end + 2:end + 10]):
+        return "escape is not a valid code point", end
+    return f"malformed \\{esc} escape", end
 
-    def read_literal(self) -> Literal:
-        lexcol = self.pos + 1
-        lexical = self.read_string()
-        if self.peek() == "^" and self.peek(1) == "^":
-            self.pos += 2
-            if self.peek() != "<":
-                self._err("expected <IRI> after '^^'")
-            return Literal(lexical, self.read_iriref())
-        if self.peek() == "@":
-            col = self.pos + 1
-            self.pos += 1
-            start = self.pos
-            while self.peek() and (self.peek().isalnum() or self.peek() == "-"):
-                self.pos += 1
-            tag = self.line[start:self.pos]
-            if not _LANGTAG_SHAPE_RE.match(tag):
-                self._err(f"malformed language tag {tag!r}", col)
-            try:
-                return Literal(lexical, lang=tag)
-            except ValueError as e:
-                raise ParseError(str(e), self.lineno, col) from None
-        _ = lexcol
+
+def _term(m: re.Match, lineno: int) -> Term:
+    kind = m.lastgroup
+    pos = m.start(kind)
+    try:
+        if kind == "iri":
+            return Iri(m.group(kind)[1:-1])
+        if kind == "blank":
+            return BlankNode(m.group(kind)[2:])
+        try:
+            lexical = unescape(m.group("quoted")[1:-1])
+        except ValueError as e:
+            message, offset = e.args
+            raise ParseError(message, lineno, pos + offset + 2) from None
+        datatype, lang = m.group("datatype"), m.group("lang")
+        if datatype is not None:
+            pos = m.start("datatype")
+            return Literal(lexical, Iri(datatype[1:-1]))
+        if lang is not None:
+            pos = m.start("lang")
+            return Literal(lexical, lang=lang[1:])
         return Literal(lexical)
+    except (InvalidIriError, ValueError) as e:
+        raise ParseError(str(e), lineno, pos + 1) from None
+
+
+def _line_error(line: str, lineno: int, m: re.Match, expected: str) -> ParseError:
+    """The error for a line whose next match `m` is not the `expected` part."""
+    pos = m.start(m.lastgroup)
+    found = line[pos:pos + 1]
+    if expected == "'.'":
+        message = "expected '.' at end of triple"
+    elif expected == "subject" and found == '"':
+        message = "a literal cannot be the subject of a triple"
+    elif expected == "predicate" and found != "<":
+        message = "expected predicate IRI"
+    elif m.lastgroup == "other" and found in ("<", "_", '"'):
+        message, pos = term_error(line, pos)
+    else:
+        message = f"expected {expected}, found {found!r}"
+    return ParseError(message, lineno, pos + 1)
+
+
+def _suffix_error(line: str, lineno: int, pos: int) -> ParseError:
+    """The error for the malformed '^^' or '@' suffix at line[pos]."""
+    if line.startswith("^^", pos):
+        pos += 2
+        if not line.startswith("<", pos):
+            return ParseError("expected <IRI> after '^^'", lineno, pos + 1)
+        message, pos = term_error(line, pos)
+    else:
+        tag = re.match(r"(?:[^\W_]|-)*", line[pos + 1:]).group()
+        message = f"malformed language tag {tag!r}"
+    return ParseError(message, lineno, pos + 1)
 
 
 def parse_ntriples(doc: Union[str, bytes]) -> Graph:
     """Parse an N-Triples document. Blank lines and `#` comment lines skip."""
-    text = _coerce_text(doc)
+    text = decode_document(doc)
     triples: set[Triple] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        cur = _LineCursor(line, lineno)
-        cur.skip_ws()
-        if cur.at_end() or cur.peek() == "#":
-            continue
-
-        ch = cur.peek()
-        if ch == "<":
-            subject: Union[Iri, BlankNode] = cur.read_iriref()
-        elif ch == "_":
-            subject = cur.read_blank()
-        elif ch == '"':
-            cur._err("a literal cannot be the subject of a triple")
-        else:
-            cur._err(f"expected subject, found {ch!r}")
-
-        cur.skip_ws()
-        if cur.peek() != "<":
-            cur._err("expected predicate IRI")
-        predicate = cur.read_iriref()
-
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch == "<":
-            obj: Term = cur.read_iriref()
-        elif ch == "_":
-            obj = cur.read_blank()
-        elif ch == '"':
-            obj = cur.read_literal()
-        else:
-            cur._err(f"expected object, found {ch!r}")
-
-        cur.skip_ws()
-        if cur.peek() != ".":
-            cur._err("expected '.' at end of triple")
-        cur.pos += 1
-        cur.skip_ws()
-        if not cur.at_end() and cur.peek() != "#":
-            cur._err("unexpected trailing content after '.'")
-
+        m = _TERM_RE.match(line)
+        if m.lastgroup not in ("iri", "blank"):
+            if m.lastgroup == "other" and line[m.end():m.end() + 1] in ("", "#"):
+                continue  # blank or comment line
+            raise _line_error(line, lineno, m, "subject")
+        subject = _term(m, lineno)
+        m = _TERM_RE.match(line, m.end())
+        if m.lastgroup != "iri":
+            raise _line_error(line, lineno, m, "predicate")
+        predicate = _term(m, lineno)
+        m = _TERM_RE.match(line, m.end())
+        if m.lastgroup not in ("iri", "blank", "literal"):
+            raise _line_error(line, lineno, m, "object")
+        obj = _term(m, lineno)
+        end = m.end()
+        bare_literal = m.end("quoted") == end
+        m = _TERM_RE.match(line, end)
+        if m.lastgroup != "dot":
+            if bare_literal and line.startswith(("^^", "@"), end):
+                raise _suffix_error(line, lineno, end)
+            raise _line_error(line, lineno, m, "'.'")
+        rest = line[m.end():].lstrip(" \t")
+        if rest and rest[0] != "#":
+            raise ParseError("unexpected trailing content after '.'", lineno,
+                             len(line) - len(rest) + 1)
         triples.add(Triple(subject, predicate, obj))
     return Graph(triples)
 
 
-def _render_term_nt(term: Term) -> str:
+def render_term(term: Term) -> str:
+    """A term in N-Triples syntax."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
     if isinstance(term, BlankNode):
@@ -202,18 +245,22 @@ def _render_term_nt(term: Term) -> str:
     return f"{body}^^<{lit.datatype.value}>"
 
 
+def render_triple(t: Triple) -> str:
+    """A triple as one N-Triples line, without the line end."""
+    return f"{render_term(t.subject)} {render_term(t.predicate)} {render_term(t.object)} ."
+
+
 def serialize_ntriples_canonical(g: Graph) -> str:
     """One triple per line, full IRIs, lines sorted bytewise, LF endings."""
     if g.has_blank_nodes():
         raise BlankNodePresentError(
             "canonical N-Triples is defined for skolemized graphs; call skolemize() first")
-    lines = sorted(
-        f"{_render_term_nt(t.subject)} {_render_term_nt(t.predicate)} {_render_term_nt(t.object)} ."
-        for t in g
-    )
+    lines = sorted(render_triple(t) for t in g)
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
 
 
-__all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES"]
+__all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES",
+           "decode_document", "escape_string_literal", "render_term", "render_triple",
+           "unescape"]

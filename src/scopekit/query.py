@@ -3,6 +3,12 @@
 Small on purpose: patterns join on shared variables, filters run as a final
 pass, and results come back as a deduplicated, canonically sorted table. No
 OPTIONAL, no UNION, no property paths.
+
+The text syntax puts one pattern per line. Lines end at LF only; whitespace
+around a line, a trailing CR included, is ignored. Terms are read with one
+compiled pattern that shares its string-literal and integer forms with
+N-Triples, so the same escapes apply: a \\uXXXX or \\UXXXXXXXX escape must
+name a Unicode scalar value, and an escaped surrogate is an error.
 """
 
 from __future__ import annotations
@@ -12,13 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    InvalidIriError,
     MalformedVariableError,
     QueryTextError,
     UnboundFilterVariableError,
     UnsupportedRegexError,
 )
 from .namespaces import STANDARD_PREFIXES
-from .ntriples import _render_term_nt
+from .ntriples import INTEGER, STRING_CHARS, STRING_LITERAL_QUOTE, render_term, unescape
 from .terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -30,7 +37,6 @@ from .terms import (
     Term,
     term_sort_key,
 )
-from .turtle import _STRING_UNESCAPES
 
 _VAR_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -78,7 +84,7 @@ class BindingTable:
         """Header of ?names, then one row per binding, N-Triples term syntax."""
         out = ["\t".join("?" + c for c in self.columns)]
         for row in self.rows:
-            out.append("\t".join(_render_term_nt(t) for t in row))
+            out.append("\t".join(render_term(t) for t in row))
         return "\n".join(out) + "\n"
 
 
@@ -184,125 +190,95 @@ def count(g: Graph, patterns: Sequence[Pattern],
 
 _FILTER_LINE_RE = re.compile(r"^FILTER\s+\?([A-Za-z][A-Za-z0-9_]*)\s+/((?:[^/\\]|\\.)*)/\s*$")
 _PNAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)?:(\S*)$")
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
+_INTEGER_RE = re.compile(INTEGER)
+_STRING_PREFIX_RE = re.compile(f'"{STRING_CHARS}')
+
+# One term after spaces and tabs. An IRI is any text up to '>', checked by
+# Iri. 'other' matches, empty, where no term starts.
+_TERM_RE = re.compile(rf"""[ \t]*(?:
+    \?(?P<variable>[^ \t]*)
+  | <(?P<iri>[^>]*)>
+  | (?P<literal>(?P<quoted>{STRING_LITERAL_QUOTE})(?:(?P<datatype>\^\^)|@(?P<lang>[^ \t]*))?)
+  | (?P<word>[^ \t<"][^ \t]*)
+  | (?P<other>)
+)""", re.X)
 
 
-class _LineScanner:
-    def __init__(self, line: str, lineno: int):
-        self.line = line
-        self.lineno = lineno
-        self.pos = 0
+def _no_term(line: str, pos: int) -> str:
+    """Why no term matches at line[pos:]."""
+    if pos == len(line):
+        return "expected a term"
+    if line[pos] == "<":
+        return "unterminated <IRI>"
+    # a string literal without its closing quote, or with a bad escape
+    at = _STRING_PREFIX_RE.match(line, pos).end()
+    if at == len(line):
+        return "unterminated string literal"
+    esc = line[at + 1:at + 2]
+    if esc == "":
+        return "unterminated escape in string literal"
+    if esc not in ("u", "U"):
+        return f"unknown string escape \\{esc}"
+    if esc == "U" and re.fullmatch("[0-9A-Fa-f]{8}", line[at + 2:at + 10]):
+        return "escape beyond the Unicode range"
+    return f"\\{esc} needs {4 if esc == 'u' else 8} hex digits"
 
-    def err(self, msg: str):
-        raise QueryTextError(msg, self.lineno)
 
-    def skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos] in " \t":
-            self.pos += 1
+def _word_term(word: str, lineno: int, prefixes: dict[str, Iri]) -> PatternTerm:
+    if word == "a":
+        return RDF_TYPE
+    if word in ("true", "false"):
+        return Literal(word, XSD_BOOLEAN)
+    if _INTEGER_RE.fullmatch(word):
+        return Literal(word, XSD_INTEGER)
+    if word.startswith("_:"):
+        try:
+            return BlankNode(word[2:])
+        except ValueError as exc:
+            raise QueryTextError(f"bad blank node label: {exc}", lineno) from None
+    m = _PNAME_RE.match(word)
+    if m:
+        prefix = m.group(1) or ""
+        if prefix not in prefixes:
+            raise QueryTextError(f"undefined prefix {prefix!r}", lineno)
+        return Iri(prefixes[prefix].value + m.group(2))
+    raise QueryTextError(f"cannot read term starting at {word!r}", lineno)
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.line)
 
-    def _read_quoted(self) -> str:
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.line):
-                self.err("unterminated string literal")
-            ch = self.line[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(self.line):
-                    self.err("unterminated escape in string literal")
-                esc = self.line[self.pos]
-                if esc in _STRING_UNESCAPES:
-                    out.append(_STRING_UNESCAPES[esc])
-                    self.pos += 1
-                elif esc in "uU":
-                    width = 4 if esc == "u" else 8
-                    hexpart = self.line[self.pos + 1:self.pos + 1 + width]
-                    if len(hexpart) != width or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                        self.err(f"\\{esc} needs {width} hex digits")
-                    code = int(hexpart, 16)
-                    if code > 0x10FFFF:
-                        self.err("escape beyond the Unicode range")
-                    out.append(chr(code))
-                    self.pos += 1 + width
-                else:
-                    self.err(f"unknown string escape \\{esc}")
-            else:
-                out.append(ch)
-                self.pos += 1
-
-    def _read_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.line) and self.line[self.pos] not in " \t":
-            self.pos += 1
-        return self.line[start:self.pos]
-
-    def read_term(self, prefixes: dict[str, Iri]) -> PatternTerm:
-        self.skip_ws()
-        if self.pos >= len(self.line):
-            self.err("expected a term")
-        ch = self.line[self.pos]
-        if ch == "?":
-            self.pos += 1
-            word = self._read_word()
-            try:
-                return Variable(word)
-            except MalformedVariableError as exc:
-                self.err(str(exc))
-        if ch == "<":
-            end = self.line.find(">", self.pos)
-            if end < 0:
-                self.err("unterminated <IRI>")
-            raw = self.line[self.pos + 1:end]
-            self.pos = end + 1
-            try:
-                return Iri(raw)
-            except Exception as exc:
-                self.err(f"bad IRI: {exc}")
-        if ch == '"':
-            lexical = self._read_quoted()
-            if self.line.startswith("^^", self.pos):
-                self.pos += 2
-                if self.pos >= len(self.line) or self.line[self.pos] in " \t":
-                    self.err("^^ needs a datatype")
-                dt = self.read_term(prefixes)
-                if not isinstance(dt, Iri):
-                    self.err("datatype must be an IRI")
-                return Literal(lexical, dt)
-            if self.line.startswith("@", self.pos):
-                self.pos += 1
-                tag = self._read_word()
-                try:
-                    return Literal(lexical, lang=tag)
-                except ValueError as exc:
-                    self.err(str(exc))
-            return Literal(lexical)
-        word = self._read_word()
-        if word == "a":
-            return RDF_TYPE
-        if word in ("true", "false"):
-            return Literal(word, XSD_BOOLEAN)
-        if _INTEGER_RE.match(word):
-            return Literal(word, XSD_INTEGER)
-        if word.startswith("_:"):
-            try:
-                return BlankNode(word[2:])
-            except Exception as exc:
-                self.err(f"bad blank node label: {exc}")
-        m = _PNAME_RE.match(word)
-        if m:
-            prefix = m.group(1) or ""
-            if prefix not in prefixes:
-                self.err(f"undefined prefix {prefix!r}")
-            return Iri(prefixes[prefix].value + m.group(2))
-        self.err(f"cannot read term starting at {word!r}")
+def _read_term(line: str, pos: int, lineno: int,
+               prefixes: dict[str, Iri]) -> tuple[PatternTerm, int]:
+    """The term at line[pos:] and the offset just after it."""
+    m = _TERM_RE.match(line, pos)
+    kind, end = m.lastgroup, m.end()
+    value = m.group(kind)
+    if kind == "variable":
+        try:
+            return Variable(value), end
+        except MalformedVariableError as exc:
+            raise QueryTextError(str(exc), lineno) from None
+    if kind == "iri":
+        try:
+            return Iri(value), end
+        except InvalidIriError as exc:
+            raise QueryTextError(f"bad IRI: {exc}", lineno) from None
+    if kind == "word":
+        return _word_term(value, lineno, prefixes), end
+    if kind == "other":
+        raise QueryTextError(_no_term(line, end), lineno)
+    try:
+        lexical = unescape(m.group("quoted")[1:-1])
+        if m.group("lang") is not None:
+            return Literal(lexical, lang=m.group("lang")), end
+    except ValueError as exc:
+        raise QueryTextError(exc.args[0], lineno) from None
+    if m.group("datatype") is None:
+        return Literal(lexical), end
+    if end == len(line) or line[end] in " \t":
+        raise QueryTextError("^^ needs a datatype", lineno)
+    datatype, end = _read_term(line, end, lineno, prefixes)
+    if not isinstance(datatype, Iri):
+        raise QueryTextError("datatype must be an IRI", lineno)
+    return Literal(lexical, datatype), end
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
@@ -315,7 +291,7 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
         resolved.update(prefixes)
     patterns: list[Pattern] = []
     filters: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -325,11 +301,10 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
                 raise QueryTextError("FILTER lines look like: FILTER ?v /regex/", lineno)
             filters.append((m.group(1), m.group(2).replace("\\/", "/")))
             continue
-        scanner = _LineScanner(line, lineno)
-        s = scanner.read_term(resolved)
-        p = scanner.read_term(resolved)
-        o = scanner.read_term(resolved)
-        if not scanner.at_end():
+        s, pos = _read_term(line, 0, lineno, resolved)
+        p, pos = _read_term(line, pos, lineno, resolved)
+        o, pos = _read_term(line, pos, lineno, resolved)
+        if line[pos:].strip(" \t"):
             raise QueryTextError("a pattern line holds exactly three terms", lineno)
         try:
             patterns.append(Pattern(s, p, o))

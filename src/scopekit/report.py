@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .casekit import CaseGraph
+from .casekit import CaseGraph, first_literal
 from .errors import InvalidCaseError, UnknownClassError
 from .namespaces import (
     CLS_ATTACK_TECHNIQUE,
@@ -29,7 +29,7 @@ from .namespaces import (
     PROP_TACTIC,
     PROP_TECHNIQUE_ID,
 )
-from .terms import RDF_TYPE, Graph, Iri, Literal
+from .terms import RDF_TYPE, Graph, Iri
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,9 @@ class CaseSummary:
         }
 
 
-def _first(g: Graph, subject, predicate) -> str:
-    for o in g.objects_of(subject, predicate):
-        if isinstance(o, Literal):
-            return o.lexical
-    return ""
-
-
 def _label(g: Graph, node) -> str:
     """Display label: the node's name if set, else its IRI local name."""
-    name = _first(g, node, PROP_NAME)
+    name = first_literal(g, node, PROP_NAME)
     if name:
         return name
     if isinstance(node, Iri):
@@ -127,11 +120,11 @@ def summarize(c: CaseGraph) -> CaseSummary:
 
     by_tactic: dict[str, dict[str, str]] = {}
     for subject in _instances_under(g, schema, CLS_ATTACK_TECHNIQUE):
-        tid = _first(g, subject, PROP_TECHNIQUE_ID)
+        tid = first_literal(g, subject, PROP_TECHNIQUE_ID)
         if not tid:
             continue
-        tactic = _first(g, subject, PROP_TACTIC) or "Unspecified"
-        by_tactic.setdefault(tactic, {})[tid] = _first(g, subject, PROP_NAME)
+        tactic = first_literal(g, subject, PROP_TACTIC) or "Unspecified"
+        by_tactic.setdefault(tactic, {})[tid] = first_literal(g, subject, PROP_NAME) or ""
     tactic_map = tuple(
         (tactic, tuple(sorted(techs.items())))
         for tactic, techs in sorted(by_tactic.items()))
@@ -141,11 +134,11 @@ def summarize(c: CaseGraph) -> CaseSummary:
     custody = []
     for t in g.match(None, PROP_CUSTODY_OF, None):
         rec, ev = t.subject, t.object
-        seq_text = _first(g, rec, PROP_CUSTODY_SEQ)
+        seq_text = first_literal(g, rec, PROP_CUSTODY_SEQ) or ""
         actor_nodes = g.objects_of(rec, PROP_CUSTODY_ACTOR)
         custody.append(CustodyEntry(
-            at=_first(g, rec, PROP_CUSTODY_TS),
-            action=_first(g, rec, PROP_CUSTODY_ACTION),
+            at=first_literal(g, rec, PROP_CUSTODY_TS) or "",
+            action=first_literal(g, rec, PROP_CUSTODY_ACTION) or "",
             evidence=_label(g, ev),
             actor=_label(g, actor_nodes[0]) if actor_nodes else "",
             sequence=int(seq_text) if seq_text.lstrip("+-").isdigit() else 0,
@@ -156,9 +149,9 @@ def summarize(c: CaseGraph) -> CaseSummary:
     for subject in _instances_under(g, schema, CLS_INVESTIGATIVE_ACTION):
         performers = g.objects_of(subject, PROP_PERFORMED_BY)
         actions.append(ActionEntry(
-            at=_first(g, subject, PROP_START_TIME),
-            description=_first(g, subject, PROP_DESCRIPTION),
-            location=_first(g, subject, PROP_LOCATION_NOTE),
+            at=first_literal(g, subject, PROP_START_TIME) or "",
+            description=first_literal(g, subject, PROP_DESCRIPTION) or "",
+            location=first_literal(g, subject, PROP_LOCATION_NOTE) or "",
             performer=_label(g, performers[0]) if performers else "",
         ))
     actions.sort(key=lambda a: (a.at, a.description))

@@ -109,9 +109,6 @@ class BlankNode:
 
 Term = Union[Iri, BlankNode, Literal]
 
-# Sort rank per term kind; used by the canonical term order below.
-_KIND_RANK = {Iri: 0, BlankNode: 1, Literal: 2}
-
 
 def term_sort_key(t: Term):
     """Total order over terms: IRIs, then blank nodes, then literals."""

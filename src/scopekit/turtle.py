@@ -6,6 +6,13 @@ datatype or `@lang`, bare integers and booleans, `#` comments, and labeled
 blank nodes `_:x`. Anonymous property lists `[ ]`, collections `( )`,
 `@base`, and triple-quoted strings are rejected with a parse error.
 
+The grammar extends N-Triples and shares its term sub-patterns and string
+escapes: a \\uXXXX or \\UXXXXXXXX escape must name a Unicode scalar value, so
+escaped surrogates are parse errors. The tokenizer is one compiled pattern,
+matched at the parser's position as it asks for the next token. A failed
+match is diagnosed at its offset, and line and column are worked out from the
+offset only when an error is raised.
+
 The canonical serializer emits a deterministic byte layout: prefix lines
 sorted by short-name, one subject block per subject sorted by expanded IRI,
 predicates and objects sorted within the block, LF line endings.
@@ -16,12 +23,19 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .errors import (
-    BlankNodePresentError,
-    DocumentTooLargeError,
-    InvalidIriError,
-    ParseError,
-    UndefinedPrefixError,
+from .errors import BlankNodePresentError, InvalidIriError, ParseError, UndefinedPrefixError
+from .ntriples import (
+    BLANK_NODE_LABEL,
+    BOOLEAN,
+    INTEGER,
+    IRIREF,
+    MAX_DOCUMENT_BYTES,
+    STRING_LITERAL_QUOTE,
+    decode_document,
+    escape_string_literal,
+    render_term,
+    term_error,
+    unescape,
 )
 from .terms import (
     RDF_TYPE,
@@ -37,420 +51,235 @@ from .terms import (
     term_sort_key,
 )
 
-MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
-
-_INTEGER_LEX_RE = re.compile(r"^[+-]?[0-9]+$")
+_INTEGER_RE = re.compile(INTEGER)
 _LOCAL_SAFE_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 _PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*$")
 
-# token kinds
-_T_IRIREF = "IRIREF"
-_T_PNAME = "PNAME"
-_T_BLANK = "BLANK"
-_T_STRING = "STRING"
-_T_ATWORD = "ATWORD"
-_T_INTEGER = "INTEGER"
-_T_BOOLEAN = "BOOLEAN"
-_T_A = "A"
-_T_DOT = "."
-_T_SEMI = ";"
-_T_COMMA = ","
-_T_CARETS = "^^"
-_T_EOF = "EOF"
+# A word starts with a letter and runs on over letters, digits and '-'.
+_WORD = r"[^\W\d_](?:[^\W_]|-)*"
+_WORD_END = r"(?![^\W_]|-)"
+
+# One token after any whitespace and comments. A local name stops before
+# trailing dots, which end the statement. ERROR matches, empty, where no
+# token starts.
+_TOKEN_RE = re.compile(rf"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
+    (?P<IRIREF>{IRIREF})
+  | (?!\"\"\")(?P<STRING>{STRING_LITERAL_QUOTE})
+  | (?P<ATWORD>@(?:[^\W_]|-)+)
+  | (?P<BLANK>{BLANK_NODE_LABEL})
+  | (?P<INTEGER>{INTEGER})(?![0-9eE]|[.][0-9])
+  | (?P<PNAME>{_WORD}):(?P<LOCAL>(?:[\w.-]*[\w-])?)
+  | (?P<BOOLEAN>{BOOLEAN}){_WORD_END}
+  | (?P<A>a){_WORD_END}
+  | (?P<WORD>{_WORD})
+  | (?P<PUNCT>[.;,]|\^\^)
+  | (?P<EOF>\Z)
+  | (?P<ERROR>)
+)""", re.X)
 
 
-class _Token:
-    __slots__ = ("kind", "value", "extra", "line", "col")
+def _token_error(text: str, pos: int) -> tuple[str, int]:
+    """Message and offset for text[pos:], where no token matches."""
+    ch = text[pos]
+    if text.startswith('"""', pos):
+        return "triple-quoted strings are not supported", pos
+    if ch in '<_"':
+        message, at = term_error(text, pos)
+        if ch == "<" and at != pos:
+            message = ("whitespace inside IRI" if text[at] in " \t\r\n"
+                       else "control character inside IRI")
+        return message, at
+    if ch == "@":
+        return "bare '@' is not a token", pos
+    if ch == "^":
+        return "expected '^^'", pos
+    if ch in "+-0123456789":
+        m = _INTEGER_RE.match(text, pos)
+        if m is None:
+            return "expected digits after sign", pos
+        if text[m.end()] == ".":
+            return "decimal literals are not supported (quote them with a datatype)", pos
+        return "exponent literals are not supported", pos
+    if ch in "[]":
+        return "anonymous blank node property lists '[ ]' are not supported", pos
+    if ch in "()":
+        return "collections '( )' are not supported", pos
+    return f"unexpected character {ch!r}", pos
 
-    def __init__(self, kind, value, line, col, extra=None):
-        self.kind = kind
-        self.value = value
-        self.extra = extra
-        self.line = line
-        self.col = col
 
+class _Parser:
+    """Recursive-descent parser over tokens (kind, value, local, offset).
 
-def _coerce_text(doc: Union[str, bytes]) -> str:
-    if isinstance(doc, bytes):
-        if len(doc) > MAX_DOCUMENT_BYTES:
-            raise DocumentTooLargeError(
-                f"document is {len(doc)} bytes; limit is {MAX_DOCUMENT_BYTES}")
-        try:
-            return doc.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"document is not valid UTF-8: {e.reason}") from None
-    if len(doc) > MAX_DOCUMENT_BYTES:
-        raise DocumentTooLargeError(
-            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
-    if len(doc.encode("utf-8")) > MAX_DOCUMENT_BYTES:
-        raise DocumentTooLargeError(
-            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
-    return doc
-
-
-class _Scanner:
-    """Hand-written tokenizer with 1-based line/column tracking."""
+    `local` is the local part of a PNAME, whose value is the prefix. The
+    tokenizer runs one token ahead of the parser.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _err(self, msg: str, line=None, col=None):
-        raise ParseError(msg, line or self.line, col or self.col)
-
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == _T_EOF:
-                return out
-
-    def _next_token(self) -> _Token:
-        text = self.text
-        # skip whitespace and comments
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
-        if self.pos >= len(text):
-            return _Token(_T_EOF, "", self.line, self.col)
-
-        line, col = self.line, self.col
-        ch = text[self.pos]
-
-        if ch == "<":
-            return self._scan_iriref(line, col)
-        if ch == '"':
-            return self._scan_string(line, col)
-        if ch == "@":
-            self._advance()
-            start = self.pos
-            while self._peek() and (self._peek().isalnum() or self._peek() == "-"):
-                self._advance()
-            word = text[start:self.pos]
-            if not word:
-                self._err("bare '@' is not a token", line, col)
-            return _Token(_T_ATWORD, word, line, col)
-        if ch == "_":
-            if self._peek(1) != ":":
-                self._err("expected ':' after '_' in blank node label", line, col)
-            self._advance(2)
-            start = self.pos
-            while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-                self._advance()
-            label = text[start:self.pos]
-            if not label or not label[0].isalpha():
-                self._err(f"malformed blank node label: {label!r}", line, col)
-            return _Token(_T_BLANK, label, line, col)
-        if ch in ";,":
-            self._advance()
-            return _Token(ch, ch, line, col)
-        if ch == ".":
-            self._advance()
-            return _Token(_T_DOT, ".", line, col)
-        if ch == "^":
-            if self._peek(1) != "^":
-                self._err("expected '^^'", line, col)
-            self._advance(2)
-            return _Token(_T_CARETS, "^^", line, col)
-        if ch.isdigit() or ch in "+-":
-            return self._scan_number(line, col)
-        if ch.isalpha():
-            return self._scan_word(line, col)
-        if ch in "[]":
-            self._err("anonymous blank node property lists '[ ]' are not supported", line, col)
-        if ch in "()":
-            self._err("collections '( )' are not supported", line, col)
-        self._err(f"unexpected character {ch!r}", line, col)
-
-    def _scan_iriref(self, line, col) -> _Token:
-        self._advance()  # past '<'
-        start = self.pos
-        while True:
-            ch = self._peek()
-            if ch == "":
-                self._err("unterminated IRI (missing '>')", line, col)
-            if ch == ">":
-                break
-            if ch in " \t\r\n":
-                self._err("whitespace inside IRI", self.line, self.col)
-            if ord(ch) < 0x20:
-                self._err("control character inside IRI", self.line, self.col)
-            self._advance()
-        value = self.text[start:self.pos]
-        self._advance()  # past '>'
-        return _Token(_T_IRIREF, value, line, col)
-
-    def _scan_string(self, line, col) -> _Token:
-        text = self.text
-        if self._peek(1) == '"' and self._peek(2) == '"':
-            self._err("triple-quoted strings are not supported", line, col)
-        self._advance()  # past opening quote
-        parts = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                self._err("unterminated string literal", line, col)
-            if ch == "\n":
-                self._err("newline inside string literal (use \\n)", self.line, self.col)
-            if ch == '"':
-                self._advance()
-                return _Token(_T_STRING, "".join(parts), line, col)
-            if ch == "\\":
-                eline, ecol = self.line, self.col
-                self._advance()
-                esc = self._peek()
-                if esc == "u" or esc == "U":
-                    width = 4 if esc == "u" else 8
-                    self._advance()
-                    hexdigits = text[self.pos:self.pos + width]
-                    if len(hexdigits) < width or any(c not in "0123456789abcdefABCDEF" for c in hexdigits):
-                        self._err(f"malformed \\{esc} escape", eline, ecol)
-                    cp = int(hexdigits, 16)
-                    if cp > 0x10FFFF:
-                        self._err("escape is not a valid code point", eline, ecol)
-                    parts.append(chr(cp))
-                    self._advance(width)
-                elif esc in _STRING_UNESCAPES:
-                    parts.append(_STRING_UNESCAPES[esc])
-                    self._advance()
-                else:
-                    self._err(f"unknown escape \\{esc}", eline, ecol)
-            else:
-                parts.append(ch)
-                self._advance()
-
-    def _scan_number(self, line, col) -> _Token:
-        start = self.pos
-        if self._peek() in "+-":
-            self._advance()
-        digits = 0
-        while self._peek().isdigit():
-            digits += 1
-            self._advance()
-        if digits == 0:
-            self._err("expected digits after sign", line, col)
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._err("decimal literals are not supported (quote them with a datatype)", line, col)
-        if self._peek() in ("e", "E"):
-            self._err("exponent literals are not supported", line, col)
-        return _Token(_T_INTEGER, self.text[start:self.pos], line, col)
-
-    def _scan_word(self, line, col) -> _Token:
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "-"):
-            self._advance()
-        word = self.text[start:self.pos]
-        if self._peek() == ":":
-            self._advance()
-            local = self._scan_local()
-            return _Token(_T_PNAME, word, line, col, extra=local)
-        if word == "a":
-            return _Token(_T_A, "a", line, col)
-        if word in ("true", "false"):
-            return _Token(_T_BOOLEAN, word, line, col)
-        self._err(f"unexpected token {word!r}", line, col)
-
-    def _scan_local(self) -> str:
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_.-"):
-            self._advance()
-        local = self.text[start:self.pos]
-        # a trailing '.' is the statement terminator, not part of the name
-        while local.endswith("."):
-            local = local[:-1]
-            self.pos -= 1
-            self.col -= 1
-        if local and not _LOCAL_SAFE_RE.match(local):
-            self._err(f"malformed local name {local!r}")
-        return local
-
-
-_STRING_UNESCAPES = {
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-    "n": "\n",
-    "r": "\r",
-    "t": "\t",
-    "b": "\b",
-    "f": "\f",
-}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
         self.prefixes: dict[str, Iri] = {}
         self.triples: set[Triple] = set()
+        self.tok = self._scan()
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.i]
+    def _where(self, offset: int) -> tuple[int, int]:
+        line = self.text.count("\n", 0, offset) + 1
+        return line, offset - self.text.rfind("\n", 0, offset)
 
-    def _next(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != _T_EOF:
-            self.i += 1
+    def _fail(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *self._where(offset))
+
+    def _scan(self) -> tuple:
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind = m.lastgroup
+        start, self.pos = m.start(kind), m.end()
+        value = m.group(kind)
+        if kind == "IRIREF":
+            value = value[1:-1]
+        elif kind == "STRING":
+            try:
+                value = unescape(value[1:-1])
+            except ValueError as e:
+                message, offset = e.args
+                raise self._fail(message, start + 1 + offset) from None
+        elif kind == "BLANK":
+            value = value[2:]
+        elif kind == "ATWORD":
+            value = value[1:]
+        elif kind == "LOCAL":
+            if not _LOCAL_SAFE_RE.match(value):
+                raise self._fail(f"malformed local name {value!r}", self.pos)
+            return "PNAME", m.group("PNAME"), value, m.start("PNAME")
+        elif kind == "PUNCT":
+            kind = value
+        elif kind == "WORD":
+            raise self._fail(f"unexpected token {value!r}", start)
+        elif kind == "ERROR":
+            raise self._fail(*_token_error(self.text, start))
+        return kind, value, None, start
+
+    def _next(self) -> tuple:
+        tok = self.tok
+        if tok[0] != "EOF":
+            self.tok = self._scan()
         return tok
 
-    def _err(self, msg: str, tok: _Token):
-        raise ParseError(msg, tok.line, tok.col)
-
     def parse(self) -> Graph:
-        while True:
-            tok = self._peek()
-            if tok.kind == _T_EOF:
-                break
-            if tok.kind == _T_ATWORD:
+        while self.tok[0] != "EOF":
+            if self.tok[0] == "ATWORD":
                 self._directive()
             else:
                 self._statement()
         return Graph(self.triples, self.prefixes)
 
     def _directive(self):
-        tok = self._next()
-        if tok.value == "base":
-            self._err("@base is not supported", tok)
-        if tok.value != "prefix":
-            self._err(f"unknown directive @{tok.value}", tok)
-        name_tok = self._next()
-        if name_tok.kind != _T_PNAME or name_tok.extra != "":
-            self._err("expected prefix name (like 'ex:') after @prefix", name_tok)
-        if not _PREFIX_RE.match(name_tok.value):
-            self._err(f"malformed prefix short-name {name_tok.value!r}", name_tok)
+        _, word, _, offset = self._next()
+        if word == "base":
+            raise self._fail("@base is not supported", offset)
+        if word != "prefix":
+            raise self._fail(f"unknown directive @{word}", offset)
+        kind, name, local, offset = self._next()
+        if kind != "PNAME" or local != "":
+            raise self._fail("expected prefix name (like 'ex:') after @prefix", offset)
+        if not _PREFIX_RE.match(name):
+            raise self._fail(f"malformed prefix short-name {name!r}", offset)
         iri_tok = self._next()
-        if iri_tok.kind != _T_IRIREF:
-            self._err("expected <IRI> in @prefix directive", iri_tok)
+        if iri_tok[0] != "IRIREF":
+            raise self._fail("expected <IRI> in @prefix directive", iri_tok[3])
         dot = self._next()
-        if dot.kind != _T_DOT:
-            self._err("expected '.' to close @prefix directive", dot)
-        self.prefixes[name_tok.value] = self._make_iri(iri_tok)
+        if dot[0] != ".":
+            raise self._fail("expected '.' to close @prefix directive", dot[3])
+        self.prefixes[name] = self._iri(iri_tok)
 
-    def _make_iri(self, tok: _Token) -> Iri:
+    def _iri(self, tok: tuple) -> Iri:
+        """The IRI an IRIREF or PNAME token names."""
+        kind, value, local, offset = tok
+        if kind == "PNAME":
+            if value not in self.prefixes:
+                raise UndefinedPrefixError(value, *self._where(offset))
+            value = self.prefixes[value].value + local
         try:
-            return Iri(tok.value)
+            return Iri(value)
         except InvalidIriError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
-
-    def _expand_pname(self, tok: _Token) -> Iri:
-        if tok.value not in self.prefixes:
-            raise UndefinedPrefixError(tok.value, tok.line, tok.col)
-        try:
-            return Iri(self.prefixes[tok.value].value + tok.extra)
-        except InvalidIriError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
+            raise self._fail(str(e), offset) from None
 
     def _statement(self):
         subject = self._subject()
         self._predicate_object_list(subject)
         dot = self._next()
-        if dot.kind != _T_DOT:
-            self._err("expected '.' at end of statement", dot)
+        if dot[0] != ".":
+            raise self._fail("expected '.' at end of statement", dot[3])
 
     def _subject(self) -> Union[Iri, BlankNode]:
         tok = self._next()
-        if tok.kind == _T_IRIREF:
-            return self._make_iri(tok)
-        if tok.kind == _T_PNAME:
-            return self._expand_pname(tok)
-        if tok.kind == _T_BLANK:
-            return BlankNode(tok.value)
-        if tok.kind in (_T_STRING, _T_INTEGER, _T_BOOLEAN):
-            self._err("a literal cannot be the subject of a triple", tok)
-        if tok.kind == _T_EOF:
-            self._err("unexpected end of input (expected subject)", tok)
-        self._err(f"expected subject, found {tok.value!r}", tok)
+        kind, value, _, offset = tok
+        if kind in ("IRIREF", "PNAME"):
+            return self._iri(tok)
+        if kind == "BLANK":
+            return BlankNode(value)
+        if kind in ("STRING", "INTEGER", "BOOLEAN"):
+            raise self._fail("a literal cannot be the subject of a triple", offset)
+        raise self._fail(f"expected subject, found {value!r}", offset)
 
     def _predicate_object_list(self, subject):
         while True:
             predicate = self._predicate()
             self._object_list(subject, predicate)
-            tok = self._peek()
-            if tok.kind == _T_SEMI:
-                self._next()
-                # tolerate a trailing ';' before the closing '.'
-                if self._peek().kind == _T_DOT:
-                    return
-                continue
-            return
+            if self.tok[0] != ";":
+                return
+            self._next()
+            # tolerate a trailing ';' before the closing '.'
+            if self.tok[0] == ".":
+                return
 
     def _predicate(self) -> Iri:
         tok = self._next()
-        if tok.kind == _T_A:
+        kind, value, _, offset = tok
+        if kind == "A":
             return RDF_TYPE
-        if tok.kind == _T_IRIREF:
-            return self._make_iri(tok)
-        if tok.kind == _T_PNAME:
-            return self._expand_pname(tok)
-        if tok.kind == _T_EOF:
-            self._err("unexpected end of input (expected predicate)", tok)
-        self._err(f"expected predicate, found {tok.value!r}", tok)
+        if kind in ("IRIREF", "PNAME"):
+            return self._iri(tok)
+        if kind == "EOF":
+            raise self._fail("unexpected end of input (expected predicate)", offset)
+        raise self._fail(f"expected predicate, found {value!r}", offset)
 
     def _object_list(self, subject, predicate):
         while True:
-            obj = self._object()
-            self.triples.add(Triple(subject, predicate, obj))
-            if self._peek().kind == _T_COMMA:
-                self._next()
-                continue
-            return
+            self.triples.add(Triple(subject, predicate, self._object()))
+            if self.tok[0] != ",":
+                return
+            self._next()
 
     def _object(self) -> Term:
         tok = self._next()
-        if tok.kind == _T_IRIREF:
-            return self._make_iri(tok)
-        if tok.kind == _T_PNAME:
-            return self._expand_pname(tok)
-        if tok.kind == _T_BLANK:
-            return BlankNode(tok.value)
-        if tok.kind == _T_INTEGER:
-            return Literal(tok.value, XSD_INTEGER)
-        if tok.kind == _T_BOOLEAN:
-            return Literal(tok.value, XSD_BOOLEAN)
-        if tok.kind == _T_STRING:
-            return self._literal_tail(tok.value)
-        if tok.kind == _T_EOF:
-            self._err("unexpected end of input (expected object)", tok)
-        self._err(f"expected object, found {tok.value!r}", tok)
+        kind, value, _, offset = tok
+        if kind in ("IRIREF", "PNAME"):
+            return self._iri(tok)
+        if kind == "BLANK":
+            return BlankNode(value)
+        if kind == "INTEGER":
+            return Literal(value, XSD_INTEGER)
+        if kind == "BOOLEAN":
+            return Literal(value, XSD_BOOLEAN)
+        if kind == "STRING":
+            return self._literal_tail(value)
+        if kind == "EOF":
+            raise self._fail("unexpected end of input (expected object)", offset)
+        raise self._fail(f"expected object, found {value!r}", offset)
 
     def _literal_tail(self, lexical: str) -> Literal:
-        tok = self._peek()
-        if tok.kind == _T_CARETS:
+        kind, value, _, offset = self.tok
+        if kind == "^^":
             self._next()
             dt_tok = self._next()
-            if dt_tok.kind == _T_IRIREF:
-                return Literal(lexical, self._make_iri(dt_tok))
-            if dt_tok.kind == _T_PNAME:
-                return Literal(lexical, self._expand_pname(dt_tok))
-            self._err("expected datatype IRI after '^^'", dt_tok)
-        if tok.kind == _T_ATWORD:
+            if dt_tok[0] not in ("IRIREF", "PNAME"):
+                raise self._fail("expected datatype IRI after '^^'", dt_tok[3])
+            return Literal(lexical, self._iri(dt_tok))
+        if kind == "ATWORD":
             self._next()
             try:
-                return Literal(lexical, lang=tok.value)
+                return Literal(lexical, lang=value)
             except ValueError as e:
-                raise ParseError(str(e), tok.line, tok.col) from None
+                raise self._fail(str(e), offset) from None
         return Literal(lexical)
 
 
@@ -461,33 +290,11 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
     failures raise ParseError (or a subclass) with 1-based line/column,
     UndefinedPrefixError, or InvalidIriError; never anything unstructured.
     """
-    text = _coerce_text(doc)
-    tokens = _Scanner(text).tokens()
-    return _Parser(tokens).parse()
+    return _Parser(decode_document(doc)).parse()
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization
-
-
-def escape_string_literal(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
 
 
 def _abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
@@ -507,25 +314,20 @@ def _abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
 
 
 def _render_term(term: Term, prefixes: dict[str, Iri], as_predicate: bool = False) -> str:
+    """Prefixed names, `a`, and bare integers and booleans where they read
+    back the same; otherwise the N-Triples form."""
     if isinstance(term, Iri):
         if as_predicate and term == RDF_TYPE:
             return "a"
-        short = _abbreviate(term, prefixes)
-        return short if short is not None else f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    lit: Literal = term
-    if lit.lang is not None:
-        return f'"{escape_string_literal(lit.lexical)}"@{lit.lang}'
-    dt = lit.datatype
-    if dt == XSD_STRING:
-        return f'"{escape_string_literal(lit.lexical)}"'
-    if dt == XSD_INTEGER and _INTEGER_LEX_RE.match(lit.lexical):
-        return lit.lexical
-    if dt == XSD_BOOLEAN and lit.lexical in ("true", "false"):
-        return lit.lexical
-    dt_str = _abbreviate(dt, prefixes) or f"<{dt.value}>"
-    return f'"{escape_string_literal(lit.lexical)}"^^{dt_str}'
+        return _abbreviate(term, prefixes) or render_term(term)
+    if isinstance(term, BlankNode) or term.lang is not None or term.datatype == XSD_STRING:
+        return render_term(term)
+    if term.datatype == XSD_INTEGER and _INTEGER_RE.fullmatch(term.lexical):
+        return term.lexical
+    if term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false"):
+        return term.lexical
+    datatype = _abbreviate(term.datatype, prefixes) or render_term(term.datatype)
+    return f'"{escape_string_literal(term.lexical)}"^^{datatype}'
 
 
 def serialize_turtle_canonical(g: Graph) -> str:

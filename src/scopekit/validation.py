@@ -138,11 +138,14 @@ class _Ctx:
         self.catalog = catalog
         self.types: dict = {}          # subject -> set of declared+undeclared type IRIs
         self.by_subject_pred: dict = {}  # (subject, predicate) -> list of objects
+        self.by_predicate: dict = {}   # predicate -> list of triples
         for t in g:
             if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
                 self.types.setdefault(t.subject, set()).add(t.object)
             self.by_subject_pred.setdefault((t.subject, t.predicate), []).append(t.object)
-        self.subjects = sorted(g.subjects(), key=lambda s: _report_iri(s).value)
+            self.by_predicate.setdefault(t.predicate, []).append(t)
+        # rules need no order: validate_graph sorts the findings
+        self.subjects = g.subjects()
 
     def declared_types(self, subject) -> set[Iri]:
         return {c for c in self.types.get(subject, set()) if c in self.schema.classes}
@@ -161,7 +164,7 @@ def _rule_r01(ctx: _Ctx):
         if not types:
             yield Finding(ERROR, "R01", _report_iri(s), "node has no type")
             continue
-        for c in sorted(types, key=lambda i: i.value):
+        for c in types:
             if c not in ctx.schema.classes:
                 yield Finding(ERROR, "R01", _report_iri(s), f"typed with undeclared class {c.value}")
 
@@ -203,7 +206,7 @@ def _check_datatype_value(lit: Literal, expected: Iri) -> str | None:
 
 def _rule_r03(ctx: _Ctx):
     """Range conformance: datatype shape for literals, typing for objects."""
-    for t in sorted(ctx.g, key=lambda t: (_report_iri(t.subject).value, t.predicate.value)):
+    for t in ctx.g:
         p = ctx.schema.properties.get(t.predicate)
         if p is None or p.range is None:
             continue
@@ -230,8 +233,7 @@ def _rule_r03(ctx: _Ctx):
 def _rule_r04(ctx: _Ctx):
     """Cardinality: occurrence counts against minCount/maxCount/functional."""
     # max side: count distinct objects per (subject, property)
-    for (s, pred), objs in sorted(ctx.by_subject_pred.items(),
-                                  key=lambda kv: (_report_iri(kv[0][0]).value, kv[0][1].value)):
+    for (s, pred), objs in ctx.by_subject_pred.items():
         p = ctx.schema.properties.get(pred)
         if p is None or p.max_card is None:
             continue
@@ -242,7 +244,7 @@ def _rule_r04(ctx: _Ctx):
                           f"{kind} {pred.local_name()} has {n} distinct values, at most {p.max_card} allowed")
     # min side: every instance of a domain class must reach the floor
     min_props = [p for p in ctx.schema.properties.values() if p.min_card > 0]
-    for p in sorted(min_props, key=lambda p: p.iri.value):
+    for p in min_props:
         for s in ctx.subjects:
             declared = ctx.declared_types(s)
             if not declared:
@@ -271,10 +273,8 @@ def _rule_r05(ctx: _Ctx):
 
 def _literal_shape_rule(code: str, prop: Iri, regex, what: str):
     def rule(ctx: _Ctx):
-        for t in sorted(ctx.g, key=lambda t: (_report_iri(t.subject).value, str(t.object))):
-            if t.predicate != prop or not isinstance(t.object, Literal):
-                continue
-            if not regex.match(t.object.lexical):
+        for t in ctx.by_predicate.get(prop, ()):
+            if isinstance(t.object, Literal) and not regex.match(t.object.lexical):
                 yield Finding(ERROR, code, _report_iri(t.subject),
                               f"{t.object.lexical!r} is not a well-formed {what}")
     return rule
@@ -301,11 +301,8 @@ def _rule_r10(ctx: _Ctx):
     """Chain of custody: every acquired item has one, and it moves forward in time."""
     # custody records grouped by the evidence item they describe
     records_by_evidence: dict = {}
-    for (s, pred), objs in ctx.by_subject_pred.items():
-        if pred != PROP_CUSTODY_OF:
-            continue
-        for o in objs:
-            records_by_evidence.setdefault(o, []).append(s)
+    for t in ctx.by_predicate.get(PROP_CUSTODY_OF, ()):
+        records_by_evidence.setdefault(t.object, []).append(t.subject)
 
     for e in ctx.subjects:
         if not ctx.is_instance_of(e, CLS_ACQUIRED_EVIDENCE):

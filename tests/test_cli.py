@@ -2,13 +2,27 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scopekit
 from scopekit.cli import main
 from scopekit.turtle import parse_turtle
 
 from conftest import FIXTURE_DIR
+
+
+def run_module(*args):
+    """`python -m scopekit.cli ARGS` in a fresh interpreter on this source tree."""
+    src = str(Path(scopekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "scopekit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture()
@@ -87,6 +101,16 @@ class TestConvert:
         assert main(["convert", str(case_file), "--to", "nt"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert lines == sorted(lines)
+
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U0000D800"])
+    def test_surrogate_escape_exits_two(self, tmp_path, escape):
+        doc = tmp_path / "bad.nt"
+        doc.write_text(f'<urn:x:s> <urn:x:p> "{escape}" .\n', encoding="utf-8")
+        done = run_module("convert", str(doc), "--to", "ttl")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert "not a Unicode scalar value (line 1, column 22)" in done.stderr
 
 
 class TestQuery:
@@ -278,6 +302,12 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_module_entry_point_runs(self):
+        done = run_module()
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: ")
 
     def test_entrypoint_raises_system_exit(self, capsys, case_file):
         import sys

@@ -1,0 +1,207 @@
+"""Pinned error behaviour of the three text grammars.
+
+Each row is a malformed input and the exact error it raises: exception class,
+message, line and column. At least one row per error branch of the Turtle, N-Triples
+and query-text parsers, so a rewrite of a tokenizer cannot move or reword a
+diagnostic unnoticed.
+"""
+
+import pytest
+
+from scopekit.errors import ParseError, QueryTextError, UndefinedPrefixError
+from scopekit.ntriples import parse_ntriples
+from scopekit.query import parse_query
+from scopekit.turtle import parse_turtle
+
+S, P, O = "<http://ex/s>", "<http://ex/p>", "<http://ex/o>"
+PFX = "@prefix ex: <http://ex/> .\n"
+
+TURTLE_ERRORS = [
+    (f"{S} {P} [ <http://ex/q> 1 ] .", ParseError,
+     "anonymous blank node property lists '[ ]' are not supported", 1, 29),
+    (f"{S} {P} ( 1 2 ) .", ParseError, "collections '( )' are not supported", 1, 29),
+    ("@base <http://ex/> .", ParseError, "@base is not supported", 1, 1),
+    (f'{S} {P} """multi""" .', ParseError, "triple-quoted strings are not supported", 1, 29),
+    (f"{S} {P} 1.5 .", ParseError,
+     "decimal literals are not supported (quote them with a datatype)", 1, 29),
+    (f"{S} {P} 12.5 .", ParseError,
+     "decimal literals are not supported (quote them with a datatype)", 1, 29),
+    (f"{S} {P} 1e3 .", ParseError, "exponent literals are not supported", 1, 29),
+    (f"{S} {P} -25e1 .", ParseError, "exponent literals are not supported", 1, 29),
+    (f"{S} {P} -x .", ParseError, "expected digits after sign", 1, 29),
+    (f"{S} {P} +.5 .", ParseError, "expected digits after sign", 1, 29),
+    (f"{S} {P} 12abc .", ParseError, "unexpected token 'abc'", 1, 31),
+    (f'{S} {P} "open .', ParseError, "unterminated string literal", 1, 29),
+    (f'{S} {P} "a\nb" .', ParseError, "newline inside string literal (use \\n)", 1, 31),
+    (f'{S} {P} "\\u12G4" .', ParseError, "malformed \\u escape", 1, 30),
+    (f'{S} {P} "\\U0000FFF" .', ParseError, "malformed \\U escape", 1, 30),
+    (f'{S} {P} "\\U00110000" .', ParseError, "escape is not a valid code point", 1, 30),
+    (f'{S} {P} "\\q" .', ParseError, "unknown escape \\q", 1, 30),
+    (f'{S} {P} "a\\', ParseError, "unknown escape \\", 1, 31),
+    (f"<http://ex/a b> {P} {O} .", ParseError, "whitespace inside IRI", 1, 13),
+    (f"<http://ex/b\tad> {P} {O} .", ParseError, "whitespace inside IRI", 1, 13),
+    (f"<http://ex/a\x01b> {P} {O} .", ParseError, "control character inside IRI", 1, 13),
+    (f"<http://ex/s {P} {O} .", ParseError, "whitespace inside IRI", 1, 13),
+    (f"{S} {P} <http://ex/o", ParseError, "unterminated IRI (missing '>')", 1, 29),
+    (f"_a {P} {O} .", ParseError, "expected ':' after '_' in blank node label", 1, 1),
+    (f"_:1a {P} {O} .", ParseError, "malformed blank node label: '1a'", 1, 1),
+    (f"_: {P} {O} .", ParseError, "malformed blank node label: ''", 1, 1),
+    (f"{S} {P} @ .", ParseError, "bare '@' is not a token", 1, 29),
+    (f'{S} {P} "x"^<http://ex/d> .', ParseError, "expected '^^'", 1, 32),
+    (f"{S} {P} % .", ParseError, "unexpected character '%'", 1, 29),
+    (f"{S} {P} foo .", ParseError, "unexpected token 'foo'", 1, 29),
+    (PFX + "ex:s ex:p ex:-a .", ParseError, "malformed local name '-a'", 2, 16),
+    (PFX + "ex:s ex:p ex:.a .", ParseError, "malformed local name '.a'", 2, 16),
+    ("@prefix 9x: <http://ex/> .", ParseError,
+     "expected prefix name (like 'ex:') after @prefix", 1, 9),
+    ("@prefix ex:a <http://ex/> .", ParseError,
+     "expected prefix name (like 'ex:') after @prefix", 1, 9),
+    ('@prefix ex: "x" .', ParseError, "expected <IRI> in @prefix directive", 1, 13),
+    ("@prefix ex: <http://ex/>", ParseError, "expected '.' to close @prefix directive", 1, 25),
+    ("@prefix é: <http://ex/> .", ParseError, "malformed prefix short-name 'é'", 1, 9),
+    ("@foo <http://ex/> .", ParseError, "unknown directive @foo", 1, 1),
+    ("@prefix ex: <relative> .", ParseError, "IRI has no scheme: 'relative'", 1, 13),
+    ('nope:s <http://ex/p> "o" .', UndefinedPrefixError, "undefined prefix 'nope:'", 1, 1),
+    (f"{S} {P} .", ParseError, "expected object, found '.'", 1, 29),
+    (f"{S} {P} {O}", ParseError, "expected '.' at end of statement", 1, 42),
+    (f'"lit" {P} {O} .', ParseError, "a literal cannot be the subject of a triple", 1, 1),
+    (f"{S}", ParseError, "unexpected end of input (expected predicate)", 1, 14),
+    (f"{S} {P}", ParseError, "unexpected end of input (expected object)", 1, 28),
+    (f"{S} {P} {O} ;", ParseError, "unexpected end of input (expected predicate)", 1, 44),
+    (f". {P} {O} .", ParseError, "expected subject, found '.'", 1, 1),
+    (f'{S} "x" {O} .', ParseError, "expected predicate, found 'x'", 1, 15),
+    (f'{S} {P} "x"^^"y" .', ParseError, "expected datatype IRI after '^^'", 1, 34),
+    (f'{S} {P} "x"@toolongtag .', ParseError, "malformed language tag: 'toolongtag'", 1, 32),
+    (f"{S} {P} a .", ParseError, "expected object, found 'a'", 1, 29),
+    (f"{S} a {O} , .", ParseError, "expected object, found '.'", 1, 33),
+    (f"{S} {P} {O} . foo", ParseError, "unexpected token 'foo'", 1, 45),
+    (f"<relative> {P} {O} .", ParseError, "IRI has no scheme: 'relative'", 1, 1),
+    (f'{S} {P} "x"^^<relative> .', ParseError, "IRI has no scheme: 'relative'", 1, 34),
+    # positions across lines, comments and CRLF line ends
+    (PFX + "ex:s ex:p ex:o ;\n    ex:q %", ParseError, "unexpected character '%'", 3, 10),
+    ('# comment\r\n@prefix ex: <http://ex/> .\r\nex:s ex:p\r\n  "a\\z" .', ParseError,
+     "unknown escape \\z", 4, 5),
+    (PFX + "\n\n  ex:s ex:p <http://ex/x y> .", ParseError, "whitespace inside IRI", 4, 25),
+]
+
+NTRIPLES_ERRORS = [
+    (f'"lit" {P} {O} .', "a literal cannot be the subject of a triple", 1, 1),
+    (f"ex:s {P} {O} .", "expected subject, found 'e'", 1, 1),
+    (f'{S} "lit" {O} .', "expected predicate IRI", 1, 15),
+    (f"{S} {P} .", "expected object, found '.'", 1, 29),
+    (f"{S} {P} ", "expected object, found ''", 1, 29),
+    (f'{S} {P} "o"', "expected '.' at end of triple", 1, 32),
+    (f'{S} {P} "a" "b" .', "expected '.' at end of triple", 1, 33),
+    (f'{S} {P} "x"^<http://ex/d> .', "expected '.' at end of triple", 1, 32),
+    (f"{S} {P} {O} . x", "unexpected trailing content after '.'", 1, 45),
+    (f"<relative> {P} {O} .", "IRI has no scheme: 'relative'", 1, 1),
+    (f'{S} {P} "x"^^<relative> .', "IRI has no scheme: 'relative'", 1, 34),
+    (f"<http://ex/s {P} {O} .", "whitespace or control character inside IRI", 1, 13),
+    (f"<http://ex/a b> {P} {O} .", "whitespace or control character inside IRI", 1, 13),
+    (f"<http://ex/a\x01b> {P} {O} .", "whitespace or control character inside IRI", 1, 13),
+    (f"{S} {P} <http://ex/o", "unterminated IRI (missing '>')", 1, 29),
+    (f"_a {P} {O} .", "expected ':' after '_' in blank node label", 1, 1),
+    (f"_:1 {P} {O} .", "malformed blank node label: '1'", 1, 1),
+    (f'{S} {P} "open .', "unterminated string literal", 1, 29),
+    (f'{S} {P} "\\u12G4" .', "malformed \\u escape", 1, 30),
+    (f'{S} {P} "\\U0000FFF" .', "malformed \\U escape", 1, 30),
+    (f'{S} {P} "\\U00110000" .', "escape is not a valid code point", 1, 30),
+    (f'{S} {P} "\\q" .', "unknown escape \\q", 1, 30),
+    (f'{S} {P} "abc\\', "unknown escape \\", 1, 33),
+    (f'{S} {P} "x"^^foo .', "expected <IRI> after '^^'", 1, 34),
+    (f'{S} {P} "x"@en- .', "malformed language tag 'en-'", 1, 32),
+    (f'{S} {P} "x"@ .', "malformed language tag ''", 1, 32),
+    (f'{S} {P} "x"@toolongtag .', "malformed language tag: 'toolongtag'", 1, 32),
+    (f'{S} {P} "x" .\r\n{S} {P} {O} .\r\n{S} {P} "\\q" .\r\n', "unknown escape \\q", 3, 30),
+    (f"# header\n\n{S} {P} {O} . # ok\n  {S} %", "expected predicate IRI", 4, 17),
+]
+
+QUERY_ERRORS = [
+    ('?s ?p "open', "unterminated string literal", 1),
+    ('?s ?p "a\\', "unterminated escape in string literal", 1),
+    ('?s ?p "\\u12G4"', "\\u needs 4 hex digits", 1),
+    ('?s ?p "\\U0000FFF"', "\\U needs 8 hex digits", 1),
+    ('?s ?p "\\U00110000"', "escape beyond the Unicode range", 1),
+    ('?s ?p "\\q"', "unknown string escape \\q", 1),
+    ("?s ?p <http://a", "unterminated <IRI>", 1),
+    ("?s ?p <rel>", "bad IRI: IRI has no scheme: 'rel'", 1),
+    ("?s ?p <http://a b>", "bad IRI: IRI contains forbidden character ' ': 'http://a b'", 1),
+    ('?s ?p "x"^^', "^^ needs a datatype", 1),
+    ('?s ?p "x"^^?v', "datatype must be an IRI", 1),
+    ('?s ?p "x"@toolongtag', "malformed language tag: 'toolongtag'", 1),
+    ("?s ?p", "expected a term", 1),
+    ("?1 ?p ?o", "variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?1", 1),
+    ("?s ?p _:1", "bad blank node label: malformed blank node label: '1'", 1),
+    ("?s ?p nope:x", "undefined prefix 'nope'", 1),
+    ("?s ?p %%", "cannot read term starting at '%%'", 1),
+    ("?s ?p ?o ?x", "a pattern line holds exactly three terms", 1),
+    ('?s "x" ?o', "pattern predicate must be an IRI or a variable", 1),
+    ("FILTER ?s regex", "FILTER lines look like: FILTER ?v /regex/", 1),
+    ("", "query has no patterns", 1),
+    ("# only\n\n", "query has no patterns", 1),
+    ("?s ?p ?o\n# comment\n\n  ?a ?b", "expected a term", 4),
+]
+
+
+@pytest.mark.parametrize("doc,cls,message,line,column", TURTLE_ERRORS)
+def test_turtle_errors(doc, cls, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(doc)
+    assert type(exc.value) is cls
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+
+
+@pytest.mark.parametrize("doc,message,line,column", NTRIPLES_ERRORS)
+def test_ntriples_errors(doc, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_ntriples(doc)
+    assert type(exc.value) is ParseError
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+
+
+@pytest.mark.parametrize("parse", [parse_turtle, parse_ntriples])
+def test_invalid_utf8_has_no_position(parse):
+    with pytest.raises(ParseError) as exc:
+        parse(b"\xff\xfe<http://ex/s>")
+    assert type(exc.value) is ParseError
+    assert (exc.value.line, exc.value.column) == (0, 0)
+    assert str(exc.value) == "document is not valid UTF-8: invalid start byte"
+
+
+@pytest.mark.parametrize("text,message,line", QUERY_ERRORS)
+def test_query_errors(text, message, line):
+    with pytest.raises(QueryTextError) as exc:
+        parse_query(text)
+    assert type(exc.value) is QueryTextError
+    assert exc.value.line == line
+    assert str(exc.value) == f"{message} (query line {line})"
+
+
+SURROGATE_ESCAPES = ["\\uD800", "\\uDFFF", "\\U0000D800"]
+
+
+@pytest.mark.parametrize("escape", SURROGATE_ESCAPES)
+@pytest.mark.parametrize("parse", [parse_turtle, parse_ntriples])
+def test_surrogate_escapes_rejected(parse, escape):
+    # RDF 1.1: a UCHAR must name a Unicode scalar value
+    with pytest.raises(ParseError) as exc:
+        parse(f'{S} {P} "ok" .\n{S} {P} "a{escape}" .\n')
+    assert type(exc.value) is ParseError
+    assert (exc.value.line, exc.value.column) == (2, 31)
+    assert f"escape {escape} is not a Unicode scalar value" in str(exc.value)
+
+
+@pytest.mark.parametrize("escape", SURROGATE_ESCAPES)
+def test_surrogate_escapes_rejected_in_query(escape):
+    with pytest.raises(QueryTextError) as exc:
+        parse_query(f'?s ?p ?o\n?s ?p "{escape}"@en')
+    assert exc.value.line == 2
+    assert f"escape {escape} is not a Unicode scalar value" in str(exc.value)
+
+
+@pytest.mark.parametrize("parse", [parse_turtle, parse_ntriples])
+def test_raw_surrogate_in_text_rejected(parse):
+    with pytest.raises(ParseError, match="surrogates not allowed"):
+        parse(f'{S} {P} "\ud800" .')

@@ -235,6 +235,7 @@ class TestTextSyntax:
         ("FILTER ?v /x", 1),                # unclosed regex
         ("", 0),                            # no patterns at all
         ("# only a comment\n", 0),          # no patterns at all
+        ('?s ?p "a\u2028b"\n?s ?p', 2),    # lines end only at LF
     ])
     def test_text_errors_carry_line(self, bad, lineno):
         with pytest.raises(QueryTextError) as err:
