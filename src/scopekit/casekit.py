@@ -1,9 +1,10 @@
 """Case construction, diff, and merge.
 
-CaseGraph is the one mutable façade in the package: it wraps an immutable
-Graph and replaces it on every builder call. Everything a builder mints is
-named kb:<kebab-name>-<uuid4>, typed, and linked back to the incident, so a
-case built purely through this module validates with zero errors.
+CaseGraph is the one mutable façade in the package. Builder calls add triples
+in place to a triple set it owns, and `CaseGraph.graph` hands readers an
+immutable Graph snapshot of it. Everything a builder mints is named
+kb:<kebab-name>-<uuid4>, typed, and linked back to the incident, so a case
+built purely through this module validates with zero errors.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .terms import (
     Iri,
     Literal,
     Triple,
+    term_sort_key,
 )
 from .turtle import serialize_turtle_canonical
 from .validation import is_valid_utc_timestamp
@@ -139,11 +141,22 @@ def _check_timestamp(at: str) -> str:
 
 
 class CaseGraph:
-    """A single investigation's graph plus the handles builders need."""
+    """A single investigation's graph plus the handles builders need.
+
+    Builder calls write to a mutable triple set with subject and object
+    indexes, copied from the wrapped graph on the first write or lookup, so
+    building n triples takes O(n). A case that is only read never makes that
+    copy. `graph` hands out an immutable snapshot, cached until the next add
+    that inserts a triple.
+    """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
                  rng: Optional[random.Random] = None):
-        self._graph = graph
+        self._snapshot: Optional[Graph] = graph
+        self._triples: Optional[set[Triple]] = None  # the write state, built lazily
+        self._by_subject: dict = {}
+        self._by_object: dict = {}
+        self._prefixes: dict[str, Iri] = {}
         self.case_iri = case_iri
         self.schema = schema
         self.catalog = catalog
@@ -154,27 +167,53 @@ class CaseGraph:
 
     @property
     def graph(self) -> Graph:
-        return self._graph
+        if self._snapshot is None:
+            self._snapshot = Graph(self._triples, self._prefixes)
+        return self._snapshot
 
     @property
     def created(self) -> str:
-        for o in self._graph.objects_of(self.case_iri, PROP_CREATED_TIME):
-            if isinstance(o, Literal):
-                return o.lexical
-        return ""
+        return self._case_literal(PROP_CREATED_TIME)
 
     @property
     def name(self) -> str:
-        for o in self._graph.objects_of(self.case_iri, PROP_NAME):
-            if isinstance(o, Literal):
-                return o.lexical
-        return ""
+        return self._case_literal(PROP_NAME)
+
+    def _case_literal(self, predicate: Iri) -> str:
+        if self._triples is None:
+            return first_literal(self._snapshot, self.case_iri, predicate) or ""
+        found = [t.object for t in self._by_subject.get(self.case_iri, ())
+                 if t.predicate == predicate and isinstance(t.object, Literal)]
+        return min(found, key=term_sort_key).lexical if found else ""
+
+    def _writable(self) -> set[Triple]:
+        """The mutable triple set, copied from the wrapped graph on first use."""
+        if self._triples is None:
+            self._triples = set()
+            self._prefixes = self._snapshot.prefixes
+            for t in self._snapshot:
+                self._insert(t)
+        return self._triples
+
+    def _insert(self, t: Triple) -> None:
+        self._triples.add(t)
+        self._by_subject.setdefault(t.subject, []).append(t)
+        self._by_object.setdefault(t.object, []).append(t)
 
     def add(self, triple: Triple) -> None:
-        self._graph = self._graph.insert(triple)
+        if not isinstance(triple, Triple):
+            raise TypeError(f"not a triple: {triple!r}")
+        if triple not in self._writable():
+            self._insert(triple)
+            self._snapshot = None
 
     def add_all(self, triples: Iterable[Triple]) -> None:
-        self._graph = self._graph.insert_all(triples)
+        triples = list(triples)
+        for t in triples:
+            if not isinstance(t, Triple):
+                raise TypeError(f"not a triple: {t!r}")
+        for t in triples:
+            self.add(t)
 
     def mint(self, base: str) -> Iri:
         slug = kebab(base)
@@ -187,7 +226,8 @@ class CaseGraph:
         return Iri(f"{KB}{slug}-{u}")
 
     def has_node(self, iri: Iri) -> bool:
-        return bool(self._graph.match(iri, None, None))
+        self._writable()
+        return iri in self._by_subject
 
     def _require_node(self, iri: Iri, what: str) -> None:
         if not self.has_node(iri):
@@ -316,7 +356,7 @@ class CaseGraph:
             raise InvalidNameError(
                 f"custody action must be one of {', '.join(CUSTODY_ACTIONS)}, got {action!r}")
         _check_timestamp(at)
-        seq = len(self._graph.match(None, PROP_CUSTODY_OF, evidence)) + 1
+        seq = sum(t.predicate == PROP_CUSTODY_OF for t in self._by_object.get(evidence, ())) + 1
         rec = self.add_node(CLS_PROVENANCE_RECORD)
         self.add(Triple(rec, PROP_CUSTODY_OF, evidence))
         self.add(Triple(rec, PROP_CUSTODY_ACTION, Literal(action)))
@@ -327,17 +367,12 @@ class CaseGraph:
             self.add(Triple(rec, PROP_CUSTODY_ACTOR, actor))
         return rec
 
-    def _find_technique_node(self, technique_id: str) -> Optional[Iri]:
-        for t in self._graph.match(None, PROP_TECHNIQUE_ID, Literal(technique_id)):
-            if isinstance(t.subject, Iri):
-                return t.subject
-        return None
-
-    def _find_pattern_node(self, capec_id: str) -> Optional[Iri]:
-        for t in self._graph.match(None, PROP_CAPEC_ID, Literal(capec_id)):
-            if isinstance(t.subject, Iri):
-                return t.subject
-        return None
+    def _first_subject(self, predicate: Iri, obj: Literal) -> Optional[Iri]:
+        """The first IRI subject, in canonical order, of (?, predicate, obj)."""
+        self._writable()
+        found = [t.subject for t in self._by_object.get(obj, ())
+                 if t.predicate == predicate and isinstance(t.subject, Iri)]
+        return min(found, key=term_sort_key, default=None)
 
     def attach_technique(self, subject: Iri, technique_id: str, capec: bool = False,
                          cve: Union[str, list[str], None] = None) -> Iri:
@@ -345,7 +380,7 @@ class CaseGraph:
         nodes are shared within a case, keyed by their id."""
         entry = self.catalog.lookup_technique(technique_id)
         self._require_node(subject, "annotation subject")
-        node = self._find_technique_node(technique_id)
+        node = self._first_subject(PROP_TECHNIQUE_ID, Literal(technique_id))
         if node is None:
             node = self.add_node(CLS_ATTACK_TECHNIQUE, entry.name)
             self.add(Triple(node, PROP_TECHNIQUE_ID, Literal(entry.id)))
@@ -353,7 +388,7 @@ class CaseGraph:
         self.add(Triple(subject, PROP_USES_TECHNIQUE, node))
         if capec:
             for pattern in self.catalog.capec_for_technique(technique_id):
-                pnode = self._find_pattern_node(pattern.id)
+                pnode = self._first_subject(PROP_CAPEC_ID, Literal(pattern.id))
                 if pnode is None:
                     pnode = self.add_node(CLS_ATTACK_PATTERN, pattern.name)
                     self.add(Triple(pnode, PROP_CAPEC_ID, Literal(pattern.id)))
@@ -387,16 +422,17 @@ class CaseGraph:
     def iocs(self) -> list[Ioc]:
         """All IoC nodes in the case, normalized, sorted by (kind, value)."""
         out = []
-        for t in self._graph.match(None, RDF_TYPE, CLS_HASH_VALUE):
-            value = first_literal(self._graph, t.subject, PROP_MD5)
+        g = self.graph
+        for t in g.match(None, RDF_TYPE, CLS_HASH_VALUE):
+            value = first_literal(g, t.subject, PROP_MD5)
             if value is not None:
                 out.append(Ioc("Md5Hash", value,
-                               first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
-        for t in self._graph.match(None, RDF_TYPE, CLS_DOMAIN_INDICATOR):
-            value = first_literal(self._graph, t.subject, PROP_DOMAIN_NAME)
+                               first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
+        for t in g.match(None, RDF_TYPE, CLS_DOMAIN_INDICATOR):
+            value = first_literal(g, t.subject, PROP_DOMAIN_NAME)
             if value is not None:
                 out.append(Ioc("Domain", value,
-                               first_literal(self._graph, t.subject, PROP_IOC_SOURCE) or ""))
+                               first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
         out.sort(key=lambda i: (i.kind, i.value))
         return out
 
@@ -461,11 +497,11 @@ class CaseGraph:
     # -- serialization --
 
     def to_turtle(self) -> str:
-        return serialize_turtle_canonical(self._graph)
+        return serialize_turtle_canonical(self.graph)
 
     def validate(self):
         from .validation import validate_graph
-        return validate_graph(self._graph, self.schema, self.catalog)
+        return validate_graph(self.graph, self.schema, self.catalog)
 
 
 def first_literal(g: Graph, subject, predicate) -> Optional[str]:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import InvalidIriError
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
-_FORBIDDEN_IRI_CHARS = set('<>"{}|^`\\')
+_FORBIDDEN_IRI_CHAR_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _PREFIX_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*$")
 _LANG_TAG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
@@ -38,9 +38,9 @@ class Iri:
             raise InvalidIriError("IRI must be non-empty")
         if not _SCHEME_RE.match(v):
             raise InvalidIriError(f"IRI has no scheme: {v!r}")
-        for ch in v:
-            if ch in _FORBIDDEN_IRI_CHARS or ord(ch) <= 0x20:
-                raise InvalidIriError(f"IRI contains forbidden character {ch!r}: {v!r}")
+        bad = _FORBIDDEN_IRI_CHAR_RE.search(v)
+        if bad:
+            raise InvalidIriError(f"IRI contains forbidden character {bad.group()!r}: {v!r}")
 
     def local_name(self) -> str:
         """Substring after the last '/', '#', or ':' separator."""

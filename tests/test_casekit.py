@@ -384,3 +384,86 @@ class TestMerge:
             casekit.merge(a, b)
         out = casekit.merge(a, b, allow_mismatch=True)
         assert out.merged.graph.triples == a.graph.triples | b.graph.triples
+
+
+def build_components(n):
+    """A case grown through every builder call, n components deep."""
+    c = make_case()
+    analyst = c.add_role(role("ForensicAnalyst"), "Analyst")
+    for i in range(n):
+        comp = c.add_component(infrastructure("EnergySystem"), f"grid {i}")
+        threat = c.add_threat(threats("Tampering"), comp)
+        crime = c.add_crime("IllegalAccess", comp)
+        item = c.add_evidence(evidence("DeviceImage"), crime=crime)
+        c.add_custody_event(item, "Imaged", "2100-01-01T01:00:00Z", actor=analyst)
+        c.attach_technique(threat, "T1190", capec=True)
+        c.add_action(f"imaged grid {i}", "2100-01-01T02:00:00Z", by=analyst)
+    return c
+
+
+class TestBuilderScaling:
+    def count_graph_work(self, monkeypatch, n):
+        calls = {"_build_index": 0, "__init__": 0}
+        for name in calls:
+            original = getattr(Graph, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Graph, name, counted)
+        c = build_components(n)
+        assert len(c.graph.match(c.case_iri, None, None)) == 3
+        monkeypatch.undo()
+        return calls
+
+    def test_graph_work_does_not_grow_with_case_size(self, monkeypatch):
+        small = self.count_graph_work(monkeypatch, 50)
+        large = self.count_graph_work(monkeypatch, 200)
+        assert small == large
+
+
+class TestSnapshot:
+    def test_earlier_snapshot_is_unchanged_by_add(self):
+        c = make_case()
+        before = c.graph
+        triples = before.triples
+        c.add_component(infrastructure("EnergySystem"), "grid")
+        assert before.triples == triples
+        assert len(c.graph) == len(before) + 2
+
+    def test_reads_without_add_return_the_same_object(self):
+        c = make_case()
+        c.add_component(infrastructure("EnergySystem"), "grid")
+        assert c.graph is c.graph
+
+    def test_re_adding_a_triple_keeps_the_snapshot(self):
+        c = make_case()
+        snapshot = c.graph
+        c.add(next(iter(snapshot)))
+        assert c.graph is snapshot
+
+    def test_add_rejects_a_non_triple(self):
+        c = make_case()
+        with pytest.raises(TypeError):
+            c.add("x")
+        with pytest.raises(TypeError):
+            c.add_all([Triple(c.case_iri, PROP_DESCRIPTION, Literal("d")), "x"])
+        assert len(c.graph) == 3
+
+    def test_forks_do_not_share_adds(self):
+        g = make_case().graph
+        a, b = casekit.from_graph(g), casekit.from_graph(g)
+        comp = a.add_component(infrastructure("EnergySystem"), "grid")
+        b.add_component(infrastructure("WaterSystem"), "plant")
+        assert a.has_node(comp) and not b.has_node(comp)
+        assert len(a.graph) == len(b.graph) == len(g) + 2
+        assert a.graph != b.graph
+
+    def test_reading_a_case_keeps_the_wrapped_graph(self, scenario1):
+        from scopekit.report import summarize
+        c = casekit.from_graph(scenario1)
+        wrapped = c.graph
+        summarize(c)
+        c.iocs()
+        assert c.graph is wrapped

@@ -16,12 +16,12 @@ from scopekit.turtle import parse_turtle
 from conftest import FIXTURE_DIR
 
 
-def run_module(*args):
-    """`python -m scopekit.cli ARGS` in a fresh interpreter on this source tree."""
+def run_module(*args, module="scopekit.cli"):
+    """`python -m MODULE ARGS` in a fresh interpreter on this source tree."""
     src = str(Path(scopekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "scopekit.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -308,6 +308,13 @@ class TestUsage:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("usage: ")
+
+    def test_package_entry_point_runs(self):
+        done = run_module(module="scopekit")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: ")
+        assert "Traceback" not in done.stderr
 
     def test_entrypoint_raises_system_exit(self, capsys, case_file):
         import sys

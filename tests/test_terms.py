@@ -42,6 +42,42 @@ class TestIri:
         with pytest.raises(InvalidIriError):
             Iri(bad)
 
+    @pytest.mark.parametrize("value,message", [
+        ('http://ex.org/a\x00b',
+         "IRI contains forbidden character '\\x00': 'http://ex.org/a\\x00b'"),
+        ('http://ex.org/a b',
+         "IRI contains forbidden character ' ': 'http://ex.org/a b'"),
+        ('http://ex.org/a<b',
+         "IRI contains forbidden character '<': 'http://ex.org/a<b'"),
+        ('http://ex.org/a>b',
+         "IRI contains forbidden character '>': 'http://ex.org/a>b'"),
+        ('http://ex.org/a"b',
+         'IRI contains forbidden character \'"\': \'http://ex.org/a"b\''),
+        ('http://ex.org/a{b',
+         "IRI contains forbidden character '{': 'http://ex.org/a{b'"),
+        ('http://ex.org/a}b',
+         "IRI contains forbidden character '}': 'http://ex.org/a}b'"),
+        ('http://ex.org/a|b',
+         "IRI contains forbidden character '|': 'http://ex.org/a|b'"),
+        ('http://ex.org/a^b',
+         "IRI contains forbidden character '^': 'http://ex.org/a^b'"),
+        ('http://ex.org/a`b',
+         "IRI contains forbidden character '`': 'http://ex.org/a`b'"),
+        ('http://ex.org/a\\b',
+         "IRI contains forbidden character '\\\\': 'http://ex.org/a\\\\b'"),
+        ('http://ex.org/a{b c}d',
+         "IRI contains forbidden character '{': 'http://ex.org/a{b c}d'"),
+        ('http://ex.org/a\tb<c',
+         "IRI contains forbidden character '\\t': 'http://ex.org/a\\tb<c'"),
+    ])
+    def test_forbidden_character_message_names_the_first(self, value, message):
+        with pytest.raises(InvalidIriError) as exc:
+            Iri(value)
+        assert str(exc.value) == message
+
+    def test_accepts_the_first_character_above_space(self):
+        assert Iri("http://ex.org/a!b").value == "http://ex.org/a!b"
+
     def test_local_name(self):
         assert iri("path/Leaf").local_name() == "Leaf"
         assert Iri("http://example.org/ns#Frag").local_name() == "Frag"
