@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -107,6 +108,11 @@ def check_regex(text: str) -> "re.Pattern[str]":
                 in_class = False
         elif ch == "[":
             in_class = True
+            # a ']' right after '[' or '[^' is a literal member, as re reads it
+            if text[i + 1:i + 2] == "^":
+                i += 1
+            if text[i + 1:i + 2] == "]":
+                i += 1
         elif ch in "{}":
             raise UnsupportedRegexError("counted repetition {m,n} is not supported in filters")
         elif ch == "(" and text[i + 1:i + 2] == "?":
@@ -129,6 +135,40 @@ def _filter_text(term: Term) -> str:
     return term.lexical
 
 
+_POSITIONS = ("subject", "predicate", "object")
+
+
+def _compile(p: Pattern, slot_of: dict[str, int]):
+    """Compile pattern p against the variables that earlier patterns bound.
+
+    slot_of maps each bound variable to its slot in a row. p's new variables
+    are added to it only after all three positions are read, so a variable
+    that p repeats is not mistaken for one an earlier pattern bound.
+    Returns three lists:
+      lookup  per position, (slot, None) for a bound variable, (None, term)
+              for a constant and (None, None) for a new variable;
+      new     the positions whose terms a match appends to the row;
+      same    pairs of positions that repeat one new variable (?x p ?x).
+    """
+    lookup: list[tuple[Optional[int], Optional[Term]]] = []
+    new: list[str] = []
+    same: list[tuple[str, str]] = []
+    first: dict[str, str] = {}  # new variable -> the position that binds it
+    for position, t in zip(_POSITIONS, (p.subject, p.predicate, p.object)):
+        if not isinstance(t, Variable):
+            lookup.append((None, t))
+            continue
+        lookup.append((slot_of.get(t.name), None))
+        if t.name in first:
+            same.append((first[t.name], position))
+        elif t.name not in slot_of:
+            first[t.name] = position
+            new.append(position)
+    for position in new:
+        slot_of[getattr(p, position).name] = len(slot_of)
+    return lookup, new, same
+
+
 def run_query(g: Graph, patterns: Sequence[Pattern],
               filters: Iterable[tuple[str, str]] = ()) -> BindingTable:
     if not patterns:
@@ -145,40 +185,40 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
                 f"filter variable ?{var} does not appear in any pattern")
         compiled.append((var, check_regex(regex)))
 
-    # index nested loop join, one pattern at a time
-    bindings: list[dict[str, Term]] = [{}]
+    # index nested loop join, one pattern at a time. A row is a tuple of
+    # terms, one slot per variable in the order the patterns bind them. The
+    # lookup already matches constants and bound variables, and each lookup
+    # returns distinct triples, so the rows stay distinct without a dedup.
+    slot_of: dict[str, int] = {}
+    rows: list[tuple[Term, ...]] = [()]
     for p in patterns:
-        grown: list[dict[str, Term]] = []
-        for row in bindings:
-            parts = []
-            for t in (p.subject, p.predicate, p.object):
-                parts.append(row.get(t.name) if isinstance(t, Variable) else t)
-            for triple in g.match(*parts):
-                ext = dict(row)
-                consistent = True
-                for t, got in ((p.subject, triple.subject),
-                               (p.predicate, triple.predicate),
-                               (p.object, triple.object)):
-                    if isinstance(t, Variable):
-                        prior = ext.get(t.name)
-                        if prior is None:
-                            ext[t.name] = got
-                        elif prior != got:
-                            consistent = False
-                            break
-                if consistent:
-                    grown.append(ext)
-        bindings = grown
-        if not bindings:
-            break
+        lookup, new, same = _compile(p, slot_of)
+        take = attrgetter(*new) if new else None
+        grown: list[tuple[Term, ...]] = []
+        for row in rows:
+            matches = g.scan(*[c if i is None else row[i] for i, c in lookup])
+            if same:
+                matches = [t for t in matches
+                           if all(getattr(t, a) == getattr(t, b) for a, b in same)]
+            if take is None:
+                grown += [row] * len(matches)
+            elif len(new) == 1:
+                grown += [row + (take(t),) for t in matches]
+            else:
+                grown += [row + take(t) for t in matches]
+        rows = grown
 
     for var, rx in compiled:
-        bindings = [b for b in bindings if rx.search(_filter_text(b[var]))]
+        at = slot_of[var]
+        rows = [r for r in rows if rx.search(_filter_text(r[at]))]
 
     columns = tuple(sorted(known_vars))
-    rows = {tuple(b[c] for c in columns) for b in bindings}
-    ordered = sorted(rows, key=lambda row: tuple(term_sort_key(t) for t in row))
-    return BindingTable(columns, tuple(ordered))
+    if list(slot_of) != list(columns):
+        rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
+    # canonical order: one stable sort per column, the last column first
+    for at in reversed(range(len(columns))):
+        rows.sort(key=lambda row: term_sort_key(row[at]))
+    return BindingTable(columns, tuple(rows))
 
 
 def count(g: Graph, patterns: Sequence[Pattern],

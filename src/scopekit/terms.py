@@ -2,8 +2,10 @@
 
 Terms are frozen values with structural equality: two literals are equal iff
 their lexical form, datatype, and language tag are equal ("1"^^xsd:int and
-"01"^^xsd:int are different terms). Graphs are immutable; insert/remove return
-new graphs, so a graph value can be shared freely across readers.
+"01"^^xsd:int are different terms). Terms and triples are slotted and compute
+their hash once, on construction, so set and dict lookups do not rebuild it.
+Graphs are immutable; insert/remove return new graphs, so a graph value can be
+shared freely across readers.
 """
 
 from __future__ import annotations
@@ -26,11 +28,18 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 SKOLEM_PREFIX = "urn:skolem:"
 
 
-@dataclass(frozen=True)
+def _cached_hash():
+    """The field holding a term's hash: set once by __post_init__, left out
+    of repr and ==."""
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Iri:
     """Absolute IRI. Rejects whitespace, control characters and <>"{}|^`\\."""
 
     value: str
+    _hash: int = _cached_hash()
 
     def __post_init__(self):
         v = self.value
@@ -41,6 +50,14 @@ class Iri:
         bad = _FORBIDDEN_IRI_CHAR_RE.search(v)
         if bad:
             raise InvalidIriError(f"IRI contains forbidden character {bad.group()!r}: {v!r}")
+        object.__setattr__(self, "_hash", hash((v,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than copy the slots: str hashes differ between processes
+        return Iri, (self.value,)
 
     def local_name(self) -> str:
         """Substring after the last '/', '#', or ':' separator."""
@@ -68,13 +85,14 @@ RDFS_CLASS = Iri(RDFS_NS + "Class")
 RDF_PROPERTY = Iri(RDF_NS + "Property")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """RDF literal. A bare literal (no datatype, no lang) is an xsd:string."""
 
     lexical: str
     datatype: Optional[Iri] = None
     lang: Optional[str] = None
+    _hash: int = _cached_hash()
 
     def __post_init__(self):
         if self.lang is not None and self.datatype is not None:
@@ -86,6 +104,13 @@ class Literal:
         elif self.datatype is None:
             # implied datatype
             object.__setattr__(self, "datatype", XSD_STRING)
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.lang)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.lang)
 
     def __str__(self) -> str:
         if self.lang:
@@ -95,13 +120,21 @@ class Literal:
         return f'"{self.lexical}"'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
+    _hash: int = _cached_hash()
 
     def __post_init__(self):
         if not _BLANK_LABEL_RE.match(self.label):
             raise ValueError(f"malformed blank node label: {self.label!r}")
+        object.__setattr__(self, "_hash", hash((self.label,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -119,11 +152,12 @@ def term_sort_key(t: Term):
     return (2, t.lexical, t.datatype.value if t.datatype else "", t.lang or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Union[Iri, BlankNode]
     predicate: Iri
     object: Term
+    _hash: int = _cached_hash()
 
     def __post_init__(self):
         if not isinstance(self.subject, (Iri, BlankNode)):
@@ -132,6 +166,13 @@ class Triple:
             raise TypeError(f"triple predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise TypeError(f"triple object must be a term: {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
@@ -236,30 +277,41 @@ class Graph:
             by_o.setdefault(t.object, []).append(t)
         self._index = (by_s, by_p, by_o)
 
-    def match(self, subject: Term | None = None, predicate: Iri | None = None,
-              object: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions, in canonical sort order.
+    def scan(self, subject: Term | None = None, predicate: Iri | None = None,
+             object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions, in no particular order.
 
         None is a wildcard. The result is a fresh list.
         """
         if self._index is None:
             self._build_index()
         by_s, by_p, by_o = self._index
-        # narrowest available index first: subject, object, then predicate
+        # narrowest available index first: subject, object, then predicate;
+        # the chosen index fixes its position, so only the others are compared
         if subject is not None:
-            candidates = by_s.get(subject, [])
+            candidates = by_s.get(subject, ())
         elif object is not None:
-            candidates = by_o.get(object, [])
+            candidates, object = by_o.get(object, ()), None
         elif predicate is not None:
-            candidates = by_p.get(predicate, [])
+            candidates, predicate = by_p.get(predicate, ()), None
         else:
             candidates = self._triples
-        out = [
+        if predicate is None and object is None:
+            return list(candidates)
+        return [
             t for t in candidates
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
+            if (predicate is None or t.predicate == predicate)
             and (object is None or t.object == object)
         ]
+
+    def match(self, subject: Term | None = None, predicate: Iri | None = None,
+              object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions, in canonical sort order.
+
+        None is a wildcard. The result is a fresh list: `scan` sorted by
+        `triple_sort_key`. Use `scan` where the order does not matter.
+        """
+        out = self.scan(subject, predicate, object)
         out.sort(key=triple_sort_key)
         return out
 

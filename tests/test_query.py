@@ -21,7 +21,8 @@ from scopekit.query import (
     run_query,
     run_text_query,
 )
-from scopekit.terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple
+from scopekit import terms
+from scopekit.terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, term_sort_key
 
 EX = "http://example.org/q/"
 
@@ -182,6 +183,23 @@ class TestVariableAndRegexValidation:
     def test_curly_inside_class_is_fine(self):
         assert check_regex("[{}]") is not None
 
+    @pytest.mark.parametrize("text,member", [
+        ("[]{}]", "]"),
+        ("[]{}]", "{"),
+        ("[^]{}]", "x"),
+        ("[](?x)]", "("),
+        ("[](?x)]", "]"),
+    ])
+    def test_bracket_first_in_class_is_a_member(self, text, member):
+        # re reads a ']' right after '[' or '[^' as a literal member, so what
+        # follows it is still inside the class
+        assert check_regex(text).fullmatch(member)
+
+    @pytest.mark.parametrize("bad", ["[]", "[^]", "[]a", "[]]{2}", "[^]](?i)"])
+    def test_bracket_first_in_class_does_not_close_it(self, bad):
+        with pytest.raises(UnsupportedRegexError):
+            check_regex(bad)
+
 
 class TestTextSyntax:
     def test_basic_text_query(self, people):
@@ -284,3 +302,36 @@ class TestOracleEquivalence:
             shuffled = patterns[:]
             rng.shuffle(shuffled)
             assert run_query(g, patterns, filters) == run_query(g, shuffled, filters)
+
+
+class TestJoinDoesNotSort:
+    """Joins read the graph's unsorted lookup; the table is sorted once."""
+
+    def count_sorting(self, monkeypatch, g, text):
+        calls = {"match": 0, "triple_sort_key": 0}
+        for owner, name in ((Graph, "match"), (terms, "triple_sort_key")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        table = run_text_query(g, text)
+        monkeypatch.undo()
+        return table, calls
+
+    def test_join_and_full_scan_never_sort_lookups(self, monkeypatch, scenario1):
+        join = ("?e scope-evidence:evidenceOf ?c\n"
+                "?c a ?type\n"
+                "?e a ?kind\n")
+        table, calls = self.count_sorting(monkeypatch, scenario1, join)
+        assert len(table) > 0
+        assert calls == {"match": 0, "triple_sort_key": 0}
+
+        table, calls = self.count_sorting(monkeypatch, scenario1, "?s ?p ?o")
+        assert calls == {"match": 0, "triple_sort_key": 0}
+        assert table.columns == ("o", "p", "s")
+        expected = sorted(((t.object, t.predicate, t.subject) for t in scenario1.match()),
+                          key=lambda row: tuple(map(term_sort_key, row)))
+        assert table.rows == tuple(expected)

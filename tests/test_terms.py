@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +137,99 @@ class TestBlankNodeAndTriple:
             Triple(iri("s"), iri("p"), "bare string")
 
 
+def sample_terms():
+    return [
+        iri("a"),
+        Literal("x"),
+        Literal("x", lang="EN-gb"),
+        Literal("1", XSD_INTEGER),
+        BlankNode("b1"),
+        Triple(iri("s"), iri("p"), Literal("o", lang="en")),
+    ]
+
+
+class TestTermContract:
+    """Terms are slotted, frozen and hash once; none of that shows in repr,
+    == or the hash of equal terms."""
+
+    @pytest.mark.parametrize("a,b", [
+        (Literal("x"), Literal("x", XSD_STRING)),
+        (Literal("x", lang="EN"), Literal("x", lang="en")),
+        (Literal("x", lang="EN-GB"), Literal("x", None, "en-gb")),
+        (Triple(iri("s"), iri("p"), Literal("x")),
+         Triple(iri("s"), iri("p"), Literal("x", XSD_STRING))),
+        (Triple(iri("s"), iri("p"), Literal("x", lang="EN")),
+         Triple(iri("s"), iri("p"), Literal("x", lang="en"))),
+    ])
+    def test_equal_terms_hash_equal_across_construction_forms(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("term", sample_terms(), ids=lambda t: type(t).__name__)
+    def test_attributes_cannot_be_set(self, term):
+        before = repr(term), hash(term)
+        for f in dataclasses.fields(term):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(term, f.name, None)
+        # slotted dataclasses refuse a new attribute with TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            term.extra = None
+        assert (repr(term), hash(term)) == before
+
+    @pytest.mark.parametrize("term,expected", zip(sample_terms(), [
+        "Iri(value='http://example.org/a')",
+        "Literal(lexical='x', datatype=Iri(value='http://www.w3.org/2001/XMLSchema#string'),"
+        " lang=None)",
+        "Literal(lexical='x', datatype=None, lang='en-gb')",
+        "Literal(lexical='1', datatype=Iri(value='http://www.w3.org/2001/XMLSchema#integer'),"
+        " lang=None)",
+        "BlankNode(label='b1')",
+        "Triple(subject=Iri(value='http://example.org/s'), "
+        "predicate=Iri(value='http://example.org/p'), "
+        "object=Literal(lexical='o', datatype=None, lang='en'))",
+    ]))
+    def test_repr_shows_only_the_value_fields(self, term, expected):
+        assert repr(term) == expected
+
+    @pytest.mark.parametrize("term,changes,fresh", [
+        (iri("a"), {"value": EX + "b"}, iri("b")),
+        (Literal("x", lang="en"), {"lexical": "y"}, Literal("y", lang="en")),
+        (Literal("x", lang="en"), {"lang": "DE"}, Literal("x", lang="de")),
+        (Literal("1", XSD_INTEGER), {"lexical": "2"}, Literal("2", XSD_INTEGER)),
+        (BlankNode("b1"), {"label": "b2"}, BlankNode("b2")),
+        (Triple(iri("s"), iri("p"), iri("o")), {"object": Literal("o")},
+         Triple(iri("s"), iri("p"), Literal("o"))),
+    ])
+    def test_replace_rehashes(self, term, changes, fresh):
+        changed = dataclasses.replace(term, **changes)
+        assert changed == fresh
+        assert hash(changed) == hash(fresh)
+        assert changed in {fresh}
+
+    def test_pickled_terms_hash_right_in_another_process(self):
+        # str hashes are salted per process, so a copied hash would go stale
+        data = pickle.dumps(sample_terms())
+        script = (
+            "import pickle, sys\n"
+            "from scopekit.terms import BlankNode, Iri, Literal, Triple, XSD_INTEGER\n"
+            "EX = 'http://example.org/'\n"
+            "fresh = [Iri(EX + 'a'), Literal('x'), Literal('x', lang='en-gb'),\n"
+            "         Literal('1', XSD_INTEGER), BlankNode('b1'),\n"
+            "         Triple(Iri(EX + 's'), Iri(EX + 'p'), Literal('o', lang='en'))]\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert loaded == fresh, loaded\n"
+            "assert [hash(t) for t in loaded] == [hash(t) for t in fresh]\n"
+            "assert all(t in set(fresh) for t in loaded)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], input=data, env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+
+
 class TestTermOrder:
     def test_kind_rank(self):
         ordered = sorted(
@@ -196,6 +295,26 @@ class TestGraph:
         for _ in range(20):
             g = random_graph(rng, 50)
             assert len(g.match(None, None, None)) == len(g)
+
+    def test_scan_is_match_without_the_sort(self):
+        rng = random.Random(7)
+        g = random_graph(rng, 80)
+        probes = rng.sample(sorted(g, key=triple_sort_key), 10)
+        absent = iri("absent")
+        for t in probes:
+            for s in (None, t.subject, absent):
+                for p in (None, t.predicate, absent):
+                    for o in (None, t.object, absent):
+                        found = g.scan(s, p, o)
+                        assert sorted(found, key=triple_sort_key) == g.match(s, p, o)
+
+    def test_scan_and_match_return_fresh_lists(self):
+        g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        for lookup in (g.scan, g.match):
+            for args in ((None, None, None), (iri("s"), None, None), (None, iri("p"), None),
+                         (None, None, iri("o"))):
+                lookup(*args).clear()
+                assert len(lookup(*args)) == 1
 
     def test_prefix_map_validated(self):
         with pytest.raises(ValueError):
