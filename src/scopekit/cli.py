@@ -19,12 +19,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import casekit
+from . import casekit, query
 from .catalog import load_default_catalog
 from .errors import InvalidCaseError, ScopeKitError
 from .namespaces import STANDARD_PREFIXES
 from .ntriples import parse_ntriples, render_triple, serialize_ntriples_canonical
-from .query import run_text_query
 from .report import render_markdown, summarize
 from .schema import Schema, load_default_schema, load_schema_dir
 from .terms import Graph, skolemize, triple_sort_key
@@ -94,11 +93,11 @@ def cmd_query(args) -> int:
         text = Path(args.query_file).read_text(encoding="utf-8")
     else:
         text = sys.stdin.read()
-    table = run_text_query(g, text, g.prefixes)
+    patterns, filters = query.parse_query(text, g.prefixes)
     if args.count:
-        _emit(f"{len(table)}\n", args.output)
+        _emit(f"{query.count(g, patterns, filters)}\n", args.output)
     else:
-        _emit(table.to_tsv(), args.output)
+        _emit(query.run_query(g, patterns, filters).to_tsv(), args.output)
     return 0
 
 

@@ -140,29 +140,45 @@ def term_error(text: str, pos: int) -> tuple[str, int]:
     return f"malformed \\{esc} escape", end
 
 
-def _term(m: re.Match, lineno: int) -> Term:
+def _term(m: re.Match, lineno: int, memo: dict) -> Term:
+    """The term `m` matched. It is built, and so checked, only the first time
+    its text appears; memo then hands out the same object."""
     kind = m.lastgroup
+    text = m.group(kind)
+    term = memo.get(text)
+    if term is not None:
+        return term
     pos = m.start(kind)
     try:
         if kind == "iri":
-            return Iri(m.group(kind)[1:-1])
-        if kind == "blank":
-            return BlankNode(m.group(kind)[2:])
-        try:
-            lexical = unescape(m.group("quoted")[1:-1])
-        except ValueError as e:
-            message, offset = e.args
-            raise ParseError(message, lineno, pos + offset + 2) from None
-        datatype, lang = m.group("datatype"), m.group("lang")
-        if datatype is not None:
-            pos = m.start("datatype")
-            return Literal(lexical, Iri(datatype[1:-1]))
-        if lang is not None:
-            pos = m.start("lang")
-            return Literal(lexical, lang=lang[1:])
-        return Literal(lexical)
+            term = Iri(text[1:-1])
+        elif kind == "blank":
+            term = BlankNode(text[2:])
+        else:
+            try:
+                lexical = unescape(m.group("quoted")[1:-1])
+            except ValueError as e:
+                message, offset = e.args
+                raise ParseError(message, lineno, pos + offset + 2) from None
+            datatype, lang = m.group("datatype"), m.group("lang")
+            if datatype is not None:
+                pos = m.start("datatype")
+                iri = memo.get(datatype)
+                if iri is None:
+                    iri = memo[datatype] = Iri(datatype[1:-1])
+                term = Literal(lexical, iri)
+            elif lang is not None:
+                pos = m.start("lang")
+                term = Literal(lexical, lang=lang[1:])
+            else:
+                term = Literal(lexical)
+            # "x" and "x"^^<...#string>, @EN and @en: one literal, keyed by
+            # itself as well as by each spelling
+            term = memo.setdefault(term, term)
     except (InvalidIriError, ValueError) as e:
         raise ParseError(str(e), lineno, pos + 1) from None
+    memo[text] = term
+    return term
 
 
 def _line_error(line: str, lineno: int, m: re.Match, expected: str) -> ParseError:
@@ -196,9 +212,19 @@ def _suffix_error(line: str, lineno: int, pos: int) -> ParseError:
 
 
 def parse_ntriples(doc: Union[str, bytes]) -> Graph:
-    """Parse an N-Triples document. Blank lines and `#` comment lines skip."""
+    """Parse an N-Triples document. Blank lines and `#` comment lines skip.
+
+    The graph holds one object per distinct term: equal terms are the same
+    object, however they were spelled (`"x"` or `"x"^^<...#string>`, `@EN`
+    or `@en`). Each term is built and checked the first time its text
+    appears. The memo lives for this call only, so two parses share no term
+    object beyond `terms.XSD_STRING`, the datatype of bare literals.
+    """
     text = decode_document(doc)
     triples: set[Triple] = set()
+    # term text -> term; a literal is also its own key. Text keys start with
+    # '<', '_' or '"', so the three kinds cannot collide.
+    memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         m = _TERM_RE.match(line)
@@ -206,15 +232,15 @@ def parse_ntriples(doc: Union[str, bytes]) -> Graph:
             if m.lastgroup == "other" and line[m.end():m.end() + 1] in ("", "#"):
                 continue  # blank or comment line
             raise _line_error(line, lineno, m, "subject")
-        subject = _term(m, lineno)
+        subject = _term(m, lineno, memo)
         m = _TERM_RE.match(line, m.end())
         if m.lastgroup != "iri":
             raise _line_error(line, lineno, m, "predicate")
-        predicate = _term(m, lineno)
+        predicate = _term(m, lineno, memo)
         m = _TERM_RE.match(line, m.end())
         if m.lastgroup not in ("iri", "blank", "literal"):
             raise _line_error(line, lineno, m, "object")
-        obj = _term(m, lineno)
+        obj = _term(m, lineno, memo)
         end = m.end()
         bare_literal = m.end("quoted") == end
         m = _TERM_RE.match(line, end)

@@ -169,8 +169,10 @@ def _compile(p: Pattern, slot_of: dict[str, int]):
     return lookup, new, same
 
 
-def run_query(g: Graph, patterns: Sequence[Pattern],
-              filters: Iterable[tuple[str, str]] = ()) -> BindingTable:
+def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
+          ) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
+    """The filtered rows of a query, unprojected and unsorted, and the slot
+    of each of the query's variables in a row."""
     if not patterns:
         raise MalformedVariableError("a query needs at least one pattern")
     known_vars: set[str] = set()
@@ -211,8 +213,13 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
     for var, rx in compiled:
         at = slot_of[var]
         rows = [r for r in rows if rx.search(_filter_text(r[at]))]
+    return slot_of, rows
 
-    columns = tuple(sorted(known_vars))
+
+def run_query(g: Graph, patterns: Sequence[Pattern],
+              filters: Iterable[tuple[str, str]] = ()) -> BindingTable:
+    slot_of, rows = _join(g, patterns, filters)
+    columns = tuple(sorted(slot_of))
     if list(slot_of) != list(columns):
         rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
     # canonical order: one stable sort per column, the last column first
@@ -223,7 +230,8 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
 
 def count(g: Graph, patterns: Sequence[Pattern],
           filters: Iterable[tuple[str, str]] = ()) -> int:
-    return len(run_query(g, patterns, filters))
+    """len(run_query(g, patterns, filters)), without projecting or sorting."""
+    return len(_join(g, patterns, filters)[1])
 
 
 # -- textual query syntax (one pattern per line, FILTER lines) --
@@ -281,7 +289,10 @@ def _word_term(word: str, lineno: int, prefixes: dict[str, Iri]) -> PatternTerm:
         prefix = m.group(1) or ""
         if prefix not in prefixes:
             raise QueryTextError(f"undefined prefix {prefix!r}", lineno)
-        return Iri(prefixes[prefix].value + m.group(2))
+        try:
+            return Iri(prefixes[prefix].value + m.group(2))
+        except InvalidIriError as exc:
+            raise QueryTextError(f"bad IRI: {exc}", lineno) from None
     raise QueryTextError(f"cannot read term starting at {word!r}", lineno)
 
 

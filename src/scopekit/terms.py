@@ -4,6 +4,10 @@ Terms are frozen values with structural equality: two literals are equal iff
 their lexical form, datatype, and language tag are equal ("1"^^xsd:int and
 "01"^^xsd:int are different terms). Terms and triples are slotted and compute
 their hash once, on construction, so set and dict lookups do not rebuild it.
+The Turtle and N-Triples parsers build one object per distinct term in a
+document, so equal terms in a parsed graph are the same object and container
+lookups on them succeed on identity, before any `==`. Each parse keeps its
+own memo, so nothing is shared across parses but the constants defined here.
 Graphs are immutable; insert/remove return new graphs, so a graph value can be
 shared freely across readers.
 """

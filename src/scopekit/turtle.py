@@ -119,6 +119,14 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, Iri] = {}
         self.triples: set[Triple] = set()
+        # The parse's term memo, so that each distinct term is one object:
+        # IRIs by their expanded string (the IRIs the grammar implies are
+        # the terms.py constants), literals by (lexical, datatype IRI) or
+        # (lexical, tag as written), blank nodes by label.
+        self.iris: dict[str, Iri] = {
+            iri.value: iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
+        self.literals: dict[tuple, Literal] = {}
+        self.blanks: dict[str, BlankNode] = {}
         self.tok = self._scan()
 
     def _where(self, offset: int) -> tuple[int, int]:
@@ -197,10 +205,26 @@ class _Parser:
             if value not in self.prefixes:
                 raise UndefinedPrefixError(value, *self._where(offset))
             value = self.prefixes[value].value + local
-        try:
-            return Iri(value)
-        except InvalidIriError as e:
-            raise self._fail(str(e), offset) from None
+        iri = self.iris.get(value)
+        if iri is None:
+            try:
+                iri = self.iris[value] = Iri(value)
+            except InvalidIriError as e:
+                raise self._fail(str(e), offset) from None
+        return iri
+
+    def _blank(self, label: str) -> BlankNode:
+        node = self.blanks.get(label)
+        if node is None:
+            node = self.blanks[label] = BlankNode(label)
+        return node
+
+    def _typed(self, lexical: str, datatype: Iri) -> Literal:
+        key = (lexical, datatype)
+        lit = self.literals.get(key)
+        if lit is None:
+            lit = self.literals[key] = Literal(lexical, datatype)
+        return lit
 
     def _statement(self):
         subject = self._subject()
@@ -215,7 +239,7 @@ class _Parser:
         if kind in ("IRIREF", "PNAME"):
             return self._iri(tok)
         if kind == "BLANK":
-            return BlankNode(value)
+            return self._blank(value)
         if kind in ("STRING", "INTEGER", "BOOLEAN"):
             raise self._fail("a literal cannot be the subject of a triple", offset)
         raise self._fail(f"expected subject, found {value!r}", offset)
@@ -255,11 +279,11 @@ class _Parser:
         if kind in ("IRIREF", "PNAME"):
             return self._iri(tok)
         if kind == "BLANK":
-            return BlankNode(value)
+            return self._blank(value)
         if kind == "INTEGER":
-            return Literal(value, XSD_INTEGER)
+            return self._typed(value, XSD_INTEGER)
         if kind == "BOOLEAN":
-            return Literal(value, XSD_BOOLEAN)
+            return self._typed(value, XSD_BOOLEAN)
         if kind == "STRING":
             return self._literal_tail(value)
         if kind == "EOF":
@@ -273,14 +297,20 @@ class _Parser:
             dt_tok = self._next()
             if dt_tok[0] not in ("IRIREF", "PNAME"):
                 raise self._fail("expected datatype IRI after '^^'", dt_tok[3])
-            return Literal(lexical, self._iri(dt_tok))
+            return self._typed(lexical, self._iri(dt_tok))
         if kind == "ATWORD":
             self._next()
-            try:
-                return Literal(lexical, lang=value)
-            except ValueError as e:
-                raise self._fail(str(e), offset) from None
-        return Literal(lexical)
+            key = (lexical, value)
+            lit = self.literals.get(key)
+            if lit is None:
+                try:
+                    lit = Literal(lexical, lang=value)
+                except ValueError as e:
+                    raise self._fail(str(e), offset) from None
+                # @EN and @en spell one literal
+                lit = self.literals[key] = self.literals.setdefault((lexical, lit.lang), lit)
+            return lit
+        return self._typed(lexical, XSD_STRING)
 
 
 def parse_turtle(doc: Union[str, bytes]) -> Graph:
@@ -289,6 +319,13 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
     Accepts str or UTF-8 bytes; documents over 64 MiB are refused. All
     failures raise ParseError (or a subclass) with 1-based line/column,
     UndefinedPrefixError, or InvalidIriError; never anything unstructured.
+
+    The graph holds one object per distinct term: equal terms are the same
+    object, however they were spelled (`<...>` or a prefixed name, `a` or
+    `rdf:type`, `1` or `"1"^^xsd:integer`). Each term is built and checked
+    the first time it appears. The memo lives for this call only, so two
+    parses share no term object beyond the terms.py constants the grammar
+    implies (`rdf:type` and the datatypes of bare literals).
     """
     return _Parser(decode_document(doc)).parse()
 

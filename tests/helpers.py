@@ -83,6 +83,39 @@ def random_graph(rng: random.Random, max_triples: int = 200,
 
 # -- query oracle: same semantics, no indexes, no early exits --
 
+def term_objects(g: Graph) -> list:
+    """Every term object in g, in triple positions and as literal datatypes."""
+    out = []
+    for t in g:
+        out += [t.subject, t.predicate, t.object]
+        if isinstance(t.object, Literal) and t.object.datatype is not None:
+            out.append(t.object.datatype)
+    return out
+
+
+def assert_one_object_per_term(g: Graph) -> None:
+    """Equal terms anywhere in g are the same object."""
+    first: dict = {}
+    for term in term_objects(g):
+        assert first.setdefault(term, term) is term, f"{term!r} is two objects"
+
+
+def iris_built(monkeypatch, parse, doc) -> tuple[Graph, list[str]]:
+    """parse(doc), and the value of every Iri constructed while it ran."""
+    built = []
+    post_init = Iri.__post_init__
+
+    def counted(self):
+        built.append(self.value)
+        post_init(self)
+
+    monkeypatch.setattr(Iri, "__post_init__", counted)
+    try:
+        return parse(doc), built
+    finally:
+        monkeypatch.undo()
+
+
 def _naive_bind(row: dict, pattern: Pattern, triple: Triple):
     ext = dict(row)
     for want, got in ((pattern.subject, triple.subject),

@@ -21,7 +21,7 @@ from scopekit.terms import (
 )
 from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
-from helpers import random_graph
+from helpers import assert_one_object_per_term, iris_built, random_graph, term_objects
 
 
 def t(s, p, o):
@@ -135,3 +135,49 @@ class TestRoundTripAndCrossFormat:
             parse_ntriples(doc)
         except ParseError:
             pass
+
+
+class TestTermInterning:
+    """A parse builds one object per distinct term and keeps no table."""
+
+    EX = "http://example.org/"
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+    DOC = (
+        f'<{EX}a> <{EX}p> <{EX}b> .\n'
+        f'<{EX}b> <{EX}p> <{EX}a> .\n'
+        f'<{EX}a> <{EX}q> _:n .\n'
+        f'_:n <{EX}p> _:n .\n'
+        f'<{EX}a> <{EX}r> "x" .\n'
+        f'<{EX}b> <{EX}r> "x"^^<{XSD}string> .\n'
+        f'<{EX}a> <{EX}s> "1"^^<{XSD}integer> .\n'
+        f'<{EX}b> <{EX}s> "1"^^<{XSD}integer> .\n'
+        f'<{EX}a> <{EX}t> "t"@en .\n'
+        f'<{EX}b> <{EX}t> "t"@EN .\n'
+        f'_:n <{EX}t> "t"@en .\n'
+        f'<{EX}a> <{EX}u> <{XSD}string> .\n'
+        f'<{EX}b> <{EX}u> <{XSD}integer> .\n'
+    )
+
+    def test_equal_terms_are_one_object(self):
+        g = parse_ntriples(self.DOC)
+        assert_one_object_per_term(g)
+        ex, xsd = self.EX, self.XSD
+        assert set(term_objects(g)) == {
+            Iri(ex + "a"), Iri(ex + "b"), BlankNode("n"), Iri(xsd + "string"),
+            Iri(xsd + "integer"), *(Iri(ex + p) for p in "pqrstu"),
+            Literal("x"), Literal("1", XSD_INTEGER), Literal("t", lang="en")}
+
+    def test_each_distinct_iri_is_built_once(self, monkeypatch):
+        k = 7
+        doc = "".join(f"<{self.EX}n{i % k}> <{self.EX}n{i // k % k}> <{self.EX}n{i // k // k}> .\n"
+                      for i in range(140))
+        g, built = iris_built(monkeypatch, parse_ntriples, doc)
+        assert len(g) == 140
+        assert sorted(built) == sorted(f"{self.EX}n{i}" for i in range(k))
+
+    def test_parses_share_only_module_constants(self):
+        first, second = parse_ntriples(self.DOC), parse_ntriples(self.DOC)
+        assert first == second
+        shared = {id(x) for x in term_objects(first)} & {id(x) for x in term_objects(second)}
+        # only the datatype that bare literals stand for
+        assert shared == {id(XSD_STRING)}

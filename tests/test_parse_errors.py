@@ -126,6 +126,8 @@ QUERY_ERRORS = [
     ("?s ?p <http://a", "unterminated <IRI>", 1),
     ("?s ?p <rel>", "bad IRI: IRI has no scheme: 'rel'", 1),
     ("?s ?p <http://a b>", "bad IRI: IRI contains forbidden character ' ': 'http://a b'", 1),
+    ("kb:a{b ?p ?o", "bad IRI: IRI contains forbidden character '{': 'http://example.org/kb/a{b'", 1),
+    ('?s ?p "x"^^kb:a|b', "bad IRI: IRI contains forbidden character '|': 'http://example.org/kb/a|b'", 1),
     ('?s ?p "x"^^', "^^ needs a datatype", 1),
     ('?s ?p "x"^^?v', "datatype must be an IRI", 1),
     ('?s ?p "x"@toolongtag', "malformed language tag: 'toolongtag'", 1),

@@ -21,7 +21,7 @@ from scopekit.query import (
     run_query,
     run_text_query,
 )
-from scopekit import terms
+from scopekit import query, terms
 from scopekit.terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, term_sort_key
 
 EX = "http://example.org/q/"
@@ -335,3 +335,27 @@ class TestJoinDoesNotSort:
         expected = sorted(((t.object, t.predicate, t.subject) for t in scenario1.match()),
                           key=lambda row: tuple(map(term_sort_key, row)))
         assert table.rows == tuple(expected)
+
+
+class TestCountDoesNotSort:
+    """count only needs the number of rows: no projection, no sort."""
+
+    QUERIES = ("?e scope-evidence:evidenceOf ?c\n?c a ?type\n?e a ?kind\n", "?s ?p ?o")
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_count_never_sorts(self, monkeypatch, scenario1, text):
+        patterns, filters = parse_query(text)
+        calls = []
+        for owner in (terms, query):
+            original = owner.term_sort_key
+
+            def counted(t, _original=original):
+                calls.append(t)
+                return _original(t)
+
+            monkeypatch.setattr(owner, "term_sort_key", counted)
+        n = count(scenario1, patterns, filters)
+        assert calls == []
+        table = run_query(scenario1, patterns, filters)
+        assert calls  # the patched key is the one run_query sorts with
+        assert n == len(table) > 0

@@ -28,7 +28,7 @@ from scopekit.turtle import (
     serialize_turtle_canonical,
 )
 
-from helpers import random_graph
+from helpers import assert_one_object_per_term, iris_built, random_graph, term_objects
 
 
 EX = Iri("http://example.org/")
@@ -246,3 +246,59 @@ class TestRoundTrip:
     def test_string_literal_round_trip(self, lexical):
         g = Graph([t(Iri("http://ex/s"), Iri("http://ex/p"), Literal(lexical))])
         assert parse_turtle(serialize_turtle_canonical(g)) == g
+
+
+class TestTermInterning:
+    """A parse builds one object per distinct term and keeps no table."""
+
+    DOC = (
+        "@prefix ex: <http://example.org/> .\n"
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        'ex:a a ex:C ; ex:p <http://example.org/b>, _:n ; ex:q "x", 1, true, "t"@en .\n'
+        "<http://example.org/b> rdf:type ex:C ; ex:p ex:a ;\n"
+        '    ex:r "x"^^xsd:string, "1"^^xsd:integer, "true"^^xsd:boolean, "t"@EN ;\n'
+        "    ex:s xsd:string, xsd:integer, <http://www.w3.org/2001/XMLSchema#boolean> .\n"
+        '_:n ex:p ex:a, _:n ; ex:q "x", "t"@en .\n'
+    )
+
+    def test_equal_terms_are_one_object(self):
+        g = parse_turtle(self.DOC)
+        assert_one_object_per_term(g)
+        ex = "http://example.org/"
+        assert set(term_objects(g)) == {
+            Iri(ex + "a"), Iri(ex + "b"), Iri(ex + "C"), Iri(ex + "p"), Iri(ex + "q"),
+            Iri(ex + "r"), Iri(ex + "s"), RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN,
+            BlankNode("n"), Literal("x"), Literal("1", XSD_INTEGER),
+            Literal("true", XSD_BOOLEAN), Literal("t", lang="en")}
+
+    def test_each_distinct_iri_is_built_once(self, monkeypatch):
+        k = 7
+        lines = ["@prefix ex: <http://example.org/> ."]
+        for i in range(140):
+            s, p, o = i % k, i // k % k, i // k // k
+            lines.append(f"ex:n{s} <http://example.org/n{p}> ex:n{o} .")
+        g, built = iris_built(monkeypatch, parse_turtle, "\n".join(lines) + "\n")
+        assert len(g) == 140
+        # k node IRIs and the prefix IRI
+        assert sorted(built) == ["http://example.org/"] + sorted(
+            f"http://example.org/n{i}" for i in range(k))
+
+    def test_redefined_prefix_gives_a_new_iri(self):
+        g = parse_turtle(
+            "@prefix ex: <http://one.example/> .\n"
+            "ex:s ex:p ex:x .\n"
+            "@prefix ex: <http://two.example/> .\n"
+            "ex:s ex:p ex:x .\n")
+        one, two = "http://one.example/", "http://two.example/"
+        assert g == Graph([t(Iri(one + "s"), Iri(one + "p"), Iri(one + "x")),
+                           t(Iri(two + "s"), Iri(two + "p"), Iri(two + "x"))])
+        assert g.prefixes == {"ex": Iri(two)}
+
+    def test_parses_share_only_module_constants(self):
+        first, second = parse_turtle(self.DOC), parse_turtle(self.DOC)
+        assert first == second
+        shared = {id(x) for x in term_objects(first)} & {id(x) for x in term_objects(second)}
+        # only the terms.py constants that `a` and bare literals stand for
+        constants = (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)
+        assert shared == {id(c) for c in constants}
