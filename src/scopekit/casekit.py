@@ -14,7 +14,7 @@ import io
 import random
 import re
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .catalog import (
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .namespaces import (
     CLS_ACQUIRED_EVIDENCE,
-    CLS_ADVERSARY,
     CLS_ATTACK_PATTERN,
     CLS_ATTACK_TECHNIQUE,
     CLS_DOMAIN_INDICATOR,
@@ -423,16 +422,12 @@ class CaseGraph:
         """All IoC nodes in the case, normalized, sorted by (kind, value)."""
         out = []
         g = self.graph
-        for t in g.match(None, RDF_TYPE, CLS_HASH_VALUE):
-            value = first_literal(g, t.subject, PROP_MD5)
-            if value is not None:
-                out.append(Ioc("Md5Hash", value,
-                               first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
-        for t in g.match(None, RDF_TYPE, CLS_DOMAIN_INDICATOR):
-            value = first_literal(g, t.subject, PROP_DOMAIN_NAME)
-            if value is not None:
-                out.append(Ioc("Domain", value,
-                               first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
+        for kind, cls, prop in (("Md5Hash", CLS_HASH_VALUE, PROP_MD5),
+                                ("Domain", CLS_DOMAIN_INDICATOR, PROP_DOMAIN_NAME)):
+            for t in g.match(None, RDF_TYPE, cls):
+                value = first_literal(g, t.subject, prop)
+                if value is not None:
+                    out.append(Ioc(kind, value, first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
         out.sort(key=lambda i: (i.kind, i.value))
         return out
 
@@ -554,9 +549,7 @@ def from_graph(g: Graph, schema: Optional[Schema] = None,
 
 def diff(a: CaseGraph, b: CaseGraph) -> tuple[frozenset[Triple], frozenset[Triple]]:
     """(added, removed): what to add to / remove from a to obtain b."""
-    added = b.graph.triples - a.graph.triples
-    removed = a.graph.triples - b.graph.triples
-    return frozenset(added), frozenset(removed)
+    return a.graph.diff(b.graph)
 
 
 def apply_diff(a: CaseGraph, added: Iterable[Triple], removed: Iterable[Triple]) -> CaseGraph:

@@ -102,10 +102,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    a = _read_graph(args.a)
-    b = _read_graph(args.b)
-    added = sorted(b.triples - a.triples, key=triple_sort_key)
-    removed = sorted(a.triples - b.triples, key=triple_sort_key)
+    added, removed = (sorted(ts, key=triple_sort_key)
+                      for ts in _read_graph(args.a).diff(_read_graph(args.b)))
     lines = ["# added", *map(render_triple, added), "# removed", *map(render_triple, removed)]
     _emit("\n".join(lines) + "\n", args.output)
     return 1 if (added or removed) else 0
@@ -252,10 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _err("case does not validate; report follows")
         sys.stderr.write(exc.report.to_text())
         return 1
-    except ScopeKitError as exc:
-        _err(str(exc))
-        return 2
-    except OSError as exc:
+    except (ScopeKitError, OSError) as exc:
         _err(str(exc))
         return 2
 

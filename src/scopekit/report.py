@@ -8,7 +8,6 @@ reader downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .casekit import CaseGraph, first_literal
 from .errors import InvalidCaseError, UnknownClassError
@@ -88,12 +87,12 @@ def _label(g: Graph, node) -> str:
 def _instances_under(g: Graph, schema, root: Iri) -> dict:
     """subject -> set of its declared types that sit under root."""
     out: dict = {}
-    for t in g.match(None, RDF_TYPE, None):
-        cls = t.object
-        if not isinstance(cls, Iri) or cls not in schema.classes:
-            continue
-        if root in schema.ancestors(cls):
-            out.setdefault(t.subject, set()).add(cls)
+    types = g.scan(None, RDF_TYPE, None)
+    under = {c for c in {t.object for t in types}
+             if isinstance(c, Iri) and c in schema.classes and root in schema.ancestors(c)}
+    for t in types:
+        if t.object in under:
+            out.setdefault(t.subject, set()).add(t.object)
     return out
 
 

@@ -9,7 +9,7 @@ functional). Anything else in a schema document is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -21,8 +21,9 @@ from .errors import (
     UnknownClassError,
     UnknownPropertyError,
 )
-from .namespaces import SCOPE_META, STANDARD_PREFIXES
+from .namespaces import SCOPE_META
 from .terms import (
+    KNOWN_DATATYPES,
     RDF_PROPERTY,
     RDF_TYPE,
     RDFS_CLASS,
@@ -31,7 +32,6 @@ from .terms import (
     RDFS_LABEL,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
-    XSD,
     Graph,
     Iri,
     Literal,
@@ -41,11 +41,6 @@ from .turtle import parse_turtle
 SCM_MIN_COUNT = Iri(SCOPE_META + "minCount")
 SCM_MAX_COUNT = Iri(SCOPE_META + "maxCount")
 SCM_FUNCTIONAL = Iri(SCOPE_META + "functional")
-
-KNOWN_DATATYPES = frozenset(
-    Iri(XSD + local)
-    for local in ("string", "integer", "boolean", "dateTime", "decimal", "anyURI")
-)
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class Schema:
         if cached is not None:
             return cached
         seen: set[Iri] = set()
-        stack = [c]
+        stack = [self.classes[c].iri]  # the schema's own object, whichever the caller holds
         while stack:
             cur = stack.pop()
             if cur in seen:
@@ -223,13 +218,15 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
             raise DanglingReferenceError(
                 f"subClassOf asserted on undeclared class {t.subject}")
 
+    # one object per class or datatype IRI across documents: sets of them compare on identity
+    own = {c: c for c in (*class_iris, *KNOWN_DATATYPES)}
     classes: dict[Iri, ClassDef] = {}
     for c in class_iris:
         parents = set()
         for o in union.objects_of(c, RDFS_SUBCLASSOF):
             if not isinstance(o, Iri):
                 raise DanglingReferenceError(f"subclass target of {c} must be an IRI")
-            parents.add(o)
+            parents.add(own.get(o, o))
         classes[c] = ClassDef(
             iri=c,
             parents=frozenset(parents),
@@ -243,8 +240,8 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
         for o in union.objects_of(p, RDFS_DOMAIN):
             if not isinstance(o, Iri):
                 raise DanglingReferenceError(f"domain of {p} must be an IRI")
-            domain.add(o)
-        ranges = {o for o in union.objects_of(p, RDFS_RANGE)}
+            domain.add(own.get(o, o))
+        ranges = {own.get(o, o) for o in union.objects_of(p, RDFS_RANGE)}
         if len(ranges) > 1:
             raise DuplicateDefinitionError(f"{p} declares {len(ranges)} ranges")
         rng = None

@@ -87,6 +87,9 @@ RDFS_DOMAIN = Iri(RDFS_NS + "domain")
 RDFS_RANGE = Iri(RDFS_NS + "range")
 RDFS_CLASS = Iri(RDFS_NS + "Class")
 RDF_PROPERTY = Iri(RDF_NS + "Property")
+# the datatypes a schema range may name
+KNOWN_DATATYPES = frozenset(
+    (XSD_STRING, XSD_INTEGER, XSD_BOOLEAN, XSD_DECIMAL, XSD_DATETIME, XSD_ANYURI))
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,10 +305,14 @@ class Graph:
             candidates = self._triples
         if predicate is None and object is None:
             return list(candidates)
+        # identity, then the cached hash, so few candidates reach the dataclass __eq__
+        ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
         return [
             t for t in candidates
-            if (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
+            if (predicate is None or t.predicate is predicate
+                or t.predicate._hash == ph and t.predicate == predicate)
+            and (object is None or t.object is object
+                 or t.object._hash == oh and t.object == object)
         ]
 
     def match(self, subject: Term | None = None, predicate: Iri | None = None,
@@ -318,6 +325,10 @@ class Graph:
         out = self.scan(subject, predicate, object)
         out.sort(key=triple_sort_key)
         return out
+
+    def diff(self, other: "Graph") -> tuple[frozenset[Triple], frozenset[Triple]]:
+        """(added, removed): the triples to add to / remove from this graph to obtain other."""
+        return other._triples - self._triples, self._triples - other._triples
 
     def subjects(self) -> set[Union[Iri, BlankNode]]:
         return {t.subject for t in self._triples}

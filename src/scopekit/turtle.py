@@ -20,8 +20,9 @@ predicates and objects sorted within the block, LF line endings.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Union
+from typing import Callable, Union
 
 from .errors import BlankNodePresentError, InvalidIriError, ParseError, UndefinedPrefixError
 from .ntriples import (
@@ -350,20 +351,20 @@ def _abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
     return best[1] if best else None
 
 
-def _render_term(term: Term, prefixes: dict[str, Iri], as_predicate: bool = False) -> str:
+def _render_term(term: Term, abbreviate: Callable, as_predicate: bool = False) -> str:
     """Prefixed names, `a`, and bare integers and booleans where they read
     back the same; otherwise the N-Triples form."""
     if isinstance(term, Iri):
         if as_predicate and term == RDF_TYPE:
             return "a"
-        return _abbreviate(term, prefixes) or render_term(term)
+        return abbreviate(term) or render_term(term)
     if isinstance(term, BlankNode) or term.lang is not None or term.datatype == XSD_STRING:
         return render_term(term)
     if term.datatype == XSD_INTEGER and _INTEGER_RE.fullmatch(term.lexical):
         return term.lexical
     if term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false"):
         return term.lexical
-    datatype = _abbreviate(term.datatype, prefixes) or render_term(term.datatype)
+    datatype = abbreviate(term.datatype) or render_term(term.datatype)
     return f'"{escape_string_literal(term.lexical)}"^^{datatype}'
 
 
@@ -378,6 +379,8 @@ def serialize_turtle_canonical(g: Graph) -> str:
         raise BlankNodePresentError(
             "canonical Turtle is defined for skolemized graphs; call skolemize() first")
     prefixes = g.prefixes
+    # terms are interned, so a memo per distinct Iri hits on identity
+    abbreviate = functools.cache(lambda iri: _abbreviate(iri, prefixes))
     lines = [f"@prefix {name}: <{prefixes[name].value}> ." for name in sorted(prefixes)]
 
     by_subject: dict[Iri, dict[Iri, list[Term]]] = {}
@@ -386,12 +389,12 @@ def serialize_turtle_canonical(g: Graph) -> str:
 
     blocks = []
     for subject in sorted(by_subject, key=lambda s: s.value):
-        subj_str = _render_term(subject, prefixes)
+        subj_str = _render_term(subject, abbreviate)
         parts = []
         for predicate in sorted(by_subject[subject], key=lambda p: p.value):
             objs = sorted(by_subject[subject][predicate], key=term_sort_key)
-            rendered = ", ".join(_render_term(o, prefixes) for o in objs)
-            parts.append(f"{_render_term(predicate, prefixes, as_predicate=True)} {rendered}")
+            rendered = ", ".join(_render_term(o, abbreviate) for o in objs)
+            parts.append(f"{_render_term(predicate, abbreviate, as_predicate=True)} {rendered}")
         block = f"{subj_str} " + " ;\n    ".join(parts) + " ."
         blocks.append(block)
 

@@ -4,6 +4,12 @@ Twelve registered rules, R01 through R12. Reports are deterministic: findings
 are sorted by (code, subject, message), so equal graphs always produce
 byte-identical reports. Validation never mutates the graph and never infers
 anything: an untyped node is a finding, not a candidate for inference.
+
+Each call first compiles the graph into a view that dies with the call: one
+pass maps each subject to its predicates and objects, each distinct predicate
+object gets one property lookup, and each distinct set of rdf:type objects one
+shape, in the manner of SHACL node shapes, holding its undeclared classes and
+its declared classes' ancestors. Lookups are keyed by term object, so they hit on identity.
 """
 
 from __future__ import annotations
@@ -129,129 +135,131 @@ def _report_iri(node) -> Iri:
     return node
 
 
+class _Shape:
+    """What one distinct set of rdf:type objects means under the schema."""
+
+    def __init__(self, types: frozenset, ctx: "_Ctx"):
+        declared = [ctx.schema.classes[c].iri for c in types if c in ctx.schema.classes]
+        self.typed = bool(types)
+        self.undeclared = [c for c in types if c not in ctx.schema.classes]
+        self.class_names = ", ".join(sorted(c.local_name() for c in declared))
+        self.ancestors = frozenset().union(*map(ctx.ancestors, declared))
+        self.min_props = [p for p in ctx.schema.properties.values()
+                          if p.min_card > 0 and p.domain & self.ancestors]
+
+
 class _Ctx:
-    """Shared per-validation indexes so rules stay small."""
+    """The compiled view of one graph against one schema."""
 
-    def __init__(self, g: Graph, schema: Schema, catalog: Catalog):
-        self.g = g
-        self.schema = schema
-        self.catalog = catalog
-        self.types: dict = {}          # subject -> set of declared+undeclared type IRIs
-        self.by_subject_pred: dict = {}  # (subject, predicate) -> list of objects
-        self.by_predicate: dict = {}   # predicate -> list of triples
+    def __init__(self, g: Graph, schema: Schema):
+        self.g, self.schema = g, schema
+        self.nodes: dict = {}  # subject -> {predicate: [objects]}
         for t in g:
-            if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-                self.types.setdefault(t.subject, set()).add(t.object)
-            self.by_subject_pred.setdefault((t.subject, t.predicate), []).append(t.object)
-            self.by_predicate.setdefault(t.predicate, []).append(t)
-        # rules need no order: validate_graph sorts the findings
-        self.subjects = g.subjects()
+            self.nodes.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+        predicates = dict.fromkeys(p for po in self.nodes.values() for p in po)
+        self.props = {p: schema.properties.get(p) for p in predicates}
+        self.own = {p: p for p in predicates}  # any equal IRI -> the case's object
+        type_key = self.own.get(RDF_TYPE, RDF_TYPE)
+        self._ancestors: dict = {}
+        self._shapes: dict = {}
+        self.shape = {s: self._shape(po.get(type_key, ())) for s, po in self.nodes.items()}
+        self.subjects = [(s, po, self.shape[s]) for s, po in self.nodes.items()]
+        self.untyped = self._shape(())
 
-    def declared_types(self, subject) -> set[Iri]:
-        return {c for c in self.types.get(subject, set()) if c in self.schema.classes}
+    def _shape(self, types) -> _Shape:
+        key = frozenset(c for c in types if isinstance(c, Iri))
+        return self._shapes.get(key) or self._shapes.setdefault(key, _Shape(key, self))
 
-    def is_instance_of(self, subject, ancestor: Iri) -> bool:
-        return any(ancestor in self.schema.ancestors(c) for c in self.declared_types(subject))
+    def ancestors(self, c: Iri) -> frozenset[Iri]:
+        return self._ancestors.get(c) or self._ancestors.setdefault(c, self.schema.ancestors(c))
+
+    def instances_of(self, cls: Iri) -> list:
+        d = self.schema.classes.get(cls)
+        cls = d.iri if d else cls  # the schema's own object
+        return [s for s, _, shape in self.subjects if cls in shape.ancestors]
 
     def values(self, subject, predicate: Iri) -> list:
-        return self.by_subject_pred.get((subject, predicate), [])
+        return self.nodes[subject].get(self.own.get(predicate, predicate), ())
 
 
 def _rule_r01(ctx: _Ctx):
     """Typed-node discipline: every subject is typed, with declared classes."""
-    for s in ctx.subjects:
-        types = ctx.types.get(s, set())
-        if not types:
+    for s, _, shape in ctx.subjects:
+        if not shape.typed:
             yield Finding(ERROR, "R01", _report_iri(s), "node has no type")
-            continue
-        for c in types:
-            if c not in ctx.schema.classes:
-                yield Finding(ERROR, "R01", _report_iri(s), f"typed with undeclared class {c.value}")
+        for c in shape.undeclared:
+            yield Finding(ERROR, "R01", _report_iri(s), f"typed with undeclared class {c.value}")
 
 
 def _rule_r02(ctx: _Ctx):
     """Domain conformance for declared properties; untyped subjects are R01's."""
-    seen = set()
-    for t in ctx.g:
-        p = ctx.schema.properties.get(t.predicate)
-        if p is None or not p.domain:
-            continue
-        if (t.subject, t.predicate) in seen:
-            continue
-        seen.add((t.subject, t.predicate))
-        declared = ctx.declared_types(t.subject)
-        if not declared:
-            continue
-        satisfied = any(p.domain & ctx.schema.ancestors(c) for c in declared)
-        if not satisfied:
-            classes = ", ".join(sorted(c.local_name() for c in declared))
-            yield Finding(ERROR, "R02", _report_iri(t.subject),
-                          f"{t.predicate.local_name()} is not applicable to a node of class {classes}")
+    for s, po, shape in ctx.subjects:
+        if not shape.ancestors:
+            continue  # no declared class
+        for pred in po:
+            p = ctx.props[pred]
+            if p is not None and p.domain and not p.domain & shape.ancestors:
+                yield Finding(ERROR, "R02", _report_iri(s), f"{pred.local_name()} is not "
+                              f"applicable to a node of class {shape.class_names}")
+
+
+_LEXICAL_CHECKS = {
+    XSD_DATETIME: (is_valid_utc_timestamp, "not a UTC Z-form timestamp"),
+    XSD_INTEGER: (INTEGER_LEX_RE.match, "not an integer"),
+    XSD_DECIMAL: (DECIMAL_LEX_RE.match, "not a decimal"),
+    XSD_BOOLEAN: (("true", "false").__contains__, "not a boolean"),
+}
 
 
 def _check_datatype_value(lit: Literal, expected: Iri) -> str | None:
-    if lit.datatype != expected:
+    if lit.datatype is not expected and lit.datatype != expected:
         found = lit.datatype.value if lit.datatype else f"@{lit.lang}"
         return f"expected {expected.local_name()} literal, found {found}"
-    if expected == XSD_DATETIME and not is_valid_utc_timestamp(lit.lexical):
-        return f"not a UTC Z-form timestamp: {lit.lexical!r}"
-    if expected == XSD_INTEGER and not INTEGER_LEX_RE.match(lit.lexical):
-        return f"not an integer: {lit.lexical!r}"
-    if expected == XSD_DECIMAL and not DECIMAL_LEX_RE.match(lit.lexical):
-        return f"not a decimal: {lit.lexical!r}"
-    if expected == XSD_BOOLEAN and lit.lexical not in ("true", "false"):
-        return f"not a boolean: {lit.lexical!r}"
+    check, what = _LEXICAL_CHECKS.get(expected, (None, ""))
+    if check and not check(lit.lexical):
+        return f"{what}: {lit.lexical!r}"
     return None
 
 
 def _rule_r03(ctx: _Ctx):
     """Range conformance: datatype shape for literals, typing for objects."""
-    for t in ctx.g:
-        p = ctx.schema.properties.get(t.predicate)
-        if p is None or p.range is None:
-            continue
-        pname = t.predicate.local_name()
-        if p.range in KNOWN_DATATYPES:
-            if not isinstance(t.object, Literal):
-                yield Finding(ERROR, "R03", _report_iri(t.subject),
-                              f"{pname} expects a {p.range.local_name()} literal")
+    for s, po, _ in ctx.subjects:
+        for pred, objs in po.items():
+            p = ctx.props[pred]
+            if p is None or p.range is None:
                 continue
-            problem = _check_datatype_value(t.object, p.range)
-            if problem:
-                yield Finding(ERROR, "R03", _report_iri(t.subject), f"{pname}: {problem}")
-        else:
-            if isinstance(t.object, Literal):
-                yield Finding(ERROR, "R03", _report_iri(t.subject),
-                              f"{pname} expects a node of class {p.range.local_name()}, found a literal")
-                continue
-            if not ctx.is_instance_of(t.object, p.range):
-                yield Finding(ERROR, "R03", _report_iri(t.subject),
-                              f"{pname} expects a node of class {p.range.local_name()}: "
-                              f"{_report_iri(t.object).value} is not one")
+            rng = p.range
+            datatype = rng in KNOWN_DATATYPES
+            for o in objs:
+                if datatype and isinstance(o, Literal):
+                    problem = _check_datatype_value(o, rng)
+                    message = problem and f": {problem}"
+                elif datatype:
+                    message = f" expects a {rng.local_name()} literal"
+                elif isinstance(o, Literal):
+                    message = f" expects a node of class {rng.local_name()}, found a literal"
+                elif rng not in ctx.shape.get(o, ctx.untyped).ancestors:
+                    message = (f" expects a node of class {rng.local_name()}: "
+                               f"{_report_iri(o).value} is not one")
+                else:
+                    continue
+                if message:
+                    yield Finding(ERROR, "R03", _report_iri(s), pred.local_name() + message)
 
 
 def _rule_r04(ctx: _Ctx):
     """Cardinality: occurrence counts against minCount/maxCount/functional."""
-    # max side: count distinct objects per (subject, property)
-    for (s, pred), objs in ctx.by_subject_pred.items():
-        p = ctx.schema.properties.get(pred)
-        if p is None or p.max_card is None:
-            continue
-        n = len(set(objs))
-        if n > p.max_card:
-            kind = "functional property" if p.functional else "property"
-            yield Finding(ERROR, "R04", _report_iri(s),
-                          f"{kind} {pred.local_name()} has {n} distinct values, at most {p.max_card} allowed")
-    # min side: every instance of a domain class must reach the floor
-    min_props = [p for p in ctx.schema.properties.values() if p.min_card > 0]
-    for p in min_props:
-        for s in ctx.subjects:
-            declared = ctx.declared_types(s)
-            if not declared:
-                continue
-            if not any(p.domain & ctx.schema.ancestors(c) for c in declared):
-                continue
-            n = len(set(ctx.values(s, p.iri)))
+    for s, po, shape in ctx.subjects:
+        # a subject's objects for one predicate are distinct: the graph is a set
+        for pred, objs in po.items():
+            p = ctx.props[pred]
+            if p is not None and p.max_card is not None and len(objs) > p.max_card:
+                kind = "functional property" if p.functional else "property"
+                yield Finding(ERROR, "R04", _report_iri(s), f"{kind} {pred.local_name()} has "
+                              f"{len(objs)} distinct values, at most {p.max_card} allowed")
+        # min side: every instance of a domain class must reach the floor
+        for p in shape.min_props:
+            n = len(ctx.values(s, p.iri))
             if n < p.min_card:
                 yield Finding(ERROR, "R04", _report_iri(s),
                               f"property {p.iri.local_name()} has {n} values, at least {p.min_card} required")
@@ -259,13 +267,10 @@ def _rule_r04(ctx: _Ctx):
 
 def _rule_r05(ctx: _Ctx):
     """Identifier shape: typed instance IRIs end in <kebab-name>-<uuid-v4>."""
-    for s in ctx.subjects:
-        if not isinstance(s, Iri):
-            continue  # labeled blanks have no minted name to check
-        if s.value.startswith(SKOLEM_PREFIX):
+    for s, _, shape in ctx.subjects:
+        # blanks and skolem IRIs carry no minted name; untyped nodes are R01's
+        if not isinstance(s, Iri) or s.value.startswith(SKOLEM_PREFIX) or not shape.typed:
             continue
-        if s not in ctx.types:
-            continue  # untyped nodes are R01 findings, not naming findings
         if not NAME_UUID_RE.match(s.local_name()):
             yield Finding(ERROR, "R05", s,
                           f"local name {s.local_name()!r} does not follow <kebab-name>-<uuid-v4>")
@@ -273,7 +278,7 @@ def _rule_r05(ctx: _Ctx):
 
 def _literal_shape_rule(code: str, prop: Iri, regex, what: str):
     def rule(ctx: _Ctx):
-        for t in ctx.by_predicate.get(prop, ()):
+        for t in ctx.g.scan(None, prop, None):
             if isinstance(t.object, Literal) and not regex.match(t.object.lexical):
                 yield Finding(ERROR, code, _report_iri(t.subject),
                               f"{t.object.lexical!r} is not a well-formed {what}")
@@ -289,9 +294,7 @@ _rule_r12 = _literal_shape_rule("R12", PROP_CVE_ID, CVE_ID_RE, "CVE id (CVE-YYYY
 
 def _rule_r09(ctx: _Ctx):
     """Threat nodes should point at the infrastructure they apply to."""
-    for s in ctx.subjects:
-        if not ctx.is_instance_of(s, CLS_THREAT):
-            continue
+    for s in ctx.instances_of(CLS_THREAT):
         if not ctx.values(s, PROP_TARGETS):
             yield Finding(WARNING, "R09", _report_iri(s),
                           "threat is not linked to any infrastructure component")
@@ -301,12 +304,10 @@ def _rule_r10(ctx: _Ctx):
     """Chain of custody: every acquired item has one, and it moves forward in time."""
     # custody records grouped by the evidence item they describe
     records_by_evidence: dict = {}
-    for t in ctx.by_predicate.get(PROP_CUSTODY_OF, ()):
+    for t in ctx.g.scan(None, PROP_CUSTODY_OF, None):
         records_by_evidence.setdefault(t.object, []).append(t.subject)
 
-    for e in ctx.subjects:
-        if not ctx.is_instance_of(e, CLS_ACQUIRED_EVIDENCE):
-            continue
+    for e in ctx.instances_of(CLS_ACQUIRED_EVIDENCE):
         records = records_by_evidence.get(e, [])
         if not records:
             yield Finding(ERROR, "R10", _report_iri(e), "no custody chain recorded")
@@ -345,9 +346,7 @@ def _rule_r10(ctx: _Ctx):
 def _rule_r11(ctx: _Ctx):
     """Crime nodes carry a crimeType from the closed set."""
     allowed = ", ".join(sorted(CRIME_TYPES))
-    for s in ctx.subjects:
-        if not ctx.is_instance_of(s, CLS_CYBERCRIME):
-            continue
+    for s in ctx.instances_of(CLS_CYBERCRIME):
         values = ctx.values(s, PROP_CRIME_TYPE)
         if not values:
             yield Finding(ERROR, "R11", _report_iri(s),
@@ -408,7 +407,7 @@ RULE_CODES = tuple(code for code in sorted(_RULES) if code.startswith("R"))
 def validate_graph(g: Graph, schema: Schema, catalog: Catalog) -> ValidationReport:
     """Apply every registered rule; malformed content becomes findings, never
     exceptions."""
-    ctx = _Ctx(g, schema, catalog)
+    ctx = _Ctx(g, schema)
     findings: list[Finding] = []
     for code in RULE_CODES:
         _, rule, _ = _RULES[code]

@@ -23,6 +23,8 @@ from scopekit.terms import (
     triple_sort_key,
 )
 
+from scopekit.turtle import parse_turtle, serialize_turtle_canonical
+
 from helpers import random_graph
 
 
@@ -307,6 +309,23 @@ class TestGraph:
                     for o in (None, t.object, absent):
                         found = g.scan(s, p, o)
                         assert sorted(found, key=triple_sort_key) == g.match(s, p, o)
+
+    def test_scan_with_stored_terms_compares_on_identity(self, monkeypatch):
+        # a parsed graph holds one object per term, so lookups with those
+        # objects find their candidates without calling any term __eq__
+        g = parse_turtle(serialize_turtle_canonical(random_graph(random.Random(11), 120)))
+        probes = random.Random(12).sample(sorted(g, key=triple_sort_key), 15)
+        lookups = [(s, p, o) for t in probes for s in (None, t.subject)
+                   for p in (None, t.predicate) for o in (None, t.object)]
+        compared = []
+        for cls in (Iri, Literal, BlankNode):
+            monkeypatch.setattr(cls, "__eq__",
+                                lambda a, b, eq=cls.__eq__: compared.append(a) or eq(a, b))
+        found = [g.scan(*args) for args in lookups]
+        monkeypatch.undo()
+        assert compared == []
+        for args, got in zip(lookups, found):
+            assert sorted(got, key=triple_sort_key) == g.match(*args)
 
     def test_scan_and_match_return_fresh_lists(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])

@@ -1,9 +1,13 @@
 """Rule-by-rule validator behaviour, report shape, and rule explanations."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURE_DIR, fixture_text
+from helpers import random_case_script
 from scopekit import casekit
 from scopekit.errors import UnknownRuleError
 from scopekit.namespaces import (
@@ -11,15 +15,32 @@ from scopekit.namespaces import (
     PROP_CAPEC_ID,
     PROP_CRIME_TYPE,
     PROP_CUSTODY_TS,
+    PROP_CVE_ID,
     PROP_MD5,
     PROP_TARGETS,
     PROP_TECHNIQUE_ID,
+    SCOPE_META,
     evidence,
     infrastructure,
     role,
     threats,
 )
-from scopekit.terms import RDF_TYPE, Graph, Iri, Literal, Triple, XSD_DATETIME
+from scopekit.schema import Schema, load_schema
+from scopekit.terms import (
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_DATETIME,
+    XSD_DECIMAL,
+    XSD_INTEGER,
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    term_sort_key,
+    triple_sort_key,
+)
+from scopekit.turtle import parse_turtle
 from scopekit.validation import (
     RULE_CODES,
     Finding,
@@ -396,3 +417,162 @@ class TestTimestampHelper:
     ])
     def test_rejects(self, bad):
         assert not is_valid_utc_timestamp(bad)
+
+
+class TestCompiledView:
+    def test_ancestors_once_per_class(self, monkeypatch, schema, catalog):
+        g = parse_turtle(random_case_script(random.Random(21)).to_turtle())
+        # a node typed with two classes, each also a type of other nodes
+        typed = g.match(None, RDF_TYPE, None)
+        other = next(t.object for t in typed if t.object != typed[0].object)
+        g = g.insert(Triple(typed[0].subject, RDF_TYPE, other))
+        classes = {t.object for t in g.scan(None, RDF_TYPE, None)}
+        calls = []
+        monkeypatch.setattr(Schema, "ancestors",
+                            lambda self, cls, f=Schema.ancestors: calls.append(cls) or f(self, cls))
+        report = validate_graph(g, schema, catalog)
+        monkeypatch.undo()
+        assert report.checked_triples == len(g)
+        assert len(calls) == len(set(calls)) <= len(classes)
+
+
+# -- findings pinned on seeded broken fixtures --
+
+PINNED_FINDINGS = Path(__file__).resolve().parent / "data" / "validation_findings_pinned.txt"
+SCHEMA_DIR = FIXTURE_DIR.parent / "schemas"
+_UNDECLARED = Iri("http://example.org/undeclared/Hologram")
+
+# a schema variant with a floor and a non-functional ceiling, so R04's
+# min side fires too (the embedded schema declares no minCount)
+_WINDOWED_SCHEMA_DOC = f"""
+@prefix scm: <{SCOPE_META}> .
+@prefix scope-threats: <https://ontology.scopeontology.org/scope/threats/> .
+@prefix case-investigation: <https://ontology.caseontology.org/case/investigation/> .
+scope-threats:targets scm:minCount 1 ; scm:maxCount 2 .
+case-investigation:performedBy scm:minCount 1 .
+"""
+
+_BAD_LITERALS = (
+    Literal("yesterday", XSD_DATETIME),
+    Literal("2100-01-01T06:00:00+08:00", XSD_DATETIME),
+    Literal("12x", XSD_INTEGER),
+    Literal("yes", XSD_BOOLEAN),
+    Literal("1.2.3", XSD_DECIMAL),
+    Literal("label", lang="en"),
+    Literal("plain"),
+)
+_BAD_SHAPES = {
+    PROP_TECHNIQUE_ID: Literal("T99"),
+    PROP_CAPEC_ID: Literal("CAPEC-x"),
+    PROP_MD5: Literal("ABC"),
+    PROP_CVE_ID: Literal("CVE-22-1"),
+    PROP_CRIME_TYPE: Literal("Jaywalking"),
+}
+
+
+def _broken_fixture(g: Graph, schema, rng: random.Random) -> Graph:
+    """g with one to four seeded breaks: dropped or foreign types, wrong-range
+    objects, bad literals, extra values, dropped properties, blank subjects."""
+    triples = set(g)
+    for _ in range(rng.randint(1, 4)):
+        ordered = sorted(triples, key=triple_sort_key)
+        subjects = sorted({t.subject for t in ordered}, key=term_sort_key)
+        t = rng.choice(ordered)
+        s = rng.choice(subjects)
+        kind = rng.randrange(12)
+        if kind == 0:  # drop a type
+            typed = [u for u in ordered if u.predicate == RDF_TYPE]
+            triples.discard(rng.choice(typed))
+        elif kind == 1:  # undeclared class, beside or instead of the old type
+            if rng.random() < 0.5:
+                triples -= {u for u in ordered if u.subject == s and u.predicate == RDF_TYPE}
+            triples.add(Triple(s, RDF_TYPE, _UNDECLARED))
+        elif kind == 2:  # retype or add a second declared class
+            cls = rng.choice(sorted(schema.classes, key=term_sort_key))
+            if rng.random() < 0.5:
+                triples -= {u for u in ordered if u.subject == s and u.predicate == RDF_TYPE}
+            triples.add(Triple(s, RDF_TYPE, cls))
+        elif kind == 3:  # an object swapped for another node or a literal
+            triples.discard(t)
+            obj = rng.choice(subjects) if rng.random() < 0.7 else Literal("a node")
+            triples.add(Triple(t.subject, t.predicate, obj))
+        elif kind == 4:  # a literal swapped for a malformed one
+            lits = [u for u in ordered if isinstance(u.object, Literal)]
+            u = rng.choice(lits)
+            triples.discard(u)
+            bad = _BAD_SHAPES.get(u.predicate) if rng.random() < 0.7 else None
+            triples.add(Triple(u.subject, u.predicate, bad or rng.choice(_BAD_LITERALS)))
+        elif kind == 5:  # an extra distinct value on any property
+            obj = (Literal(t.object.lexical + "0", t.object.datatype, t.object.lang)
+                   if isinstance(t.object, Literal) else rng.choice(subjects))
+            triples.add(Triple(t.subject, t.predicate, obj))
+        elif kind == 6:  # drop a property value (targets, custody, crimeType, ...)
+            triples.discard(t)
+        elif kind == 7:  # a declared property asserted on an arbitrary node
+            p = rng.choice(sorted(schema.properties, key=term_sort_key))
+            triples.add(Triple(s, p, t.object))
+        elif kind == 8:  # a node renamed to a blank node or a bad name everywhere
+            b = (BlankNode(f"b{rng.randrange(100)}") if rng.random() < 0.5
+                 else Iri(f"http://example.org/kb/Node_{rng.randrange(100)}"))
+            triples = {Triple(b if u.subject == s else u.subject, u.predicate,
+                              b if u.object == s else u.object) for u in triples}
+        elif kind == 9:  # a literal or blank rdf:type object
+            triples.add(Triple(s, RDF_TYPE, rng.choice((Literal("Threat"), BlankNode("cls")))))
+        elif kind == 10:  # a malformed identifier, digest or crime type
+            p = rng.choice(sorted(_BAD_SHAPES, key=term_sort_key))
+            triples.add(Triple(s, p, _BAD_SHAPES[p]))
+        else:  # a custody timestamp moved to the epoch
+            ts = [u for u in ordered if u.predicate == PROP_CUSTODY_TS]
+            if ts:
+                u = rng.choice(ts)
+                triples.discard(u)
+                triples.add(Triple(u.subject, u.predicate,
+                                   Literal("1970-01-01T00:00:00Z", XSD_DATETIME)))
+    return Graph(triples)
+
+
+def pinned_findings_text(schema, catalog) -> str:
+    """Reports for 90 seeded broken fixtures, 30 per scenario, every third one
+    against the windowed schema variant."""
+    windowed = load_schema([*(p.read_text(encoding="utf-8") for p in
+                              sorted(SCHEMA_DIR.glob("*.ttl"))), _WINDOWED_SCHEMA_DOC])
+    out = []
+    for name in ("scenario1", "scenario2", "scenario3"):
+        g = parse_turtle(fixture_text(name))
+        for i in range(30):
+            rng = random.Random(f"{name}-{i}")
+            report = validate_graph(_broken_fixture(g, schema, rng),
+                                    windowed if i % 3 == 2 else schema, catalog)
+            out.append(f"## {name} {i}\n{report.to_text()}")
+    return "".join(out)
+
+
+def _pinned_cases(text: str) -> list[str]:
+    return re.split(r"(?m)^## ", text)[1:]
+
+
+class TestFindingsPinned:
+    def test_reports_match_pinned_text(self, schema, catalog):
+        want = PINNED_FINDINGS.read_text(encoding="utf-8")
+        got = pinned_findings_text(schema, catalog)
+        for w, g in zip(_pinned_cases(want), _pinned_cases(got)):
+            assert g == w
+        assert got == want
+
+    def test_pinned_cases_break_something(self):
+        text = PINNED_FINDINGS.read_text(encoding="utf-8")
+        cases = _pinned_cases(text)
+        assert len(cases) == 90
+        assert sum(case.count("\n") > 1 for case in cases) >= 70
+        fired = {line.split("\t")[0] for line in text.splitlines() if "\t" in line}
+        assert fired == set(RULE_CODES)
+
+
+if __name__ == "__main__":
+    # writes the pinned reports for the validator as it stands
+    from scopekit.catalog import load_default_catalog
+    from scopekit.schema import load_default_schema
+
+    PINNED_FINDINGS.parent.mkdir(exist_ok=True)
+    PINNED_FINDINGS.write_text(
+        pinned_findings_text(load_default_schema(), load_default_catalog()), encoding="utf-8")
