@@ -1,8 +1,8 @@
 """Conjunctive triple-pattern queries with variable joins and regex filters.
 
-Small on purpose: patterns join on shared variables, filters run as a final
-pass, and results come back as a deduplicated, canonically sorted table. No
-OPTIONAL, no UNION, no property paths.
+Small on purpose: patterns join on shared variables, filters run as soon as
+their variable is bound, and results come back as a deduplicated, canonically
+sorted table. No OPTIONAL, no UNION, no property paths.
 
 The text syntax puts one pattern per line. Lines end at LF only; whitespace
 around a line, a trailing CR included, is ignored. Terms are read with one
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -143,15 +144,15 @@ def _compile(p: Pattern, slot_of: dict[str, int]):
 
     slot_of maps each bound variable to its slot in a row. p's new variables
     are added to it only after all three positions are read, so a variable
-    that p repeats is not mistaken for one an earlier pattern bound.
-    Returns three lists:
+    that p repeats is not mistaken for one an earlier pattern bound. They
+    take their slots in name order, so one pattern builds rows in column order.
+    Returns:
       lookup  per position, (slot, None) for a bound variable, (None, term)
               for a constant and (None, None) for a new variable;
-      new     the positions whose terms a match appends to the row;
+      new     each new variable, in name order, and the position that binds it;
       same    pairs of positions that repeat one new variable (?x p ?x).
     """
     lookup: list[tuple[Optional[int], Optional[Term]]] = []
-    new: list[str] = []
     same: list[tuple[str, str]] = []
     first: dict[str, str] = {}  # new variable -> the position that binds it
     for position, t in zip(_POSITIONS, (p.subject, p.predicate, p.object)):
@@ -163,21 +164,20 @@ def _compile(p: Pattern, slot_of: dict[str, int]):
             same.append((first[t.name], position))
         elif t.name not in slot_of:
             first[t.name] = position
-            new.append(position)
-    for position in new:
-        slot_of[getattr(p, position).name] = len(slot_of)
+    new = dict(sorted(first.items()))
+    for name in new:
+        slot_of[name] = len(slot_of)
     return lookup, new, same
 
 
 def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
           ) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
     """The filtered rows of a query, unprojected and unsorted, and the slot
-    of each of the query's variables in a row."""
+    of each of the query's variables in a row. A filter runs on the matches
+    of the pattern that first binds its variable, once per distinct term object."""
     if not patterns:
         raise MalformedVariableError("a query needs at least one pattern")
-    known_vars: set[str] = set()
-    for p in patterns:
-        known_vars |= p.variables()
+    known_vars = {v for p in patterns for v in p.variables()}
 
     compiled = []
     for var, regex in filters:
@@ -195,24 +195,27 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
     rows: list[tuple[Term, ...]] = [()]
     for p in patterns:
         lookup, new, same = _compile(p, slot_of)
-        take = attrgetter(*new) if new else None
+        # the filters on p's new variables, each with its verdict per term id
+        checks = [(attrgetter(new[var]), rx, {}) for var, rx in compiled if var in new]
+        take = attrgetter(*new.values()) if new else None
         grown: list[tuple[Term, ...]] = []
         for row in rows:
             matches = g.scan(*[c if i is None else row[i] for i, c in lookup])
             if same:
                 matches = [t for t in matches
                            if all(getattr(t, a) == getattr(t, b) for a, b in same)]
+            for get, rx, verdict in checks:
+                found = list(map(get, matches))
+                fresh = dict(zip(map(id, found), found))
+                for i in fresh.keys() - verdict.keys():
+                    verdict[i] = rx.search(_filter_text(fresh[i]))
+                matches = list(compress(matches, map(verdict.__getitem__, map(id, found))))
             if take is None:
                 grown += [row] * len(matches)
-            elif len(new) == 1:
-                grown += [row + (take(t),) for t in matches]
-            else:
-                grown += [row + take(t) for t in matches]
+                continue
+            parts = map(take, matches) if len(new) > 1 else zip(map(take, matches))
+            grown += [row + part for part in parts] if row else parts
         rows = grown
-
-    for var, rx in compiled:
-        at = slot_of[var]
-        rows = [r for r in rows if rx.search(_filter_text(r[at]))]
     return slot_of, rows
 
 
@@ -222,15 +225,21 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
     columns = tuple(sorted(slot_of))
     if list(slot_of) != list(columns):
         rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
-    # canonical order: one stable sort per column, the last column first
+    # canonical order: per column, the last first, a stable sort on term_sort_key ranks
+    order = list(range(len(rows)))
     for at in reversed(range(len(columns))):
-        rows.sort(key=lambda row: term_sort_key(row[at]))
+        column = list(map(itemgetter(at), rows))
+        key_of = {i: term_sort_key(t) for i, t in dict(zip(map(id, column), column)).items()}
+        rank_of = dict(zip(sorted(set(key_of.values())), range(len(key_of))))  # equal keys tie
+        ranks = list(map(rank_of.get, map(key_of.get, map(id, column))))
+        order.sort(key=ranks.__getitem__)
+    rows = list(map(rows.__getitem__, order))
     return BindingTable(columns, tuple(rows))
 
 
 def count(g: Graph, patterns: Sequence[Pattern],
           filters: Iterable[tuple[str, str]] = ()) -> int:
-    """len(run_query(g, patterns, filters)), without projecting or sorting."""
+    """len(run_query(g, patterns, filters)): the same filtered join, unprojected, unsorted."""
     return len(_join(g, patterns, filters)[1])
 
 

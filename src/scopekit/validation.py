@@ -58,9 +58,9 @@ from .terms import (
 ERROR = "Error"
 WARNING = "Warning"
 
-NAME_UUID_RE = re.compile(
-    r"^[a-z0-9]+(-[a-z0-9]+)*-"
-    r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-4[0-9a-fA-F]{3}-[89abAB][0-9a-fA-F]{3}-[0-9a-fA-F]{12}$")
+KEBAB_NAME_RE = re.compile(r"[a-z0-9]+(-[a-z0-9]+)*")
+UUID_TAIL_RE = re.compile(  # "-" and a version-4 UUID: 37 characters
+    r"-[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-4[0-9a-fA-F]{3}-[89abAB][0-9a-fA-F]{3}-[0-9a-fA-F]{12}")
 
 DATETIME_Z_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z$")
 INTEGER_LEX_RE = re.compile(r"^[+-]?\d+$")
@@ -271,9 +271,10 @@ def _rule_r05(ctx: _Ctx):
         # blanks and skolem IRIs carry no minted name; untyped nodes are R01's
         if not isinstance(s, Iri) or s.value.startswith(SKOLEM_PREFIX) or not shape.typed:
             continue
-        if not NAME_UUID_RE.match(s.local_name()):
+        local = s.local_name()
+        if not (UUID_TAIL_RE.fullmatch(local[-37:]) and KEBAB_NAME_RE.fullmatch(local[:-37])):
             yield Finding(ERROR, "R05", s,
-                          f"local name {s.local_name()!r} does not follow <kebab-name>-<uuid-v4>")
+                          f"local name {local!r} does not follow <kebab-name>-<uuid-v4>")
 
 
 def _literal_shape_rule(code: str, prop: Iri, regex, what: str):

@@ -184,6 +184,64 @@ def random_patterns(rng: random.Random, max_patterns: int = 4):
     return patterns, filters
 
 
+# -- random query cases whose columns mix every kind of term --
+
+MIXED_NS = "http://example.org/m/"
+MIXED_WORDS = ("a1", "b2", "c3")
+MIXED_REGEXES = ("a", "^a", "1$", "^(a1|b2)$", "m/b", "^[ab]", "c3|p1", ".", "^http", "2")
+
+
+def _mixed_term(rng: random.Random, literals: bool = True):
+    """A fresh object on every call: an IRI, a blank node, or a plain, tagged
+    or typed literal, all with the same few lexical forms."""
+    w = rng.choice(MIXED_WORDS)
+    kind = rng.randrange(7 if literals else 2)
+    if kind == 0:
+        return Iri(MIXED_NS + w)
+    if kind == 1:
+        return BlankNode(w)
+    if kind == 2:
+        return Literal(w)
+    if kind == 3:
+        return Literal(w, XSD_STRING)  # equal to the plain literal
+    if kind == 4:
+        return Literal(w, lang=rng.choice(("en", "EN", "de")))
+    if kind == 5:
+        return Literal(w, Iri(MIXED_NS + "dt"))
+    return Literal(w, XSD_INTEGER)
+
+
+def _mixed_predicate(rng: random.Random) -> Iri:
+    return Iri(MIXED_NS + rng.choice(("p1", "p2") + MIXED_WORDS))
+
+
+def random_mixed_graph(rng: random.Random, max_triples: int = 60) -> Graph:
+    """Triples over a tiny vocabulary in which equal terms are never one
+    object, so that no code path may rely on identity."""
+    return Graph(Triple(_mixed_term(rng, literals=False), _mixed_predicate(rng), _mixed_term(rng))
+                 for _ in range(rng.randint(1, max_triples)))
+
+
+def random_filtered_patterns(rng: random.Random, max_patterns: int = 3):
+    """One to three patterns over the mixed vocabulary and up to three
+    filters in shuffled order; when there are two or more, two share a variable."""
+    names = ["x", "y", "z", "w"]
+    patterns = []
+    for _ in range(rng.randint(1, max_patterns)):
+        s = Variable(rng.choice(names)) if rng.random() < 0.9 else _mixed_term(rng, literals=False)
+        p = Variable(rng.choice(names + ["p"])) if rng.random() < 0.7 else _mixed_predicate(rng)
+        o = Variable(rng.choice(names)) if rng.random() < 0.8 else _mixed_term(rng)
+        patterns.append(Pattern(s, p, o))
+    bound = sorted({v for p in patterns for v in p.variables()})
+    filters = []
+    if bound:
+        first = rng.choice(bound)
+        for var in [first, first, rng.choice(bound)][:rng.randint(0, 3)]:
+            filters.append((rng.choice((var, "?" + var)), rng.choice(MIXED_REGEXES)))
+        rng.shuffle(filters)
+    return patterns, filters
+
+
 # -- randomized investigation scripts for builder / merge properties --
 
 STRIDE_POOL = ("Spoofing", "Tampering", "Repudiation", "InformationDisclosure",

@@ -1,10 +1,18 @@
 """Pattern joins, filters, the text syntax, and oracle equivalence."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from helpers import naive_run_query, random_patterns, random_query_graph
+from helpers import (
+    naive_run_query,
+    random_filtered_patterns,
+    random_mixed_graph,
+    random_patterns,
+    random_query_graph,
+)
 from scopekit.errors import (
     MalformedVariableError,
     QueryTextError,
@@ -304,6 +312,24 @@ class TestOracleEquivalence:
             assert run_query(g, patterns, filters) == run_query(g, shuffled, filters)
 
 
+class TestMixedTermDifferential:
+    """Columns mix every kind of term with shared lexical forms, equal terms
+    are distinct objects, and up to three filters stack on a query."""
+
+    def test_matches_naive_evaluator_and_count(self):
+        rng = random.Random(2718)
+        filtered_rows = 0
+        for _ in range(500):
+            g = random_mixed_graph(rng)
+            patterns, filters = random_filtered_patterns(rng)
+            table = run_query(g, patterns, filters)
+            columns, rows = naive_run_query(g, patterns, filters)
+            assert (table.columns, table.rows) == (columns, rows)
+            assert count(g, patterns, filters) == len(table)
+            filtered_rows += bool(filters) and len(table) > 0
+        assert filtered_rows >= 60
+
+
 class TestJoinDoesNotSort:
     """Joins read the graph's unsorted lookup; the table is sorted once."""
 
@@ -359,3 +385,111 @@ class TestCountDoesNotSort:
         table = run_query(scenario1, patterns, filters)
         assert calls  # the patched key is the one run_query sorts with
         assert n == len(table) > 0
+
+
+class TestFilterWorkPerDistinctTerm:
+    """A full scan runs each filter once per distinct term of the filtered
+    position and computes each sort key once per distinct term per column."""
+
+    def test_full_scan_with_predicate_filter(self, monkeypatch, scenario1):
+        patterns, filters = parse_query("?s ?p ?o\nFILTER ?p /custody|name$/")
+        calls = {"_filter_text": 0, "term_sort_key": 0}
+        for name in calls:
+            original = getattr(query, name)
+
+            def counted(t, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(t)
+
+            monkeypatch.setattr(query, name, counted)
+        table = run_query(scenario1, patterns, filters)
+        monkeypatch.undo()
+        assert table == run_query(scenario1, patterns, filters)
+        assert 0 < len(table) < len(scenario1)
+        assert calls["_filter_text"] <= len({t.predicate for t in scenario1})
+        assert calls["term_sort_key"] <= sum(len(set(column)) for column in zip(*table.rows))
+        # one pattern binds its variables in column order: no projection
+        assert tuple(query._join(scenario1, patterns, filters)[0]) == table.columns
+
+
+PINNED_QUERY_TABLES = Path(__file__).resolve().parent / "data" / "query_pinned.tsv"
+
+# Full scans, filters on each position, several filters on one variable, a
+# filter on a repeated variable, and joins whose filtered variable a later
+# pattern binds.
+PINNED_QUERIES = (
+    "?s ?p ?o",
+    "?s ?p ?o\nFILTER ?p /(name|Time)$/",
+    "?s ?p ?o\nFILTER ?o /^(T1|CAPEC-)[0-9]/",
+    "?s ?p ?o\nFILTER ?s /custody|action-[0-9a-f]/",
+    "?s ?p ?o\nFILTER ?o /^https:.*(Adversary|System|Technique)$/",
+    "?s ?p ?o\nFILTER ?o /\\.(com|org|info|link)$/",
+    "?s ?p ?o\nFILTER ?o /^[0-9a-f]+$/",
+    "?s ?p ?o\nFILTER ?o /^2100-01-0/\nFILTER ?o /:00Z$/",
+    "?s ?p ?o\nFILTER ?p /./\nFILTER ?p /custodyAction|tactic|domainName/",
+    "?s ?p ?o\nFILTER ?p /evidence/\nFILTER ?s /image|capture|log/\nFILTER ?o /[A-Z]/",
+    "?z ?b ?m\nFILTER ?m /^[A-Z][a-z]+ /",
+    "?x ?p ?x",
+    "?x ?p ?x\nFILTER ?x /kb/",
+    "?s a ?t\nFILTER ?t /Capture|Image|File$/",
+    "?s a ?t\n?s ?p ?o\nFILTER ?t /Adversary|Responder|Analyst/\nFILTER ?o /^[A-Z]/",
+    "?s uco-core:name ?n\nFILTER ?n /[Pp]unggol|lab/",
+    "?s uco-core:description ?d\nFILTER ?d /^[A-Z]/\nFILTER ?d /s$/",
+    "?r scope-evidence:custodySequence ?n\nFILTER ?n /^[12]$/",
+    "?s ?p \"Imaged\"",
+    "?e scope-evidence:evidenceOf ?c\n?c scope-crime:crimeType ?ct\nFILTER ?ct /Interference|Access/",
+    "?r scope-evidence:custodyRecordOf ?e\n?r scope-evidence:custodyAction ?act\n?e a ?k\n"
+    "FILTER ?act /^(Imaged|Analyzed|Transferred)$/\nFILTER ?k /Image$|Capture$/",
+    "?a case-investigation:performedBy ?p\n?p uco-core:name ?n\nFILTER ?n /lab|field/",
+    "?x case-investigation:relatedIncident ?i\n?i ?p ?o\nFILTER ?x /investigative|image/\nFILTER ?p /type|name/",
+    "?x ?p ?o\n?y ?p ?o\nFILTER ?p /custodyAction|crimeType/",
+    "?c ?p ?x\n?x a ?t\nFILTER ?p /affects|targets/\nFILTER ?t /System$|Layer$/",
+    "?s ?p ?s2\n?s2 ?p2 ?o\nFILTER ?p2 /name$/\nFILTER ?p /performedBy|custodyActor|adversary/",
+    "?e a ?k\n?e ?p ?v\nFILTER ?v /^0/",
+    "?r scope-evidence:custodyTimestamp ?ts\n?r scope-evidence:custodyRecordOf ?e\n"
+    "FILTER ?ts /T1[0-9]:/\nFILTER ?e /./",
+    "?s ?p ?o\nFILTER ?o /^no such text$/",
+    "?t ?p ?id\nFILTER ?p /techniqueId|capecId/\nFILTER ?id /^(T1[0-4]|CAPEC-1)/",
+    "?c ?u ?t\n?t ?q ?ta\nFILTER ?u /usesTechnique/\nFILTER ?ta /^(InitialAccess|Exfiltration)$/",
+)
+
+
+def pinned_query_text(graphs) -> str:
+    """Each pinned query's table on each named graph, as TSV."""
+    out = []
+    for name, g in graphs:
+        for i, text in enumerate(PINNED_QUERIES):
+            out.append(f"## {name} q{i:02d}\n{run_text_query(g, text).to_tsv()}")
+    return "".join(out)
+
+
+class TestQueryPinned:
+    """Tables written before filters moved into the join stay byte-identical."""
+
+    def test_tables_match_pinned_text(self, scenario1, scenario2, scenario3):
+        graphs = (("scenario1", scenario1), ("scenario2", scenario2), ("scenario3", scenario3))
+        want = PINNED_QUERY_TABLES.read_text(encoding="utf-8")
+        got = pinned_query_text(graphs)
+        for w, g in zip(re.split(r"(?m)^## ", want), re.split(r"(?m)^## ", got)):
+            assert g == w
+        assert got == want
+        for _, g in graphs:
+            for text in PINNED_QUERIES:
+                patterns, filters = parse_query(text)
+                assert count(g, patterns, filters) == len(run_query(g, patterns, filters))
+
+    def test_pinned_tables_are_not_all_empty(self):
+        tables = re.split(r"(?m)^## ", PINNED_QUERY_TABLES.read_text(encoding="utf-8"))[1:]
+        assert len(tables) == 3 * len(PINNED_QUERIES)
+        assert sum(t.count("\n") > 2 for t in tables) >= 3 * len(PINNED_QUERIES) // 2
+
+
+if __name__ == "__main__":
+    # writes the pinned tables for the query engine as it stands
+    from conftest import fixture_text
+    from scopekit.turtle import parse_turtle
+
+    PINNED_QUERY_TABLES.parent.mkdir(exist_ok=True)
+    PINNED_QUERY_TABLES.write_text(pinned_query_text(
+        [(name, parse_turtle(fixture_text(name)))
+         for name in ("scenario1", "scenario2", "scenario3")]), encoding="utf-8")

@@ -220,6 +220,31 @@ class TestR05Naming:
         assert validate_graph(g, schema, catalog).ok
 
 
+class TestR05NameSplit:
+    """The kebab head and the 37-character -<uuid-v4> tail are checked apart;
+    the verdict is that of one anchored regex over the whole local name."""
+
+    ONE_REGEX = re.compile(
+        r"^[a-z0-9]+(-[a-z0-9]+)*-"
+        r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-4[0-9a-fA-F]{3}-[89abAB][0-9a-fA-F]{3}-[0-9a-fA-F]{12}$")
+    UUID = "9f1b2c3d-0a0b-4c0d-8e0f-00112233aabb"
+
+    @pytest.mark.parametrize("local", [
+        f"grid-{UUID}", f"a-{UUID}", f"9-grid-x1-{UUID}", f"grid-{UUID.upper()}",
+        f"grid-{UUID[:19]}b{UUID[20:]}", UUID, f"-{UUID}", f"--{UUID}", f"-grid-{UUID}",
+        f"grid--x-{UUID}", f"grid-{UUID}-", f"grid_{UUID}", f"grid{UUID}", f"grid-{UUID[:-1]}",
+        f"grid-{UUID}0", f"grid-x{UUID}", f"grid-{UUID[:19]}c{UUID[20:]}", f"grid-{UUID[1:]}",
+        f"gr.id-{UUID}", f"grid-{UUID[:14]}3{UUID[15:]}",
+    ])
+    def test_verdict_matches_one_regex(self, case, schema, catalog, local):
+        c, n = case
+        old = n["comp"]
+        new = Iri(old.value.rsplit("/", 1)[0] + "/" + local)
+        g = Graph(Triple(new if t.subject == old else t.subject, t.predicate,
+                         new if t.object == old else t.object) for t in c.graph)
+        assert ("R05" in codes(g, schema, catalog)) is (self.ONE_REGEX.match(local) is None)
+
+
 class TestLiteralShapeRules:
     def test_r06_bad_technique_id(self, case, schema, catalog):
         c, n = case
