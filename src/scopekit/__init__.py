@@ -25,6 +25,7 @@ from .errors import (
     MalformedVariableError,
     ParseError,
     QueryTextError,
+    QueryTooLargeError,
     SchemaCycleError,
     SchemaError,
     ScopeKitError,

@@ -135,6 +135,10 @@ class UnsupportedRegexError(ScopeKitError):
     """Filter regex uses a construct outside the supported conservative subset."""
 
 
+class QueryTooLargeError(ScopeKitError):
+    """A join's intermediate table passed query.MAX_ROWS rows."""
+
+
 class QueryTextError(ScopeKitError):
     """Textual query cannot be parsed; carries the offending line number."""
 

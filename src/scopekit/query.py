@@ -2,7 +2,9 @@
 
 Small on purpose: patterns join on shared variables, filters run as soon as
 their variable is bound, and results come back as a deduplicated, canonically
-sorted table. No OPTIONAL, no UNION, no property paths.
+sorted table. The sort reads the ranks a graph computes once for its terms
+(`Graph.term_ranks`), and a join whose table passes MAX_ROWS rows raises
+QueryTooLargeError. No OPTIONAL, no UNION, no property paths.
 
 The text syntax puts one pattern per line. Lines end at LF only; whitespace
 around a line, a trailing CR included, is ignored. Terms are read with one
@@ -23,6 +25,7 @@ from .errors import (
     InvalidIriError,
     MalformedVariableError,
     QueryTextError,
+    QueryTooLargeError,
     UnboundFilterVariableError,
     UnsupportedRegexError,
 )
@@ -37,10 +40,10 @@ from .terms import (
     Iri,
     Literal,
     Term,
-    term_sort_key,
 )
 
 _VAR_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+MAX_ROWS = 1_000_000  # rows a pattern's table may hold before the join gives up
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,8 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
                 continue
             parts = map(take, matches) if len(new) > 1 else zip(map(take, matches))
             grown += [row + part for part in parts] if row else parts
+            if len(grown) > MAX_ROWS:
+                raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
         rows = grown
     return slot_of, rows
 
@@ -225,15 +230,14 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
     columns = tuple(sorted(slot_of))
     if list(slot_of) != list(columns):
         rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
-    # canonical order: per column, the last first, a stable sort on term_sort_key ranks
-    order = list(range(len(rows)))
-    for at in reversed(range(len(columns))):
-        column = list(map(itemgetter(at), rows))
-        key_of = {i: term_sort_key(t) for i, t in dict(zip(map(id, column), column)).items()}
-        rank_of = dict(zip(sorted(set(key_of.values())), range(len(key_of))))  # equal keys tie
-        ranks = list(map(rank_of.get, map(key_of.get, map(id, column))))
-        order.sort(key=ranks.__getitem__)
-    rows = list(map(rows.__getitem__, order))
+    # canonical order: per column, the last first, a stable sort on the graph's
+    # term ranks; every cell is a term object of g, and equal terms tie
+    if len(rows) > 1:
+        rank = g.term_ranks().__getitem__
+        order = list(range(len(rows)))
+        for at in reversed(range(len(columns))):
+            order.sort(key=list(map(rank, map(id, map(itemgetter(at), rows)))).__getitem__)
+        rows = list(map(rows.__getitem__, order))
     return BindingTable(columns, tuple(rows))
 
 

@@ -9,7 +9,9 @@ document, so equal terms in a parsed graph are the same object and container
 lookups on them succeed on identity, before any `==`. Each parse keeps its
 own memo, so nothing is shared across parses but the constants defined here.
 Graphs are immutable; insert/remove return new graphs, so a graph value can be
-shared freely across readers.
+shared freely across readers. A graph builds its lookup index and its table of
+canonical term ranks (keyed by the `id` of its term objects) on first use and
+keeps them; a copied or unpickled graph builds its own, not another's ids.
 """
 
 from __future__ import annotations
@@ -204,10 +206,11 @@ class Graph:
     """Immutable set of triples plus a prefix map.
 
     Equality and hashing consider the triple set only; the prefix map is
-    presentation metadata (N-Triples, for one, cannot carry it).
+    presentation metadata (N-Triples, for one, cannot carry it). The index and
+    `term_ranks` are built on first use; copies rebuild them (`__reduce__`).
     """
 
-    __slots__ = ("_triples", "_prefixes", "_index")
+    __slots__ = ("_triples", "_prefixes", "_index", "_ranks")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
         self._triples: frozenset[Triple] = frozenset(triples)
@@ -215,7 +218,7 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a triple: {t!r}")
         self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
-        self._index = None  # built lazily; graph is immutable so it never goes stale
+        self._index = self._ranks = None  # built lazily; graph is immutable so they never go stale
 
     # -- basic accessors --
     @property
@@ -245,6 +248,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash(self._triples)
+
+    def __reduce__(self):
+        return Graph, (self._triples, self._prefixes)
 
     def __repr__(self) -> str:
         return f"<Graph {len(self._triples)} triples, {len(self._prefixes)} prefixes>"
@@ -323,8 +329,23 @@ class Graph:
         `triple_sort_key`. Use `scan` where the order does not matter.
         """
         out = self.scan(subject, predicate, object)
-        out.sort(key=triple_sort_key)
+        if len(out) > 1:
+            out.sort(key=triple_sort_key)
         return out
+
+    def term_ranks(self) -> dict[int, int]:
+        """Canonical rank of every term object in the graph, keyed by its `id`.
+
+        A rank is the position of the term's `term_sort_key` among the graph's
+        distinct keys, so equal terms held as distinct objects share a rank.
+        Built in one pass on the first call and kept, shared: do not modify it.
+        """
+        if self._ranks is None:
+            objects = {id(x): x for t in self._triples for x in (t.subject, t.predicate, t.object)}
+            keys = list(map(term_sort_key, objects.values()))
+            rank_of = dict(zip(sorted(set(keys)), range(len(keys))))
+            self._ranks = dict(zip(objects, map(rank_of.__getitem__, keys)))
+        return self._ranks
 
     def diff(self, other: "Graph") -> tuple[frozenset[Triple], frozenset[Triple]]:
         """(added, removed): the triples to add to / remove from this graph to obtain other."""

@@ -16,13 +16,14 @@ from scopekit.turtle import parse_turtle
 from conftest import FIXTURE_DIR
 
 
-def run_module(*args, module="scopekit.cli"):
-    """`python -m MODULE ARGS` in a fresh interpreter on this source tree."""
+def run_module(*args, module="scopekit.cli", **kwargs):
+    """`python -m MODULE ARGS` in a fresh interpreter on this source tree;
+    keyword arguments go to subprocess.run."""
     src = str(Path(scopekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 @pytest.fixture()
@@ -145,6 +146,27 @@ class TestQuery:
         assert main(["query", str(case_file),
                      "-q", "?s ?p ?o\nFILTER ?o /a{2}/"]) == 2
         assert "scopekit:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--count"]])
+    def test_query_past_the_row_cap_exits_two(self, tmp_path, flags):
+        # 1,100 subjects share one predicate and one object, so the self-join
+        # has 1.21M rows; the child's address space is limited, so a join
+        # that overshot the cap could not take the machine's memory
+        import resource
+
+        doc = tmp_path / "wide.nt"
+        doc.write_text("".join(f"<urn:x:s{i}> <urn:x:p> <urn:x:o> .\n" for i in range(1100)),
+                       encoding="utf-8")
+        limit = 512 * 1024 * 1024
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = run_module("query", str(doc), "-q", "?x ?p ?o\n?y ?p ?o", *flags,
+                          preexec_fn=limit_memory)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "scopekit: query table passes 1,000,000 rows\n"
 
 
 class TestDiff:

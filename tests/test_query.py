@@ -1,11 +1,17 @@
 """Pattern joins, filters, the text syntax, and oracle equivalence."""
 
+import copy
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import fixture_text
 from helpers import (
     naive_run_query,
     random_filtered_patterns,
@@ -16,6 +22,7 @@ from helpers import (
 from scopekit.errors import (
     MalformedVariableError,
     QueryTextError,
+    QueryTooLargeError,
     UnboundFilterVariableError,
     UnsupportedRegexError,
 )
@@ -30,7 +37,9 @@ from scopekit.query import (
     run_text_query,
 )
 from scopekit import query, terms
+from scopekit.ntriples import render_triple
 from scopekit.terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, term_sort_key
+from scopekit.turtle import parse_turtle
 
 EX = "http://example.org/q/"
 
@@ -41,6 +50,11 @@ def iri(s):
 
 def v(name):
     return Variable(name)
+
+
+def graph_term_objects(g):
+    """The term objects in g's triples, by id."""
+    return {id(x): x for t in g for x in (t.subject, t.predicate, t.object)}
 
 
 @pytest.fixture()
@@ -369,17 +383,17 @@ class TestCountDoesNotSort:
     QUERIES = ("?e scope-evidence:evidenceOf ?c\n?c a ?type\n?e a ?kind\n", "?s ?p ?o")
 
     @pytest.mark.parametrize("text", QUERIES)
-    def test_count_never_sorts(self, monkeypatch, scenario1, text):
+    def test_count_never_sorts(self, monkeypatch, text):
+        scenario1 = parse_turtle(fixture_text("scenario1"))  # its rank table is not built yet
         patterns, filters = parse_query(text)
         calls = []
-        for owner in (terms, query):
-            original = owner.term_sort_key
+        original = terms.term_sort_key
 
-            def counted(t, _original=original):
-                calls.append(t)
-                return _original(t)
+        def counted(t):
+            calls.append(t)
+            return original(t)
 
-            monkeypatch.setattr(owner, "term_sort_key", counted)
+        monkeypatch.setattr(terms, "term_sort_key", counted)
         n = count(scenario1, patterns, filters)
         assert calls == []
         table = run_query(scenario1, patterns, filters)
@@ -389,27 +403,132 @@ class TestCountDoesNotSort:
 
 class TestFilterWorkPerDistinctTerm:
     """A full scan runs each filter once per distinct term of the filtered
-    position and computes each sort key once per distinct term per column."""
+    position; the graph computes each sort key once per term object, for
+    its first sorted query only."""
 
-    def test_full_scan_with_predicate_filter(self, monkeypatch, scenario1):
+    def test_full_scan_with_predicate_filter(self, monkeypatch):
+        scenario1 = parse_turtle(fixture_text("scenario1"))
         patterns, filters = parse_query("?s ?p ?o\nFILTER ?p /custody|name$/")
         calls = {"_filter_text": 0, "term_sort_key": 0}
-        for name in calls:
-            original = getattr(query, name)
+        for owner, name in ((query, "_filter_text"), (terms, "term_sort_key")):
+            original = getattr(owner, name)
 
             def counted(t, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(t)
 
-            monkeypatch.setattr(query, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         table = run_query(scenario1, patterns, filters)
         monkeypatch.undo()
         assert table == run_query(scenario1, patterns, filters)
         assert 0 < len(table) < len(scenario1)
         assert calls["_filter_text"] <= len({t.predicate for t in scenario1})
-        assert calls["term_sort_key"] <= sum(len(set(column)) for column in zip(*table.rows))
+        assert calls["term_sort_key"] <= len(graph_term_objects(scenario1))
+        monkeypatch.setattr(terms, "term_sort_key", None)  # the graph keeps its ranks
+        assert run_query(scenario1, patterns, filters) == table
         # one pattern binds its variables in column order: no projection
         assert tuple(query._join(scenario1, patterns, filters)[0]) == table.columns
+
+
+class TestRowCap:
+    """A join gives up as soon as a pattern's table passes query.MAX_ROWS."""
+
+    CROSS = [Pattern(v("x"), v("p"), v("o")), Pattern(v("y"), v("q"), v("z"))]  # 7 x 7 rows
+
+    @pytest.mark.parametrize("evaluate", [run_query, count])
+    def test_tables_past_the_cap_raise(self, monkeypatch, people, evaluate):
+        monkeypatch.setattr(query, "MAX_ROWS", 6)
+        with pytest.raises(QueryTooLargeError, match="passes 6 rows"):
+            evaluate(people, [Pattern(v("s"), v("p"), v("o"))])
+        with pytest.raises(QueryTooLargeError):
+            evaluate(people, [Pattern(v("s"), RDF_TYPE, v("t")), Pattern(v("s"), v("p"), v("o"))])
+        assert len(run_query(people, [Pattern(v("s"), RDF_TYPE, v("t"))])) == 3
+        assert count(people, [Pattern(v("s"), RDF_TYPE, v("t"))]) == 3
+
+    @pytest.mark.parametrize("evaluate", [run_query, count])
+    def test_join_stops_at_the_row_that_passes_it(self, monkeypatch, people, evaluate):
+        monkeypatch.setattr(query, "MAX_ROWS", 10)
+        scans = []
+        original = Graph.scan
+        monkeypatch.setattr(Graph, "scan", lambda g, *a: scans.append(a) or original(g, *a))
+        with pytest.raises(QueryTooLargeError):
+            evaluate(people, self.CROSS)
+        assert len(scans) == 3  # the first pattern, then two of its 7 rows
+
+    def test_query_errors_come_before_any_lookup(self, monkeypatch, people):
+        monkeypatch.setattr(query, "MAX_ROWS", 0)
+        with pytest.raises(UnboundFilterVariableError):
+            count(people, self.CROSS, [("?nope", "x")])
+        with pytest.raises(UnsupportedRegexError):
+            run_query(people, self.CROSS, [("?x", "a{2}")])
+
+
+class TestRankTable:
+    """run_query sorts on ranks the graph computes once, for its first
+    sorted query; copies of a graph compute their own."""
+
+    @staticmethod
+    def counting_keys(monkeypatch):
+        calls = []
+        original = terms.term_sort_key
+
+        def counted(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(terms, "term_sort_key", counted)
+        return calls
+
+    def test_keys_computed_once_per_term_object(self, monkeypatch):
+        g = parse_turtle(fixture_text("scenario1"))
+        calls = self.counting_keys(monkeypatch)
+        first = None
+        for text in PINNED_QUERIES[:20]:
+            table = run_text_query(g, text)
+            if first is None and len(table) > 1:
+                first = len(calls)
+        assert 0 < first == len(calls)
+        assert len(set(map(id, calls))) == len(calls) <= len(graph_term_objects(g))
+
+    def test_count_and_small_results_build_no_table(self, monkeypatch):
+        g = parse_turtle(fixture_text("scenario1"))
+        calls = self.counting_keys(monkeypatch)
+        for text in PINNED_QUERIES:
+            count(g, *parse_query(text))
+        assert len(run_text_query(g, "?s ?p \"no such literal\"")) == 0
+        assert len(run_text_query(g, "?c a case-investigation:Incident")) == 1
+        assert calls == []
+        assert len(run_text_query(g, "?s ?p ?o")) > 1
+        assert calls
+
+    def test_derived_and_copied_graphs_rank_their_own_terms(self, tmp_path):
+        text = fixture_text("scenario1")
+        g = parse_turtle(text)
+        assert len(run_text_query(g, "?s ?p ?o")) > 1  # g's table is built
+        tables = lambda graph: "".join(run_text_query(graph, q).to_tsv() for q in PINNED_QUERIES)
+        want = tables(parse_turtle(text))
+        derived = (g.with_prefixes({"zz": Iri(EX)}), copy.copy(g), copy.deepcopy(g),
+                   pickle.loads(pickle.dumps(g)))
+        for other in derived:
+            assert tables(other) == want
+
+        # equal terms held as new objects share the ranks of g's objects
+        t = min(g, key=terms.triple_sort_key)
+        added = Triple(copy.deepcopy(t.subject), copy.deepcopy(t.predicate), Literal("added"))
+        assert tables(g.insert(added)) == tables(parse_turtle(f"{text}\n{render_triple(added)}\n"))
+
+        dumped = tmp_path / "graph.pickle"
+        dumped.write_bytes(pickle.dumps((g, PINNED_QUERIES)))
+        child = ("import pickle, sys\n"
+                 "from scopekit.query import run_text_query\n"
+                 "g, queries = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+                 "sys.stdout.write(''.join(run_text_query(g, q).to_tsv() for q in queries))\n")
+        src = str(Path(query.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child, str(dumped)], capture_output=True,
+                              text=True, encoding="utf-8", env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want
 
 
 PINNED_QUERY_TABLES = Path(__file__).resolve().parent / "data" / "query_pinned.tsv"
