@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 from .errors import CatalogFormatError, MalformedIdError, UnknownClassError, UnknownIdError
 from .namespaces import CLS_THREAT, threats
+from .ntriples import read_text_file
 from .schema import Schema
 from .terms import Iri
 
@@ -237,11 +238,8 @@ def _embedded_catalog_dir() -> Path:
 
 def load_catalog_dir(directory: Union[str, Path]) -> Catalog:
     directory = Path(directory)
-    return load_catalog(
-        (directory / "techniques.csv").read_text(encoding="utf-8"),
-        (directory / "capec.csv").read_text(encoding="utf-8"),
-        (directory / "indicators.csv").read_text(encoding="utf-8"),
-    )
+    return load_catalog(*(read_text_file(directory / name)
+                          for name in ("techniques.csv", "capec.csv", "indicators.csv")))
 
 
 _DEFAULT_CATALOG: Optional[Catalog] = None

@@ -8,6 +8,12 @@ Exit code contract, honored by every subcommand:
 Everything on standard output is deterministic for identical inputs and
 flags; diagnostics go to standard error. The only environment variable
 consulted is SCOPE_SCHEMA_DIR (overridden by --schema where offered).
+
+Only errors, terms, namespaces, ntriples and turtle load with this module; each
+subcommand imports the rest on first use, so a cold command pays for what it
+runs: convert, diff and init nothing more; query adds query; validate adds
+schema, catalog and validation; merge and iocs add casekit (which loads those
+three); report adds casekit and report.
 """
 
 from __future__ import annotations
@@ -17,18 +23,16 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import casekit, query
-from .catalog import load_default_catalog
 from .errors import InvalidCaseError, ScopeKitError
 from .namespaces import STANDARD_PREFIXES
-from .ntriples import parse_ntriples, render_triple, serialize_ntriples_canonical
-from .report import render_markdown, summarize
-from .schema import Schema, load_default_schema, load_schema_dir
+from .ntriples import parse_ntriples, read_text_file, render_triple, serialize_ntriples_canonical
 from .terms import Graph, skolemize, triple_sort_key
 from .turtle import parse_turtle, serialize_turtle_canonical
-from .validation import validate_graph
+
+if TYPE_CHECKING:
+    from .schema import Schema
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,6 +42,8 @@ def _err(message: str) -> None:
 
 
 def _load_schema(args) -> Schema:
+    from .schema import load_default_schema, load_schema_dir
+
     override = getattr(args, "schema", None) or os.environ.get("SCOPE_SCHEMA_DIR")
     if override:
         return load_schema_dir(override)
@@ -70,6 +76,9 @@ def _emit(text: str, output: Optional[str]) -> None:
 # -- subcommands --
 
 def cmd_validate(args) -> int:
+    from .catalog import load_default_catalog
+    from .validation import validate_graph
+
     g = _read_graph(args.path)
     report = validate_graph(g, _load_schema(args), load_default_catalog())
     if args.format == "json":
@@ -86,11 +95,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import query
+
     g = _read_graph(args.path)
     if args.query is not None:
         text = args.query
     elif args.query_file is not None:
-        text = Path(args.query_file).read_text(encoding="utf-8")
+        text = read_text_file(args.query_file)
     else:
         text = sys.stdin.read()
     patterns, filters = query.parse_query(text, g.prefixes)
@@ -110,6 +121,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    from . import casekit
+    from .catalog import load_default_catalog
+
     schema = _load_schema(args)
     catalog = load_default_catalog()
     a = casekit.from_graph(_read_graph(args.a), schema, catalog)
@@ -126,6 +140,10 @@ def cmd_merge(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import casekit
+    from .catalog import load_default_catalog
+    from .report import render_markdown, summarize
+
     schema = _load_schema(args)
     c = casekit.from_graph(_read_graph(args.path), schema, load_default_catalog())
     summary = summarize(c)
@@ -144,13 +162,16 @@ def cmd_init(args) -> int:
 
 
 def cmd_iocs(args) -> int:
+    from . import casekit
+    from .catalog import load_default_catalog
+
     schema = _load_schema(args)
     catalog = load_default_catalog()
     c = casekit.from_graph(_read_graph(args.path), schema, catalog)
     if args.ioc_command == "export":
         _emit(c.export_iocs(), args.output)
         return 0
-    rows = Path(args.csv).read_text(encoding="utf-8")
+    rows = read_text_file(args.csv)
     n = c.import_iocs(rows)
     for problem in c.ioc_import_errors:
         _err(problem)

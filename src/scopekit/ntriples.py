@@ -10,7 +10,8 @@ N-Triples rendering of terms. String literals accept the escapes \\t \\b \\n
 \\r \\f \\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must
 name a Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a
 number above U+10FFFF is a parse error, so every parsed literal is valid
-UTF-8 text.
+UTF-8 text. `read_text_file` reads the other UTF-8 inputs (schema, catalog,
+query and IoC files) and reports undecodable bytes as a ParseError too.
 
 The canonical serializer writes one triple per line with lines sorted
 bytewise, so output is stable across runs and insertion orders.
@@ -19,6 +20,7 @@ bytewise, so output is stable across runs and insertion orders.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Union
 
 from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
@@ -91,6 +93,15 @@ def escape_string_literal(s: str) -> str:
     """The inside of a quoted literal: backslash, quote, CR, LF and TAB as
     ECHARs, other C0 controls as \\uXXXX."""
     return s.translate(_ESCAPES)
+
+
+def read_text_file(path: Union[str, Path]) -> str:
+    """Text of a UTF-8 file, newlines translated as by open(); undecodable
+    bytes raise a ParseError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not valid UTF-8: {e.reason}") from None
 
 
 def decode_document(doc: Union[str, bytes]) -> str:
@@ -288,5 +299,5 @@ def serialize_ntriples_canonical(g: Graph) -> str:
 
 
 __all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES",
-           "decode_document", "escape_string_literal", "render_term", "render_triple",
-           "unescape"]
+           "decode_document", "escape_string_literal", "read_text_file", "render_term",
+           "render_triple", "unescape"]

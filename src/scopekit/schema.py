@@ -22,6 +22,7 @@ from .errors import (
     UnknownPropertyError,
 )
 from .namespaces import SCOPE_META
+from .ntriples import read_text_file
 from .terms import (
     KNOWN_DATATYPES,
     RDF_PROPERTY,
@@ -296,7 +297,7 @@ def _embedded_schema_dir() -> Path:
 def read_manifest(path: Path) -> tuple[str, list[tuple[str, Iri]]]:
     version = "unversioned"
     entries: list[tuple[str, Iri]] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_text_file(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -317,7 +318,7 @@ def load_schema_dir(directory: Union[str, Path]) -> Schema:
     paths = sorted(directory.glob("*.ttl"))
     if not paths:
         raise DanglingReferenceError(f"no .ttl schema documents in {directory}")
-    docs = [p.read_text(encoding="utf-8") for p in paths]
+    docs = [read_text_file(p) for p in paths]
 
     manifest_path = directory / "manifest.txt"
     version = "unversioned"

@@ -1,5 +1,8 @@
 """Technique / CAPEC / ISO-indicator catalog lookups."""
 
+import re
+import shutil
+
 import pytest
 
 from scopekit.catalog import (
@@ -10,8 +13,10 @@ from scopekit.catalog import (
     load_catalog_dir,
     load_default_catalog,
 )
-from scopekit.errors import CatalogFormatError, MalformedIdError, UnknownIdError
+from scopekit.errors import CatalogFormatError, MalformedIdError, ParseError, UnknownIdError
 from scopekit.namespaces import infrastructure, threats
+
+from conftest import FIXTURE_DIR
 
 
 class TestTechniqueLookup:
@@ -141,6 +146,13 @@ class TestCatalogFiles:
         (d / "indicators.csv").write_text("standard,clause,description,system_iri\n",
                                           encoding="utf-8")
         with pytest.raises(CatalogFormatError):
+            load_catalog_dir(d)
+
+    def test_undecodable_csv_names_the_file(self, tmp_path):
+        d = tmp_path / "cat"
+        shutil.copytree(FIXTURE_DIR.parent / "catalogs", d)
+        (d / "capec.csv").write_bytes(b"id,name,technique_ids\n\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{d / 'capec.csv'} is not valid UTF-8")):
             load_catalog_dir(d)
 
     def test_bad_column_count_names_offender(self, tmp_path):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,43 @@ class TestIocs:
         err = capsys.readouterr().err
         assert "unknown IoC kind" in err
         assert "imported 0 IoC rows" in err
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 exits 2 with one stderr line that
+    names it, and no traceback."""
+
+    @pytest.fixture()
+    def schema_copy(self, tmp_path):
+        return shutil.copytree(FIXTURE_DIR.parent / "schemas", tmp_path / "schemas")
+
+    @staticmethod
+    def expect_refused(capsys, argv, bad):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"scopekit: {bad} is not valid UTF-8: ")
+        assert out.err.count("\n") == 1
+
+    def test_query_file(self, capsys, tmp_path, case_file):
+        bad = tmp_path / "q.txt"
+        bad.write_bytes(b"?s ?p \xff\n")
+        self.expect_refused(capsys, ["query", str(case_file), "-f", str(bad)], bad)
+
+    def test_ioc_csv(self, capsys, tmp_path, case_file):
+        bad = tmp_path / "feed.csv"
+        bad.write_bytes("kind,value,source\nDomain,caf\xe9[.]test,unit\n".encode("latin-1"))
+        self.expect_refused(capsys, ["iocs", "import", str(case_file), str(bad)], bad)
+
+    def test_schema_manifest(self, capsys, schema_copy, case_file):
+        bad = schema_copy / "manifest.txt"
+        bad.write_bytes(bad.read_bytes() + b"# \xfe\n")
+        self.expect_refused(capsys, ["validate", str(case_file), "--schema", str(schema_copy)], bad)
+
+    def test_schema_document(self, capsys, schema_copy, case_file):
+        bad = schema_copy / "scope-crime.ttl"
+        bad.write_bytes(bad.read_bytes() + b"# \xc3\n")
+        self.expect_refused(capsys, ["validate", str(case_file), "--schema", str(schema_copy)], bad)
 
 
 class TestSchemaSelection:
