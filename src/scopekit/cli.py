@@ -50,8 +50,9 @@ def _load_schema(args) -> Schema:
     return load_default_schema()
 
 
-def _read_graph(path: str) -> Graph:
-    data = Path(path).read_bytes()
+def _read_graph(path: str, data: Optional[bytes] = None) -> Graph:
+    if data is None:
+        data = Path(path).read_bytes()
     if path.endswith(".nt"):
         return parse_ntriples(data)
     return parse_turtle(data)
@@ -162,16 +163,23 @@ def cmd_init(args) -> int:
 
 
 def cmd_iocs(args) -> int:
+    import hashlib
+    import random
+
     from . import casekit
     from .catalog import load_default_catalog
 
     schema = _load_schema(args)
     catalog = load_default_catalog()
-    c = casekit.from_graph(_read_graph(args.path), schema, catalog)
+    data = Path(args.path).read_bytes()
+    g = _read_graph(args.path, data)
     if args.ioc_command == "export":
-        _emit(c.export_iocs(), args.output)
+        _emit(casekit.from_graph(g, schema, catalog).export_iocs(), args.output)
         return 0
     rows = read_text_file(args.csv)
+    # new nodes' IRIs derive from the inputs, so equal inputs give equal output
+    seed = hashlib.sha256(hashlib.sha256(data).digest() + rows.encode("utf-8")).digest()
+    c = casekit.from_graph(g, schema, catalog, rng=random.Random(seed))
     n = c.import_iocs(rows)
     for problem in c.ioc_import_errors:
         _err(problem)

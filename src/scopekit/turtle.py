@@ -8,10 +8,20 @@ blank nodes `_:x`. Anonymous property lists `[ ]`, collections `( )`,
 
 The grammar extends N-Triples and shares its term sub-patterns and string
 escapes: a \\uXXXX or \\UXXXXXXXX escape must name a Unicode scalar value, so
-escaped surrogates are parse errors. The tokenizer is one compiled pattern,
-matched at the parser's position as it asks for the next token. A failed
-match is diagnosed at its offset, and line and column are worked out from the
-offset only when an error is raised.
+escaped surrogates are parse errors.
+
+The grammar has no nesting, so the parser reads a whole triple per match of
+one step pattern built from those sub-patterns; the terminator before a step
+picks what it holds. A term is built and checked the first time its source
+text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
+the text returns that object after. Each @prefix empties the memo, while a
+memo keyed on the expanded IRI, literal or blank node keeps each distinct term
+one object for the whole parse. A statement that the step or a term check
+does not take goes to the token parser, recursive descent over one token
+pattern compiled on first use. It re-reads the statement from its subject and
+raises the diagnostic, with line and column worked out from the offset only
+then, or adds its triples: a gap in the step pattern costs speed, never a
+triple or a diagnostic.
 
 The canonical serializer emits a deterministic byte layout: prefix lines
 sorted by short-name, one subject block per subject sorted by expanded IRI,
@@ -54,16 +64,50 @@ from .terms import (
 
 _INTEGER_RE = re.compile(INTEGER)
 _LOCAL_SAFE_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
-_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*$")
+_PREFIX_NAME = r"[A-Za-z][A-Za-z0-9-]*"
+_PREFIX_RE = re.compile(rf"^{_PREFIX_NAME}$")
 
 # A word starts with a letter and runs on over letters, digits and '-'.
 _WORD = r"[^\W\d_](?:[^\W_]|-)*"
 _WORD_END = r"(?![^\W_]|-)"
 
-# One token after any whitespace and comments. A local name stops before
-# trailing dots, which end the statement. ERROR matches, empty, where no
-# token starts.
-_TOKEN_RE = re.compile(rf"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
+# Whitespace and comments, in a form that matches them one way only, so a
+# step that fails backtracks over them in linear time.
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# Only an ASCII prefix can be defined, so a step leaves any other prefixed
+# name to the token parser. A local name stops before trailing dots, which end
+# the statement; the lookahead keeps it as long as the tokenizer reads it.
+_PNAME = rf"{_PREFIX_NAME}:(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
+_SUBJECT = rf"(?P<s>{IRIREF}|{BLANK_NODE_LABEL}|{_PNAME})"
+_VERB = rf"(?P<p>{IRIREF}|{_PNAME}|a{_WORD_END})"
+# An object and the terminator after it. `q`, `dt` and `lang` are the
+# parts of a literal; space around its '^^' or '@' is left to the token parser.
+_OBJECT = rf"""(?P<o>{IRIREF}
+  | (?P<q>{STRING_LITERAL_QUOTE})(?:\^\^(?P<dt>{IRIREF}|{_PNAME})|(?P<lang>@(?:[^\W_]|-)+))?
+  | {BLANK_NODE_LABEL} | {INTEGER}(?![0-9eE]|[.][0-9]) | {_PNAME} | {BOOLEAN}
+){_SKIP}(?P<end>[.;,])"""
+
+# One triple and its terminator per match, or a directive (a comment inside
+# one is left to the token parser), the '.' of a trailing ';', or the end. The
+# parser matches only where its last match ended, so the lookbehinds see that
+# match's terminator, which picks the branch.
+_STEP = re.compile(rf"""(?:
+    (?:(?:\A|(?<=\.)){_SKIP}{_SUBJECT}|(?<=;)){_SKIP}{_VERB}
+  | (?<=,)
+){_SKIP}{_OBJECT}
+| (?:\A|(?<=\.)){_SKIP}(?:
+    @prefix{_WORD_END}[ \t\r\n]*(?P<name>{_PREFIX_NAME}):(?![\w.-]*[\w-])
+        [ \t\r\n]*(?P<ns>{IRIREF})[ \t\r\n]*\.
+  | \Z)
+| (?<=;){_SKIP}\.""", re.X).match
+
+
+@functools.cache
+def _token_re() -> re.Pattern:
+    """One token after any whitespace and comments. A local name stops before
+    trailing dots, which end the statement. ERROR matches, empty, where no
+    token starts. Compiled on first use: only a diagnosis reads tokens."""
+    return re.compile(rf"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
     (?P<IRIREF>{IRIREF})
   | (?!\"\"\")(?P<STRING>{STRING_LITERAL_QUOTE})
   | (?P<ATWORD>@(?:[^\W_]|-)+)
@@ -108,11 +152,16 @@ def _token_error(text: str, pos: int) -> tuple[str, int]:
     return f"unexpected character {ch!r}", pos
 
 
-class _Parser:
-    """Recursive-descent parser over tokens (kind, value, local, offset).
+class _Reread(Exception):
+    """A statement that the step pattern or a term check does not take."""
 
-    `local` is the local part of a PNAME, whose value is the prefix. The
-    tokenizer runs one token ahead of the parser.
+
+class _Parser:
+    """The step pattern's loop, and the token parser for what it leaves.
+
+    The token parser is recursive descent over tokens (kind, value, local,
+    offset), where `local` is the local part of a PNAME, whose value is the
+    prefix. Its tokenizer runs one token ahead of it.
     """
 
     def __init__(self, text: str):
@@ -120,15 +169,96 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, Iri] = {}
         self.triples: set[Triple] = set()
-        # The parse's term memo, so that each distinct term is one object:
-        # IRIs by their expanded string (the IRIs the grammar implies are
-        # the terms.py constants), literals by (lexical, datatype IRI) or
-        # (lexical, tag as written), blank nodes by label.
-        self.iris: dict[str, Iri] = {
+        # Step term text -> term, cleared by each @prefix, since a prefixed
+        # name can change meaning.
+        self.memo: dict[str, Term] = {}
+        # The parse's terms, one object each: IRIs by their expanded string
+        # (the IRIs the grammar implies are the terms.py constants), literals
+        # and blank nodes by themselves.
+        self.interned: dict = {
             iri.value: iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
-        self.literals: dict[tuple, Literal] = {}
-        self.blanks: dict[str, BlankNode] = {}
+
+    def parse(self) -> Graph:
+        text, memo, add, term = self.text, self.memo, self.triples.add, self._term
+        # `start` is where the current statement starts, for a re-read
+        pos = start = 0
+        while True:
+            try:
+                m = _STEP(text, pos)
+                if m is None:
+                    raise _Reread
+                s, p, o, _, _, _, end, name, ns = m.groups()
+                if o is not None:
+                    if s:
+                        subject = memo.get(s) or term(s, m)
+                    if p:
+                        predicate = memo.get(p) or term(p, m)
+                    add(Triple(subject, predicate, memo.get(o) or term(o, m)))
+                elif ns is not None:
+                    self._bind(name, term(ns, m))
+                elif m.end() == len(text):
+                    return Graph(self.triples, self.prefixes)
+                pos = m.end()
+                if end != ";" and end != ",":
+                    start = pos
+            except _Reread:
+                pos = start = self._reread(start)
+
+    def _term(self, text: str, m: re.Match) -> Term:
+        """The term a step reads as `text`, built and checked the first time
+        the text appears since the last @prefix; `m` holds a literal's parts."""
+        first = text[0]
+        try:
+            if first == "<":
+                term = self._intern_iri(text[1:-1])
+            elif first == '"':
+                dt, lang = m.group("dt", "lang")
+                datatype = (self.memo.get(dt) or self._term(dt, m)) if dt else None
+                term = self._intern(Literal(unescape(m.group("q")[1:-1]), datatype,
+                                            lang[1:] if lang else None))
+            elif first == "_":
+                term = self._intern(BlankNode(text[2:]))
+            elif first in "+-0123456789":
+                term = self._intern(Literal(text, XSD_INTEGER))
+            elif text in ("true", "false"):
+                term = self._intern(Literal(text, XSD_BOOLEAN))
+            elif text == "a":
+                term = RDF_TYPE
+            else:
+                name, _, local = text.partition(":")
+                ns = self.prefixes.get(name)
+                if ns is None or not _LOCAL_SAFE_RE.match(local):
+                    raise _Reread
+                term = self._intern_iri(ns.value + local)
+        except (InvalidIriError, ValueError):
+            raise _Reread from None
+        self.memo[text] = term
+        return term
+
+    def _intern(self, term: Term) -> Term:
+        return self.interned.setdefault(term, term)
+
+    def _intern_iri(self, value: str) -> Iri:
+        iri = self.interned.get(value)
+        if iri is None:
+            iri = self.interned[value] = Iri(value)
+        return iri
+
+    def _bind(self, name: str, iri: Iri):
+        self.prefixes[name] = iri
+        self.memo.clear()
+
+    def _reread(self, start: int) -> int:
+        """Read the statement or directive at `start` with the token parser,
+        which raises the error that a failed step leaves unplaced, or adds the
+        statement's triples. Returns the offset after its closing '.'."""
+        self.pos = start
         self.tok = self._scan()
+        if self.tok[0] == "ATWORD":
+            return self._directive()
+        return self._statement()
+
+    # -- the token parser
 
     def _where(self, offset: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, offset) + 1
@@ -138,7 +268,7 @@ class _Parser:
         return ParseError(message, *self._where(offset))
 
     def _scan(self) -> tuple:
-        m = _TOKEN_RE.match(self.text, self.pos)
+        m = _token_re().match(self.text, self.pos)
         kind = m.lastgroup
         start, self.pos = m.start(kind), m.end()
         value = m.group(kind)
@@ -172,15 +302,7 @@ class _Parser:
             self.tok = self._scan()
         return tok
 
-    def parse(self) -> Graph:
-        while self.tok[0] != "EOF":
-            if self.tok[0] == "ATWORD":
-                self._directive()
-            else:
-                self._statement()
-        return Graph(self.triples, self.prefixes)
-
-    def _directive(self):
+    def _directive(self) -> int:
         _, word, _, offset = self._next()
         if word == "base":
             raise self._fail("@base is not supported", offset)
@@ -197,7 +319,8 @@ class _Parser:
         dot = self._next()
         if dot[0] != ".":
             raise self._fail("expected '.' to close @prefix directive", dot[3])
-        self.prefixes[name] = self._iri(iri_tok)
+        self._bind(name, self._iri(iri_tok))
+        return dot[3] + 1
 
     def _iri(self, tok: tuple) -> Iri:
         """The IRI an IRIREF or PNAME token names."""
@@ -206,33 +329,18 @@ class _Parser:
             if value not in self.prefixes:
                 raise UndefinedPrefixError(value, *self._where(offset))
             value = self.prefixes[value].value + local
-        iri = self.iris.get(value)
-        if iri is None:
-            try:
-                iri = self.iris[value] = Iri(value)
-            except InvalidIriError as e:
-                raise self._fail(str(e), offset) from None
-        return iri
+        try:
+            return self._intern_iri(value)
+        except InvalidIriError as e:
+            raise self._fail(str(e), offset) from None
 
-    def _blank(self, label: str) -> BlankNode:
-        node = self.blanks.get(label)
-        if node is None:
-            node = self.blanks[label] = BlankNode(label)
-        return node
-
-    def _typed(self, lexical: str, datatype: Iri) -> Literal:
-        key = (lexical, datatype)
-        lit = self.literals.get(key)
-        if lit is None:
-            lit = self.literals[key] = Literal(lexical, datatype)
-        return lit
-
-    def _statement(self):
+    def _statement(self) -> int:
         subject = self._subject()
         self._predicate_object_list(subject)
         dot = self._next()
         if dot[0] != ".":
             raise self._fail("expected '.' at end of statement", dot[3])
+        return dot[3] + 1
 
     def _subject(self) -> Union[Iri, BlankNode]:
         tok = self._next()
@@ -240,7 +348,7 @@ class _Parser:
         if kind in ("IRIREF", "PNAME"):
             return self._iri(tok)
         if kind == "BLANK":
-            return self._blank(value)
+            return self._intern(BlankNode(value))
         if kind in ("STRING", "INTEGER", "BOOLEAN"):
             raise self._fail("a literal cannot be the subject of a triple", offset)
         raise self._fail(f"expected subject, found {value!r}", offset)
@@ -280,11 +388,11 @@ class _Parser:
         if kind in ("IRIREF", "PNAME"):
             return self._iri(tok)
         if kind == "BLANK":
-            return self._blank(value)
+            return self._intern(BlankNode(value))
         if kind == "INTEGER":
-            return self._typed(value, XSD_INTEGER)
+            return self._intern(Literal(value, XSD_INTEGER))
         if kind == "BOOLEAN":
-            return self._typed(value, XSD_BOOLEAN)
+            return self._intern(Literal(value, XSD_BOOLEAN))
         if kind == "STRING":
             return self._literal_tail(value)
         if kind == "EOF":
@@ -298,20 +406,15 @@ class _Parser:
             dt_tok = self._next()
             if dt_tok[0] not in ("IRIREF", "PNAME"):
                 raise self._fail("expected datatype IRI after '^^'", dt_tok[3])
-            return self._typed(lexical, self._iri(dt_tok))
+            return self._intern(Literal(lexical, self._iri(dt_tok)))
         if kind == "ATWORD":
             self._next()
-            key = (lexical, value)
-            lit = self.literals.get(key)
-            if lit is None:
-                try:
-                    lit = Literal(lexical, lang=value)
-                except ValueError as e:
-                    raise self._fail(str(e), offset) from None
-                # @EN and @en spell one literal
-                lit = self.literals[key] = self.literals.setdefault((lexical, lit.lang), lit)
-            return lit
-        return self._typed(lexical, XSD_STRING)
+            try:
+                lit = Literal(lexical, lang=value)
+            except ValueError as e:
+                raise self._fail(str(e), offset) from None
+            return self._intern(lit)
+        return self._intern(Literal(lexical))
 
 
 def parse_turtle(doc: Union[str, bytes]) -> Graph:

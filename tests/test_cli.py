@@ -292,6 +292,28 @@ class TestIocs:
         assert "example[.]test" in out
         assert "9" * 32 in out
 
+    def test_import_is_deterministic(self, tmp_path, case_file):
+        # each run is a fresh interpreter, so nothing but the inputs can fix
+        # the IRIs minted for new IoC nodes
+        feeds = []
+        for source in ("unit", "other-unit"):
+            feed = tmp_path / f"{source}.csv"
+            feed.write_text(f"kind,value,source\nDomain,example[.]test,{source}\n",
+                            encoding="utf-8")
+            feeds.append(feed)
+        runs = [run_module("iocs", "import", str(case_file), str(feed))
+                for feed in (feeds[0], feeds[0], feeds[1])]
+        assert [r.returncode for r in runs] == [0, 0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
+        case_nodes = {t.subject for t in parse_turtle(case_file.read_bytes())}
+
+        def new_nodes(run):
+            return {t.subject for t in parse_turtle(run.stdout)} - case_nodes
+
+        assert len(new_nodes(runs[0])) == 1
+        assert new_nodes(runs[0]).isdisjoint(new_nodes(runs[2]))
+
     def test_import_reports_bad_rows(self, capsys, tmp_path, case_file):
         csv_path = tmp_path / "iocs.csv"
         csv_path.write_text("kind,value,source\nBeacon,10.0.0.1,unit\n",

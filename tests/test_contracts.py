@@ -1,0 +1,294 @@
+"""Contracts the Turtle parser keeps on every input, checked on generated ones.
+
+Hypothesis runs these under the derandomized `contracts` profile, so every run
+draws the same examples and a failure reproduces without a database.
+
+- A graph written in any Turtle layout parses to the graph its N-Triples
+  lines parse to, and the parser's step patterns read the whole document:
+  the token parser, which only diagnoses, is never reached.
+- On mutated documents the step patterns and the token parser alone agree on
+  the graph or on the error, every error lies inside the document, and the
+  CLI exits 0 or 2 without a traceback.
+"""
+
+import contextlib
+import importlib.util
+import random
+import re
+import sys
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scopekit import cli, turtle
+from scopekit.errors import ParseError
+from scopekit.namespaces import RDF_NS, XSD
+from scopekit.ntriples import decode_document, parse_ntriples, render_triple
+from scopekit.terms import (
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_DATETIME,
+    XSD_INTEGER,
+    XSD_STRING,
+    BlankNode,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+)
+from scopekit.turtle import parse_turtle
+
+from conftest import FIXTURE_DIR
+from helpers import assert_one_object_per_term
+
+settings.register_profile("contracts", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+CONTRACTS = settings.get_profile("contracts")
+
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_FILES = sorted((ROOT / "src" / "scopekit" / "schemas").glob("*.ttl"))
+FIXTURE_FILES = sorted(FIXTURE_DIR.glob("*.ttl"))
+
+PREFIXES = {"kb": "http://example.org/kb/", "v": "http://example.org/vocab#",
+            "xsd": XSD, "rdf": RDF_NS}
+# locals a prefixed name can carry, and some it cannot
+LOCALS = ("s", "o1", "a.b", "x-y", "_u", "9lives", "type", "", "with/slash", "tail.", "é")
+SAFE_LOCAL = re.compile(r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?")
+LANGS = ("en", "EN", "en-GB", "zh-Hans", "de")
+
+lexicals = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=10),
+    st.sampled_from(("😀", "𝔘𝔫𝔦", 'q"uo\\te', "tab\tnl\ncr\r", "\x01\x7f", "")))
+iris = st.builds(lambda ns, local: Iri(ns + local),
+                 st.sampled_from(sorted(PREFIXES.values())), st.sampled_from(LOCALS))
+blanks = st.sampled_from(("b0", "b1", "node_2")).map(BlankNode)
+literals = st.one_of(
+    lexicals.map(Literal),
+    st.builds(lambda lexical, tag: Literal(lexical, lang=tag), lexicals, st.sampled_from(LANGS)),
+    st.integers(-10**6, 10**6).map(lambda i: Literal(str(i), XSD_INTEGER)),
+    st.sampled_from(("+7", "007", "-0", "1.5")).map(lambda lexical: Literal(lexical, XSD_INTEGER)),
+    st.sampled_from(("true", "false", "TRUE")).map(lambda lexical: Literal(lexical, XSD_BOOLEAN)),
+    lexicals.map(lambda lexical: Literal(lexical, XSD_DATETIME)))
+triple_lists = st.lists(st.builds(Triple, st.one_of(iris, blanks),
+                                  st.one_of(iris, st.just(RDF_TYPE)),
+                                  st.one_of(iris, blanks, literals)), max_size=25)
+
+
+def write_turtle(triples, rng: random.Random) -> str:
+    """Turtle for `triples` in a layout drawn from rng.
+
+    The layout mixes ';' and ',' groupings with repeated predicates and
+    subjects, a trailing ';', comments, CRLF or LF, tabs, prefixed names and
+    full IRIs, `a`, `rdf:type` and the full type IRI, bare and typed
+    integers and booleans, and escaped and raw characters in strings.
+    """
+    nl = rng.choice(("\n", "\r\n"))
+
+    def gap(empty: str = "") -> str:
+        # only punctuation may follow a term without a gap
+        return rng.choice((" ", " ", "  ", "\t", nl + "    ", nl + "\t", " # note" + nl + "  ",
+                           "#" + nl, empty))
+
+    def iri(term: Iri) -> str:
+        for name, ns in PREFIXES.items():
+            local = term.value[len(ns):]
+            if (term.value.startswith(ns) and SAFE_LOCAL.fullmatch(local)
+                    and rng.random() < 0.7):
+                return f"{name}:{local}"
+        return f"<{term.value}>"
+
+    def string(lexical: str) -> str:
+        out = []
+        for ch in lexical:
+            code = ord(ch)
+            if ch in '"\\\n\r' or rng.random() < 0.15:
+                if ch in '"\\\n\r' and rng.random() < 0.5:
+                    out.append("\\" + {'"': '"', "\\": "\\", "\n": "n", "\r": "r"}[ch])
+                elif code > 0xFFFF:
+                    out.append(f"\\U{code:08X}")
+                else:
+                    out.append(f"\\u{code:04x}" if rng.random() < 0.5 else f"\\u{code:04X}")
+            else:
+                out.append(ch)
+        return '"' + "".join(out) + '"'
+
+    def term(t, as_verb: bool = False) -> str:
+        if isinstance(t, BlankNode):
+            return f"_:{t.label}"
+        if isinstance(t, Iri):
+            if as_verb and t == RDF_TYPE:
+                return rng.choice(("a", "rdf:type", f"<{RDF_TYPE.value}>"))
+            return iri(t)
+        bare = rng.random() < 0.6
+        if t.datatype == XSD_INTEGER and re.fullmatch(r"[+-]?[0-9]+", t.lexical) and bare:
+            return t.lexical
+        if t.datatype == XSD_BOOLEAN and t.lexical in ("true", "false") and bare:
+            return t.lexical
+        if t.lang is not None:
+            tag = t.lang.upper() if rng.random() < 0.5 else t.lang
+            return f"{string(t.lexical)}@{tag}"
+        if t.datatype == XSD_STRING and bare:
+            return string(t.lexical)
+        return f"{string(t.lexical)}^^{iri(t.datatype)}"
+
+    lines = [f"@prefix {name}: <{ns}> ." for name, ns in PREFIXES.items()]
+    by_subject: dict = {}
+    for t in triples:
+        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+    subjects = list(by_subject)
+    rng.shuffle(subjects)
+    for subject in subjects:
+        groups = [(p, objs) for p, objs in by_subject[subject].items()]
+        while groups:
+            # one statement takes the next few predicates
+            k = rng.randint(1, 3)
+            take, groups = groups[:k], groups[k:]
+            verbs = []
+            for predicate, objs in take:
+                # a predicate's objects as one ',' list, or repeated under ';'
+                chunks = [objs] if rng.random() < 0.7 else [[o] for o in objs]
+                for chunk in chunks:
+                    objects = (gap() + "," + gap()).join(term(o) for o in chunk)
+                    verbs.append(term(predicate, as_verb=True) + gap(" ") + objects)
+            trailing = gap() + ";" if rng.random() < 0.2 else ""
+            lines.append(term(subject) + gap(" ")
+                         + (gap() + ";" + gap()).join(verbs) + trailing + gap() + ".")
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("# a comment line", f"@prefix kb: <{PREFIXES['kb']}> .")))
+    return nl.join(lines) + rng.choice(("", nl, nl + "# the end"))
+
+
+def token_parse(text: str) -> Graph:
+    """The token parser alone, statement by statement: what parse_turtle
+    must return or raise whatever the step patterns take."""
+    p = turtle._Parser(text)
+    end = 0
+    while True:
+        p.pos = end
+        p.tok = p._scan()
+        if p.tok[0] == "EOF":
+            return Graph(p.triples, p.prefixes)
+        end = p._reread(end)
+
+
+@contextlib.contextmanager
+def steps_only():
+    """Fails a parse that leaves a statement to the token parser."""
+    def refuse(self, start):
+        pytest.fail(f"the statement at offset {start} fell back to the token parser:\n"
+                    + self.text[start:start + 300])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turtle._Parser, "_reread", refuse)
+        yield
+
+
+def casegen_text() -> str:
+    spec = importlib.util.spec_from_file_location("casegen", ROOT / "perfbench" / "casegen.py")
+    casegen = sys.modules["casegen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(casegen)
+    return casegen.to_turtle(casegen.generate_case(random.Random(7), 6).triples)
+
+
+class TestLayouts:
+    @CONTRACTS
+    @given(triples=triple_lists, layout=st.randoms(use_true_random=False))
+    def test_any_layout_parses_like_ntriples(self, triples, layout):
+        text = write_turtle(triples, layout)
+        nt = "".join(render_triple(t) + "\n" for t in triples)
+        with steps_only():
+            g = parse_turtle(text)
+        assert g == parse_ntriples(nt)
+        assert_one_object_per_term(g)
+
+    @pytest.mark.parametrize("path", FIXTURE_FILES + SCHEMA_FILES, ids=lambda p: p.name)
+    def test_shipped_files_need_no_fallback(self, path):
+        with steps_only():
+            assert len(parse_turtle(path.read_bytes())) > 0
+
+    def test_generated_case_needs_no_fallback(self):
+        text = casegen_text()
+        with steps_only():
+            assert len(parse_turtle(text)) > 0
+
+    def test_shipped_file_count(self):
+        assert (len(FIXTURE_FILES), len(SCHEMA_FILES)) == (3, 11)
+
+
+# bytes a mutation inserts or writes: the grammar's own, and some others
+MUTATION_BYTES = b'<>"\\:;,.@^_#\n\r\t -+0123456789aeEtf[](){}%\xc3\xa9\xff'
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.randrange(5)
+        byte = bytes([rng.choice(MUTATION_BYTES)])
+        if op == 0:
+            data = data[:i] + byte + data[i + 1:]
+        elif op == 1:
+            data = data[:i] + byte + data[i:]
+        elif op == 2:
+            data = data[:i] + data[i + 1:]
+        elif op == 3:
+            j = rng.randrange(len(data) + 1)
+            data = data[:i] + data[min(i, j):max(i, j)] + data[i:]
+        else:
+            data = data[:i]
+    return data
+
+
+def mutants(name: str, count: int) -> list[bytes]:
+    rng = random.Random(f"mutants-{name}")
+    data = (FIXTURE_DIR / name).read_bytes()
+    return [mutate(data, rng) for _ in range(count)]
+
+
+def outcome(parse, doc):
+    try:
+        g = parse(doc)
+    except ParseError as e:
+        return type(e), str(e), e.line, e.column
+    return g.triples, g.prefixes
+
+
+class TestMutatedFixtures:
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    def test_errors_stay_inside_the_document(self, name):
+        for data in mutants(name, 150):
+            result = outcome(parse_turtle, data)
+            try:
+                text = decode_document(data)
+            except ParseError as e:
+                assert result == outcome(decode_document, data)
+                assert (e.line, e.column) == (0, 0)
+                continue
+            assert result == outcome(token_parse, text)
+            if len(result) == 4:
+                line, column = result[2:]
+                lines = text.split("\n")
+                assert 1 <= line <= len(lines)
+                assert 1 <= column <= len(lines[line - 1]) + 1
+
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    def test_convert_exits_cleanly(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        codes = set()
+        for data in mutants(name, 25):
+            path.write_bytes(data)
+            codes.add(cli.main(["convert", str(path), "--to", "nt"]))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+        assert codes <= {0, 2}
+
+
+def test_failed_step_backtracks_in_linear_time():
+    # whitespace and comments can be matched one way only, so a statement that
+    # fails after long runs of them is diagnosed without exponential backtracking
+    doc = "<http://ex/s> <http://ex/p>" + " \t\r\n" * 3000 + "# c\n" * 1000 + "%"
+    began = time.perf_counter()
+    with pytest.raises(ParseError, match="unexpected character '%'"):
+        parse_turtle(doc)
+    assert time.perf_counter() - began < 2.0

@@ -287,13 +287,42 @@ class TestTermInterning:
     def test_redefined_prefix_gives_a_new_iri(self):
         g = parse_turtle(
             "@prefix ex: <http://one.example/> .\n"
-            "ex:s ex:p ex:x .\n"
+            'ex:s ex:p ex:x, "v"^^ex:d .\n'
             "@prefix ex: <http://two.example/> .\n"
-            "ex:s ex:p ex:x .\n")
+            'ex:s ex:p ex:x, "v"^^ex:d, <http://one.example/x> .\n')
         one, two = "http://one.example/", "http://two.example/"
         assert g == Graph([t(Iri(one + "s"), Iri(one + "p"), Iri(one + "x")),
-                           t(Iri(two + "s"), Iri(two + "p"), Iri(two + "x"))])
+                           t(Iri(one + "s"), Iri(one + "p"), Literal("v", Iri(one + "d"))),
+                           t(Iri(two + "s"), Iri(two + "p"), Iri(two + "x")),
+                           t(Iri(two + "s"), Iri(two + "p"), Literal("v", Iri(two + "d"))),
+                           t(Iri(two + "s"), Iri(two + "p"), Iri(one + "x"))])
         assert g.prefixes == {"ex": Iri(two)}
+        assert_one_object_per_term(g)
+
+    @pytest.mark.parametrize("position,spellings,expected", [
+        ("verb", ["a", "rdf:type", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"],
+         RDF_TYPE),
+        ("object", ["1", '"1"^^xsd:integer', '"1"^^<http://www.w3.org/2001/XMLSchema#integer>'],
+         Literal("1", XSD_INTEGER)),
+        ("object", ['"x"@EN', '"x"@en', '"x"@En'], Literal("x", lang="en")),
+    ])
+    @pytest.mark.parametrize("between", ["", "@prefix ex: <http://example.org/> .\n"])
+    def test_spellings_of_a_term_are_one_object(self, position, spellings, expected, between):
+        # each spelling is a text of its own; a @prefix between them empties
+        # the parser's text memo, and the term is still the first object
+        lines = ["@prefix ex: <http://example.org/> .",
+                 "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
+                 "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> ."]
+        for i, spelling in enumerate(spellings * 2):
+            statement = (f"ex:s{i} {spelling} ex:C ." if position == "verb"
+                         else f"ex:s{i} ex:p {spelling} .")
+            lines.append(between + statement)
+        g = parse_turtle("\n".join(lines))
+        assert len(g) == 2 * len(spellings)
+        terms = [tr.predicate if position == "verb" else tr.object for tr in g]
+        assert len({id(term) for term in terms}) == 1
+        assert terms[0] == expected
+        assert position == "object" or terms[0] is RDF_TYPE
 
     def test_parses_share_only_module_constants(self):
         first, second = parse_turtle(self.DOC), parse_turtle(self.DOC)
