@@ -86,6 +86,7 @@ from .terms import (
     Iri,
     Literal,
     Triple,
+    skolemize_term,
     term_sort_key,
 )
 from .turtle import serialize_turtle_canonical
@@ -585,9 +586,8 @@ def merge(a: CaseGraph, b: CaseGraph, allow_mismatch: bool = False) -> MergeOutc
             if key not in seen_conflict_keys:
                 seen_conflict_keys.add(key)
                 kept = sorted(mine, key=str)[0]
-                subject_iri = t.subject if isinstance(t.subject, Iri) else Iri(
-                    "urn:skolem:" + t.subject.label)
-                conflicts.append((subject_iri, t.predicate, str(kept), str(t.object)))
+                conflicts.append((skolemize_term(t.subject), t.predicate, str(kept),
+                                  str(t.object)))
 
     merged_triples = a.graph.triples | (b.graph.triples - dropped)
     prefixes = dict(b.graph.prefixes)

@@ -183,7 +183,7 @@ def cmd_iocs(args) -> int:
     n = c.import_iocs(rows)
     for problem in c.ioc_import_errors:
         _err(problem)
-    _emit(c.to_turtle(), args.output)
+    _emit(serialize_turtle_canonical(skolemize(c.graph)), args.output)
     print(f"imported {n} IoC rows", file=sys.stderr)
     return 0
 

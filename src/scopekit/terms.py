@@ -352,7 +352,10 @@ class Graph:
         return other._triples - self._triples, self._triples - other._triples
 
     def subjects(self) -> set[Union[Iri, BlankNode]]:
-        return {t.subject for t in self._triples}
+        """The distinct subjects, as a fresh set of the index's subject keys."""
+        if self._index is None:
+            self._build_index()
+        return set(self._index[0])
 
     def objects_of(self, subject: Term, predicate: Iri) -> list[Term]:
         return [t.object for t in self.match(subject, predicate, None)]
@@ -364,16 +367,16 @@ class Graph:
         return False
 
 
-def skolemize(g: Graph) -> Graph:
-    """Replace every blank node with an IRI under the urn:skolem: scheme.
+def skolemize_term(term: Term) -> Term:
+    """A blank node's IRI under the urn:skolem: scheme, derived from its
+    label; any other term unchanged."""
+    return Iri(SKOLEM_PREFIX + term.label) if isinstance(term, BlankNode) else term
 
-    Deterministic: the skolem IRI is derived from the blank node label.
-    """
+
+def skolemize(g: Graph) -> Graph:
+    """Replace every blank node with its `skolemize_term` IRI. Deterministic."""
     if not g.has_blank_nodes():
         return g
-    def sk(term: Term) -> Term:
-        if isinstance(term, BlankNode):
-            return Iri(SKOLEM_PREFIX + term.label)
-        return term
+    sk = skolemize_term
     triples = [Triple(sk(t.subject), t.predicate, sk(t.object)) for t in g]
     return Graph(triples, g.prefixes)

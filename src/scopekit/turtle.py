@@ -87,11 +87,15 @@ _OBJECT = rf"""(?P<o>{IRIREF}
   | {BLANK_NODE_LABEL} | {INTEGER}(?![0-9eE]|[.][0-9]) | {_PNAME} | {BOOLEAN}
 ){_SKIP}(?P<end>[.;,])"""
 
-# One triple and its terminator per match, or a directive (a comment inside
-# one is left to the token parser), the '.' of a trailing ';', or the end. The
-# parser matches only where its last match ended, so the lookbehinds see that
-# match's terminator, which picks the branch.
-_STEP = re.compile(rf"""(?:
+
+@functools.cache
+def _step():
+    """Matches one triple and its terminator, or a directive (a comment inside
+    one is left to the token parser), the '.' of a trailing ';', or the end.
+    The parser matches only where its last match ended, so the lookbehinds see
+    that match's terminator, which picks the branch. Compiled on first use:
+    commands that read no Turtle never need it."""
+    return re.compile(rf"""(?:
     (?:(?:\A|(?<=\.)){_SKIP}{_SUBJECT}|(?<=;)){_SKIP}{_VERB}
   | (?<=,)
 ){_SKIP}{_OBJECT}
@@ -179,12 +183,13 @@ class _Parser:
             iri.value: iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
 
     def parse(self) -> Graph:
-        text, memo, add, term = self.text, self.memo, self.triples.add, self._term
+        text, memo, add, term, step = (
+            self.text, self.memo, self.triples.add, self._term, _step())
         # `start` is where the current statement starts, for a re-read
         pos = start = 0
         while True:
             try:
-                m = _STEP(text, pos)
+                m = step(text, pos)
                 if m is None:
                     raise _Reread
                 s, p, o, _, _, _, end, name, ns = m.groups()

@@ -5,16 +5,19 @@ are sorted by (code, subject, message), so equal graphs always produce
 byte-identical reports. Validation never mutates the graph and never infers
 anything: an untyped node is a finding, not a candidate for inference.
 
-Each call first compiles the graph into a view that dies with the call: one
-pass maps each subject to its predicates and objects, each distinct predicate
-object gets one property lookup, and each distinct set of rdf:type objects one
-shape, in the manner of SHACL node shapes, holding its undeclared classes and
-its declared classes' ancestors. Lookups are keyed by term object, so they hit on identity.
+Every rule reads the graph through its own index (`Graph.scan` and
+`Graph.subjects`); nothing copies it. The property rules (R02-R04) check one
+schema property at a time over that property's triples, as a SHACL property
+shape checks one path over its value nodes. The only per-call view is each
+subject's shape: one per distinct set of rdf:type objects, in the manner of
+SHACL node shapes, holding its undeclared classes and its declared classes'
+ancestors.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -48,11 +51,11 @@ from .terms import (
     XSD_DATETIME,
     XSD_DECIMAL,
     XSD_INTEGER,
-    BlankNode,
     Graph,
     Iri,
     Literal,
     SKOLEM_PREFIX,
+    skolemize_term,
 )
 
 ERROR = "Error"
@@ -127,14 +130,6 @@ class ValidationReport:
         }
 
 
-def _report_iri(node) -> Iri:
-    # blank subjects are reported under the skolem scheme so Finding.subject
-    # stays an IRI
-    if isinstance(node, BlankNode):
-        return Iri(SKOLEM_PREFIX + node.label)
-    return node
-
-
 class _Shape:
     """What one distinct set of rdf:type objects means under the schema."""
 
@@ -149,21 +144,16 @@ class _Shape:
 
 
 class _Ctx:
-    """The compiled view of one graph against one schema."""
+    """One graph against one schema: the graph, and each subject's shape."""
 
     def __init__(self, g: Graph, schema: Schema):
         self.g, self.schema = g, schema
-        self.nodes: dict = {}  # subject -> {predicate: [objects]}
-        for t in g:
-            self.nodes.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
-        predicates = dict.fromkeys(p for po in self.nodes.values() for p in po)
-        self.props = {p: schema.properties.get(p) for p in predicates}
-        self.own = {p: p for p in predicates}  # any equal IRI -> the case's object
-        type_key = self.own.get(RDF_TYPE, RDF_TYPE)
+        types: dict = {}
+        for t in g.scan(None, RDF_TYPE, None):
+            types.setdefault(t.subject, []).append(t.object)
         self._ancestors: dict = {}
         self._shapes: dict = {}
-        self.shape = {s: self._shape(po.get(type_key, ())) for s, po in self.nodes.items()}
-        self.subjects = [(s, po, self.shape[s]) for s, po in self.nodes.items()]
+        self.shape = {s: self._shape(types.get(s, ())) for s in g.subjects()}
         self.untyped = self._shape(())
 
     def _shape(self, types) -> _Shape:
@@ -176,30 +166,30 @@ class _Ctx:
     def instances_of(self, cls: Iri) -> list:
         d = self.schema.classes.get(cls)
         cls = d.iri if d else cls  # the schema's own object
-        return [s for s, _, shape in self.subjects if cls in shape.ancestors]
+        return [s for s, shape in self.shape.items() if cls in shape.ancestors]
 
     def values(self, subject, predicate: Iri) -> list:
-        return self.nodes[subject].get(self.own.get(predicate, predicate), ())
+        return [t.object for t in self.g.scan(subject, predicate, None)]
 
 
 def _rule_r01(ctx: _Ctx):
     """Typed-node discipline: every subject is typed, with declared classes."""
-    for s, _, shape in ctx.subjects:
+    for s, shape in ctx.shape.items():
         if not shape.typed:
-            yield Finding(ERROR, "R01", _report_iri(s), "node has no type")
+            yield Finding(ERROR, "R01", skolemize_term(s), "node has no type")
         for c in shape.undeclared:
-            yield Finding(ERROR, "R01", _report_iri(s), f"typed with undeclared class {c.value}")
+            yield Finding(ERROR, "R01", skolemize_term(s), f"typed with undeclared class {c.value}")
 
 
 def _rule_r02(ctx: _Ctx):
     """Domain conformance for declared properties; untyped subjects are R01's."""
-    for s, po, shape in ctx.subjects:
-        if not shape.ancestors:
-            continue  # no declared class
-        for pred in po:
-            p = ctx.props[pred]
-            if p is not None and p.domain and not p.domain & shape.ancestors:
-                yield Finding(ERROR, "R02", _report_iri(s), f"{pred.local_name()} is not "
+    for p in ctx.schema.properties.values():
+        if not p.domain:
+            continue
+        for s in dict.fromkeys(t.subject for t in ctx.g.scan(None, p.iri, None)):
+            shape = ctx.shape[s]
+            if shape.ancestors and not p.domain & shape.ancestors:
+                yield Finding(ERROR, "R02", skolemize_term(s), f"{p.iri.local_name()} is not "
                               f"applicable to a node of class {shape.class_names}")
 
 
@@ -223,51 +213,52 @@ def _check_datatype_value(lit: Literal, expected: Iri) -> str | None:
 
 def _rule_r03(ctx: _Ctx):
     """Range conformance: datatype shape for literals, typing for objects."""
-    for s, po, _ in ctx.subjects:
-        for pred, objs in po.items():
-            p = ctx.props[pred]
-            if p is None or p.range is None:
+    for p in ctx.schema.properties.values():
+        rng = p.range
+        if rng is None:
+            continue
+        datatype = rng in KNOWN_DATATYPES
+        for t in ctx.g.scan(None, p.iri, None):
+            o = t.object
+            if datatype and isinstance(o, Literal):
+                problem = _check_datatype_value(o, rng)
+                message = problem and f": {problem}"
+            elif datatype:
+                message = f" expects a {rng.local_name()} literal"
+            elif isinstance(o, Literal):
+                message = f" expects a node of class {rng.local_name()}, found a literal"
+            elif rng not in ctx.shape.get(o, ctx.untyped).ancestors:
+                message = (f" expects a node of class {rng.local_name()}: "
+                           f"{skolemize_term(o).value} is not one")
+            else:
                 continue
-            rng = p.range
-            datatype = rng in KNOWN_DATATYPES
-            for o in objs:
-                if datatype and isinstance(o, Literal):
-                    problem = _check_datatype_value(o, rng)
-                    message = problem and f": {problem}"
-                elif datatype:
-                    message = f" expects a {rng.local_name()} literal"
-                elif isinstance(o, Literal):
-                    message = f" expects a node of class {rng.local_name()}, found a literal"
-                elif rng not in ctx.shape.get(o, ctx.untyped).ancestors:
-                    message = (f" expects a node of class {rng.local_name()}: "
-                               f"{_report_iri(o).value} is not one")
-                else:
-                    continue
-                if message:
-                    yield Finding(ERROR, "R03", _report_iri(s), pred.local_name() + message)
+            if message:
+                yield Finding(ERROR, "R03", skolemize_term(t.subject), p.iri.local_name() + message)
 
 
 def _rule_r04(ctx: _Ctx):
     """Cardinality: occurrence counts against minCount/maxCount/functional."""
-    for s, po, shape in ctx.subjects:
-        # a subject's objects for one predicate are distinct: the graph is a set
-        for pred, objs in po.items():
-            p = ctx.props[pred]
-            if p is not None and p.max_card is not None and len(objs) > p.max_card:
-                kind = "functional property" if p.functional else "property"
-                yield Finding(ERROR, "R04", _report_iri(s), f"{kind} {pred.local_name()} has "
-                              f"{len(objs)} distinct values, at most {p.max_card} allowed")
-        # min side: every instance of a domain class must reach the floor
+    for p in ctx.schema.properties.values():
+        if p.max_card is None:
+            continue
+        kind = "functional property" if p.functional else "property"
+        # a subject's triples for one property have distinct objects: the graph is a set
+        for s, n in Counter(t.subject for t in ctx.g.scan(None, p.iri, None)).items():
+            if n > p.max_card:
+                yield Finding(ERROR, "R04", skolemize_term(s), f"{kind} {p.iri.local_name()} has "
+                              f"{n} distinct values, at most {p.max_card} allowed")
+    # min side: every instance of a domain class must reach the floor
+    for s, shape in ctx.shape.items():
         for p in shape.min_props:
             n = len(ctx.values(s, p.iri))
             if n < p.min_card:
-                yield Finding(ERROR, "R04", _report_iri(s),
+                yield Finding(ERROR, "R04", skolemize_term(s),
                               f"property {p.iri.local_name()} has {n} values, at least {p.min_card} required")
 
 
 def _rule_r05(ctx: _Ctx):
     """Identifier shape: typed instance IRIs end in <kebab-name>-<uuid-v4>."""
-    for s, _, shape in ctx.subjects:
+    for s, shape in ctx.shape.items():
         # blanks and skolem IRIs carry no minted name; untyped nodes are R01's
         if not isinstance(s, Iri) or s.value.startswith(SKOLEM_PREFIX) or not shape.typed:
             continue
@@ -281,7 +272,7 @@ def _literal_shape_rule(code: str, prop: Iri, regex, what: str):
     def rule(ctx: _Ctx):
         for t in ctx.g.scan(None, prop, None):
             if isinstance(t.object, Literal) and not regex.match(t.object.lexical):
-                yield Finding(ERROR, code, _report_iri(t.subject),
+                yield Finding(ERROR, code, skolemize_term(t.subject),
                               f"{t.object.lexical!r} is not a well-formed {what}")
     return rule
 
@@ -297,7 +288,7 @@ def _rule_r09(ctx: _Ctx):
     """Threat nodes should point at the infrastructure they apply to."""
     for s in ctx.instances_of(CLS_THREAT):
         if not ctx.values(s, PROP_TARGETS):
-            yield Finding(WARNING, "R09", _report_iri(s),
+            yield Finding(WARNING, "R09", skolemize_term(s),
                           "threat is not linked to any infrastructure component")
 
 
@@ -311,7 +302,7 @@ def _rule_r10(ctx: _Ctx):
     for e in ctx.instances_of(CLS_ACQUIRED_EVIDENCE):
         records = records_by_evidence.get(e, [])
         if not records:
-            yield Finding(ERROR, "R10", _report_iri(e), "no custody chain recorded")
+            yield Finding(ERROR, "R10", skolemize_term(e), "no custody chain recorded")
             continue
 
         entries = []
@@ -326,7 +317,7 @@ def _rule_r10(ctx: _Ctx):
                     ts = o.lexical
             if ts is None:
                 continue  # malformed timestamps are R03's finding
-            entries.append((seq, ts, _report_iri(rec).value))
+            entries.append((seq, ts, skolemize_term(rec).value))
 
         if len(entries) < 2:
             continue
@@ -339,7 +330,7 @@ def _rule_r10(ctx: _Ctx):
             entries.sort(key=lambda x: (x[1], x[2]))
         for (_, ts_a, _), (_, ts_b, rec_b) in zip(entries, entries[1:]):
             if ts_b <= ts_a:
-                yield Finding(ERROR, "R10", _report_iri(e),
+                yield Finding(ERROR, "R10", skolemize_term(e),
                               f"custody timestamps do not strictly increase: {ts_b} follows {ts_a}")
                 break
 
@@ -350,12 +341,12 @@ def _rule_r11(ctx: _Ctx):
     for s in ctx.instances_of(CLS_CYBERCRIME):
         values = ctx.values(s, PROP_CRIME_TYPE)
         if not values:
-            yield Finding(ERROR, "R11", _report_iri(s),
+            yield Finding(ERROR, "R11", skolemize_term(s),
                           f"crime node lacks a crimeType (one of: {allowed})")
             continue
         for v in values:
             if isinstance(v, Literal) and v.lexical not in CRIME_TYPES:
-                yield Finding(ERROR, "R11", _report_iri(s),
+                yield Finding(ERROR, "R11", skolemize_term(s),
                               f"crimeType {v.lexical!r} is not one of: {allowed}")
 
 

@@ -314,6 +314,15 @@ class TestIocs:
         assert len(new_nodes(runs[0])) == 1
         assert new_nodes(runs[0]).isdisjoint(new_nodes(runs[2]))
 
+    def test_import_skolemizes_blank_nodes(self, capsys, tmp_path, case_file):
+        with case_file.open("a", encoding="utf-8") as f:
+            f.write('_:b1 uco-core:name "blank" .\n')
+        csv_path = tmp_path / "iocs.csv"
+        csv_path.write_text("kind,value,source\nDomain,example[.]test,unit\n", encoding="utf-8")
+        assert main(["iocs", "import", str(case_file), str(csv_path)]) == 0
+        g = parse_turtle(capsys.readouterr().out)
+        assert "urn:skolem:b1" in {t.subject.value for t in g}
+
     def test_import_reports_bad_rows(self, capsys, tmp_path, case_file):
         csv_path = tmp_path / "iocs.csv"
         csv_path.write_text("kind,value,source\nBeacon,10.0.0.1,unit\n",

@@ -101,6 +101,25 @@ def test_subcommand_loads_only_what_it_runs(argv, heavy):
     assert set(json.loads(child(code, *argv))) == LIGHT | heavy
 
 
+def test_turtle_pattern_compiles_on_first_parse(tmp_path):
+    from scopekit.cli import main
+
+    nt = tmp_path / "case.nt"
+    assert main(["convert", CASE, "--to", "nt", "-o", str(nt)]) == 0
+    code = ("import contextlib, io, sys\n"
+            "from scopekit import turtle\n"
+            "from scopekit.cli import main\n"
+            "compiled = []\n"
+            "for argv in (['init', '--scenario', '1'], ['convert', sys.argv[1], '--to', 'nt']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    compiled.append(turtle._step.cache_info().currsize)\n"
+            "turtle.parse_turtle('<urn:a> <urn:b> <urn:c> .')\n"
+            "compiled.append(turtle._step.cache_info().currsize)\n"
+            "print(compiled)")
+    assert json.loads(child(code, str(nt))) == [0, 0, 1]
+
+
 def test_exports_unchanged():
     assert scopekit.__all__ == EXPORTS
     assert scopekit.__version__ == "1.0.0"

@@ -460,6 +460,33 @@ class TestCompiledView:
         assert report.checked_triples == len(g)
         assert len(calls) == len(set(calls)) <= len(classes)
 
+    def test_reads_only_the_graph_index(self, monkeypatch, schema, catalog):
+        windowed = load_schema([*(p.read_text(encoding="utf-8") for p in
+                                  sorted(SCHEMA_DIR.glob("*.ttl"))), _WINDOWED_SCHEMA_DOC])
+        cases = [(parse_turtle(fixture_text(name)), schema)
+                 for name in ("scenario1", "scenario2", "scenario3")]
+        g = cases[0][0]
+        targets = g.match(None, PROP_TARGETS, None)[0]
+        threat, component = targets.subject, targets.object
+        broken = g.insert_all([
+            Triple(BlankNode("loose"), PROP_MD5, Literal("0" * 32)),  # R01: untyped
+            Triple(component, PROP_TARGETS, threat),  # R02: outside the domain
+            Triple(threat, PROP_TARGETS, Literal("a node")),  # R03: literal object
+            Triple(threat, PROP_TARGETS, BlankNode("loose")),  # R04: a third value
+        ])
+        cases += [(broken, schema), (broken, windowed)]
+        # fresh copies, so each run builds its own index
+        want = [validate_graph(Graph(case.triples), sch, catalog).to_text()
+                for case, sch in cases]
+        assert {"R01", "R02", "R03", "R04"} <= {line[:3] for line in want[4].splitlines()}
+
+        def no_iteration(self):
+            raise AssertionError("validation iterated the graph")
+
+        monkeypatch.setattr(Graph, "__iter__", no_iteration)
+        assert [validate_graph(Graph(case.triples), sch, catalog).to_text()
+                for case, sch in cases] == want
+
 
 # -- findings pinned on seeded broken fixtures --
 
