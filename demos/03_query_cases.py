@@ -32,7 +32,7 @@ table = run_query(
 print("lateral movement only:")
 print(table.to_tsv())
 
-# regex filters run on the term's text form, after the join
+# a regex filter runs on the term's text form, at the pattern that binds its variable
 table = run_text_query(g, """
     ?t scope-attackpatterns:techniqueId ?id
     FILTER ?id /T15../

@@ -234,8 +234,6 @@ class CaseGraph:
             raise DanglingTargetError(f"{what} {iri.value} is not in this case")
 
     def _require_class(self, class_iri: Iri, under: Iri, what: str) -> None:
-        if class_iri not in self.schema.classes:
-            raise UnknownClassError(f"class not declared: {class_iri}")
         if under not in self.schema.ancestors(class_iri):
             raise UnknownClassError(
                 f"{class_iri.local_name()} is not a {what} class (not under {under.local_name()})")
@@ -290,8 +288,6 @@ class CaseGraph:
                      seized_by: Optional[Iri] = None) -> Iri:
         """Create an evidence node. Acquired items get their first custody
         record (Seized) automatically so the chain always exists."""
-        if evidence_class not in self.schema.classes:
-            raise UnknownClassError(f"class not declared: {evidence_class}")
         ancestors = self.schema.ancestors(evidence_class)
         acquired = CLS_ACQUIRED_EVIDENCE in ancestors
         if not acquired and CLS_INDICATOR_VALUE not in ancestors:

@@ -160,16 +160,12 @@ class Catalog:
 
     def indicators_for_system(self, system: Iri, schema: Schema) -> list[IndicatorEntry]:
         """Indicators attached to system or any of its declared subclasses."""
-        if system not in schema.classes:
-            raise UnknownClassError(f"class not declared: {system}")
         family = schema.subclasses_of(system)
         hits = [e for e in self.indicators if e.system in family]
         hits.sort(key=lambda e: (e.iso_standard, _clause_key(e.clause)))
         return hits
 
     def stride_category_of(self, threat_class: Iri, schema: Schema) -> str:
-        if threat_class not in schema.classes:
-            raise UnknownClassError(f"class not declared: {threat_class}")
         ancestors = schema.ancestors(threat_class)
         if CLS_THREAT not in ancestors:
             raise UnknownClassError(f"not a threat class: {threat_class}")

@@ -43,18 +43,6 @@ STANDARD_PREFIXES: dict[str, Iri] = {
     "case-investigation": Iri(CASE_INVESTIGATION),
 }
 
-SCOPE_NAMESPACE_NAMES = (
-    "scope-crime",
-    "scope-evidence",
-    "scope-indicators",
-    "scope-infrastructure",
-    "scope-role",
-    "scope-threats",
-    "scope-vocabulary",
-    "scope-attackpatterns",
-)
-
-
 def _ns(base: str):
     def make(local: str) -> Iri:
         return Iri(base + local)
@@ -76,7 +64,6 @@ kb = _ns(KB)
 # class IRIs referenced from code
 CLS_UCO_OBJECT = uco_core("UcoObject")
 CLS_IDENTITY = uco_core("Identity")
-CLS_TOOL = uco_core("Tool")
 CLS_OBSERVABLE = uco_observable("ObservableObject")
 CLS_INCIDENT = case_investigation("Incident")
 CLS_INVESTIGATIVE_ACTION = case_investigation("InvestigativeAction")
@@ -119,9 +106,6 @@ PROP_CAPEC_ID = attackpatterns("capecId")
 PROP_CVE_ID = attackpatterns("cveId")
 PROP_USES_TECHNIQUE = attackpatterns("usesTechnique")
 PROP_RELATED_PATTERN = attackpatterns("relatedPattern")
-PROP_ISO_CLAUSE = indicators("isoClause")
-PROP_ISO_STANDARD = indicators("isoStandard")
-PROP_INDICATOR_FOR = indicators("indicatorFor")
 PROP_RELATED_INCIDENT = case_investigation("relatedIncident")
 PROP_START_TIME = case_investigation("startTime")
 PROP_PERFORMED_BY = case_investigation("performedBy")

@@ -167,77 +167,37 @@ def summarize(c: CaseGraph) -> CaseSummary:
     )
 
 
-def render_markdown(s: CaseSummary) -> str:
-    lines: list[str] = []
-    title = s.name or s.case_id or "(unnamed case)"
-    lines.append(f"# Case report: {title}")
-    lines.append("")
+def _section(lines: list[str], title: str, items, header: tuple[str, ...] = ()) -> None:
+    """A "## title" section: a table under header, else bullets; "None recorded." if empty."""
+    if header and items:
+        # an unescaped | inside a cell would start a new column
+        body = ["| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |"
+                for row in (header, ("---",) * len(header), *items)]
+    else:
+        body = [f"- {item}" for item in items] or ["None recorded."]
+    lines += [f"## {title}", "", *body, ""]
 
-    lines.append("## Overview")
-    lines.append("")
-    lines.append(f"- Case id: {s.case_id}")
+
+def render_markdown(s: CaseSummary) -> str:
+    title = s.name or s.case_id or "(unnamed case)"
+    lines = [f"# Case report: {title}", "", "## Overview", "", f"- Case id: {s.case_id}"]
     if s.name:
         lines.append(f"- Name: {s.name}")
     if s.created:
         lines.append(f"- Opened: {s.created}")
     total_techniques = sum(len(techs) for _, techs in s.tactic_map)
-    lines.append(f"- Threats: {sum(n for _, n in s.threat_counts)}"
-                 f", techniques: {total_techniques}"
-                 f", IoCs: {len(s.iocs)}"
-                 f", custody events: {len(s.custody)}"
-                 f", actions: {len(s.actions)}")
-    lines.append("")
+    lines += [f"- Threats: {sum(n for _, n in s.threat_counts)}, techniques: {total_techniques}"
+              f", IoCs: {len(s.iocs)}, custody events: {len(s.custody)}"
+              f", actions: {len(s.actions)}", ""]
 
-    lines.append("## Threats")
-    lines.append("")
-    if s.threat_counts:
-        for category, n in s.threat_counts:
-            lines.append(f"- {category}: {n}")
-    else:
-        lines.append("None recorded.")
-    lines.append("")
-
-    lines.append("## TTPs")
-    lines.append("")
-    if s.tactic_map:
-        for tactic, techs in s.tactic_map:
-            rendered = "; ".join(f"{tid} {tname}".rstrip() for tid, tname in techs)
-            lines.append(f"- {tactic}: {rendered}")
-    else:
-        lines.append("None recorded.")
-    lines.append("")
-
-    lines.append("## IoCs")
-    lines.append("")
-    if s.iocs:
-        lines.append("| Kind | Value | Source |")
-        lines.append("| --- | --- | --- |")
-        for kind, value, source in s.iocs:
-            lines.append(f"| {kind} | {value} | {source} |")
-    else:
-        lines.append("None recorded.")
-    lines.append("")
-
-    lines.append("## Custody")
-    lines.append("")
-    if s.custody:
-        lines.append("| When | Action | Evidence | Actor |")
-        lines.append("| --- | --- | --- | --- |")
-        for e in s.custody:
-            lines.append(f"| {e.at} | {e.action} | {e.evidence} | {e.actor} |")
-    else:
-        lines.append("None recorded.")
-    lines.append("")
-
-    lines.append("## Actions")
-    lines.append("")
-    if s.actions:
-        lines.append("| When | Description | Location | By |")
-        lines.append("| --- | --- | --- | --- |")
-        for a in s.actions:
-            lines.append(f"| {a.at} | {a.description} | {a.location} | {a.performer} |")
-    else:
-        lines.append("None recorded.")
-    lines.append("")
-
+    _section(lines, "Threats", [f"{category}: {n}" for category, n in s.threat_counts])
+    _section(lines, "TTPs", [
+        f"{tactic}: " + "; ".join(f"{tid} {tname}".rstrip() for tid, tname in techs)
+        for tactic, techs in s.tactic_map])
+    _section(lines, "IoCs", s.iocs, ("Kind", "Value", "Source"))
+    _section(lines, "Custody", [(e.at, e.action, e.evidence, e.actor) for e in s.custody],
+             ("When", "Action", "Evidence", "Actor"))
+    _section(lines, "Actions",
+             [(a.at, a.description, a.location, a.performer) for a in s.actions],
+             ("When", "Description", "Location", "By"))
     return "\n".join(lines)

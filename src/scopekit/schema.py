@@ -154,6 +154,11 @@ def _single_int(g: Graph, subject: Iri, predicate: Iri, what: str) -> Optional[i
     return values.pop() if values else None
 
 
+def _by_iri(iris: Iterable[Iri]) -> list[Iri]:
+    """IRI order, so the first fault reported does not depend on set hashing."""
+    return sorted(iris, key=lambda i: i.value)
+
+
 def _detect_cycle(classes: dict[Iri, ClassDef]):
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {c: WHITE for c in classes}
@@ -162,7 +167,7 @@ def _detect_cycle(classes: dict[Iri, ClassDef]):
     def visit(node: Iri):
         color[node] = GRAY
         path.append(node)
-        for parent in sorted(classes[node].parents, key=lambda i: i.value):
+        for parent in _by_iri(classes[node].parents):
             if parent not in classes:
                 continue  # dangling; reported separately
             if color[parent] == GRAY:
@@ -174,7 +179,7 @@ def _detect_cycle(classes: dict[Iri, ClassDef]):
         path.pop()
         color[node] = BLACK
 
-    for c in sorted(classes, key=lambda i: i.value):
+    for c in _by_iri(classes):
         if color[c] == WHITE:
             visit(c)
 
@@ -210,7 +215,7 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
 
     both = class_iris & property_iris
     if both:
-        worst = sorted(both, key=lambda i: i.value)[0]
+        worst = _by_iri(both)[0]
         raise DuplicateDefinitionError(f"{worst} is declared as both a class and a property")
 
     # subClassOf on an undeclared subject is a typo worth failing loudly on
@@ -222,7 +227,7 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
     # one object per class or datatype IRI across documents: sets of them compare on identity
     own = {c: c for c in (*class_iris, *KNOWN_DATATYPES)}
     classes: dict[Iri, ClassDef] = {}
-    for c in class_iris:
+    for c in _by_iri(class_iris):
         parents = set()
         for o in union.objects_of(c, RDFS_SUBCLASSOF):
             if not isinstance(o, Iri):
@@ -236,7 +241,7 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
         )
 
     properties: dict[Iri, PropertyDef] = {}
-    for p in property_iris:
+    for p in _by_iri(property_iris):
         domain = set()
         for o in union.objects_of(p, RDFS_DOMAIN):
             if not isinstance(o, Iri):
@@ -274,12 +279,12 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
 
     # referential integrity over the merged documents
     for c in classes.values():
-        for parent in c.parents:
+        for parent in _by_iri(c.parents):
             if parent not in classes:
                 raise DanglingReferenceError(
                     f"{c.iri} declares undeclared parent {parent}")
     for p in properties.values():
-        for d in p.domain:
+        for d in _by_iri(p.domain):
             if d not in classes:
                 raise DanglingReferenceError(f"{p.iri} has undeclared domain {d}")
         if p.range is not None and p.range not in classes and p.range not in KNOWN_DATATYPES:

@@ -65,17 +65,18 @@ KEBAB_NAME_RE = re.compile(r"[a-z0-9]+(-[a-z0-9]+)*")
 UUID_TAIL_RE = re.compile(  # "-" and a version-4 UUID: 37 characters
     r"-[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-4[0-9a-fA-F]{3}-[89abAB][0-9a-fA-F]{3}-[0-9a-fA-F]{12}")
 
-DATETIME_Z_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z$")
+DATETIME_Z_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z", re.ASCII)
 INTEGER_LEX_RE = re.compile(r"^[+-]?\d+$")
 DECIMAL_LEX_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 
 
 def is_valid_utc_timestamp(lexical: str) -> bool:
-    if not DATETIME_Z_RE.match(lexical):
+    if not DATETIME_Z_RE.fullmatch(lexical):
         return False
     try:
-        # fromisoformat (3.10) does not accept a trailing Z
-        datetime.fromisoformat(lexical[:-1])
+        # the date and time fields only: fromisoformat (3.10) takes neither a
+        # trailing Z nor a fraction of other than 3 or 6 digits
+        datetime.fromisoformat(lexical[:19])
         return True
     except ValueError:
         return False

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from scopekit.terms import Literal, Triple
 
 
 T0 = "2100-01-01T00:00:00Z"
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 
 def scenario_case(request, name):
@@ -162,6 +165,21 @@ class TestMarkdown:
         md = render_markdown(summarize(scenario_case(request, "scenario2")))
         line = next(l for l in md.splitlines() if l.startswith("- Threats:"))
         assert "techniques: 19" in line
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_matches_golden_file(self, request, name):
+        md = render_markdown(summarize(scenario_case(request, name)))
+        assert md.encode("utf-8") == (GOLDEN_DIR / f"report_{name}.md").read_bytes()
+
+    def test_pipe_in_cell_is_escaped(self, schema, catalog):
+        c = casekit.new_case("pipe-case", at=T0, rng=random.Random(6))
+        c.add_action("imaged disk | hashed image", "2100-01-01T01:00:00Z",
+                     location="lab | bay 2")
+        md = render_markdown(summarize(c))
+        row = next(l for l in md.splitlines() if l.startswith("| 2100-01-01T01:00:00Z"))
+        cells = re.split(r"(?<!\\)\|", row)[1:-1]
+        assert [cell.strip() for cell in cells] == [
+            "2100-01-01T01:00:00Z", r"imaged disk \| hashed image", r"lab \| bay 2", ""]
 
 
 class TestJson:

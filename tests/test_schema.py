@@ -1,7 +1,14 @@
 """Schema loading: hierarchy, cardinalities, and the embedded documents."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scopekit
 from scopekit.errors import (
     DanglingReferenceError,
     DuplicateDefinitionError,
@@ -42,6 +49,35 @@ HEADER = """
 
 def load(body, version="test"):
     return load_schema([HEADER + body], version)
+
+
+# (document, error): six classes or properties with the same fault, of which
+# the one reported is the first in IRI order
+SAME_FAULT_DOCS = [
+    ("".join(f'ex:C{n} a rdfs:Class ; rdfs:subClassOf "x{n}" .\n' for n in range(6)),
+     "DanglingReferenceError: subclass target of http://schema.example/C0 must be an IRI"),
+    ("".join(f"ex:C{n} a rdfs:Class ; rdfs:subClassOf ex:P{n}a , ex:P{n}b .\n"
+             for n in range(6)),
+     "DanglingReferenceError: http://schema.example/C0 declares undeclared parent "
+     "http://schema.example/P0a"),
+    ("ex:A a rdfs:Class .\n" + "".join(
+        f"ex:p{n} a rdf:Property ; rdfs:domain ex:D{n}a , ex:D{n}b .\n" for n in range(6)),
+     "DanglingReferenceError: http://schema.example/p0 has undeclared domain "
+     "http://schema.example/D0a"),
+]
+
+FIRST_FAULT_SCRIPT = """
+import json, sys
+from scopekit.schema import load_schema
+messages = []
+for doc in json.loads(sys.argv[1]):
+    try:
+        load_schema([doc])
+        messages.append("loaded")
+    except Exception as exc:
+        messages.append(f"{type(exc).__name__}: {exc}")
+print(json.dumps(messages))
+"""
 
 
 class TestLoadSchema:
@@ -119,6 +155,17 @@ class TestLoadSchema:
         """
         with pytest.raises(DuplicateDefinitionError):
             load_schema([HEADER + "ex:A a rdfs:Class .", doc2])
+
+    def test_first_fault_does_not_depend_on_hash_seed(self):
+        docs = [HEADER + body for body, _ in SAME_FAULT_DOCS]
+        expected = [message for _, message in SAME_FAULT_DOCS]
+        src = str(Path(scopekit.__file__).resolve().parents[1])
+        for seed in ("0", "1", "2", "3", "4", "5", "6"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = subprocess.run([sys.executable, "-c", FIRST_FAULT_SCRIPT, json.dumps(docs)],
+                                 env=env, capture_output=True, text=True, check=True).stdout
+            assert json.loads(out) == expected, f"PYTHONHASHSEED={seed}"
 
     def test_repeatable_domain(self):
         s = load("""

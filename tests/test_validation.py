@@ -427,6 +427,8 @@ class TestTimestampHelper:
         "2100-01-01T06:00:00Z",
         "1970-01-01T00:00:00Z",
         "2023-06-30T23:59:59.125Z",
+        "2023-06-30T23:59:59.5Z",
+        "2023-06-30T23:59:59.1234567Z",
     ])
     def test_accepts(self, good):
         assert is_valid_utc_timestamp(good)
@@ -441,6 +443,13 @@ class TestTimestampHelper:
         "",
     ])
     def test_rejects(self, bad):
+        assert not is_valid_utc_timestamp(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "2023-06-30T23:59:59.\u0665Z",       # fraction in Arabic-Indic digits
+        "2023-06-30T23:59:59Z\n",           # trailing newline
+    ])
+    def test_rejects_other_digits_and_trailing_newline(self, bad):
         assert not is_valid_utc_timestamp(bad)
 
 
