@@ -392,7 +392,7 @@ class CaseGraph:
         if cve:
             ids = [cve] if isinstance(cve, str) else list(cve)
             for cve_id in ids:
-                if not CVE_ID_RE.match(cve_id):
+                if not CVE_ID_RE.fullmatch(cve_id):
                     raise MalformedIdError(f"not a CVE id: {cve_id!r}")
                 self.add(Triple(node, PROP_CVE_ID, Literal(cve_id)))
         return node
@@ -451,7 +451,7 @@ class CaseGraph:
             value = value.replace("[.]", ".")
             if kind == "Md5Hash":
                 value = value.lower()
-                if not MD5_RE.match(value):
+                if not MD5_RE.fullmatch(value):
                     self.ioc_import_errors.append(
                         f"row {rownum}: not an MD5 digest: {value!r}")
                     continue

@@ -21,10 +21,10 @@ from .ntriples import read_text_file
 from .schema import Schema
 from .terms import Iri
 
-TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
-CAPEC_ID_RE = re.compile(r"^CAPEC-\d+$")
-CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
-MD5_RE = re.compile(r"^[0-9a-f]{32}$")
+TECHNIQUE_ID_RE = re.compile(r"T\d{4}(\.\d{3})?", re.ASCII)
+CAPEC_ID_RE = re.compile(r"CAPEC-\d+", re.ASCII)
+CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}", re.ASCII)
+MD5_RE = re.compile(r"[0-9a-f]{32}")
 
 TACTICS = (
     "InitialAccess",
@@ -141,7 +141,7 @@ class Catalog:
             lst.sort(key=lambda e: int(e.id.split("-")[1]))
 
     def lookup_technique(self, technique_id: str) -> TechniqueEntry:
-        if not TECHNIQUE_ID_RE.match(technique_id):
+        if not TECHNIQUE_ID_RE.fullmatch(technique_id):
             raise MalformedIdError(f"not a technique id: {technique_id!r}")
         try:
             return self.techniques[technique_id]
@@ -154,7 +154,7 @@ class Catalog:
             key=lambda t: t.id)
 
     def capec_for_technique(self, technique_id: str) -> list[CapecEntry]:
-        if not TECHNIQUE_ID_RE.match(technique_id):
+        if not TECHNIQUE_ID_RE.fullmatch(technique_id):
             raise MalformedIdError(f"not a technique id: {technique_id!r}")
         return list(self._capec_by_technique.get(technique_id, []))
 
@@ -186,7 +186,7 @@ def load_catalog(techniques_csv: str, capec_csv: str, indicators_csv: str) -> Ca
     techniques: dict[str, TechniqueEntry] = {}
     for lineno, (tid, name, tactic) in _read_rows(
             techniques_csv, ["id", "name", "tactic"], "techniques.csv"):
-        if not TECHNIQUE_ID_RE.match(tid):
+        if not TECHNIQUE_ID_RE.fullmatch(tid):
             raise CatalogFormatError(f"techniques.csv: row {lineno}: bad id {tid!r}")
         if tactic not in TACTICS:
             raise CatalogFormatError(f"techniques.csv: row {lineno}: unknown tactic {tactic!r}")
@@ -199,13 +199,13 @@ def load_catalog(techniques_csv: str, capec_csv: str, indicators_csv: str) -> Ca
     capec: dict[str, CapecEntry] = {}
     for lineno, (cid, name, tids) in _read_rows(
             capec_csv, ["id", "name", "technique_ids"], "capec.csv"):
-        if not CAPEC_ID_RE.match(cid):
+        if not CAPEC_ID_RE.fullmatch(cid):
             raise CatalogFormatError(f"capec.csv: row {lineno}: bad id {cid!r}")
         if cid in capec:
             raise CatalogFormatError(f"capec.csv: row {lineno}: duplicate id {cid}")
         related = frozenset(t for t in (p.strip() for p in tids.split(";")) if t)
         for t in related:
-            if not TECHNIQUE_ID_RE.match(t):
+            if not TECHNIQUE_ID_RE.fullmatch(t):
                 raise CatalogFormatError(
                     f"capec.csv: row {lineno}: bad technique reference {t!r}")
         capec[cid] = CapecEntry(cid, name, related)

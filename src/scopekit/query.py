@@ -42,7 +42,7 @@ from .terms import (
     Term,
 )
 
-_VAR_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 MAX_ROWS = 1_000_000  # rows a pattern's table may hold before the join gives up
 
 
@@ -51,7 +51,7 @@ class Variable:
     name: str
 
     def __post_init__(self):
-        if not _VAR_NAME_RE.match(self.name):
+        if not _VAR_NAME_RE.fullmatch(self.name):
             raise MalformedVariableError(
                 f"variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?{self.name}")
 

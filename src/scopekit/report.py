@@ -170,9 +170,11 @@ def summarize(c: CaseGraph) -> CaseSummary:
 def _section(lines: list[str], title: str, items, header: tuple[str, ...] = ()) -> None:
     """A "## title" section: a table under header, else bullets; "None recorded." if empty."""
     if header and items:
-        # an unescaped | inside a cell would start a new column
-        body = ["| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |"
-                for row in (header, ("---",) * len(header), *items)]
+        # an unescaped | inside a cell would start a new column, a line break a new row
+        rows = ("| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |"
+                for row in (header, ("---",) * len(header), *items))
+        body = [row.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+                for row in rows]
     else:
         body = [f"- {item}" for item in items] or ["None recorded."]
     lines += [f"## {title}", "", *body, ""]

@@ -65,7 +65,11 @@ class PropertyDef:
 
 
 class Schema:
-    """Immutable class/property index with subclass reachability."""
+    """Immutable class/property index with subclass reachability.
+
+    Every class's ancestors are worked out once, on construction, by the walk
+    that also rejects a subClassOf cycle with SchemaCycleError.
+    """
 
     def __init__(self, classes: dict[Iri, ClassDef], properties: dict[Iri, PropertyDef],
                  namespaces: dict[str, Iri], version: str = "custom"):
@@ -73,7 +77,7 @@ class Schema:
         self.properties = dict(properties)
         self.namespaces = dict(namespaces)
         self.version = version
-        self._ancestor_cache: dict[Iri, frozenset[Iri]] = {}
+        self._ancestors = _ancestor_sets(self.classes)
 
     def __eq__(self, other):
         if not isinstance(other, Schema):
@@ -88,22 +92,10 @@ class Schema:
 
     def ancestors(self, c: Iri) -> frozenset[Iri]:
         """Reflexive-transitive closure of the parent relation."""
-        if c not in self.classes:
-            raise UnknownClassError(f"class not declared: {c}")
-        cached = self._ancestor_cache.get(c)
-        if cached is not None:
-            return cached
-        seen: set[Iri] = set()
-        stack = [self.classes[c].iri]  # the schema's own object, whichever the caller holds
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self.classes[cur].parents)
-        result = frozenset(seen)
-        self._ancestor_cache[c] = result
-        return result
+        try:
+            return self._ancestors[c]
+        except KeyError:
+            raise UnknownClassError(f"class not declared: {c}") from None
 
     def is_subclass_of(self, c: Iri, ancestor: Iri) -> bool:
         if ancestor not in self.classes:
@@ -114,7 +106,7 @@ class Schema:
         """All declared classes that reach ancestor, including itself."""
         if ancestor not in self.classes:
             raise UnknownClassError(f"class not declared: {ancestor}")
-        return frozenset(c for c in self.classes if ancestor in self.ancestors(c))
+        return frozenset(c for c, anc in self._ancestors.items() if ancestor in anc)
 
     def applicable_properties(self, c: Iri) -> list[PropertyDef]:
         """Properties usable on instances of c, via domain-or-ancestor match."""
@@ -159,29 +151,29 @@ def _by_iri(iris: Iterable[Iri]) -> list[Iri]:
     return sorted(iris, key=lambda i: i.value)
 
 
-def _detect_cycle(classes: dict[Iri, ClassDef]):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in classes}
+def _ancestor_sets(classes: dict[Iri, ClassDef]) -> dict[Iri, frozenset[Iri]]:
+    """Each class with its ancestors, itself included, from one depth-first
+    walk in IRI order. Raises SchemaCycleError on the first cycle the walk
+    meets; parents that are not declared classes are left out."""
+    done: dict[Iri, frozenset[Iri]] = {}
     path: list[Iri] = []
 
-    def visit(node: Iri):
-        color[node] = GRAY
-        path.append(node)
-        for parent in _by_iri(classes[node].parents):
-            if parent not in classes:
-                continue  # dangling; reported separately
-            if color[parent] == GRAY:
-                idx = path.index(parent)
-                cycle = [c.value for c in path[idx:]] + [parent.value]
-                raise SchemaCycleError(cycle)
-            if color[parent] == WHITE:
-                visit(parent)
+    def visit(c: Iri) -> frozenset[Iri]:
+        path.append(c)
+        found = {c}
+        for parent in _by_iri(classes[c].parents):
+            if parent in path:
+                raise SchemaCycleError([x.value for x in path[path.index(parent):]] + [parent.value])
+            if parent in classes:
+                found |= done.get(parent) or visit(parent)
         path.pop()
-        color[node] = BLACK
+        done[c] = frozenset(found)
+        return done[c]
 
     for c in _by_iri(classes):
-        if color[c] == WHITE:
+        if c not in done:
             visit(c)
+    return done
 
 
 def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> Schema:
@@ -191,7 +183,7 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
     when a parent/domain/range names nothing declared, and
     DuplicateDefinitionError on conflicting redefinitions.
     """
-    union = Graph()
+    triples: list = []
     namespaces: dict[str, Iri] = {}
     for doc in docs:
         g = parse_turtle(doc)
@@ -200,7 +192,8 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
                 raise DuplicateDefinitionError(
                     f"prefix {name!r} bound to both {namespaces[name]} and {ns}")
             namespaces[name] = ns
-        union = union.insert_all(g.triples)
+        triples += g.triples
+    union = Graph(triples)
 
     class_iris: set[Iri] = set()
     property_iris: set[Iri] = set()
@@ -291,7 +284,6 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
             raise DanglingReferenceError(
                 f"{p.iri} has a range that is neither a declared class nor a known datatype: {p.range}")
 
-    _detect_cycle(classes)
     return Schema(classes, properties, namespaces, version)
 
 

@@ -24,9 +24,9 @@ from .errors import InvalidIriError
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _FORBIDDEN_IRI_CHAR_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-_BLANK_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_PREFIX_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*$")
-_LANG_TAG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+_LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -107,7 +107,7 @@ class Literal:
         if self.lang is not None and self.datatype is not None:
             raise ValueError("literal cannot carry both a language tag and a datatype")
         if self.lang is not None:
-            if not _LANG_TAG_RE.match(self.lang):
+            if not _LANG_TAG_RE.fullmatch(self.lang):
                 raise ValueError(f"malformed language tag: {self.lang!r}")
             object.__setattr__(self, "lang", self.lang.lower())
         elif self.datatype is None:
@@ -135,7 +135,7 @@ class BlankNode:
     _hash: int = _cached_hash()
 
     def __post_init__(self):
-        if not _BLANK_LABEL_RE.match(self.label):
+        if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise ValueError(f"malformed blank node label: {self.label!r}")
         object.__setattr__(self, "_hash", hash((self.label,)))
 
@@ -194,7 +194,7 @@ def triple_sort_key(t: Triple):
 def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
     out: dict[str, Iri] = {}
     for name, ns in prefixes.items():
-        if not _PREFIX_NAME_RE.match(name):
+        if not _PREFIX_NAME_RE.fullmatch(name):
             raise ValueError(f"malformed prefix short-name: {name!r}")
         if not isinstance(ns, Iri):
             ns = Iri(str(ns))

@@ -16,12 +16,12 @@ picks what it holds. A term is built and checked the first time its source
 text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
 the text returns that object after. Each @prefix empties the memo, while a
 memo keyed on the expanded IRI, literal or blank node keeps each distinct term
-one object for the whole parse. A statement that the step or a term check
-does not take goes to the token parser, recursive descent over one token
-pattern compiled on first use. It re-reads the statement from its subject and
-raises the diagnostic, with line and column worked out from the offset only
-then, or adds its triples: a gap in the step pattern costs speed, never a
-triple or a diagnostic.
+one object for the whole parse. The step takes every valid statement; one
+that the step or a term check rejects goes to the token parser, a loop over
+one token pattern compiled on first use. It re-reads the statement from its
+subject and raises the diagnostic, with line and column worked out from the
+offset only then, or, should the step have missed a valid form, adds its
+triples.
 
 The canonical serializer emits a deterministic byte layout: prefix lines
 sorted by short-name, one subject block per subject sorted by expanded IRI,
@@ -80,28 +80,30 @@ _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 _PNAME = rf"{_PREFIX_NAME}:(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
 _SUBJECT = rf"(?P<s>{IRIREF}|{BLANK_NODE_LABEL}|{_PNAME})"
 _VERB = rf"(?P<p>{IRIREF}|{_PNAME}|a{_WORD_END})"
-# An object and the terminator after it. `q`, `dt` and `lang` are the
-# parts of a literal; space around its '^^' or '@' is left to the token parser.
+# An object and the terminator after it. `q`, `dt` and `lang` are the parts
+# of a literal, whose '^^' or '@' may follow a gap; the lookahead tries that
+# gap only before a '^^', '@' or comment, so a plain literal pays nothing for it.
 _OBJECT = rf"""(?P<o>{IRIREF}
-  | (?P<q>{STRING_LITERAL_QUOTE})(?:\^\^(?P<dt>{IRIREF}|{_PNAME})|(?P<lang>@(?:[^\W_]|-)+))?
+  | (?P<q>{STRING_LITERAL_QUOTE})(?:(?=[ \t\r\n]*[\^@\#]){_SKIP}
+        (?:\^\^{_SKIP}(?P<dt>{IRIREF}|{_PNAME})|(?P<lang>@(?:[^\W_]|-)+)))?
   | {BLANK_NODE_LABEL} | {INTEGER}(?![0-9eE]|[.][0-9]) | {_PNAME} | {BOOLEAN}
 ){_SKIP}(?P<end>[.;,])"""
 
 
 @functools.cache
 def _step():
-    """Matches one triple and its terminator, or a directive (a comment inside
-    one is left to the token parser), the '.' of a trailing ';', or the end.
-    The parser matches only where its last match ended, so the lookbehinds see
-    that match's terminator, which picks the branch. Compiled on first use:
-    commands that read no Turtle never need it."""
+    """Matches one triple and its terminator, or a directive, the '.' of a
+    trailing ';', or the end, with whitespace and comments wherever Turtle
+    allows them. The parser matches only where its last match ended, so the
+    lookbehinds see that match's terminator, which picks the branch. Compiled
+    on first use: commands that read no Turtle never need it."""
     return re.compile(rf"""(?:
     (?:(?:\A|(?<=\.)){_SKIP}{_SUBJECT}|(?<=;)){_SKIP}{_VERB}
   | (?<=,)
 ){_SKIP}{_OBJECT}
 | (?:\A|(?<=\.)){_SKIP}(?:
-    @prefix{_WORD_END}[ \t\r\n]*(?P<name>{_PREFIX_NAME}):(?![\w.-]*[\w-])
-        [ \t\r\n]*(?P<ns>{IRIREF})[ \t\r\n]*\.
+    @prefix{_WORD_END}{_SKIP}(?P<name>{_PREFIX_NAME}):(?![\w.-]*[\w-])
+        {_SKIP}(?P<ns>{IRIREF}){_SKIP}\.
   | \Z)
 | (?<=;){_SKIP}\.""", re.X).match
 
@@ -161,11 +163,12 @@ class _Reread(Exception):
 
 
 class _Parser:
-    """The step pattern's loop, and the token parser for what it leaves.
+    """The step pattern's loop, and the token parser for the statements the
+    step rejects, which diagnoses them.
 
-    The token parser is recursive descent over tokens (kind, value, local,
-    offset), where `local` is the local part of a PNAME, whose value is the
-    prefix. Its tokenizer runs one token ahead of it.
+    The token parser reads a statement in one loop over tokens (kind, value,
+    local, offset), where `local` is the local part of a PNAME, whose value
+    is the prefix. Its tokenizer runs one token ahead of it.
     """
 
     def __init__(self, text: str):
@@ -340,69 +343,43 @@ class _Parser:
             raise self._fail(str(e), offset) from None
 
     def _statement(self) -> int:
-        subject = self._subject()
-        self._predicate_object_list(subject)
+        subject, predicate = self._read("subject"), self._read("predicate")
+        while True:
+            self.triples.add(Triple(subject, predicate, self._read("object")))
+            punct = self.tok[0]
+            if punct != "," and punct != ";":
+                break
+            self._next()
+            if punct == ";":
+                if self.tok[0] == ".":  # a trailing ';' before the closing '.'
+                    break
+                predicate = self._read("predicate")
         dot = self._next()
         if dot[0] != ".":
             raise self._fail("expected '.' at end of statement", dot[3])
         return dot[3] + 1
 
-    def _subject(self) -> Union[Iri, BlankNode]:
+    def _read(self, role: str) -> Term:
+        """The next token as the statement's subject, predicate or object,
+        or that role's diagnostic."""
         tok = self._next()
         kind, value, _, offset = tok
-        if kind in ("IRIREF", "PNAME"):
+        if kind == "IRIREF" or kind == "PNAME":
             return self._iri(tok)
-        if kind == "BLANK":
+        if role == "predicate":
+            if kind == "A":
+                return RDF_TYPE
+        elif kind == "BLANK":
             return self._intern(BlankNode(value))
-        if kind in ("STRING", "INTEGER", "BOOLEAN"):
-            raise self._fail("a literal cannot be the subject of a triple", offset)
-        raise self._fail(f"expected subject, found {value!r}", offset)
-
-    def _predicate_object_list(self, subject):
-        while True:
-            predicate = self._predicate()
-            self._object_list(subject, predicate)
-            if self.tok[0] != ";":
-                return
-            self._next()
-            # tolerate a trailing ';' before the closing '.'
-            if self.tok[0] == ".":
-                return
-
-    def _predicate(self) -> Iri:
-        tok = self._next()
-        kind, value, _, offset = tok
-        if kind == "A":
-            return RDF_TYPE
-        if kind in ("IRIREF", "PNAME"):
-            return self._iri(tok)
-        if kind == "EOF":
-            raise self._fail("unexpected end of input (expected predicate)", offset)
-        raise self._fail(f"expected predicate, found {value!r}", offset)
-
-    def _object_list(self, subject, predicate):
-        while True:
-            self.triples.add(Triple(subject, predicate, self._object()))
-            if self.tok[0] != ",":
-                return
-            self._next()
-
-    def _object(self) -> Term:
-        tok = self._next()
-        kind, value, _, offset = tok
-        if kind in ("IRIREF", "PNAME"):
-            return self._iri(tok)
-        if kind == "BLANK":
-            return self._intern(BlankNode(value))
-        if kind == "INTEGER":
-            return self._intern(Literal(value, XSD_INTEGER))
-        if kind == "BOOLEAN":
-            return self._intern(Literal(value, XSD_BOOLEAN))
-        if kind == "STRING":
-            return self._literal_tail(value)
-        if kind == "EOF":
-            raise self._fail("unexpected end of input (expected object)", offset)
-        raise self._fail(f"expected object, found {value!r}", offset)
+        elif kind in ("STRING", "INTEGER", "BOOLEAN"):
+            if role == "subject":
+                raise self._fail("a literal cannot be the subject of a triple", offset)
+            if kind == "STRING":
+                return self._literal_tail(value)
+            return self._intern(Literal(value, XSD_INTEGER if kind == "INTEGER" else XSD_BOOLEAN))
+        if kind == "EOF" and role != "subject":
+            raise self._fail(f"unexpected end of input (expected {role})", offset)
+        raise self._fail(f"expected {role}, found {value!r}", offset)
 
     def _literal_tail(self, lexical: str) -> Literal:
         kind, value, _, offset = self.tok

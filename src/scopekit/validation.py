@@ -66,8 +66,8 @@ UUID_TAIL_RE = re.compile(  # "-" and a version-4 UUID: 37 characters
     r"-[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-4[0-9a-fA-F]{3}-[89abAB][0-9a-fA-F]{3}-[0-9a-fA-F]{12}")
 
 DATETIME_Z_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z", re.ASCII)
-INTEGER_LEX_RE = re.compile(r"^[+-]?\d+$")
-DECIMAL_LEX_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+INTEGER_LEX_RE = re.compile(r"[+-]?\d+", re.ASCII)
+DECIMAL_LEX_RE = re.compile(r"[+-]?\d+(\.\d+)?", re.ASCII)
 
 
 def is_valid_utc_timestamp(lexical: str) -> bool:
@@ -196,8 +196,8 @@ def _rule_r02(ctx: _Ctx):
 
 _LEXICAL_CHECKS = {
     XSD_DATETIME: (is_valid_utc_timestamp, "not a UTC Z-form timestamp"),
-    XSD_INTEGER: (INTEGER_LEX_RE.match, "not an integer"),
-    XSD_DECIMAL: (DECIMAL_LEX_RE.match, "not a decimal"),
+    XSD_INTEGER: (INTEGER_LEX_RE.fullmatch, "not an integer"),
+    XSD_DECIMAL: (DECIMAL_LEX_RE.fullmatch, "not a decimal"),
     XSD_BOOLEAN: (("true", "false").__contains__, "not a boolean"),
 }
 
@@ -272,7 +272,7 @@ def _rule_r05(ctx: _Ctx):
 def _literal_shape_rule(code: str, prop: Iri, regex, what: str):
     def rule(ctx: _Ctx):
         for t in ctx.g.scan(None, prop, None):
-            if isinstance(t.object, Literal) and not regex.match(t.object.lexical):
+            if isinstance(t.object, Literal) and not regex.fullmatch(t.object.lexical):
                 yield Finding(ERROR, code, skolemize_term(t.subject),
                               f"{t.object.lexical!r} is not a well-formed {what}")
     return rule
@@ -310,7 +310,7 @@ def _rule_r10(ctx: _Ctx):
         for rec in records:
             seq = None
             for o in ctx.values(rec, PROP_CUSTODY_SEQ):
-                if isinstance(o, Literal) and INTEGER_LEX_RE.match(o.lexical):
+                if isinstance(o, Literal) and INTEGER_LEX_RE.fullmatch(o.lexical):
                     seq = int(o.lexical)
             ts = None
             for o in ctx.values(rec, PROP_CUSTODY_TS):

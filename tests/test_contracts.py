@@ -9,6 +9,8 @@ draws the same examples and a failure reproduces without a database.
 - On mutated documents the step patterns and the token parser alone agree on
   the graph or on the error, every error lies inside the document, and the
   CLI exits 0 or 2 without a traceback.
+- Each canonical writer's output parses back to the graph it wrote, and
+  Turtle -> N-Triples -> Turtle gives back the same bytes.
 """
 
 import contextlib
@@ -25,7 +27,12 @@ from hypothesis import given, settings, strategies as st
 from scopekit import cli, turtle
 from scopekit.errors import ParseError
 from scopekit.namespaces import RDF_NS, XSD
-from scopekit.ntriples import decode_document, parse_ntriples, render_triple
+from scopekit.ntriples import (
+    decode_document,
+    parse_ntriples,
+    render_triple,
+    serialize_ntriples_canonical,
+)
 from scopekit.terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -38,7 +45,7 @@ from scopekit.terms import (
     Literal,
     Triple,
 )
-from scopekit.turtle import parse_turtle
+from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
 from conftest import FIXTURE_DIR
 from helpers import assert_one_object_per_term
@@ -82,7 +89,9 @@ def write_turtle(triples, rng: random.Random) -> str:
     The layout mixes ';' and ',' groupings with repeated predicates and
     subjects, a trailing ';', comments, CRLF or LF, tabs, prefixed names and
     full IRIs, `a`, `rdf:type` and the full type IRI, bare and typed
-    integers and booleans, and escaped and raw characters in strings.
+    integers and booleans, escaped and raw characters in strings, and
+    whitespace and comments around a literal's '^^' or '@' and inside
+    @prefix directives.
     """
     nl = rng.choice(("\n", "\r\n"))
 
@@ -128,12 +137,15 @@ def write_turtle(triples, rng: random.Random) -> str:
             return t.lexical
         if t.lang is not None:
             tag = t.lang.upper() if rng.random() < 0.5 else t.lang
-            return f"{string(t.lexical)}@{tag}"
+            return f"{string(t.lexical)}{gap()}@{tag}"
         if t.datatype == XSD_STRING and bare:
             return string(t.lexical)
-        return f"{string(t.lexical)}^^{iri(t.datatype)}"
+        return f"{string(t.lexical)}{gap()}^^{gap()}{iri(t.datatype)}"
 
-    lines = [f"@prefix {name}: <{ns}> ." for name, ns in PREFIXES.items()]
+    def prefix(name: str) -> str:
+        return f"@prefix{gap(' ')}{name}:{gap()}<{PREFIXES[name]}>{gap()}."
+
+    lines = [prefix(name) for name in PREFIXES]
     by_subject: dict = {}
     for t in triples:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
@@ -156,7 +168,7 @@ def write_turtle(triples, rng: random.Random) -> str:
             lines.append(term(subject) + gap(" ")
                          + (gap() + ";" + gap()).join(verbs) + trailing + gap() + ".")
         if rng.random() < 0.2:
-            lines.append(rng.choice(("# a comment line", f"@prefix kb: <{PREFIXES['kb']}> .")))
+            lines.append(rng.choice(("# a comment line", prefix("kb"))))
     return nl.join(lines) + rng.choice(("", nl, nl + "# the end"))
 
 
@@ -212,6 +224,17 @@ class TestLayouts:
         text = casegen_text()
         with steps_only():
             assert len(parse_turtle(text)) > 0
+
+    def test_gaps_around_literal_suffixes_and_in_prefix_need_no_fallback(self):
+        text = ('@prefix # the vocabulary\n v: # its name\n <http://example.org/vocab#> # . \n .\n'
+                '@prefix xsd:<http://www.w3.org/2001/XMLSchema#>.\n'
+                'v:s v:p "x" ^^ xsd:string , "1"\n# typed\n^^# here\n<http://ex/dt> ;\n'
+                '  v:q "y" @en , "z"\t# tagged\n@EN-gb .\n')
+        with steps_only():
+            g = parse_turtle(text)
+        assert g == token_parse(text)
+        assert {str(t.object) for t in g} == {
+            '"x"', '"1"^^http://ex/dt', '"y"@en', '"z"@en-gb'}
 
     def test_shipped_file_count(self):
         assert (len(FIXTURE_FILES), len(SCHEMA_FILES)) == (3, 11)
@@ -284,10 +307,63 @@ class TestMutatedFixtures:
         assert codes <= {0, 2}
 
 
+# skolemized graphs for the round trips: IRIs in a bound namespace (the
+# longest one wins) or in none, under safe and unsafe locals
+ROUND_TRIP_PREFIXES = {**PREFIXES, "ex": "http://example.org/"}
+rt_iris = st.builds(lambda ns, local: Iri(ns + local),
+                    st.sampled_from((*sorted(ROUND_TRIP_PREFIXES.values()), "urn:x:",
+                                     "http://other.example/")),
+                    st.one_of(st.sampled_from(LOCALS), st.text(alphabet="ab9._-/#%é", max_size=6)))
+rt_literals = st.one_of(
+    lexicals.map(Literal),
+    st.builds(lambda lexical, tag: Literal(lexical, lang=tag), lexicals, st.sampled_from(LANGS)),
+    st.builds(Literal, lexicals, st.one_of(rt_iris, st.sampled_from(
+        (XSD_STRING, XSD_INTEGER, XSD_BOOLEAN, XSD_DATETIME)))),
+    st.integers(-10**20, 10**20).map(lambda i: Literal(str(i), XSD_INTEGER)),
+    st.sampled_from(("true", "false", "+7", "007")).map(
+        lambda lexical: Literal(lexical, XSD_BOOLEAN if lexical[0] in "tf" else XSD_INTEGER)))
+skolem_graphs = st.builds(
+    lambda triples, names: Graph(triples, {n: Iri(ROUND_TRIP_PREFIXES[n]) for n in names}),
+    st.lists(st.builds(Triple, rt_iris, st.one_of(rt_iris, st.just(RDF_TYPE)),
+                       st.one_of(rt_iris, rt_literals)), max_size=25),
+    st.sets(st.sampled_from(sorted(ROUND_TRIP_PREFIXES))))
+
+
+class TestRoundTrips:
+    @CONTRACTS
+    @given(g=skolem_graphs)
+    def test_turtle_reads_back_what_it_writes(self, g):
+        back = parse_turtle(serialize_turtle_canonical(g))
+        assert back == g and back.prefixes == g.prefixes
+
+    @CONTRACTS
+    @given(g=skolem_graphs)
+    def test_ntriples_reads_back_what_it_writes(self, g):
+        assert parse_ntriples(serialize_ntriples_canonical(g)) == g
+
+    @CONTRACTS
+    @given(g=skolem_graphs)
+    def test_turtle_to_ntriples_to_turtle_is_byte_stable(self, g):
+        ttl = serialize_turtle_canonical(g)
+        nt = serialize_ntriples_canonical(parse_turtle(ttl))
+        again = Graph(parse_ntriples(nt), g.prefixes)
+        assert serialize_turtle_canonical(again) == ttl
+        assert serialize_ntriples_canonical(again) == nt
+
+
 def test_failed_step_backtracks_in_linear_time():
     # whitespace and comments can be matched one way only, so a statement that
     # fails after long runs of them is diagnosed without exponential backtracking
     doc = "<http://ex/s> <http://ex/p>" + " \t\r\n" * 3000 + "# c\n" * 1000 + "%"
+    began = time.perf_counter()
+    with pytest.raises(ParseError, match="unexpected character '%'"):
+        parse_turtle(doc)
+    assert time.perf_counter() - began < 2.0
+
+
+def test_failed_literal_suffix_backtracks_in_linear_time():
+    # the gap a literal's '^^' or '@' may follow is matched one way only too
+    doc = '<http://ex/s> <http://ex/p> "x"' + " \t\r\n" * 3000 + "# c\n" * 1000 + "^^%"
     began = time.perf_counter()
     with pytest.raises(ParseError, match="unexpected character '%'"):
         parse_turtle(doc)

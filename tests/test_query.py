@@ -174,6 +174,10 @@ class TestVariableAndRegexValidation:
         with pytest.raises(MalformedVariableError):
             Variable(bad)
 
+    def test_variable_name_with_trailing_newline_rejected(self):
+        with pytest.raises(MalformedVariableError):
+            Variable("x\n")
+
     def test_literal_predicate_rejected(self):
         with pytest.raises(MalformedVariableError):
             Pattern(v("s"), Literal("p"), v("o"))

@@ -181,6 +181,17 @@ class TestMarkdown:
         assert [cell.strip() for cell in cells] == [
             "2100-01-01T01:00:00Z", r"imaged disk \| hashed image", r"lab \| bay 2", ""]
 
+    def test_line_break_in_cell_stays_in_its_row(self, schema, catalog):
+        c = casekit.new_case("break-case", at=T0, rng=random.Random(6))
+        c.add_action("imaged disk\nhashed image", "2100-01-01T01:00:00Z",
+                     location="lab\r\nbay 2\rshelf 4")
+        md = render_markdown(summarize(c))
+        actions = md.split("## Actions\n\n")[1].split("\n\n")[0].splitlines()
+        assert len(actions) == 3  # header, delimiter, one row
+        cells = actions[2].split("|")[1:-1]
+        assert [cell.strip() for cell in cells] == [
+            "2100-01-01T01:00:00Z", "imaged disk<br>hashed image", "lab<br>bay 2<br>shelf 4", ""]
+
 
 class TestJson:
     def test_round_trips_through_json(self, request):

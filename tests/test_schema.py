@@ -34,7 +34,7 @@ from scopekit.namespaces import (
     role,
     threats,
 )
-from scopekit.schema import load_schema, load_default_schema
+from scopekit.schema import ClassDef, Schema, load_schema, load_default_schema
 from scopekit.terms import Iri, XSD_DATETIME
 
 
@@ -127,6 +127,12 @@ class TestLoadSchema:
     def test_self_cycle(self):
         with pytest.raises(SchemaCycleError):
             load("ex:A a rdfs:Class ; rdfs:subClassOf ex:A .")
+
+    def test_schema_built_directly_rejects_a_cycle(self):
+        a, b = Iri("http://schema.example/A"), Iri("http://schema.example/B")
+        with pytest.raises(SchemaCycleError) as exc:
+            Schema({a: ClassDef(a, frozenset({b})), b: ClassDef(b, frozenset({a}))}, {}, {})
+        assert exc.value.cycle == [a.value, b.value, a.value]
 
     @pytest.mark.parametrize("body", [
         "ex:A a rdfs:Class ; rdfs:subClassOf ex:Missing .",

@@ -115,6 +115,11 @@ class TestLiteral:
         with pytest.raises(ValueError):
             Literal("x", lang=tag)
 
+    def test_lang_tag_with_trailing_newline_rejected(self):
+        # accepted, its N-Triples line `"x"@en\n .` would not parse back
+        with pytest.raises(ValueError):
+            Literal("x", lang="en\n")
+
     def test_structural_comparison_not_value_space(self):
         # bit-exact exchange semantics: no numeric normalization
         assert Literal("1", XSD_INTEGER) != Literal("01", XSD_INTEGER)
@@ -127,6 +132,10 @@ class TestBlankNodeAndTriple:
         for bad in ("", "1b", "-x", "a b", "a-b"):
             with pytest.raises(ValueError):
                 BlankNode(bad)
+
+    def test_blank_label_with_trailing_newline_rejected(self):
+        with pytest.raises(ValueError):
+            BlankNode("b\n")
 
     def test_triple_position_types(self):
         t = Triple(iri("s"), iri("p"), Literal("o"))
@@ -338,6 +347,10 @@ class TestGraph:
     def test_prefix_map_validated(self):
         with pytest.raises(ValueError):
             Graph(prefixes={"9bad": Iri(EX)})
+
+    def test_prefix_name_with_trailing_newline_rejected(self):
+        with pytest.raises(ValueError):
+            Graph(prefixes={"ex\n": Iri(EX)})
 
     def test_objects_of(self):
         g = Graph([Triple(iri("s"), iri("p"), Literal("a")),

@@ -14,6 +14,7 @@ from scopekit.namespaces import (
     CLS_ATTACK_TECHNIQUE,
     PROP_CAPEC_ID,
     PROP_CRIME_TYPE,
+    PROP_CUSTODY_SEQ,
     PROP_CUSTODY_TS,
     PROP_CVE_ID,
     PROP_MD5,
@@ -27,7 +28,9 @@ from scopekit.namespaces import (
 )
 from scopekit.schema import Schema, load_schema
 from scopekit.terms import (
+    RDF_NS,
     RDF_TYPE,
+    RDFS_NS,
     XSD_BOOLEAN,
     XSD_DATETIME,
     XSD_DECIMAL,
@@ -160,6 +163,26 @@ class TestR03Range:
         g = c.graph.insert(Triple(n["threat"], PROP_TARGETS, n["analyst"]))
         assert codes(g, schema, catalog) == ["R03"]
 
+    @pytest.mark.parametrize("lexical", ["5\n", "\u0665"])
+    def test_integer_takes_ascii_digits_only(self, case, schema, catalog, lexical):
+        c, n = case
+        rec = c.graph.match(None, PROP_CUSTODY_SEQ, None)[0]
+        g = c.graph.remove(rec).insert(
+            Triple(rec.subject, PROP_CUSTODY_SEQ, Literal(lexical, XSD_INTEGER)))
+        assert "R03" in codes(g, schema, catalog)
+
+    @pytest.mark.parametrize("lexical, fires", [
+        ("1.5", False), ("-2", False), ("1.\u0665", True), ("1.5\n", True)])
+    def test_decimal_takes_ascii_digits_only(self, case, catalog, lexical, fires):
+        c, n = case
+        weight, analyst = Iri("http://example.org/vocab/weight"), role("ForensicAnalyst")
+        decimal_schema = load_schema([
+            *(p.read_text(encoding="utf-8") for p in sorted(SCHEMA_DIR.glob("*.ttl"))),
+            f"<{weight.value}> a <{RDF_NS}Property> ; <{RDFS_NS}domain> <{analyst.value}> ;"
+            f" <{RDFS_NS}range> <{XSD_DECIMAL.value}> ."])
+        g = c.graph.insert(Triple(n["analyst"], weight, Literal(lexical, XSD_DECIMAL)))
+        assert codes(g, decimal_schema, catalog) == (["R03"] if fires else [])
+
 
 class TestR04Cardinality:
     def test_second_md5_on_one_item_fires(self, case, schema, catalog):
@@ -274,6 +297,20 @@ class TestLiteralShapeRules:
         g = c.graph.remove(old).insert(
             Triple(n["item"], PROP_MD5, Literal("A" * 32)))
         assert codes(g, schema, catalog) == ["R08"]
+
+    @pytest.mark.parametrize("prop, lexical, code", [
+        (PROP_TECHNIQUE_ID, "T1190\n", "R06"),
+        (PROP_TECHNIQUE_ID, "T\u0661\u0661\u0669\u0660", "R06"),
+        (PROP_CAPEC_ID, "CAPEC-1\n", "R07"),
+        (PROP_MD5, "0" * 32 + "\n", "R08"),
+        (PROP_CVE_ID, "CVE-2021-\u0661\u0662\u0663\u0664", "R12"),
+    ])
+    def test_other_digits_and_trailing_newline_fire(self, case, schema, catalog,
+                                                    prop, lexical, code):
+        c, n = case
+        old = c.graph.match(None, prop, None)[0]
+        g = c.graph.remove(old).insert(Triple(old.subject, prop, Literal(lexical)))
+        assert codes(g, schema, catalog) == [code]
 
     def test_r12_two_digit_year(self, case, schema, catalog):
         c, n = case
