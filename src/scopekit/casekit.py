@@ -1,8 +1,8 @@
 """Case construction, diff, and merge.
 
 CaseGraph is the one mutable façade in the package. Builder calls add triples
-in place to a triple set it owns, and `CaseGraph.graph` hands readers an
-immutable Graph snapshot of it. Everything a builder mints is named
+in place to a `TripleIndex` it grows, and `CaseGraph.graph` hands that index
+to an immutable Graph snapshot for readers. Everything a builder mints is named
 kb:<kebab-name>-<uuid4>, typed, and linked back to the incident, so a case
 built purely through this module validates with zero errors.
 """
@@ -61,8 +61,11 @@ from .namespaces import (
     PROP_CVE_ID,
     PROP_DESCRIPTION,
     PROP_DOMAIN_NAME,
+    PROP_EVIDENCE_OF,
     PROP_IOC_SOURCE,
     PROP_LOCATION_NOTE,
+    PROP_MAC,
+    PROP_MANUFACTURER,
     PROP_MD5,
     PROP_NAME,
     PROP_PERFORMED_BY,
@@ -75,6 +78,7 @@ from .namespaces import (
     PROP_USES_TECHNIQUE,
     STANDARD_PREFIXES,
     crime as crime_iri,
+    role,
 )
 from .schema import Schema, load_default_schema
 from .terms import (
@@ -86,13 +90,21 @@ from .terms import (
     Iri,
     Literal,
     Triple,
+    TripleIndex,
     skolemize_term,
     term_sort_key,
 )
 from .turtle import serialize_turtle_canonical
-from .validation import is_valid_utc_timestamp
+from .validation import is_valid_utc_timestamp, validate_graph
 
 _CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+
+# add_evidence's attribute shorthands
+_ATTR_SHORTHAND = {
+    "name": PROP_NAME, "description": PROP_DESCRIPTION, "manufacturer": PROP_MANUFACTURER,
+    "mac": PROP_MAC, "macAddress": PROP_MAC, "md5": PROP_MD5, "md5Hash": PROP_MD5,
+    "domainName": PROP_DOMAIN_NAME, "iocSource": PROP_IOC_SOURCE, "cveId": PROP_CVE_ID,
+}
 
 
 def kebab(text: str) -> str:
@@ -143,20 +155,18 @@ def _check_timestamp(at: str) -> str:
 class CaseGraph:
     """A single investigation's graph plus the handles builders need.
 
-    Builder calls write to a mutable triple set with subject and object
-    indexes, copied from the wrapped graph on the first write or lookup, so
-    building n triples takes O(n). A case that is only read never makes that
-    copy. `graph` hands out an immutable snapshot, cached until the next add
-    that inserts a triple.
+    A case holds either a Graph snapshot or the `TripleIndex` its builder
+    calls grow, and its lookups scan that one. The first add of a new triple
+    builds the index from the snapshot, so building n triples takes O(n).
+    `graph` hands the index to a new snapshot as that graph's own index and
+    writes no more to it; the next add of a new triple builds another.
     """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
                  rng: Optional[random.Random] = None):
         self._snapshot: Optional[Graph] = graph
-        self._triples: Optional[set[Triple]] = None  # the write state, built lazily
-        self._by_subject: dict = {}
-        self._by_object: dict = {}
-        self._prefixes: dict[str, Iri] = {}
+        self._index: Optional[TripleIndex] = None  # the write state, built by the first add
+        self._prefixes: dict[str, Iri] = graph.prefixes
         self.case_iri = case_iri
         self.schema = schema
         self.catalog = catalog
@@ -168,43 +178,29 @@ class CaseGraph:
     @property
     def graph(self) -> Graph:
         if self._snapshot is None:
-            self._snapshot = Graph(self._triples, self._prefixes)
+            self._snapshot, self._index = self._index.snapshot(self._prefixes), None
         return self._snapshot
+
+    def _lookup(self) -> Union[Graph, TripleIndex]:
+        """What the case's lookups scan: the snapshot, or the index being grown."""
+        return self._index if self._snapshot is None else self._snapshot
 
     @property
     def created(self) -> str:
-        return self._case_literal(PROP_CREATED_TIME)
+        return first_literal(self._lookup(), self.case_iri, PROP_CREATED_TIME) or ""
 
     @property
     def name(self) -> str:
-        return self._case_literal(PROP_NAME)
-
-    def _case_literal(self, predicate: Iri) -> str:
-        if self._triples is None:
-            return first_literal(self._snapshot, self.case_iri, predicate) or ""
-        found = [t.object for t in self._by_subject.get(self.case_iri, ())
-                 if t.predicate == predicate and isinstance(t.object, Literal)]
-        return min(found, key=term_sort_key).lexical if found else ""
-
-    def _writable(self) -> set[Triple]:
-        """The mutable triple set, copied from the wrapped graph on first use."""
-        if self._triples is None:
-            self._triples = set()
-            self._prefixes = self._snapshot.prefixes
-            for t in self._snapshot:
-                self._insert(t)
-        return self._triples
-
-    def _insert(self, t: Triple) -> None:
-        self._triples.add(t)
-        self._by_subject.setdefault(t.subject, []).append(t)
-        self._by_object.setdefault(t.object, []).append(t)
+        return first_literal(self._lookup(), self.case_iri, PROP_NAME) or ""
 
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
             raise TypeError(f"not a triple: {triple!r}")
-        if triple not in self._writable():
-            self._insert(triple)
+        if self._index is None:
+            if triple in self._snapshot:
+                return
+            self._index = TripleIndex(set(self._snapshot))
+        if self._index.add(triple):
             self._snapshot = None
 
     def add_all(self, triples: Iterable[Triple]) -> None:
@@ -226,8 +222,7 @@ class CaseGraph:
         return Iri(f"{KB}{slug}-{u}")
 
     def has_node(self, iri: Iri) -> bool:
-        self._writable()
-        return iri in self._by_subject
+        return bool(self._lookup().scan(iri))
 
     def _require_node(self, iri: Iri, what: str) -> None:
         if not self.has_node(iri):
@@ -279,8 +274,7 @@ class CaseGraph:
         return node
 
     def add_role(self, role_class: Iri, name: str) -> Iri:
-        from .namespaces import role as role_ns
-        self._require_class(role_class, role_ns("Role"), "role")
+        self._require_class(role_class, role("Role"), "role")
         return self.add_node(role_class, name)
 
     def add_evidence(self, evidence_class: Iri, attrs: Optional[dict] = None,
@@ -296,10 +290,9 @@ class CaseGraph:
         node = self.add_node(evidence_class)
         self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
         for key, value in (attrs or {}).items():
-            self.add(Triple(node, self._resolve_attr(key), self._literal_for(key, value)))
+            self.add(Triple(node, self._resolve_attr(key), self._literal_for(value)))
         if crime is not None:
             self._require_node(crime, "crime")
-            from .namespaces import PROP_EVIDENCE_OF
             self.add(Triple(node, PROP_EVIDENCE_OF, crime))
         if acquired:
             at = _check_timestamp(seized_at) if seized_at else (self.created or "1970-01-01T00:00:00Z")
@@ -311,27 +304,11 @@ class CaseGraph:
             if key not in self.schema.properties:
                 raise UnknownPropertyError(f"property not declared: {key}")
             return key
-        from .namespaces import (
-            PROP_MAC,
-            PROP_MANUFACTURER,
-        )
-        shorthand = {
-            "name": PROP_NAME,
-            "description": PROP_DESCRIPTION,
-            "manufacturer": PROP_MANUFACTURER,
-            "mac": PROP_MAC,
-            "macAddress": PROP_MAC,
-            "md5": PROP_MD5,
-            "md5Hash": PROP_MD5,
-            "domainName": PROP_DOMAIN_NAME,
-            "iocSource": PROP_IOC_SOURCE,
-            "cveId": PROP_CVE_ID,
-        }
-        if key in shorthand:
-            return shorthand[key]
+        if key in _ATTR_SHORTHAND:
+            return _ATTR_SHORTHAND[key]
         raise UnknownPropertyError(f"unknown evidence attribute {key!r}")
 
-    def _literal_for(self, key, value) -> Literal:
+    def _literal_for(self, value) -> Literal:
         if isinstance(value, Literal):
             return value
         if isinstance(value, bool):
@@ -352,7 +329,7 @@ class CaseGraph:
             raise InvalidNameError(
                 f"custody action must be one of {', '.join(CUSTODY_ACTIONS)}, got {action!r}")
         _check_timestamp(at)
-        seq = sum(t.predicate == PROP_CUSTODY_OF for t in self._by_object.get(evidence, ())) + 1
+        seq = len(self._lookup().scan(None, PROP_CUSTODY_OF, evidence)) + 1
         rec = self.add_node(CLS_PROVENANCE_RECORD)
         self.add(Triple(rec, PROP_CUSTODY_OF, evidence))
         self.add(Triple(rec, PROP_CUSTODY_ACTION, Literal(action)))
@@ -365,9 +342,8 @@ class CaseGraph:
 
     def _first_subject(self, predicate: Iri, obj: Literal) -> Optional[Iri]:
         """The first IRI subject, in canonical order, of (?, predicate, obj)."""
-        self._writable()
-        found = [t.subject for t in self._by_object.get(obj, ())
-                 if t.predicate == predicate and isinstance(t.subject, Iri)]
+        found = [t.subject for t in self._lookup().scan(None, predicate, obj)
+                 if isinstance(t.subject, Iri)]
         return min(found, key=term_sort_key, default=None)
 
     def attach_technique(self, subject: Iri, technique_id: str, capec: bool = False,
@@ -492,16 +468,15 @@ class CaseGraph:
         return serialize_turtle_canonical(self.graph)
 
     def validate(self):
-        from .validation import validate_graph
         return validate_graph(self.graph, self.schema, self.catalog)
 
 
-def first_literal(g: Graph, subject, predicate) -> Optional[str]:
+def first_literal(g: Union[Graph, TripleIndex], subject, predicate) -> Optional[str]:
     """Lexical form of the first literal value, in canonical order, or None."""
-    for o in g.objects_of(subject, predicate):
-        if isinstance(o, Literal):
-            return o.lexical
-    return None
+    found = [t.object for t in g.scan(subject, predicate) if isinstance(t.object, Literal)]
+    if len(found) > 1:  # most properties hold one value: no key to compute
+        return min(found, key=term_sort_key).lexical
+    return found[0].lexical if found else None
 
 
 def new_case(name: str, at: str, schema: Optional[Schema] = None,
@@ -530,8 +505,10 @@ def from_graph(g: Graph, schema: Optional[Schema] = None,
     schema = schema or load_default_schema()
     catalog = catalog or load_default_catalog()
     if case_iri is None:
+        # one pass over the triples: an index built here would be thrown away
         incidents = sorted(
-            (t.subject for t in g.match(None, RDF_TYPE, CLS_INCIDENT) if isinstance(t.subject, Iri)),
+            (t.subject for t in g if t.predicate == RDF_TYPE and t.object == CLS_INCIDENT
+             and isinstance(t.subject, Iri)),
             key=lambda i: i.value)
         if not incidents:
             raise CaseMismatchError("graph contains no Incident node")

@@ -9,9 +9,11 @@ document, so equal terms in a parsed graph are the same object and container
 lookups on them succeed on identity, before any `==`. Each parse keeps its
 own memo, so nothing is shared across parses but the constants defined here.
 Graphs are immutable; insert/remove return new graphs, so a graph value can be
-shared freely across readers. A graph builds its lookup index and its table of
-canonical term ranks (keyed by the `id` of its term objects) on first use and
-keeps them; a copied or unpickled graph builds its own, not another's ids.
+shared freely across readers. `TripleIndex` is the one lookup index: a graph
+builds one over its triples on first lookup, or adopts the one that a
+`casekit.CaseGraph` grew and handed over, and nothing writes to it after. Its
+table of canonical term ranks (keyed by the `id` of its term objects) is built
+on first use too; a copied or unpickled graph builds its own, not another's ids.
 """
 
 from __future__ import annotations
@@ -202,6 +204,71 @@ def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
     return out
 
 
+class TripleIndex:
+    """The one lookup index: a triple set plus its triples listed by subject,
+    predicate and object. It keeps the set it is given: a graph's frozenset,
+    or the set a case grows with `add` until `snapshot` hands it to a graph."""
+
+    __slots__ = ("triples", "_by_s", "_by_p", "_by_o")
+
+    def __init__(self, triples: set[Triple] | frozenset[Triple]):
+        self.triples = triples
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o = {}, {}, {}
+        for t in triples:
+            by_s.setdefault(t.subject, []).append(t)
+            by_p.setdefault(t.predicate, []).append(t)
+            by_o.setdefault(t.object, []).append(t)
+
+    def add(self, t: Triple) -> bool:
+        """Add t to the set being grown; False, changing nothing, if t is in it."""
+        if t in self.triples:
+            return False
+        self.triples.add(t)
+        self._by_s.setdefault(t.subject, []).append(t)
+        self._by_p.setdefault(t.predicate, []).append(t)
+        self._by_o.setdefault(t.object, []).append(t)
+        return True
+
+    def snapshot(self, prefixes: Mapping[str, Iri]) -> "Graph":
+        """A graph of these triples that adopts this index, which then holds
+        the graph's frozenset: nothing may add to it after."""
+        g = Graph(self.triples, prefixes)
+        self.triples, g._index = g._triples, self
+        return g
+
+    def scan(self, subject: Term | None = None, predicate: Iri | None = None,
+             object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions, in no particular order.
+
+        None is a wildcard. The result is a fresh list.
+        """
+        # narrowest available index first: subject, object, then predicate;
+        # the chosen index fixes its position, so only the others are compared
+        if subject is not None:
+            candidates = self._by_s.get(subject, ())
+        elif object is not None:
+            candidates, object = self._by_o.get(object, ()), None
+        elif predicate is not None:
+            candidates, predicate = self._by_p.get(predicate, ()), None
+        else:
+            candidates = self.triples
+        if predicate is None and object is None:
+            return list(candidates)
+        # identity, then the cached hash, so few candidates reach the dataclass __eq__
+        ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
+        return [
+            t for t in candidates
+            if (predicate is None or t.predicate is predicate
+                or t.predicate._hash == ph and t.predicate == predicate)
+            and (object is None or t.object is object
+                 or t.object._hash == oh and t.object == object)
+        ]
+
+    def subjects(self) -> set[Union[Iri, BlankNode]]:
+        """The distinct subjects, as a fresh set of the subject keys."""
+        return set(self._by_s)
+
+
 class Graph:
     """Immutable set of triples plus a prefix map.
 
@@ -236,9 +303,6 @@ class Graph:
         return iter(self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
-
-    def contains(self, t: Triple) -> bool:
         return t in self._triples
 
     def __eq__(self, other) -> bool:
@@ -281,45 +345,14 @@ class Graph:
 
     # -- matching --
     def _build_index(self):
-        by_s: dict = {}
-        by_p: dict = {}
-        by_o: dict = {}
-        for t in self._triples:
-            by_s.setdefault(t.subject, []).append(t)
-            by_p.setdefault(t.predicate, []).append(t)
-            by_o.setdefault(t.object, []).append(t)
-        self._index = (by_s, by_p, by_o)
+        self._index = TripleIndex(self._triples)
 
     def scan(self, subject: Term | None = None, predicate: Iri | None = None,
              object: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions, in no particular order.
-
-        None is a wildcard. The result is a fresh list.
-        """
+        """`TripleIndex.scan` over this graph's index."""
         if self._index is None:
             self._build_index()
-        by_s, by_p, by_o = self._index
-        # narrowest available index first: subject, object, then predicate;
-        # the chosen index fixes its position, so only the others are compared
-        if subject is not None:
-            candidates = by_s.get(subject, ())
-        elif object is not None:
-            candidates, object = by_o.get(object, ()), None
-        elif predicate is not None:
-            candidates, predicate = by_p.get(predicate, ()), None
-        else:
-            candidates = self._triples
-        if predicate is None and object is None:
-            return list(candidates)
-        # identity, then the cached hash, so few candidates reach the dataclass __eq__
-        ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
-        return [
-            t for t in candidates
-            if (predicate is None or t.predicate is predicate
-                or t.predicate._hash == ph and t.predicate == predicate)
-            and (object is None or t.object is object
-                 or t.object._hash == oh and t.object == object)
-        ]
+        return self._index.scan(subject, predicate, object)
 
     def match(self, subject: Term | None = None, predicate: Iri | None = None,
               object: Term | None = None) -> list[Triple]:
@@ -355,7 +388,7 @@ class Graph:
         """The distinct subjects, as a fresh set of the index's subject keys."""
         if self._index is None:
             self._build_index()
-        return set(self._index[0])
+        return self._index.subjects()
 
     def objects_of(self, subject: Term, predicate: Iri) -> list[Term]:
         return [t.object for t in self.match(subject, predicate, None)]

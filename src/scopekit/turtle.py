@@ -31,6 +31,7 @@ predicates and objects sorted within the block, LF line endings.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from typing import Callable, Union
 
@@ -468,26 +469,14 @@ def serialize_turtle_canonical(g: Graph) -> str:
     abbreviate = functools.cache(lambda iri: _abbreviate(iri, prefixes))
     lines = [f"@prefix {name}: <{prefixes[name].value}> ." for name in sorted(prefixes)]
 
-    by_subject: dict[Iri, dict[Iri, list[Term]]] = {}
-    for t in g:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
-
     blocks = []
-    for subject in sorted(by_subject, key=lambda s: s.value):
-        subj_str = _render_term(subject, abbreviate)
-        parts = []
-        for predicate in sorted(by_subject[subject], key=lambda p: p.value):
-            objs = sorted(by_subject[subject][predicate], key=term_sort_key)
-            rendered = ", ".join(_render_term(o, abbreviate) for o in objs)
-            parts.append(f"{_render_term(predicate, abbreviate, as_predicate=True)} {rendered}")
-        block = f"{subj_str} " + " ;\n    ".join(parts) + " ."
-        blocks.append(block)
+    for subject in sorted(g.subjects(), key=lambda s: s.value):
+        triples = g.scan(subject)
+        triples.sort(key=lambda t: (t.predicate.value, term_sort_key(t.object)))
+        parts = [f"{_render_term(predicate, abbreviate, as_predicate=True)} "
+                 + ", ".join(_render_term(t.object, abbreviate) for t in group)
+                 for predicate, group in itertools.groupby(triples, key=lambda t: t.predicate)]
+        blocks.append(f"{_render_term(subject, abbreviate)} " + " ;\n    ".join(parts) + " .")
 
-    pieces = []
-    if lines:
-        pieces.append("\n".join(lines))
-    if blocks:
-        pieces.append("\n\n".join(blocks))
-    if not pieces:
-        return ""
-    return "\n\n".join(pieces) + "\n"
+    pieces = [piece for piece in ("\n".join(lines), "\n\n".join(blocks)) if piece]
+    return "\n\n".join(pieces) + "\n" if pieces else ""

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from scopekit import casekit
-from scopekit.casekit import CustodyEvent, Ioc, kebab
+from scopekit import casekit, cli
+from scopekit.casekit import CustodyEvent, Ioc, first_literal, kebab
+from scopekit.catalog import load_default_catalog
 from scopekit.errors import (
     CaseMismatchError,
     CsvFormatError,
@@ -31,8 +32,11 @@ from scopekit.namespaces import (
     role,
     threats,
 )
-from scopekit.terms import Graph, Iri, Literal, Triple
+from scopekit.schema import load_default_schema
+from scopekit.terms import RDF_TYPE, XSD_INTEGER, Graph, Iri, Literal, Triple
 from scopekit.turtle import parse_turtle
+
+from conftest import FIXTURE_DIR
 
 
 T0 = "2100-01-01T00:00:00Z"
@@ -467,3 +471,90 @@ class TestSnapshot:
         summarize(c)
         c.iocs()
         assert c.graph is wrapped
+
+
+def lookups(g, case_iri, component):
+    """The lookups a snapshot answers, in an order-free form."""
+    return (
+        sorted(map(str, g.scan(case_iri))),
+        sorted(map(str, g.scan(None, None, component))),
+        sorted(map(str, g.scan(None, RDF_TYPE, None))),
+        g.match(),
+        g.match(None, RDF_TYPE, None),
+        g.subjects(),
+    )
+
+
+class TestOneIndex:
+    def grow(self, c, component):
+        """Adds that reach every index list of an existing snapshot: the
+        case as subject, the component as object, and rdf:type."""
+        c.add(Triple(c.case_iri, PROP_DESCRIPTION, Literal("widened")))
+        c.add_threat(threats("Tampering"), component)
+        return c.add_component(infrastructure("WaterSystem"), "plant")
+
+    def test_earlier_snapshot_lookups_are_unchanged_by_add(self):
+        c = make_case()
+        component = c.add_component(infrastructure("EnergySystem"), "grid")
+        before = c.graph
+        seen = lookups(before, c.case_iri, component)
+        plant = self.grow(c, component)
+        assert lookups(before, c.case_iri, component) == seen
+        assert not before.scan(plant) and plant in c.graph.subjects()
+        assert len(c.graph) == len(before) + 6
+
+    def test_fork_adds_stay_out_of_the_wrapped_graph(self):
+        c = make_case()
+        component = c.add_component(infrastructure("EnergySystem"), "grid")
+        g = c.graph
+        seen = lookups(g, c.case_iri, component)
+        fork = casekit.from_graph(g)
+        plant = self.grow(fork, component)
+        assert lookups(g, c.case_iri, component) == seen
+        assert fork.has_node(plant) and not c.has_node(plant)
+        # and the case that made g grows without reaching the fork
+        mine = self.grow(c, component)
+        assert lookups(g, c.case_iri, component) == seen
+        assert not fork.has_node(mine)
+        assert len(fork.graph) == len(c.graph) == len(g) + 6
+
+    def test_first_literal_is_the_canonical_first(self):
+        s, p = Iri("http://example.org/s"), Iri("http://example.org/p")
+        iris = [Triple(s, p, Iri(f"http://example.org/{x}")) for x in "az"]
+
+        def first(*literals):
+            return first_literal(Graph(iris + [Triple(s, p, o) for o in literals]), s, p)
+
+        # canonical order compares lexical forms as text, so "10" < "7" < "alpha"
+        assert first(Literal("beta"), Literal("alpha", lang="en"), Literal("gamma", lang="de"),
+                     Literal("delta")) == "alpha"
+        assert first(Literal("beta"), Literal("alpha", lang="en"), Literal("7", XSD_INTEGER),
+                     Literal("10", XSD_INTEGER)) == "10"
+        assert first(Literal("beta")) == "beta"
+        assert first() is None
+
+    def count_index_builds(self, monkeypatch, run):
+        built = []
+        original = Graph._build_index
+        monkeypatch.setattr(Graph, "_build_index",
+                            lambda self: built.append(len(self)) or original(self))
+        result = run()
+        monkeypatch.undo()
+        return built, result
+
+    def test_report_builds_the_index_once(self, monkeypatch, capsys):
+        # loaded once and cached: their own graphs are not the case's
+        load_default_schema(), load_default_catalog()
+        path = str(FIXTURE_DIR / "scenario1.ttl")
+        built, code = self.count_index_builds(monkeypatch, lambda: cli.main(["report", path]))
+        assert code == 0 and capsys.readouterr().out.startswith("#")
+        assert len(built) == 1
+
+    def test_built_case_validates_without_an_index_build(self, monkeypatch):
+        def build_and_validate():
+            c = build_components(5)
+            return c, c.validate()
+
+        built, (c, report) = self.count_index_builds(monkeypatch, build_and_validate)
+        assert report.findings == () and report.checked_triples == len(c.graph)
+        assert built == []

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from scopekit import cli, turtle
 from scopekit.errors import ParseError
@@ -50,8 +50,10 @@ from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 from conftest import FIXTURE_DIR
 from helpers import assert_one_object_per_term
 
+# no explain phase: it re-runs each falsifying example many times over, which
+# turns a failing property's report from seconds into minutes
 settings.register_profile("contracts", derandomize=True, database=None, deadline=None,
-                          max_examples=150)
+                          max_examples=150, phases=[p for p in Phase if p is not Phase.explain])
 CONTRACTS = settings.get_profile("contracts")
 
 ROOT = Path(__file__).resolve().parents[1]
