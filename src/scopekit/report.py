@@ -28,7 +28,7 @@ from .namespaces import (
     PROP_TACTIC,
     PROP_TECHNIQUE_ID,
 )
-from .terms import RDF_TYPE, Graph, Iri
+from .terms import Graph, Iri, term_sort_key
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,10 @@ def _label(g: Graph, node) -> str:
     return str(node)
 
 
-def _instances_under(g: Graph, schema, root: Iri) -> dict:
-    """subject -> set of its declared types that sit under root."""
-    out: dict = {}
-    types = g.scan(None, RDF_TYPE, None)
-    under = {c for c in {t.object for t in types}
-             if isinstance(c, Iri) and c in schema.classes and root in schema.ancestors(c)}
-    for t in types:
-        if t.object in under:
-            out.setdefault(t.subject, set()).add(t.object)
-    return out
-
-
 def summarize(c: CaseGraph) -> CaseSummary:
+    """The case's summary. Rows follow what they print, never hash order:
+    actions sort on their whole row, and where technique nodes share an id,
+    the node first in canonical term order names it."""
     report = c.validate()
     if report.errors:
         raise InvalidCaseError(report)
@@ -105,7 +96,7 @@ def summarize(c: CaseGraph) -> CaseSummary:
     schema, catalog = c.schema, c.catalog
 
     counts: dict[str, int] = {}
-    for subject, classes in _instances_under(g, schema, CLS_THREAT).items():
+    for subject, classes in schema.instances_under(g, CLS_THREAT).items():
         category = None
         for cls in sorted(classes, key=lambda x: x.value):
             try:
@@ -118,12 +109,12 @@ def summarize(c: CaseGraph) -> CaseSummary:
     threat_counts = tuple(sorted(counts.items()))
 
     by_tactic: dict[str, dict[str, str]] = {}
-    for subject in _instances_under(g, schema, CLS_ATTACK_TECHNIQUE):
+    for subject in sorted(schema.instances_under(g, CLS_ATTACK_TECHNIQUE), key=term_sort_key):
         tid = first_literal(g, subject, PROP_TECHNIQUE_ID)
         if not tid:
             continue
         tactic = first_literal(g, subject, PROP_TACTIC) or "Unspecified"
-        by_tactic.setdefault(tactic, {})[tid] = first_literal(g, subject, PROP_NAME) or ""
+        by_tactic.setdefault(tactic, {}).setdefault(tid, first_literal(g, subject, PROP_NAME) or "")
     tactic_map = tuple(
         (tactic, tuple(sorted(techs.items())))
         for tactic, techs in sorted(by_tactic.items()))
@@ -145,7 +136,7 @@ def summarize(c: CaseGraph) -> CaseSummary:
     custody.sort(key=lambda e: (e.at, e.evidence, e.sequence))
 
     actions = []
-    for subject in _instances_under(g, schema, CLS_INVESTIGATIVE_ACTION):
+    for subject in schema.instances_under(g, CLS_INVESTIGATIVE_ACTION):
         performers = g.objects_of(subject, PROP_PERFORMED_BY)
         actions.append(ActionEntry(
             at=first_literal(g, subject, PROP_START_TIME) or "",
@@ -153,7 +144,7 @@ def summarize(c: CaseGraph) -> CaseSummary:
             location=first_literal(g, subject, PROP_LOCATION_NOTE) or "",
             performer=_label(g, performers[0]) if performers else "",
         ))
-    actions.sort(key=lambda a: (a.at, a.description))
+    actions.sort(key=lambda a: (a.at, a.description, a.location, a.performer))
 
     return CaseSummary(
         case_id=c.case_iri.value,
@@ -170,11 +161,9 @@ def summarize(c: CaseGraph) -> CaseSummary:
 def _section(lines: list[str], title: str, items, header: tuple[str, ...] = ()) -> None:
     """A "## title" section: a table under header, else bullets; "None recorded." if empty."""
     if header and items:
-        # an unescaped | inside a cell would start a new column, a line break a new row
-        rows = ("| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |"
-                for row in (header, ("---",) * len(header), *items))
-        body = [row.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-                for row in rows]
+        # an unescaped | inside a cell would start a new column
+        body = ["| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |"
+                for row in (header, ("---",) * len(header), *items)]
     else:
         body = [f"- {item}" for item in items] or ["None recorded."]
     lines += [f"## {title}", "", *body, ""]
@@ -202,4 +191,6 @@ def render_markdown(s: CaseSummary) -> str:
     _section(lines, "Actions",
              [(a.at, a.description, a.location, a.performer) for a in s.actions],
              ("When", "Description", "Location", "By"))
-    return "\n".join(lines)
+    # a line break inside a value would split its heading, bullet or table row
+    return "\n".join(line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+                     for line in lines)

@@ -108,6 +108,18 @@ class Schema:
             raise UnknownClassError(f"class not declared: {ancestor}")
         return frozenset(c for c, anc in self._ancestors.items() if ancestor in anc)
 
+    def instances_under(self, g: Graph, root: Iri) -> dict:
+        """Each node of g typed with a declared class under root (root included)
+        -> those classes, read by one `g.scan(None, rdf:type, c)` per class in
+        `subclasses_of(root)`; {} when root is not declared."""
+        if root not in self.classes:
+            return {}
+        out: dict = {}
+        for c in self.subclasses_of(root):
+            for t in g.scan(None, RDF_TYPE, c):
+                out.setdefault(t.subject, set()).add(c)
+        return out
+
     def applicable_properties(self, c: Iri) -> list[PropertyDef]:
         """Properties usable on instances of c, via domain-or-ancestor match."""
         anc = self.ancestors(c)

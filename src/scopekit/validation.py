@@ -8,9 +8,11 @@ anything: an untyped node is a finding, not a candidate for inference.
 Every rule reads the graph through its own index (`Graph.scan` and
 `Graph.subjects`); nothing copies it. The property rules (R02-R04) check one
 schema property at a time over that property's triples, as a SHACL property
-shape checks one path over its value nodes. The only per-call view is each
-subject's shape: one per distinct set of rdf:type objects, in the manner of
-SHACL node shapes, holding its undeclared classes and its declared classes'
+shape checks one path over its value nodes. The class rules (R09-R11) read
+a class's members through `Schema.instances_under`, one type scan per
+subclass. The only per-call view is each subject's shape, which serves
+R01-R05: one per distinct set of rdf:type objects, in the manner of SHACL
+node shapes, holding its undeclared classes and its declared classes'
 ancestors.
 """
 
@@ -164,11 +166,6 @@ class _Ctx:
     def ancestors(self, c: Iri) -> frozenset[Iri]:
         return self._ancestors.get(c) or self._ancestors.setdefault(c, self.schema.ancestors(c))
 
-    def instances_of(self, cls: Iri) -> list:
-        d = self.schema.classes.get(cls)
-        cls = d.iri if d else cls  # the schema's own object
-        return [s for s, shape in self.shape.items() if cls in shape.ancestors]
-
     def values(self, subject, predicate: Iri) -> list:
         return [t.object for t in self.g.scan(subject, predicate, None)]
 
@@ -287,7 +284,7 @@ _rule_r12 = _literal_shape_rule("R12", PROP_CVE_ID, CVE_ID_RE, "CVE id (CVE-YYYY
 
 def _rule_r09(ctx: _Ctx):
     """Threat nodes should point at the infrastructure they apply to."""
-    for s in ctx.instances_of(CLS_THREAT):
+    for s in ctx.schema.instances_under(ctx.g, CLS_THREAT):
         if not ctx.values(s, PROP_TARGETS):
             yield Finding(WARNING, "R09", skolemize_term(s),
                           "threat is not linked to any infrastructure component")
@@ -295,13 +292,8 @@ def _rule_r09(ctx: _Ctx):
 
 def _rule_r10(ctx: _Ctx):
     """Chain of custody: every acquired item has one, and it moves forward in time."""
-    # custody records grouped by the evidence item they describe
-    records_by_evidence: dict = {}
-    for t in ctx.g.scan(None, PROP_CUSTODY_OF, None):
-        records_by_evidence.setdefault(t.object, []).append(t.subject)
-
-    for e in ctx.instances_of(CLS_ACQUIRED_EVIDENCE):
-        records = records_by_evidence.get(e, [])
+    for e in ctx.schema.instances_under(ctx.g, CLS_ACQUIRED_EVIDENCE):
+        records = [t.subject for t in ctx.g.scan(None, PROP_CUSTODY_OF, e)]
         if not records:
             yield Finding(ERROR, "R10", skolemize_term(e), "no custody chain recorded")
             continue
@@ -339,7 +331,7 @@ def _rule_r10(ctx: _Ctx):
 def _rule_r11(ctx: _Ctx):
     """Crime nodes carry a crimeType from the closed set."""
     allowed = ", ".join(sorted(CRIME_TYPES))
-    for s in ctx.instances_of(CLS_CYBERCRIME):
+    for s in ctx.schema.instances_under(ctx.g, CLS_CYBERCRIME):
         values = ctx.values(s, PROP_CRIME_TYPE)
         if not values:
             yield Finding(ERROR, "R11", skolemize_term(s),

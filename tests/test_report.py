@@ -1,17 +1,33 @@
 """Case summaries and their Markdown / JSON renderings."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import scopekit
 from scopekit import casekit
 from scopekit.errors import InvalidCaseError
-from scopekit.namespaces import evidence, infrastructure, role, threats
-from scopekit.report import CaseSummary, render_markdown, summarize
+from scopekit.namespaces import (
+    CLS_ATTACK_TECHNIQUE,
+    CLS_INCIDENT,
+    PROP_NAME,
+    PROP_TACTIC,
+    PROP_TECHNIQUE_ID,
+    evidence,
+    infrastructure,
+    role,
+    threats,
+)
+from scopekit.report import ActionEntry, CaseSummary, CustodyEntry, render_markdown, summarize
+from scopekit.schema import load_schema
 from scopekit.terms import Literal, Triple
+from scopekit.validation import validate_graph
 
 
 T0 = "2100-01-01T00:00:00Z"
@@ -206,3 +222,95 @@ class TestJson:
         d = s.to_json_dict()
         assert sum(len(v) for v in d["ttps"].values()) == 19
         assert {t["id"] for t in d["ttps"]["Impact"]} == {"T1486", "T1499"}
+
+
+REPORT_BOTH_FORMATS = """
+import sys
+from scopekit.cli import main
+for path in sys.argv[1:]:
+    for fmt in ("md", "json"):
+        main(["report", path, "--format", fmt])
+"""
+
+
+class TestRowOrder:
+    """Tied rows follow what they print, whatever the hash seed."""
+
+    def tied_cases(self):
+        actions = casekit.new_case("tied-actions", at=T0, rng=random.Random(1))
+        analyst = actions.add_role(role("ForensicAnalyst"), "analyst")
+        for i in range(5):
+            actions.add_action("imaged disk", "2100-01-01T01:00:00Z",
+                               location=f"bay {i % 3}", by=analyst if i % 2 else None)
+        techniques = casekit.new_case("shared-technique", at=T0, rng=random.Random(2))
+        for i in range(5):
+            node = techniques.add_node(CLS_ATTACK_TECHNIQUE, f"name {i}")
+            techniques.add(Triple(node, PROP_TECHNIQUE_ID, Literal("T1190")))
+            techniques.add(Triple(node, PROP_TACTIC, Literal("Initial Access")))
+        return actions, techniques
+
+    def test_actions_sort_on_the_whole_row(self):
+        rows = [(a.at, a.description, a.location, a.performer)
+                for a in summarize(self.tied_cases()[0]).actions]
+        assert len(set(rows)) == 5
+        assert rows == sorted(rows)
+
+    def test_shared_technique_id_named_by_canonical_first_node(self):
+        c = self.tied_cases()[1]
+        node = c.graph.match(None, PROP_TECHNIQUE_ID, None)[0].subject  # canonical order
+        first = casekit.first_literal(c.graph, node, PROP_NAME)
+        assert summarize(c).tactic_map == (("Initial Access", (("T1190", first),)),)
+
+    def test_report_does_not_depend_on_hash_seed(self, tmp_path):
+        paths = []
+        for c in self.tied_cases():
+            path = tmp_path / f"{c.name}.ttl"
+            path.write_text(c.to_turtle(), encoding="utf-8")
+            paths.append(str(path))
+        src = str(Path(scopekit.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("0", "1", "2", "3", "4", "5", "6"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outputs.add(subprocess.run([sys.executable, "-c", REPORT_BOTH_FORMATS, *paths],
+                                       env=env, capture_output=True, text=True, check=True,
+                                       timeout=120).stdout)
+        assert len(outputs) == 1
+
+
+class TestLineBreaks:
+    def test_no_value_splits_a_line(self):
+        def summary(text):
+            return CaseSummary(
+                case_id=text, name=text, created=text,
+                threat_counts=((text, 1),),
+                tactic_map=((text, ((text, text),)),),
+                iocs=((text, text, text),),
+                custody=(CustodyEntry(text, text, text, text, 1),),
+                actions=(ActionEntry(text, text, text, text),))
+
+        flat = render_markdown(summary("a b")).split("\n")
+        for brk in ("\n", "\r\n", "\r"):
+            lines = render_markdown(summary(f"a{brk}b")).split("\n")
+            assert lines[0] == "# Case report: a<br>b"
+            assert [l.replace("<br>", " ") for l in lines] == flat
+
+
+INCIDENT_ONLY_SCHEMA = f"""
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+<{CLS_INCIDENT.value}> a rdfs:Class .
+"""
+
+
+class TestUndeclaredRoot:
+    """A custom schema may lack the threat, technique and action roots."""
+
+    def test_incident_only_schema(self, catalog):
+        schema = load_schema([INCIDENT_ONLY_SCHEMA])
+        assert list(schema.classes) == [CLS_INCIDENT]
+        c = casekit.new_case("incident-only", at=T0, schema=schema, catalog=catalog,
+                             rng=random.Random(8))
+        assert schema.instances_under(c.graph, threats("Threat")) == {}
+        assert not validate_graph(c.graph, schema, catalog).findings
+        s = summarize(c)
+        assert (s.threat_counts, s.tactic_map, s.actions) == ((), (), ())
