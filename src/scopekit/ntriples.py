@@ -1,8 +1,11 @@
 """N-Triples parser and canonical serializer, and the term syntax it shares.
 
 Line-oriented grammar: one triple per non-blank, non-comment line, full IRIs
-only, no prefix machinery. Each term is read with one compiled pattern; a
-term that does not match is diagnosed where it starts, by a few checks.
+only, no prefix machinery. Each line is read with one compiled pattern, whose
+subject, predicate, object and closing '.' are each optional only once the
+parts before them have matched. So every line matches, and the first part the
+match leaves unset is where a faulty line goes wrong; a term that does not
+match is diagnosed where it starts, by a few checks.
 
 Turtle and the query text build on this grammar. They take from here the term
 sub-patterns, `unescape`, `escape_string_literal`, `decode_document` and the
@@ -54,16 +57,16 @@ _ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\
             ord("\t"): "\\t"}
 _ESCAPES.update({c: f"\\u{c:04X}" for c in range(0x20) if c not in _ESCAPES})
 
-# One term, the '.' that ends a triple, or an empty 'other' match where
-# neither starts.
-_TERM_RE = re.compile(rf"""[ \t]*(?:
-    (?P<iri>{IRIREF})
-  | (?P<blank>{BLANK_NODE_LABEL})
-  | (?P<literal>(?P<quoted>{STRING_LITERAL_QUOTE})
-        (?:\^\^(?P<datatype>{IRIREF}) | (?P<lang>@{LANGTAG})(?![^\W_]|-))?)
-  | (?P<dot>\.)
-  | (?P<other>)
-)""", re.X)
+# One line: blanks, then a subject, a predicate, an object and the '.' that
+# ends the triple, each tried only once the parts before it have matched, with
+# the blanks after each. An object literal's suffix is in group "o".
+_LINE_RE = re.compile(rf"""[ \t]*(?:
+  (?P<s>{IRIREF}|{BLANK_NODE_LABEL})[ \t]*(?:
+  (?P<p>{IRIREF})[ \t]*(?:
+  (?P<o>{IRIREF}|{BLANK_NODE_LABEL}
+     |(?P<q>{STRING_LITERAL_QUOTE})
+      (?:\^\^(?P<dt>{IRIREF})|(?P<lang>@{LANGTAG})(?![^\W_]|-))?)[ \t]*
+  (?P<dot>\.[ \t]*)?)?)?)?""", re.X)
 # Where an IRI, a blank node label or a string literal stops matching.
 _TERM_PREFIX_RE = re.compile(rf'<[^>\x00-\x20]*|"{STRING_CHARS}|_:?\w*')
 
@@ -151,33 +154,25 @@ def term_error(text: str, pos: int) -> tuple[str, int]:
     return f"malformed \\{esc} escape", end
 
 
-def _term(m: re.Match, lineno: int, memo: dict) -> Term:
-    """The term `m` matched. It is built, and so checked, only the first time
-    its text appears; memo then hands out the same object."""
-    kind = m.lastgroup
-    text = m.group(kind)
-    term = memo.get(text)
-    if term is not None:
-        return term
-    pos = m.start(kind)
+def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
+    """The term in group `role` of the line match `m`, built and so checked
+    the first time its text appears; memo then hands out the same object."""
+    text = m.group(role)
+    pos = m.start(role)
     try:
-        if kind == "iri":
+        if text[0] == "<":
             term = Iri(text[1:-1])
-        elif kind == "blank":
+        elif text[0] == "_":
             term = BlankNode(text[2:])
         else:
             try:
-                lexical = unescape(m.group("quoted")[1:-1])
+                lexical = unescape(m.group("q")[1:-1])
             except ValueError as e:
                 message, offset = e.args
                 raise ParseError(message, lineno, pos + offset + 2) from None
-            datatype, lang = m.group("datatype"), m.group("lang")
+            datatype, lang = m.group("dt", "lang")
             if datatype is not None:
-                pos = m.start("datatype")
-                iri = memo.get(datatype)
-                if iri is None:
-                    iri = memo[datatype] = Iri(datatype[1:-1])
-                term = Literal(lexical, iri)
+                term = Literal(lexical, memo.get(datatype) or _term(m, "dt", lineno, memo))
             elif lang is not None:
                 pos = m.start("lang")
                 term = Literal(lexical, lang=lang[1:])
@@ -192,20 +187,28 @@ def _term(m: re.Match, lineno: int, memo: dict) -> Term:
     return term
 
 
-def _line_error(line: str, lineno: int, m: re.Match, expected: str) -> ParseError:
-    """The error for a line whose next match `m` is not the `expected` part."""
-    pos = m.start(m.lastgroup)
+def _line_error(line: str, lineno: int, m: re.Match, memo: dict) -> ParseError:
+    """The error for a line that the line match `m` reads only in part: a
+    fault in a term it read comes first, then the first part it left unset."""
+    s, p, o = m.group("s", "p", "o")
+    for role, text in (("s", s), ("p", p), ("o", o)):
+        if text is not None and text not in memo:
+            _term(m, role, lineno, memo)
+    pos = m.end()
     found = line[pos:pos + 1]
-    if expected == "'.'":
+    if o is not None:
+        end = m.end("o")
+        if m.end("q") == end and line.startswith(("^^", "@"), end):
+            return _suffix_error(line, lineno, end)
         message = "expected '.' at end of triple"
-    elif expected == "subject" and found == '"':
+    elif s is None and found == '"':
         message = "a literal cannot be the subject of a triple"
-    elif expected == "predicate" and found != "<":
+    elif s is not None and p is None and found != "<":
         message = "expected predicate IRI"
-    elif m.lastgroup == "other" and found in ("<", "_", '"'):
+    elif found in ("<", "_", '"'):
         message, pos = term_error(line, pos)
     else:
-        message = f"expected {expected}, found {found!r}"
+        message = f"expected {'subject' if s is None else 'object'}, found {found!r}"
     return ParseError(message, lineno, pos + 1)
 
 
@@ -236,34 +239,20 @@ def parse_ntriples(doc: Union[str, bytes]) -> Graph:
     # term text -> term; a literal is also its own key. Text keys start with
     # '<', '_' or '"', so the three kinds cannot collide.
     memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}
+    match, add = _LINE_RE.match, triples.add
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        m = _TERM_RE.match(line)
-        if m.lastgroup not in ("iri", "blank"):
-            if m.lastgroup == "other" and line[m.end():m.end() + 1] in ("", "#"):
-                continue  # blank or comment line
-            raise _line_error(line, lineno, m, "subject")
-        subject = _term(m, lineno, memo)
-        m = _TERM_RE.match(line, m.end())
-        if m.lastgroup != "iri":
-            raise _line_error(line, lineno, m, "predicate")
-        predicate = _term(m, lineno, memo)
-        m = _TERM_RE.match(line, m.end())
-        if m.lastgroup not in ("iri", "blank", "literal"):
-            raise _line_error(line, lineno, m, "object")
-        obj = _term(m, lineno, memo)
-        end = m.end()
-        bare_literal = m.end("quoted") == end
-        m = _TERM_RE.match(line, end)
-        if m.lastgroup != "dot":
-            if bare_literal and line.startswith(("^^", "@"), end):
-                raise _suffix_error(line, lineno, end)
-            raise _line_error(line, lineno, m, "'.'")
-        rest = line[m.end():].lstrip(" \t")
-        if rest and rest[0] != "#":
-            raise ParseError("unexpected trailing content after '.'", lineno,
-                             len(line) - len(rest) + 1)
-        triples.add(Triple(subject, predicate, obj))
+        m = match(line)
+        s, p, o, _, _, _, dot = m.groups()
+        if dot is not None:
+            add(Triple(memo.get(s) or _term(m, "s", lineno, memo),
+                       memo.get(p) or _term(m, "p", lineno, memo),
+                       memo.get(o) or _term(m, "o", lineno, memo)))
+            end = m.end()
+            if end < len(line) and line[end] != "#":
+                raise ParseError("unexpected trailing content after '.'", lineno, end + 1)
+        elif s is not None or line[m.end():m.end() + 1] not in ("", "#"):
+            raise _line_error(line, lineno, m, memo)
     return Graph(triples)
 
 

@@ -7,6 +7,7 @@ reader downstream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .casekit import CaseGraph, first_literal
@@ -29,6 +30,12 @@ from .namespaces import (
     PROP_TECHNIQUE_ID,
 )
 from .terms import Graph, Iri, term_sort_key
+
+# A case value reaches the Markdown as text: a line break as <br>, so it cannot
+# split its line; '&', '<' and '>' as entities, so <br> is the only markup;
+# other C0 controls, DEL and the bidi controls as \uXXXX, inert in a terminal.
+_UNSAFE_RE = re.compile("[\x00-\x1f\x7f&<>\u202a-\u202e\u2066-\u2069]")
+_MARKUP = {"\n": "<br>", "\r": "<br>", "&": "&amp;", "<": "&lt;", ">": "&gt;"}
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,5 @@ def render_markdown(s: CaseSummary) -> str:
     _section(lines, "Actions",
              [(a.at, a.description, a.location, a.performer) for a in s.actions],
              ("When", "Description", "Location", "By"))
-    # a line break inside a value would split its heading, bullet or table row
-    return "\n".join(line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-                     for line in lines)
+    return "\n".join(_UNSAFE_RE.sub(lambda m: _MARKUP.get(m[0]) or f"\\u{ord(m[0]):04X}",
+                                    line.replace("\r\n", "\n")) for line in lines)

@@ -1,4 +1,4 @@
-"""Contracts the Turtle parser keeps on every input, checked on generated ones.
+"""Contracts the parsers keep on every input, checked on generated ones.
 
 Hypothesis runs these under the derandomized `contracts` profile, so every run
 draws the same examples and a failure reproduces without a database.
@@ -9,6 +9,11 @@ draws the same examples and a failure reproduces without a database.
 - On mutated documents the step patterns and the token parser alone agree on
   the graph or on the error, every error lies inside the document, and the
   CLI exits 0 or 2 without a traceback.
+- On mutated N-Triples documents the parser raises only a ParseError, whose
+  line and column lie inside the document, and `convert --to ttl` exits 0
+  or 2 without a traceback.
+- On mutated query texts, parsing the query and compiling its filters raise
+  only the query text's own errors.
 - Each canonical writer's output parses back to the graph it wrote, and
   Turtle -> N-Triples -> Turtle gives back the same bytes.
 """
@@ -25,7 +30,12 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from scopekit import cli, turtle
-from scopekit.errors import ParseError
+from scopekit.errors import (
+    MalformedVariableError,
+    ParseError,
+    QueryTextError,
+    UnsupportedRegexError,
+)
 from scopekit.namespaces import RDF_NS, XSD
 from scopekit.ntriples import (
     decode_document,
@@ -33,6 +43,7 @@ from scopekit.ntriples import (
     render_triple,
     serialize_ntriples_canonical,
 )
+from scopekit.query import check_regex, parse_query
 from scopekit.terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -271,6 +282,15 @@ def mutants(name: str, count: int) -> list[bytes]:
     return [mutate(data, rng) for _ in range(count)]
 
 
+def ntriples_mutants(name: str, count: int) -> list[bytes]:
+    """Mutants of a fixture's triples written as N-Triples lines, after a
+    comment and a blank line."""
+    rng = random.Random(f"nt-mutants-{name}")
+    lines = sorted(render_triple(t) + "\n" for t in parse_turtle((FIXTURE_DIR / name).read_bytes()))
+    data = ("# " + name + "\n\n" + "".join(lines)).encode()
+    return [mutate(data, rng) for _ in range(count)]
+
+
 def outcome(parse, doc):
     try:
         g = parse(doc)
@@ -307,6 +327,59 @@ class TestMutatedFixtures:
             err = capsys.readouterr().err
             assert "Traceback" not in err
         assert codes <= {0, 2}
+
+
+class TestMutatedNTriples:
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    def test_errors_stay_inside_the_document(self, name):
+        for data in ntriples_mutants(name, 150):
+            result = outcome(parse_ntriples, data)
+            try:
+                text = decode_document(data)
+            except ParseError as e:
+                assert (e.line, e.column) == (0, 0)
+                continue
+            if len(result) == 4:
+                line, column = result[2:]
+                lines = text.split("\n")
+                assert 1 <= line <= len(lines)
+                assert 1 <= column <= len(lines[line - 1]) + 1
+
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    def test_convert_exits_cleanly(self, name, tmp_path, capsys):
+        path = tmp_path / "case.nt"
+        codes = set()
+        for data in ntriples_mutants(name, 25):
+            path.write_bytes(data)
+            codes.add(cli.main(["convert", str(path), "--to", "ttl"]))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+        assert codes <= {0, 2}
+
+
+# query texts to mutate: prefixed names, full IRIs, variables, literals with
+# escapes, tags and datatypes, integers, booleans, blank nodes, comments and
+# FILTER lines
+QUERY_TEXTS = (
+    "?e scope-evidence:evidenceOf ?c\n?c a ?type\n?e a ?kind\n",
+    '# names\n?s uco-core:name ?n\nFILTER ?n /^[A-Z](ab|c)*d?$/\n\n?s a ?t\n',
+    '?s <http://example.org/p> "x\\t\\u00e9"@en-GB\n?s ?p "7"^^xsd:integer\n',
+    "?s ?p 42\n?s ?q true\n_:b ?r ?s\nFILTER ?p /custody|name$/\n",
+)
+
+
+class TestMutatedQueries:
+    def test_only_query_errors(self):
+        rng = random.Random("query-mutants")
+        for text in QUERY_TEXTS:
+            data = text.encode()
+            for _ in range(500):
+                mutant = mutate(data, rng).decode("utf-8", "replace")
+                try:
+                    for _, regex in parse_query(mutant)[1]:
+                        check_regex(regex)
+                except (QueryTextError, MalformedVariableError, UnsupportedRegexError):
+                    pass
 
 
 # skolemized graphs for the round trips: IRIs in a bound namespace (the

@@ -114,6 +114,16 @@ NTRIPLES_ERRORS = [
     (f'{S} {P} "x"@toolongtag .', "malformed language tag: 'toolongtag'", 1, 32),
     (f'{S} {P} "x" .\r\n{S} {P} {O} .\r\n{S} {P} "\\q" .\r\n', "unknown escape \\q", 3, 30),
     (f"# header\n\n{S} {P} {O} . # ok\n  {S} %", "expected predicate IRI", 4, 17),
+    # a fault inside a term that was read comes before a missing part after it
+    (f'<relative> "lit" {O} .', "IRI has no scheme: 'relative'", 1, 1),
+    (f"<relative> {P} {O} . x", "IRI has no scheme: 'relative'", 1, 1),
+    (f'{S} <relative> "x"@en-', "IRI has no scheme: 'relative'", 1, 15),
+    (f'{S} {P} "\\q" . x', "unknown escape \\q", 1, 30),
+    (f"_:1 <relative> {O} .", "malformed blank node label: '1'", 1, 1),
+    (f'{S} {P} "x"@toolongtag x', "malformed language tag: 'toolongtag'", 1, 32),
+    # a literal's '^^' or '@' is read where the literal ends, not after a gap
+    (f'{S} {P} "x" @en .', "expected '.' at end of triple", 1, 33),
+    (f'{S} {P} "x"^^<http://ex/a b> .', "whitespace or control character inside IRI", 1, 46),
 ]
 
 QUERY_ERRORS = [

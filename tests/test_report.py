@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scopekit
 from scopekit import casekit
@@ -294,6 +295,45 @@ class TestLineBreaks:
             lines = render_markdown(summary(f"a{brk}b")).split("\n")
             assert lines[0] == "# Case report: a<br>b"
             assert [l.replace("<br>", " ") for l in lines] == flat
+
+
+# what a received case may hold that the Markdown must not pass on as markup,
+# a line break or a terminal control
+UNSAFE_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("<>&|\\\n\r\t\x1b\x07\x00\x7f\u202a\u202e\u2066\u2069 ab"),
+    st.characters(codec="utf-8")), max_size=20)
+
+
+def summary_of(text: str) -> CaseSummary:
+    """A summary that holds `text` in every string field."""
+    return CaseSummary(
+        case_id=text, name=text, created=text,
+        threat_counts=((text, 1),),
+        tactic_map=((text, ((text, text),)),),
+        iocs=((text, text, text),),
+        custody=(CustodyEntry(text, text, text, text, 1),),
+        actions=(ActionEntry(text, text, text, text),))
+
+
+class TestInertValues:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(UNSAFE_TEXT)
+    def test_values_cannot_inject(self, text):
+        md = render_markdown(summary_of(text))
+        plain = render_markdown(summary_of("a" * len(text)))
+        assert "<" not in md.replace("<br>", "")
+        assert not re.search("[\x00-\x09\x0b-\x1f\x7f\u202a-\u202e\u2066-\u2069]", md)
+        assert md.count("\n") == plain.count("\n")
+
+    def test_injected_name_and_description(self, schema, catalog):
+        c = casekit.new_case("x <img src=x onerror=alert(1)>\x1b[2J\x07", at=T0,
+                             rng=random.Random(6))
+        c.add_action("<script>alert(2)</script> & \u202egnp.exe", "2100-01-01T01:00:00Z")
+        md = render_markdown(summarize(c))
+        assert md.splitlines()[0] == (
+            "# Case report: x &lt;img src=x onerror=alert(1)&gt;\\u001B[2J\\u0007")
+        assert "- Name: x &lt;img src=x onerror=alert(1)&gt;\\u001B[2J\\u0007" in md
+        assert ("| &lt;script&gt;alert(2)&lt;/script&gt; &amp; \\u202Egnp.exe |") in md
 
 
 INCIDENT_ONLY_SCHEMA = f"""
