@@ -2,9 +2,19 @@
 
 Small on purpose: patterns join on shared variables, filters run as soon as
 their variable is bound, and results come back as a deduplicated, canonically
-sorted table. The sort reads the ranks a graph computes once for its terms
-(`Graph.term_ranks`), and a join whose table passes MAX_ROWS rows raises
-QueryTooLargeError. No OPTIONAL, no UNION, no property paths.
+sorted table. No OPTIONAL, no UNION, no property paths.
+
+The join plans its order greedily by selectivity, as RDF-3X does: first the
+pattern whose constants pick the shortest index list (`Graph.estimate`, which
+reads no triples), then each time a pattern that shares a variable bound so
+far, again by the shortest list; ties keep the written order. Rows that bind a
+pattern's bound cells to the same term objects share one lookup, filtered and
+cut to the pattern's new cells once per call. The table is sorted on the ranks
+a graph computes once for its terms (`Graph.term_ranks`). A full scan, one
+pattern of three distinct variables, sorts nothing: it reads the triples in
+the order of its columns, which the graph builds once and keeps
+(`Graph.sorted_triples`). A table that passes MAX_ROWS rows raises
+QueryTooLargeError.
 
 The text syntax puts one pattern per line. Lines end at LF only; whitespace
 around a line, a trailing CR included, is ignored. Terms are read with one
@@ -16,10 +26,11 @@ name a Unicode scalar value, and an escaped surrogate is an error.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     InvalidIriError,
@@ -96,7 +107,8 @@ class BindingTable:
 def check_regex(text: str) -> "re.Pattern[str]":
     """Compile the conservative filter dialect: literals, classes, ., * + ?,
     anchors, alternation, plain groups. Counted repetition, (?...) extensions,
-    and backreferences are rejected so filters behave the same everywhere."""
+    backreferences and what `re` flags as ambiguous (a FutureWarning, such as
+    a nested set) are rejected so filters behave the same everywhere."""
     i, in_class = 0, False
     while i < len(text):
         ch = text[i]
@@ -124,10 +136,16 @@ def check_regex(text: str) -> "re.Pattern[str]":
         i += 1
     if in_class:
         raise UnsupportedRegexError("unterminated character class in filter regex")
-    try:
-        return re.compile(text)
-    except re.error as exc:
-        raise UnsupportedRegexError(f"bad filter regex: {exc}") from None
+    # re warns where a later Python may read the pattern differently ("[[a]");
+    # such a filter is rejected, not run with a warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        try:
+            return re.compile(text)
+        except FutureWarning as exc:
+            raise UnsupportedRegexError(f"ambiguous filter regex: {exc}") from None
+        except re.error as exc:
+            raise UnsupportedRegexError(f"bad filter regex: {exc}") from None
 
 
 def _filter_text(term: Term) -> str:
@@ -173,15 +191,12 @@ def _compile(p: Pattern, slot_of: dict[str, int]):
     return lookup, new, same
 
 
-def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
-          ) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
-    """The filtered rows of a query, unprojected and unsorted, and the slot
-    of each of the query's variables in a row. A filter runs on the matches
-    of the pattern that first binds its variable, once per distinct term object."""
+def _checked_filters(patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
+                     ) -> list[tuple[str, "re.Pattern[str]"]]:
+    """Each filter's variable, without its '?', and its compiled regex."""
     if not patterns:
         raise MalformedVariableError("a query needs at least one pattern")
     known_vars = {v for p in patterns for v in p.variables()}
-
     compiled = []
     for var, regex in filters:
         var = var[1:] if var.startswith("?") else var
@@ -189,34 +204,78 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
             raise UnboundFilterVariableError(
                 f"filter variable ?{var} does not appear in any pattern")
         compiled.append((var, check_regex(regex)))
+    return compiled
 
-    # index nested loop join, one pattern at a time. A row is a tuple of
-    # terms, one slot per variable in the order the patterns bind them. The
-    # lookup already matches constants and bound variables, and each lookup
-    # returns distinct triples, so the rows stay distinct without a dedup.
+
+def _plan(g: Graph, patterns: Sequence[Pattern]) -> list[Pattern]:
+    """The patterns in the order the join evaluates them, greedily by
+    selectivity: first the one whose constants pick the shortest index list,
+    then each time one that shares a variable bound so far, again by the
+    shortest list. Ties keep the written order. No pattern is looked up."""
+    size = [g.estimate(*[None if isinstance(t, Variable) else t
+                         for t in (p.subject, p.predicate, p.object)]) for p in patterns]
+    names = [p.variables() for p in patterns]
+    left, bound, plan = list(range(len(patterns))), set(), []
+    while left:
+        i = min([i for i in left if names[i] & bound] or left, key=size.__getitem__)
+        left.remove(i)
+        plan.append(patterns[i])
+        bound |= names[i]
+    return plan
+
+
+def _verdicts(terms: list[Term], rx: "re.Pattern[str]", verdict: dict[int, object]) -> Iterator:
+    """rx's verdict on each of terms, searched once per distinct term object
+    and kept in verdict, by id, for the rest of the call."""
+    fresh = dict(zip(map(id, terms), terms))
+    for i in fresh.keys() - verdict.keys():
+        verdict[i] = rx.search(_filter_text(fresh[i]))
+    return map(verdict.__getitem__, map(id, terms))
+
+
+def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
+          ) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
+    """The filtered rows of a query, unprojected and unsorted, and the slot
+    of each of the query's variables in a row. A filter runs on the matches
+    of the pattern that first binds its variable."""
+    compiled = _checked_filters(patterns, filters)
+
+    # index nested loop join, one pattern at a time, in the planned order. A
+    # row is a tuple of terms, one slot per variable in the order the patterns
+    # bind them. The lookup already matches constants and bound variables, and
+    # each lookup returns distinct triples, so the rows stay distinct without
+    # a dedup. Rows that bind p's bound cells to the same term objects share
+    # one lookup, filtered and cut to p's new cells once.
     slot_of: dict[str, int] = {}
     rows: list[tuple[Term, ...]] = [()]
-    for p in patterns:
+    for p in _plan(g, patterns):
         lookup, new, same = _compile(p, slot_of)
-        # the filters on p's new variables, each with its verdict per term id
-        checks = [(attrgetter(new[var]), rx, {}) for var, rx in compiled if var in new]
+        # predicates repeat across matches, so their verdicts are kept per term;
+        # other positions are searched once per match
+        checks = [(attrgetter(new[var]), rx, {} if new[var] == "predicate" else None)
+                  for var, rx in compiled if var in new]
         take = attrgetter(*new.values()) if new else None
+        cells = [i for i, _ in lookup if i is not None]
+        parts_of: dict[tuple[int, ...], list[tuple[Term, ...]]] = {}
         grown: list[tuple[Term, ...]] = []
         for row in rows:
-            matches = g.scan(*[c if i is None else row[i] for i, c in lookup])
-            if same:
-                matches = [t for t in matches
-                           if all(getattr(t, a) == getattr(t, b) for a, b in same)]
-            for get, rx, verdict in checks:
-                found = list(map(get, matches))
-                fresh = dict(zip(map(id, found), found))
-                for i in fresh.keys() - verdict.keys():
-                    verdict[i] = rx.search(_filter_text(fresh[i]))
-                matches = list(compress(matches, map(verdict.__getitem__, map(id, found))))
-            if take is None:
-                grown += [row] * len(matches)
-                continue
-            parts = map(take, matches) if len(new) > 1 else zip(map(take, matches))
+            key = tuple([id(row[i]) for i in cells])
+            parts = parts_of.get(key)
+            if parts is None:
+                matches = g.scan(*[c if i is None else row[i] for i, c in lookup])
+                if same:
+                    matches = [t for t in matches
+                               if all(getattr(t, a) == getattr(t, b) for a, b in same)]
+                for get, rx, verdict in checks:
+                    if verdict is None:
+                        matches = [t for t in matches if rx.search(_filter_text(get(t)))]
+                    else:
+                        matches = list(compress(matches, _verdicts(list(map(get, matches)), rx, verdict)))
+                if take is None:
+                    parts = [()] * len(matches)
+                else:
+                    parts = list(map(take, matches) if len(new) > 1 else zip(map(take, matches)))
+                parts_of[key] = parts
             grown += [row + part for part in parts] if row else parts
             if len(grown) > MAX_ROWS:
                 raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
@@ -224,20 +283,34 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
     return slot_of, rows
 
 
+def _full_scan(g: Graph, p: Pattern, filters: Iterable[tuple[str, str]]) -> BindingTable:
+    """The table of one pattern of three distinct variables: the graph's
+    triples in the kept order of its columns, filtered, with no sort."""
+    position_of = {getattr(p, at).name: at for at in _POSITIONS}
+    columns = tuple(sorted(position_of))
+    order = tuple(map(position_of.__getitem__, columns))
+    checks = [(position_of[var], rx) for var, rx in _checked_filters([p], filters)]
+    if not checks and len(g) > MAX_ROWS:
+        raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
+    triples = g.sorted_triples(order)
+    # every position repeats its terms across the graph: one verdict per term
+    for at, rx in checks:
+        triples = list(compress(triples, _verdicts(list(map(attrgetter(at), triples)), rx, {})))
+    if len(triples) > MAX_ROWS:
+        raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
+    return BindingTable(columns, tuple(map(attrgetter(*order), triples)))
+
+
 def run_query(g: Graph, patterns: Sequence[Pattern],
               filters: Iterable[tuple[str, str]] = ()) -> BindingTable:
+    if len(patterns) == 1 and len(patterns[0].variables()) == 3:
+        return _full_scan(g, patterns[0], filters)
     slot_of, rows = _join(g, patterns, filters)
     columns = tuple(sorted(slot_of))
     if list(slot_of) != list(columns):
         rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
-    # canonical order: per column, the last first, a stable sort on the graph's
-    # term ranks; every cell is a term object of g, and equal terms tie
-    if len(rows) > 1:
-        rank = g.term_ranks().__getitem__
-        order = list(range(len(rows)))
-        for at in reversed(range(len(columns))):
-            order.sort(key=list(map(rank, map(id, map(itemgetter(at), rows)))).__getitem__)
-        rows = list(map(rows.__getitem__, order))
+    if len(rows) > 1:  # every cell is a term object of g
+        rows = g.sorted_on_ranks(rows, list(map(itemgetter, range(len(columns)))))
     return BindingTable(columns, tuple(rows))
 
 

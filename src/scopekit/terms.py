@@ -11,16 +11,20 @@ own memo, so nothing is shared across parses but the constants defined here.
 Graphs are immutable; insert/remove return new graphs, so a graph value can be
 shared freely across readers. `TripleIndex` is the one lookup index: a graph
 builds one over its triples on first lookup, or adopts the one that a
-`casekit.CaseGraph` grew and handed over, and nothing writes to it after. Its
-table of canonical term ranks (keyed by the `id` of its term objects) is built
-on first use too; a copied or unpickled graph builds its own, not another's ids.
+`casekit.CaseGraph` grew and handed over, and nothing writes to it after; its
+`estimate` gives, in O(1), the length of the list a lookup would read. A
+graph's table of canonical term ranks (keyed by the `id` of its term objects)
+and its triples sorted on those ranks, one list per order of the three
+positions, are built on first use and kept too; a copied or unpickled graph
+builds its own, not another's ids.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InvalidIriError
 
@@ -236,14 +240,27 @@ class TripleIndex:
         self.triples, g._index = g._triples, self
         return g
 
+    def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
+                 object: Term | None = None) -> int:
+        """The length of the list `scan` reads for the bound positions, in
+        O(1): an upper bound on the number of matches."""
+        if subject is not None:
+            return len(self._by_s.get(subject, ()))
+        if object is not None:
+            return len(self._by_o.get(object, ()))
+        if predicate is not None:
+            return len(self._by_p.get(predicate, ()))
+        return len(self.triples)
+
     def scan(self, subject: Term | None = None, predicate: Iri | None = None,
              object: Term | None = None) -> list[Triple]:
         """All triples matching the bound positions, in no particular order.
 
         None is a wildcard. The result is a fresh list.
         """
-        # narrowest available index first: subject, object, then predicate;
-        # the chosen index fixes its position, so only the others are compared
+        # narrowest available index first: subject, object, then predicate
+        # (`estimate` makes the same choice); the chosen index fixes its
+        # position, so only the others are compared
         if subject is not None:
             candidates = self._by_s.get(subject, ())
         elif object is not None:
@@ -273,11 +290,12 @@ class Graph:
     """Immutable set of triples plus a prefix map.
 
     Equality and hashing consider the triple set only; the prefix map is
-    presentation metadata (N-Triples, for one, cannot carry it). The index and
-    `term_ranks` are built on first use; copies rebuild them (`__reduce__`).
+    presentation metadata (N-Triples, for one, cannot carry it). The index,
+    `term_ranks` and each `sorted_triples` order are built on first use and
+    kept; copies rebuild them (`__reduce__`).
     """
 
-    __slots__ = ("_triples", "_prefixes", "_index", "_ranks")
+    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
         self._triples: frozenset[Triple] = frozenset(triples)
@@ -285,7 +303,8 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a triple: {t!r}")
         self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
-        self._index = self._ranks = None  # built lazily; graph is immutable so they never go stale
+        # built lazily; the graph is immutable, so they never go stale
+        self._index = self._ranks = self._orders = None
 
     # -- basic accessors --
     @property
@@ -354,6 +373,13 @@ class Graph:
             self._build_index()
         return self._index.scan(subject, predicate, object)
 
+    def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
+                 object: Term | None = None) -> int:
+        """`TripleIndex.estimate` over this graph's index."""
+        if self._index is None:
+            self._build_index()
+        return self._index.estimate(subject, predicate, object)
+
     def match(self, subject: Term | None = None, predicate: Iri | None = None,
               object: Term | None = None) -> list[Triple]:
         """All triples matching the bound positions, in canonical sort order.
@@ -379,6 +405,33 @@ class Graph:
             rank_of = dict(zip(sorted(set(keys)), range(len(keys))))
             self._ranks = dict(zip(objects, map(rank_of.__getitem__, keys)))
         return self._ranks
+
+    def sorted_triples(self, order: tuple[str, str, str]) -> list[Triple]:
+        """The triples in canonical order on the positions `order` names.
+
+        `order` is a permutation of ("subject", "predicate", "object"), the
+        most significant position first; triples compare on the `term_ranks`
+        of their terms there. Built on the first call for each order (at most
+        six) and kept, shared: do not modify it.
+        """
+        if self._orders is None:
+            self._orders = {}
+        out = self._orders.get(order)
+        if out is None:
+            out = self._orders[order] = self.sorted_on_ranks(
+                list(self._triples), list(map(attrgetter, order)))
+        return out
+
+    def sorted_on_ranks(self, items: list, cells: list[Callable]) -> list:
+        """items in canonical order: compared on the `term_ranks` of the
+        terms that cells pick out of each, the first most significant. Every
+        term picked must be an object of this graph's triples; equal terms tie.
+        """
+        # a stable sort per cell, the least significant first
+        rank, at = self.term_ranks().__getitem__, list(range(len(items)))
+        for cell in reversed(cells):
+            at.sort(key=list(map(rank, map(id, map(cell, items)))).__getitem__)
+        return list(map(items.__getitem__, at))
 
     def diff(self, other: "Graph") -> tuple[frozenset[Triple], frozenset[Triple]]:
         """(added, removed): the triples to add to / remove from this graph to obtain other."""

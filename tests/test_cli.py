@@ -17,13 +17,13 @@ from scopekit.turtle import parse_turtle
 from conftest import FIXTURE_DIR
 
 
-def run_module(*args, module="scopekit.cli", **kwargs):
-    """`python -m MODULE ARGS` in a fresh interpreter on this source tree;
-    keyword arguments go to subprocess.run."""
+def run_module(*args, module="scopekit.cli", python=(), **kwargs):
+    """`python PYTHON -m MODULE ARGS` in a fresh interpreter on this source
+    tree; keyword arguments go to subprocess.run."""
     src = str(Path(scopekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", module, *args],
+    return subprocess.run([sys.executable, *python, "-m", module, *args],
                           capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
@@ -147,6 +147,16 @@ class TestQuery:
         assert main(["query", str(case_file),
                      "-q", "?s ?p ?o\nFILTER ?o /a{2}/"]) == 2
         assert "scopekit:" in capsys.readouterr().err
+
+    def test_ambiguous_filter_regex_exits_two_with_warnings_as_errors(self, case_file):
+        # re warns about "[[" (a possible nested set); the filter is rejected
+        # before the warning could become a traceback
+        done = run_module("query", str(case_file), "--count", "-q", "?s ?p ?o\nFILTER ?o /[[a]/",
+                          module="scopekit", python=("-W", "error"))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("scopekit: ambiguous filter regex: Possible nested set")
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("flags", [[], ["--count"]])
     def test_query_past_the_row_cap_exits_two(self, tmp_path, flags):

@@ -7,6 +7,8 @@ import random
 import re
 import subprocess
 import sys
+import warnings
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,7 @@ from scopekit.query import (
     run_text_query,
 )
 from scopekit import query, terms
+from scopekit.namespaces import PROP_PERFORMED_BY
 from scopekit.ntriples import render_triple
 from scopekit.terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, term_sort_key
 from scopekit.turtle import parse_turtle
@@ -226,6 +229,16 @@ class TestVariableAndRegexValidation:
         with pytest.raises(UnsupportedRegexError):
             check_regex(bad)
 
+    @pytest.mark.parametrize("action", ["ignore", "default", "error"])
+    @pytest.mark.parametrize("ambiguous", ["[[a]", "x[a--b]", "x[a&&b]", "x[a||b]", "x[a~~b]"])
+    def test_regexes_re_warns_about_are_rejected(self, ambiguous, action):
+        # re reads these today but warns that a later Python may not; the
+        # verdict does not depend on the caller's warning filters
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(UnsupportedRegexError, match="ambiguous filter regex: Possible"):
+                check_regex(ambiguous)
+
 
 class TestTextSyntax:
     def test_basic_text_query(self, people):
@@ -348,6 +361,115 @@ class TestMixedTermDifferential:
         assert filtered_rows >= 60
 
 
+class TestFullScanDifferential:
+    """A full scan (one pattern, three distinct variables) reads the graph's
+    kept order of its columns. It equals the join path, which sorts its rows
+    (the same pattern twice), and the naive evaluator, for every order of the
+    names and a filter on each position."""
+
+    FIXTURE_REGEXES = ("[0-4]$", "(name|Time)$", "^[A-Z]")  # s, p, o
+
+    @staticmethod
+    def queries(regexes):
+        for names in permutations("abc"):
+            p = Pattern(*map(Variable, names))
+            yield p, []
+            for name, regex in zip(names, regexes):
+                yield p, [("?" + name, regex)]
+
+    @staticmethod
+    def check(g, p, filters):
+        table = run_query(g, [p], filters)
+        assert table == run_query(g, [p, p], filters)
+        assert (table.columns, table.rows) == naive_run_query(g, [p], filters)
+        assert count(g, [p], filters) == len(table)
+        return table
+
+    def test_fixtures(self, scenario1, scenario2, scenario3):
+        for g in (scenario1, scenario2, scenario3):
+            sizes = [len(self.check(g, p, f)) for p, f in self.queries(self.FIXTURE_REGEXES)]
+            assert sizes.count(len(g)) == 6 and all(0 < n < len(g) for n in sizes if n != len(g))
+
+    def test_random_mixed_graphs(self):
+        from helpers import MIXED_REGEXES
+
+        rng = random.Random(31)
+        for _ in range(60):
+            g = random_mixed_graph(rng)
+            regexes = [rng.choice(MIXED_REGEXES) for _ in range(3)]
+            for p, f in self.queries(regexes):
+                self.check(g, p, f)
+
+    def test_copies_of_a_graph_with_kept_orders(self, monkeypatch):
+        g = parse_turtle(fixture_text("scenario1"))
+        queries = list(self.queries(self.FIXTURE_REGEXES))
+        want = [run_query(g, [p], f) for p, f in queries]
+        orders = list(permutations(("subject", "predicate", "object")))
+        kept = [g.sorted_triples(order) for order in orders]
+        for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert [run_query(other, [p], f) for p, f in queries] == want
+            for order, k in zip(orders, kept):
+                mine = other.sorted_triples(order)
+                assert mine == k and mine is not k
+                assert set(map(id, mine)) == set(map(id, other))
+        # g reads its kept orders: no rank table, no sort key
+        monkeypatch.setattr(Graph, "term_ranks", None)
+        monkeypatch.setattr(terms, "term_sort_key", None)
+        assert [run_query(g, [p], f) for p, f in queries] == want
+
+
+class TestLookupsPerKey:
+    """A join plans its patterns by selectivity without a lookup, and looks
+    each distinct binding of a pattern's bound cells up once."""
+
+    PERFORMED = "?a case-investigation:performedBy ?p"
+    NAMED = "?p uco-core:name ?n"
+
+    @staticmethod
+    def scans_of(monkeypatch, g, text):
+        scans = []
+        original = Graph.scan
+        monkeypatch.setattr(Graph, "scan", lambda g, *a: scans.append(a) or original(g, *a))
+        table = run_text_query(g, text)
+        monkeypatch.undo()
+        return table, scans
+
+    @pytest.mark.parametrize("written", [(PERFORMED, NAMED), (NAMED, PERFORMED)])
+    def test_one_lookup_per_distinct_bound_term(self, monkeypatch, scenario1, scenario3, written):
+        text = "\n".join(written)
+        for g in (scenario1, scenario3):
+            actions = g.scan(None, PROP_PERFORMED_BY, None)
+            performers = {t.object for t in actions}
+            assert len(actions) > len(performers) > 0
+            table, scans = self.scans_of(monkeypatch, g, text)
+            assert len(table) == len(actions)
+            assert len(scans) <= 1 + len(performers)
+            assert scans[0][1].value.endswith("performedBy")  # the shorter list first
+
+    def test_filter_and_projection_run_once_per_key(self, monkeypatch, scenario1):
+        calls = []
+        original = query._filter_text
+        monkeypatch.setattr(query, "_filter_text", lambda t: calls.append(t) or original(t))
+        table = run_text_query(scenario1, f"{self.PERFORMED}\n{self.NAMED}\nFILTER ?n /./")
+        assert len(table) == 5
+        assert len(calls) == len(set(calls)) == 2  # one name per performer
+
+    def test_plan_reads_no_triples(self, monkeypatch, scenario1):
+        performed, named = (parse_query(t)[0][0] for t in (self.PERFORMED, self.NAMED))
+        crime = parse_query('?c scope-crime:crimeType "Illegal Access"')[0][0]
+        evidence = parse_query("?e scope-evidence:evidenceOf ?c")[0][0]
+        any_triple = Pattern(v("x"), v("y"), v("z"))
+        monkeypatch.setattr(Graph, "scan", None)
+        plan = lambda *ps: query._plan(scenario1, ps)
+        assert plan(named, performed) == [performed, named]
+        assert plan(evidence, crime) == [crime, evidence]
+        # ties keep the written order; a linked pattern comes before a shorter unlinked one
+        assert plan(any_triple, Pattern(v("a"), v("b"), v("c"))) == [
+            any_triple, Pattern(v("a"), v("b"), v("c"))]
+        assert plan(performed, any_triple, named) == [performed, named, any_triple]
+        assert plan(any_triple, crime, named) == [crime, named, any_triple]  # none linked
+
+
 class TestJoinDoesNotSort:
     """Joins read the graph's unsorted lookup; the table is sorted once."""
 
@@ -457,7 +579,9 @@ class TestRowCap:
         monkeypatch.setattr(Graph, "scan", lambda g, *a: scans.append(a) or original(g, *a))
         with pytest.raises(QueryTooLargeError):
             evaluate(people, self.CROSS)
-        assert len(scans) == 3  # the first pattern, then two of its 7 rows
+        # the first pattern, then the second once: it binds no cell of a row,
+        # so all 7 rows share its lookup, and the second row passes the cap
+        assert len(scans) == 2
 
     def test_query_errors_come_before_any_lookup(self, monkeypatch, people):
         monkeypatch.setattr(query, "MAX_ROWS", 0)

@@ -336,6 +336,29 @@ class TestGraph:
         for args, got in zip(lookups, found):
             assert sorted(got, key=triple_sort_key) == g.match(*args)
 
+    def test_estimate_is_the_length_of_the_list_scan_reads(self):
+        # scan reads one list, picked by subject, then object, then
+        # predicate: what it returns is that list cut by the other positions
+        rng = random.Random(8)
+        g = random_graph(rng, 80)
+        absent = iri("absent")
+        for t in rng.sample(sorted(g, key=triple_sort_key), 10):
+            for s in (None, t.subject, absent):
+                for p in (None, t.predicate, absent):
+                    for o in (None, t.object, absent):
+                        picked = (s, None, None) if s else (None, None, o) if o else (None, p, None)
+                        assert g.estimate(s, p, o) == len(g.scan(*picked)) >= len(g.scan(s, p, o))
+
+    def test_sorted_triples_are_kept_per_order(self):
+        from itertools import permutations
+
+        g = random_graph(random.Random(9), 80)
+        for order in permutations(("subject", "predicate", "object")):
+            kept = g.sorted_triples(order)
+            assert g.sorted_triples(order) is kept
+            key = lambda t: tuple(term_sort_key(getattr(t, at)) for at in order)
+            assert kept == sorted(g, key=key)
+
     def test_scan_and_match_return_fresh_lists(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
         for lookup in (g.scan, g.match):
