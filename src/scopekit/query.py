@@ -26,11 +26,10 @@ name a Unicode scalar value, and an escaped surrogate is an error.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     InvalidIriError,
@@ -107,45 +106,79 @@ class BindingTable:
 def check_regex(text: str) -> "re.Pattern[str]":
     """Compile the conservative filter dialect: literals, classes, ., * + ?,
     anchors, alternation, plain groups. Counted repetition, (?...) extensions,
-    backreferences and what `re` flags as ambiguous (a FutureWarning, such as
-    a nested set) are rejected so filters behave the same everywhere."""
-    i, in_class = 0, False
+    backreferences and the class forms a later Python may read as nested sets
+    or set operations (`_class_end`) are rejected so filters behave the same
+    everywhere."""
+    i = 0
     while i < len(text):
         ch = text[i]
         if ch == "\\":
-            if i + 1 >= len(text):
-                raise UnsupportedRegexError("trailing backslash in filter regex")
-            if text[i + 1].isdigit():
-                raise UnsupportedRegexError("backreferences are not supported in filters")
-            i += 2
+            i = _escape_end(text, i)
             continue
-        if in_class:
-            if ch == "]":
-                in_class = False
-        elif ch == "[":
-            in_class = True
-            # a ']' right after '[' or '[^' is a literal member, as re reads it
-            if text[i + 1:i + 2] == "^":
-                i += 1
-            if text[i + 1:i + 2] == "]":
-                i += 1
-        elif ch in "{}":
+        if ch == "[":
+            i = _class_end(text, i)
+            continue
+        if ch in "{}":
             raise UnsupportedRegexError("counted repetition {m,n} is not supported in filters")
-        elif ch == "(" and text[i + 1:i + 2] == "?":
+        if ch == "(" and text[i + 1:i + 2] == "?":
             raise UnsupportedRegexError("(?...) group extensions are not supported in filters")
         i += 1
-    if in_class:
-        raise UnsupportedRegexError("unterminated character class in filter regex")
-    # re warns where a later Python may read the pattern differently ("[[a]");
-    # such a filter is rejected, not run with a warning on stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        try:
-            return re.compile(text)
-        except FutureWarning as exc:
-            raise UnsupportedRegexError(f"ambiguous filter regex: {exc}") from None
-        except re.error as exc:
-            raise UnsupportedRegexError(f"bad filter regex: {exc}") from None
+    try:
+        return re.compile(text)
+    except re.error as exc:
+        raise UnsupportedRegexError(f"bad filter regex: {exc}") from None
+
+
+def _escape_end(text: str, i: int) -> int:
+    """The offset just past the escape at text[i], a backslash."""
+    if i + 1 >= len(text):
+        raise UnsupportedRegexError("trailing backslash in filter regex")
+    if text[i + 1].isdigit():
+        raise UnsupportedRegexError("backreferences are not supported in filters")
+    return i + 2
+
+
+_SET_OPERATIONS = {"-": "difference", "&": "intersection", "~": "symmetric difference",
+                   "|": "union"}
+
+
+def _class_end(text: str, i: int) -> int:
+    """The offset just past the character class that opens at text[i], read
+    member by member as re reads it: a ']' first (after '[' or '[^') is a
+    member, and a '-' between two members makes a range.
+
+    re warns (a FutureWarning) where a later Python may read a class as a
+    nested set or a set operation; those forms are rejected here, from the
+    text alone: a '[' right after the opening '[', a doubled '-', '&', '~' or
+    '|' after the first member, and a range that ends at '-'."""
+    if text[i + 1:i + 2] == "[":
+        raise UnsupportedRegexError(
+            f"ambiguous filter regex: Possible nested set at position {i + 1}")
+    i += 2 if text[i + 1:i + 2] == "^" else 1
+    members = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "]" and members:
+            return i + 1
+        if ch == "\\":
+            i = _escape_end(text, i)
+        else:
+            if members and ch in _SET_OPERATIONS and text[i + 1:i + 2] == ch:
+                raise UnsupportedRegexError(
+                    f"ambiguous filter regex: Possible set {_SET_OPERATIONS[ch]} at position {i}")
+            i += 1
+        members += 1
+        if text[i:i + 1] != "-" or i + 1 == len(text):
+            continue
+        # a range, or a last member '-' when ']' follows
+        ch = text[i + 1]
+        if ch == "]":
+            return i + 2
+        if ch == "-":
+            raise UnsupportedRegexError(
+                f"ambiguous filter regex: Possible set difference at position {i}")
+        i = _escape_end(text, i + 1) if ch == "\\" else i + 2
+    raise UnsupportedRegexError("unterminated character class in filter regex")
 
 
 def _filter_text(term: Term) -> str:
@@ -224,15 +257,6 @@ def _plan(g: Graph, patterns: Sequence[Pattern]) -> list[Pattern]:
     return plan
 
 
-def _verdicts(terms: list[Term], rx: "re.Pattern[str]", verdict: dict[int, object]) -> Iterator:
-    """rx's verdict on each of terms, searched once per distinct term object
-    and kept in verdict, by id, for the rest of the call."""
-    fresh = dict(zip(map(id, terms), terms))
-    for i in fresh.keys() - verdict.keys():
-        verdict[i] = rx.search(_filter_text(fresh[i]))
-    return map(verdict.__getitem__, map(id, terms))
-
-
 def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, str]]
           ) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
     """The filtered rows of a query, unprojected and unsorted, and the slot
@@ -250,10 +274,7 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
     rows: list[tuple[Term, ...]] = [()]
     for p in _plan(g, patterns):
         lookup, new, same = _compile(p, slot_of)
-        # predicates repeat across matches, so their verdicts are kept per term;
-        # other positions are searched once per match
-        checks = [(attrgetter(new[var]), rx, {} if new[var] == "predicate" else None)
-                  for var, rx in compiled if var in new]
+        checks = [(attrgetter(new[var]), rx) for var, rx in compiled if var in new]
         take = attrgetter(*new.values()) if new else None
         cells = [i for i, _ in lookup if i is not None]
         parts_of: dict[tuple[int, ...], list[tuple[Term, ...]]] = {}
@@ -266,11 +287,8 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
                 if same:
                     matches = [t for t in matches
                                if all(getattr(t, a) == getattr(t, b) for a, b in same)]
-                for get, rx, verdict in checks:
-                    if verdict is None:
-                        matches = [t for t in matches if rx.search(_filter_text(get(t)))]
-                    else:
-                        matches = list(compress(matches, _verdicts(list(map(get, matches)), rx, verdict)))
+                for get, rx in checks:
+                    matches = [t for t in matches if rx.search(_filter_text(get(t)))]
                 if take is None:
                     parts = [()] * len(matches)
                 else:
@@ -290,12 +308,14 @@ def _full_scan(g: Graph, p: Pattern, filters: Iterable[tuple[str, str]]) -> Bind
     columns = tuple(sorted(position_of))
     order = tuple(map(position_of.__getitem__, columns))
     checks = [(position_of[var], rx) for var, rx in _checked_filters([p], filters)]
-    if not checks and len(g) > MAX_ROWS:
-        raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
     triples = g.sorted_triples(order)
-    # every position repeats its terms across the graph: one verdict per term
+    # every position repeats its terms across the graph: rx searches each
+    # distinct term object once
     for at, rx in checks:
-        triples = list(compress(triples, _verdicts(list(map(attrgetter(at), triples)), rx, {})))
+        terms = list(map(attrgetter(at), triples))
+        distinct = dict(zip(map(id, terms), terms))
+        verdict = {i: rx.search(_filter_text(t)) for i, t in distinct.items()}
+        triples = list(compress(triples, map(verdict.__getitem__, map(id, terms))))
     if len(triples) > MAX_ROWS:
         raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
     return BindingTable(columns, tuple(map(attrgetter(*order), triples)))

@@ -240,17 +240,23 @@ class TripleIndex:
         self.triples, g._index = g._triples, self
         return g
 
+    def _candidates(self, subject: Term | None, predicate: Iri | None, object: Term | None):
+        """The narrowest available list for the bound positions (by subject,
+        object, then predicate), and the predicate and object its triples
+        still need comparing on: None where the list fixes the position."""
+        if subject is not None:
+            return self._by_s.get(subject, ()), predicate, object
+        if object is not None:
+            return self._by_o.get(object, ()), predicate, None
+        if predicate is not None:
+            return self._by_p.get(predicate, ()), None, None
+        return self.triples, None, None
+
     def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
                  object: Term | None = None) -> int:
         """The length of the list `scan` reads for the bound positions, in
         O(1): an upper bound on the number of matches."""
-        if subject is not None:
-            return len(self._by_s.get(subject, ()))
-        if object is not None:
-            return len(self._by_o.get(object, ()))
-        if predicate is not None:
-            return len(self._by_p.get(predicate, ()))
-        return len(self.triples)
+        return len(self._candidates(subject, predicate, object)[0])
 
     def scan(self, subject: Term | None = None, predicate: Iri | None = None,
              object: Term | None = None) -> list[Triple]:
@@ -258,17 +264,7 @@ class TripleIndex:
 
         None is a wildcard. The result is a fresh list.
         """
-        # narrowest available index first: subject, object, then predicate
-        # (`estimate` makes the same choice); the chosen index fixes its
-        # position, so only the others are compared
-        if subject is not None:
-            candidates = self._by_s.get(subject, ())
-        elif object is not None:
-            candidates, object = self._by_o.get(object, ()), None
-        elif predicate is not None:
-            candidates, predicate = self._by_p.get(predicate, ()), None
-        else:
-            candidates = self.triples
+        candidates, predicate, object = self._candidates(subject, predicate, object)
         if predicate is None and object is None:
             return list(candidates)
         # identity, then the cached hash, so few candidates reach the dataclass __eq__

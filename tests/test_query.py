@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -238,6 +238,40 @@ class TestVariableAndRegexValidation:
             warnings.simplefilter(action)
             with pytest.raises(UnsupportedRegexError, match="ambiguous filter regex: Possible"):
                 check_regex(ambiguous)
+
+    def test_verdict_does_not_depend_on_re_s_cache(self):
+        # re compiles a cached pattern without parsing it, so without warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            re.compile("[[b]")
+            re.compile("x[a&&c]")
+        for ambiguous in ("[[b]", "x[a&&c]"):
+            with pytest.raises(UnsupportedRegexError, match="ambiguous filter regex: Possible"):
+                check_regex(ambiguous)
+
+    def test_rejects_exactly_what_re_warns_about_or_cannot_compile(self):
+        # every class text of up to five members over the characters that
+        # open, close, negate, range or double up in a class, against re's own
+        # parse, its pattern cache cleared
+        alphabet = ["[", "]", "^", "-", "&", "|", "a", r"\-"]
+        for text in ("[" + "".join(p) for n in range(6) for p in product(alphabet, repeat=n)):
+            re.purge()
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                try:
+                    re.compile(text)
+                    fails = False
+                except re.error:
+                    fails = True
+            ambiguous = any(w.category is FutureWarning for w in warned)
+            try:
+                check_regex(text)
+                verdict = None
+            except UnsupportedRegexError as exc:
+                verdict = str(exc)
+            assert (verdict is not None) == (ambiguous or fails), text
+            if ambiguous and not fails:
+                assert verdict.startswith("ambiguous filter regex: Possible"), text
 
 
 class TestTextSyntax:
