@@ -9,15 +9,18 @@ match is diagnosed where it starts, by a few checks.
 
 Turtle and the query text build on this grammar. They take from here the term
 sub-patterns, `unescape`, `escape_string_literal`, `decode_document` and the
-N-Triples rendering of terms. String literals accept the escapes \\t \\b \\n
-\\r \\f \\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must
-name a Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a
-number above U+10FFFF is a parse error, so every parsed literal is valid
-UTF-8 text. `read_text_file` reads the other UTF-8 inputs (schema, catalog,
-query and IoC files) and reports undecodable bytes as a ParseError too.
+N-Triples rendering of terms. Both parsers build IRIs, blank nodes and string
+literals with `build_term`, which gives a parse one object per term. String
+literals accept the escapes \\t \\b \\n \\r \\f \\" \\' \\\\ (ECHAR), \\uXXXX and
+\\UXXXXXXXX (UCHAR). A UCHAR must name a Unicode scalar value: an escaped
+surrogate (U+D800 to U+DFFF) or a number above U+10FFFF is a parse error, so
+every parsed literal is valid UTF-8 text. `read_text_file` reads the other
+UTF-8 inputs (schema, catalog, query and IoC files) and reports undecodable
+bytes as a ParseError too.
 
 The canonical serializer writes one triple per line with lines sorted
-bytewise, so output is stable across runs and insertion orders.
+bytewise, so output is stable across runs and insertion orders. It sorts its
+lines, not the graph's kept order, which ranks terms rather than bytes.
 """
 
 from __future__ import annotations
@@ -154,35 +157,36 @@ def term_error(text: str, pos: int) -> tuple[str, int]:
     return f"malformed \\{esc} escape", end
 
 
+def build_term(text: str, interned: dict, q: str | None = None, lang: str | None = None,
+               datatype: Iri | None = None) -> Term:
+    """The parse's one object for the IRIREF, blank node label or string
+    literal `text`; a literal comes as its groups `q` and `lang` (with quotes
+    and '@') and the datatype its caller built. `interned` holds IRIs under
+    their IRIREF text, other terms under themselves, so that "x" and
+    "x"^^<...#string>, or @EN and @en, give one object. Raises only
+    InvalidIriError or ValueError, which for an escape also holds its offset
+    inside the quotes (see `unescape`)."""
+    if text[0] == "<":
+        return interned.get(text) or interned.setdefault(text, Iri(text[1:-1]))
+    term = (BlankNode(text[2:]) if text[0] == "_"
+            else Literal(unescape(q[1:-1]), datatype, lang and lang[1:]))
+    return interned.setdefault(term, term)
+
+
 def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
-    """The term in group `role` of the line match `m`, built and so checked
-    the first time its text appears; memo then hands out the same object."""
+    """The term in group `role` of the line match `m`, built the first time
+    its text appears; memo then hands out the same object."""
     text = m.group(role)
-    pos = m.start(role)
+    q, dt, lang = m.group("q", "dt", "lang") if text[0] == '"' else (None, None, None)
     try:
-        if text[0] == "<":
-            term = Iri(text[1:-1])
-        elif text[0] == "_":
-            term = BlankNode(text[2:])
-        else:
-            try:
-                lexical = unescape(m.group("q")[1:-1])
-            except ValueError as e:
-                message, offset = e.args
-                raise ParseError(message, lineno, pos + offset + 2) from None
-            datatype, lang = m.group("dt", "lang")
-            if datatype is not None:
-                term = Literal(lexical, memo.get(datatype) or _term(m, "dt", lineno, memo))
-            elif lang is not None:
-                pos = m.start("lang")
-                term = Literal(lexical, lang=lang[1:])
-            else:
-                term = Literal(lexical)
-            # "x" and "x"^^<...#string>, @EN and @en: one literal, keyed by
-            # itself as well as by each spelling
-            term = memo.setdefault(term, term)
+        if dt is not None and dt not in memo:
+            unescape(q[1:-1])  # a fault in the string comes before one in its datatype
+            _term(m, "dt", lineno, memo)
+        term = build_term(text, memo, q, lang, dt and memo[dt])
     except (InvalidIriError, ValueError) as e:
-        raise ParseError(str(e), lineno, pos + 1) from None
+        if len(e.args) == 2:  # an escape, at its offset inside the quotes
+            raise ParseError(e.args[0], lineno, m.start(role) + e.args[1] + 2) from None
+        raise ParseError(str(e), lineno, m.start("lang" if lang else role) + 1) from None
     memo[text] = term
     return term
 
@@ -236,8 +240,8 @@ def parse_ntriples(doc: Union[str, bytes]) -> Graph:
     """
     text = decode_document(doc)
     triples: set[Triple] = set()
-    # term text -> term; a literal is also its own key. Text keys start with
-    # '<', '_' or '"', so the three kinds cannot collide.
+    # term text -> term, and build_term's table (literals and blank nodes
+    # keyed by themselves); text keys start with '<', '_' or '"'.
     memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}
     match, add = _LINE_RE.match, triples.add
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -287,6 +291,6 @@ def serialize_ntriples_canonical(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-__all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES",
+__all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES", "build_term",
            "decode_document", "escape_string_literal", "read_text_file", "render_term",
            "render_triple", "unescape"]

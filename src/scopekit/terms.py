@@ -288,7 +288,8 @@ class Graph:
     Equality and hashing consider the triple set only; the prefix map is
     presentation metadata (N-Triples, for one, cannot carry it). The index,
     `term_ranks` and each `sorted_triples` order are built on first use and
-    kept; copies rebuild them (`__reduce__`).
+    kept; copies rebuild them (`__reduce__`). Canonical Turtle reads the kept
+    (s, p, o) order, as query full scans read theirs.
     """
 
     __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders")

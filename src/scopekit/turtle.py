@@ -14,24 +14,23 @@ The grammar has no nesting, so the parser reads a whole triple per match of
 one step pattern built from those sub-patterns; the terminator before a step
 picks what it holds. A term is built and checked the first time its source
 text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
-the text returns that object after. Each @prefix empties the memo, while a
-memo keyed on the expanded IRI, literal or blank node keeps each distinct term
-one object for the whole parse. The step takes every valid statement; one
-that the step or a term check rejects goes to the token parser, a loop over
-one token pattern compiled on first use. It re-reads the statement from its
-subject and raises the diagnostic, with line and column worked out from the
-offset only then, or, should the step have missed a valid form, adds its
-triples.
+the text returns that object after; each @prefix empties that memo. IRIREFs,
+blank node labels and string literals are built by `ntriples.build_term`, the
+builder N-Triples uses, whose table keeps each distinct term one object for
+the whole parse. The step takes every valid statement; one that the step or
+a term check rejects goes to the token parser, a loop over one token pattern
+compiled on first use. It re-reads the statement from its subject and raises
+the diagnostic, with line and column worked out from the offset only then,
+or, should the step have missed a valid form, adds its triples.
 
-The canonical serializer emits a deterministic byte layout: prefix lines
-sorted by short-name, one subject block per subject sorted by expanded IRI,
-predicates and objects sorted within the block, LF line endings.
+The canonical serializer writes the prefix lines sorted by short-name, then
+one block per subject in a single pass over the graph's kept (s, p, o)
+order, rendering each distinct term once; LF line endings.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from typing import Callable, Union
 
@@ -43,6 +42,7 @@ from .ntriples import (
     IRIREF,
     MAX_DOCUMENT_BYTES,
     STRING_LITERAL_QUOTE,
+    build_term,
     decode_document,
     escape_string_literal,
     render_term,
@@ -60,7 +60,6 @@ from .terms import (
     Literal,
     Term,
     Triple,
-    term_sort_key,
 )
 
 _INTEGER_RE = re.compile(INTEGER)
@@ -180,11 +179,10 @@ class _Parser:
         # Step term text -> term, cleared by each @prefix, since a prefixed
         # name can change meaning.
         self.memo: dict[str, Term] = {}
-        # The parse's terms, one object each: IRIs by their expanded string
-        # (the IRIs the grammar implies are the terms.py constants), literals
-        # and blank nodes by themselves.
+        # The parse's terms, one object each, keyed as `build_term` keys them
+        # (the IRIs the grammar implies are the terms.py constants).
         self.interned: dict = {
-            iri.value: iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
+            f"<{iri.value}>": iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
 
     def parse(self) -> Graph:
         text, memo, add, term, step = (
@@ -215,18 +213,14 @@ class _Parser:
 
     def _term(self, text: str, m: re.Match) -> Term:
         """The term a step reads as `text`, built and checked the first time
-        the text appears since the last @prefix; `m` holds a literal's parts."""
+        the text appears since the last @prefix; `m` holds a literal's parts.
+        IRIREFs, blank nodes and string literals go to `build_term`."""
         first = text[0]
         try:
-            if first == "<":
-                term = self._intern_iri(text[1:-1])
-            elif first == '"':
-                dt, lang = m.group("dt", "lang")
-                datatype = (self.memo.get(dt) or self._term(dt, m)) if dt else None
-                term = self._intern(Literal(unescape(m.group("q")[1:-1]), datatype,
-                                            lang[1:] if lang else None))
-            elif first == "_":
-                term = self._intern(BlankNode(text[2:]))
+            if first in '<"_':
+                q, dt, lang = m.group("q", "dt", "lang")
+                datatype = (self.memo.get(dt) or self._term(dt, m)) if first == '"' and dt else None
+                term = build_term(text, self.interned, q, lang, datatype)
             elif first in "+-0123456789":
                 term = self._intern(Literal(text, XSD_INTEGER))
             elif text in ("true", "false"):
@@ -238,7 +232,7 @@ class _Parser:
                 ns = self.prefixes.get(name)
                 if ns is None or not _LOCAL_SAFE_RE.match(local):
                     raise _Reread
-                term = self._intern_iri(ns.value + local)
+                term = build_term(f"<{ns.value}{local}>", self.interned)
         except (InvalidIriError, ValueError):
             raise _Reread from None
         self.memo[text] = term
@@ -246,12 +240,6 @@ class _Parser:
 
     def _intern(self, term: Term) -> Term:
         return self.interned.setdefault(term, term)
-
-    def _intern_iri(self, value: str) -> Iri:
-        iri = self.interned.get(value)
-        if iri is None:
-            iri = self.interned[value] = Iri(value)
-        return iri
 
     def _bind(self, name: str, iri: Iri):
         self.prefixes[name] = iri
@@ -339,7 +327,7 @@ class _Parser:
                 raise UndefinedPrefixError(value, *self._where(offset))
             value = self.prefixes[value].value + local
         try:
-            return self._intern_iri(value)
+            return build_term(f"<{value}>", self.interned)
         except InvalidIriError as e:
             raise self._fail(str(e), offset) from None
 
@@ -422,61 +410,66 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
 
 
 def _abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
-    """Prefixed-name rendering, or None when no prefix yields a safe local."""
-    best = None
-    for name, ns in prefixes.items():
-        nsv = ns.value
-        if not iri.value.startswith(nsv):
-            continue
-        local = iri.value[len(nsv):]
-        if not _LOCAL_SAFE_RE.match(local):
-            continue
-        key = (-len(nsv), name)
-        if best is None or key < best[0]:
-            best = (key, f"{name}:{local}")
-    return best[1] if best else None
+    """Prefixed-name rendering, or None when no prefix yields a safe local;
+    the longest namespace wins, then the short-name that sorts first."""
+    value = iri.value
+    fits = [(-len(ns.value), name) for name, ns in prefixes.items()
+            if value.startswith(ns.value) and _LOCAL_SAFE_RE.match(value[len(ns.value):])]
+    if not fits:
+        return None
+    size, name = min(fits)
+    return f"{name}:{value[-size:]}"
 
 
-def _render_term(term: Term, abbreviate: Callable, as_predicate: bool = False) -> str:
-    """Prefixed names, `a`, and bare integers and booleans where they read
-    back the same; otherwise the N-Triples form."""
+def _render_term(term: Term, abbreviate: Callable) -> str:
+    """Prefixed names, and bare integers and booleans where they read back
+    the same; otherwise the N-Triples form."""
     if isinstance(term, Iri):
-        if as_predicate and term == RDF_TYPE:
-            return "a"
         return abbreviate(term) or render_term(term)
     if isinstance(term, BlankNode) or term.lang is not None or term.datatype == XSD_STRING:
         return render_term(term)
-    if term.datatype == XSD_INTEGER and _INTEGER_RE.fullmatch(term.lexical):
-        return term.lexical
-    if term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false"):
+    if (term.datatype == XSD_INTEGER and _INTEGER_RE.fullmatch(term.lexical)
+            or term.datatype == XSD_BOOLEAN and term.lexical in ("true", "false")):
         return term.lexical
     datatype = abbreviate(term.datatype) or render_term(term.datatype)
     return f'"{escape_string_literal(term.lexical)}"^^{datatype}'
 
 
-def serialize_turtle_canonical(g: Graph) -> str:
-    """Deterministic Turtle text for a skolemized graph.
+def _prefix_lines(prefixes: dict[str, Iri]) -> str:
+    """The @prefix lines, sorted by short-name."""
+    return "\n".join(f"@prefix {name}: <{prefixes[name].value}> ." for name in sorted(prefixes))
 
-    Prefix lines sorted by short-name, subject blocks sorted by expanded
-    IRI, predicates and objects sorted within each block, LF endings.
-    Raises BlankNodePresentError if the graph still holds blank nodes.
+
+def serialize_turtle_canonical(g: Graph) -> str:
+    """Deterministic Turtle text for a skolemized graph: prefix lines sorted
+    by short-name, then one block per subject in the (s, p, o) order that the
+    graph keeps (`Graph.sorted_triples`), LF endings. One pass over that order
+    starts a block or a predicate where the subject's or predicate's rank
+    changes. Raises BlankNodePresentError if the graph holds blank nodes.
     """
     if g.has_blank_nodes():
         raise BlankNodePresentError(
             "canonical Turtle is defined for skolemized graphs; call skolemize() first")
-    prefixes = g.prefixes
-    # terms are interned, so a memo per distinct Iri hits on identity
+    prefixes, ranks = g.prefixes, g.term_ranks()
     abbreviate = functools.cache(lambda iri: _abbreviate(iri, prefixes))
-    lines = [f"@prefix {name}: <{prefixes[name].value}> ." for name in sorted(prefixes)]
-
-    blocks = []
-    for subject in sorted(g.subjects(), key=lambda s: s.value):
-        triples = g.scan(subject)
-        triples.sort(key=lambda t: (t.predicate.value, term_sort_key(t.object)))
-        parts = [f"{_render_term(predicate, abbreviate, as_predicate=True)} "
-                 + ", ".join(_render_term(t.object, abbreviate) for t in group)
-                 for predicate, group in itertools.groupby(triples, key=lambda t: t.predicate)]
-        blocks.append(f"{_render_term(subject, abbreviate)} " + " ;\n    ".join(parts) + " .")
-
-    pieces = [piece for piece in ("\n".join(lines), "\n\n".join(blocks)) if piece]
-    return "\n\n".join(pieces) + "\n" if pieces else ""
+    # rank -> text, so each distinct term renders once; a predicate's text
+    # has a memo of its own, as rdf:type is `a` only there
+    forms, verbs, chunks, last_s, last_p = {}, {}, [], None, None
+    for t in g.sorted_triples(("subject", "predicate", "object")):
+        s, p, o = ranks[id(t.subject)], ranks[id(t.predicate)], ranks[id(t.object)]
+        obj = forms.get(o) or forms.setdefault(o, _render_term(t.object, abbreviate))
+        if s == last_s and p == last_p:
+            chunks.append(f", {obj}")
+            continue
+        verb = verbs.get(p) or verbs.setdefault(p, "a" if t.predicate == RDF_TYPE else (
+            forms.get(p) or forms.setdefault(p, _render_term(t.predicate, abbreviate))))
+        if s == last_s:
+            chunks.append(f" ;\n    {verb} {obj}")
+        else:
+            subject = forms.get(s) or forms.setdefault(s, _render_term(t.subject, abbreviate))
+            chunks.append(f" .\n\n{subject} {verb} {obj}")
+        last_s, last_p = s, p
+    # the first block has no block before it to close
+    body = "".join(chunks)[4:] + " ." if chunks else ""
+    text = "\n\n".join(piece for piece in (_prefix_lines(prefixes), body) if piece)
+    return text + "\n" if text else ""

@@ -7,9 +7,12 @@ join semantics without indexes so it can act as an oracle.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
 import string
+import sys
+from pathlib import Path
 
 from scopekit.query import Pattern, Variable
 from scopekit.terms import (
@@ -32,6 +35,18 @@ LEXICAL_POOL = (
     "\x01control", "percent % and <angle>", "dot.", "123", "true",
 )
 LANGS = ("en", "en-gb", "de", "zh-hans")
+CASEGEN = Path(__file__).resolve().parents[1] / "perfbench" / "casegen.py"
+
+
+def load_casegen():
+    """The benchmark's seeded case generator, perfbench/casegen.py, loaded
+    once as the module `casegen`."""
+    module = sys.modules.get("casegen")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("casegen", CASEGEN)
+        module = sys.modules["casegen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def random_iri(rng: random.Random, ns: str = "http://example.org/t/") -> Iri:

@@ -7,8 +7,9 @@ draws the same examples and a failure reproduces without a database.
   lines parse to, and the parser's step patterns read the whole document:
   the token parser, which only diagnoses, is never reached.
 - On mutated documents the step patterns and the token parser alone agree on
-  the graph or on the error, every error lies inside the document, and the
-  CLI exits 0 or 2 without a traceback.
+  the graph or on the error, every error lies inside the document, the CLI
+  exits 0 or 2 without a traceback, and what `convert`, `validate` and
+  `query` write to stdout encodes as UTF-8.
 - On mutated N-Triples documents the parser raises only a ParseError, whose
   line and column lie inside the document, and `convert --to ttl` exits 0
   or 2 without a traceback.
@@ -19,10 +20,8 @@ draws the same examples and a failure reproduces without a database.
 """
 
 import contextlib
-import importlib.util
 import random
 import re
-import sys
 import time
 from pathlib import Path
 
@@ -59,7 +58,7 @@ from scopekit.terms import (
 from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
 from conftest import FIXTURE_DIR
-from helpers import assert_one_object_per_term
+from helpers import assert_one_object_per_term, load_casegen
 
 # no explain phase: it re-runs each falsifying example many times over, which
 # turns a failing property's report from seconds into minutes
@@ -211,9 +210,7 @@ def steps_only():
 
 
 def casegen_text() -> str:
-    spec = importlib.util.spec_from_file_location("casegen", ROOT / "perfbench" / "casegen.py")
-    casegen = sys.modules["casegen"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(casegen)
+    casegen = load_casegen()
     return casegen.to_turtle(casegen.generate_case(random.Random(7), 6).triples)
 
 
@@ -327,6 +324,25 @@ class TestMutatedFixtures:
             err = capsys.readouterr().err
             assert "Traceback" not in err
         assert codes <= {0, 2}
+
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    def test_stdout_encodes_as_utf8(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        commands = (["convert", str(path), "--to", "nt"], ["convert", str(path), "--to", "ttl"],
+                    ["validate", str(path)], ["query", str(path), "-q", "?s ?p ?o"])
+        # and the fixture with a literal that escapes half a surrogate pair
+        fixture = (FIXTURE_DIR / name).read_bytes()
+        escaped = fixture.replace(b' "', b' "\\uD83D', 1)
+        for data in [*mutants(name, 25), escaped]:
+            path.write_bytes(data)
+            for argv in commands:
+                cli.main(argv)
+                out = capsys.readouterr().out
+                try:
+                    out.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    command = " ".join(arg for arg in argv if arg != str(path))
+                    pytest.fail(f"{command} wrote {out[e.start:e.end]!r}, which UTF-8 cannot encode")
 
 
 class TestMutatedNTriples:

@@ -69,6 +69,13 @@ class TestParse:
             parse_ntriples('<http://ex/s> <http://ex/p> "ok" .\nbroken\n')
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("suffix", ["^^<relative>", "@toolongtag1"])
+    def test_a_fault_in_the_string_comes_before_one_in_its_suffix(self, suffix):
+        with pytest.raises(ParseError) as exc:
+            parse_ntriples(f'<http://ex/s> <http://ex/p> "a\\uD800"{suffix} .')
+        assert "escape \\uD800 is not a Unicode scalar value" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (1, 31)
+
     def test_size_limit(self):
         with pytest.raises(DocumentTooLargeError):
             parse_ntriples(b" " * (MAX_DOCUMENT_BYTES + 1))

@@ -1,16 +1,22 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scopekit import terms, turtle
 from scopekit.errors import (
     BlankNodePresentError,
     DocumentTooLargeError,
     ParseError,
     UndefinedPrefixError,
 )
+from scopekit.namespaces import RDF_NS
+from scopekit.ntriples import serialize_ntriples_canonical
 from scopekit.terms import (
     RDF_TYPE,
+    SKOLEM_PREFIX,
     XSD_BOOLEAN,
     XSD_DATETIME,
     XSD_INTEGER,
@@ -28,7 +34,15 @@ from scopekit.turtle import (
     serialize_turtle_canonical,
 )
 
-from helpers import assert_one_object_per_term, iris_built, random_graph, term_objects
+from helpers import (
+    MIXED_NS,
+    assert_one_object_per_term,
+    iris_built,
+    load_casegen,
+    random_graph,
+    random_mixed_graph,
+    term_objects,
+)
 
 
 EX = Iri("http://example.org/")
@@ -213,6 +227,106 @@ class TestSerializer:
         out = serialize_turtle_canonical(g)
         assert '"TRUE"' in out
         assert parse_turtle(out) == g
+
+
+WRITER_DIGESTS = Path(__file__).parent / "data" / "writer_digests.txt"
+SPO = ("subject", "predicate", "object")
+
+
+def writer_cases():
+    """(name, graph) pairs for the pinned writer outputs: skolemized mixed
+    graphs, whose equal terms are distinct objects and whose blocks mix
+    literal kinds, every other one with prefixes that abbreviate them, and
+    one 3.7k-triple generated case built term by term, without a parser."""
+    rng = random.Random(20261019)
+    for i in range(200):
+        g = skolemize(random_mixed_graph(rng))
+        prefixes = {"m": Iri(MIXED_NS), "sk": Iri(SKOLEM_PREFIX)} if i % 2 else {}
+        yield f"mixed-{i}", Graph(g.triples, prefixes)
+    casegen = load_casegen()
+    yield "casegen-1", casegen.to_graph(casegen.generate_case(random.Random(1), 95).triples)
+
+
+def writer_digests() -> str:
+    """One line per writer case: its name and the SHA-256 of its canonical
+    Turtle and of its canonical N-Triples."""
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    return "".join(f"{name} {digest(serialize_turtle_canonical(g))} "
+                   f"{digest(serialize_ntriples_canonical(g))}\n" for name, g in writer_cases())
+
+
+class TestWriterPinned:
+    """Both canonical writers' bytes on graphs where a writer that groups
+    blocks on term identity, not equality, would split them."""
+
+    def test_canonical_outputs_match_pinned_digests(self):
+        assert writer_digests().splitlines() == WRITER_DIGESTS.read_text().splitlines()
+
+
+class TestWriterReadsKeptOrder:
+    """Canonical Turtle is one pass over the (s, p, o) order the graph keeps."""
+
+    def test_one_pass_over_the_kept_order(self, scenario1, monkeypatch):
+        rng = random.Random(7)
+        graphs = [Graph(scenario1.triples, scenario1.prefixes)]
+        graphs += [skolemize(random_mixed_graph(rng)) for _ in range(40)]
+
+        def refuse(*args):
+            raise AssertionError("the writer looked the graph up or sorted it again")
+
+        ranking, keyed, rendered = [False], [], []
+        term_ranks, sort_key, render = Graph.term_ranks, terms.term_sort_key, turtle._render_term
+
+        def counted_ranks(self):
+            ranking[0] = True
+            try:
+                return term_ranks(self)
+            finally:
+                ranking[0] = False
+
+        def counted_key(term):
+            assert ranking[0], "term_sort_key ran outside term_ranks"
+            keyed.append(term)
+            return sort_key(term)
+
+        def counted_render(term, *args):
+            rendered.append(term)
+            return render(term, *args)
+
+        monkeypatch.setattr(Graph, "scan", refuse)
+        monkeypatch.setattr(Graph, "subjects", refuse)
+        monkeypatch.setattr(Graph, "term_ranks", counted_ranks)
+        monkeypatch.setattr(terms, "term_sort_key", counted_key)
+        monkeypatch.setattr(turtle, "_render_term", counted_render)
+        for g in graphs:
+            keyed.clear()
+            rendered.clear()
+            serialize_turtle_canonical(g)
+            objects = {id(x) for t in g for x in (t.subject, t.predicate, t.object)}
+            assert len({id(term) for term in keyed}) == len(keyed) <= len(objects)
+            assert len(set(rendered)) == len(rendered)
+        # the writer left its order in the graph: reading it sorts nothing
+        monkeypatch.setattr(Graph, "sorted_on_ranks", refuse)
+        for g in graphs:
+            assert len(g.sorted_triples(SPO)) == len(g)
+
+    def test_rdf_type_is_a_only_as_a_predicate(self):
+        # equal type IRIs as distinct objects: the predicate reads `a`, the
+        # subject and the object the prefixed name
+        kind = Iri(RDF_NS + "type")
+        g = Graph([t(Iri(RDF_NS + "type"), Iri(RDF_NS + "type"), Iri(RDF_NS + "type")),
+                   t(kind, Iri("http://ex/p"), kind), t(Iri("http://ex/s"), kind, RDF_TYPE)],
+                  {"rdf": Iri(RDF_NS), "ex": Iri("http://ex/")})
+        assert serialize_turtle_canonical(g) == (
+            "@prefix ex: <http://ex/> .\n"
+            "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+            "\n"
+            "ex:s a rdf:type .\n"
+            "\n"
+            "rdf:type ex:p rdf:type ;\n"
+            "    a rdf:type .\n")
 
 
 class TestRoundTrip:
