@@ -15,6 +15,7 @@ import random
 import re
 import uuid
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, Union
 
 from .catalog import (
@@ -91,6 +92,7 @@ from .terms import (
     Literal,
     Triple,
     TripleIndex,
+    first_literal,
     skolemize_term,
     term_sort_key,
 )
@@ -123,10 +125,21 @@ class CustodyEvent:
     at: str
 
 
-@dataclass(frozen=True)
+# kind -> (class, value property, the form a value is stored in, the check a
+# stored value must pass, what a value that fails it is not)
+_IOC_KINDS = {
+    "Md5Hash": (CLS_HASH_VALUE, PROP_MD5, str.lower, MD5_RE.fullmatch, "an MD5 digest"),
+    "Domain": (CLS_DOMAIN_INDICATOR, PROP_DOMAIN_NAME, lambda v: v.replace("[.]", "."),
+               lambda v: "." in v and " " not in v, "a domain name"),
+}
+
+
+@dataclass(frozen=True, order=True)
 class Ioc:
+    """One IoC row, its value in stored form: a domain without `[.]`, a digest in lowercase."""
+
     kind: str  # Md5Hash | Domain
-    value: str  # normalized (no defanging)
+    value: str
     source: str
 
     def defanged(self) -> str:
@@ -157,9 +170,10 @@ class CaseGraph:
 
     A case holds either a Graph snapshot or the `TripleIndex` its builder
     calls grow, and its lookups scan that one. The first add of a new triple
-    builds the index from the snapshot, so building n triples takes O(n).
-    `graph` hands the index to a new snapshot as that graph's own index and
-    writes no more to it; the next add of a new triple builds another.
+    copies the snapshot's index if it has built one, else builds one from its
+    triples, so building n triples takes O(n). `graph` hands the index to a
+    new snapshot as that graph's own index and writes no more to it; the next
+    add of a new triple copies it.
     """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
@@ -199,7 +213,8 @@ class CaseGraph:
         if self._index is None:
             if triple in self._snapshot:
                 return
-            self._index = TripleIndex(set(self._snapshot))
+            built = self._snapshot._index
+            self._index = built.copy() if built is not None else TripleIndex(set(self._snapshot))
         if self._index.add(triple):
             self._snapshot = None
 
@@ -392,22 +407,22 @@ class CaseGraph:
     # -- IoC ingest / export --
 
     def iocs(self) -> list[Ioc]:
-        """All IoC nodes in the case, normalized, sorted by (kind, value)."""
+        """All IoC nodes in the case, values in stored form, sorted on the
+        whole row (kind, value, source)."""
         out = []
         g = self.graph
-        for kind, cls, prop in (("Md5Hash", CLS_HASH_VALUE, PROP_MD5),
-                                ("Domain", CLS_DOMAIN_INDICATOR, PROP_DOMAIN_NAME)):
-            for t in g.match(None, RDF_TYPE, cls):
+        for kind, (cls, prop, stored, _, _) in _IOC_KINDS.items():
+            for t in g.scan(None, RDF_TYPE, cls):
                 value = first_literal(g, t.subject, prop)
                 if value is not None:
-                    out.append(Ioc(kind, value, first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
-        out.sort(key=lambda i: (i.kind, i.value))
-        return out
+                    out.append(Ioc(kind, stored(value),
+                                   first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
+        return sorted(out)
 
     def import_iocs(self, rows: str) -> int:
-        """Ingest kind,value,source CSV. Defanged domains are normalized; rows
-        already present (same kind and value) are counted but not re-minted.
-        Per-row validation failures land in ioc_import_errors."""
+        """Ingest kind,value,source CSV. Values are put in stored form; rows
+        already present (same kind and stored value) are counted but not
+        re-minted. Per-row validation failures land in ioc_import_errors."""
         self.ioc_import_errors = []
         reader = csv.reader(io.StringIO(rows))
         try:
@@ -424,23 +439,13 @@ class CaseGraph:
             if len(row) != 3:
                 raise CsvFormatError(f"expected 3 columns, found {len(row)}", rownum)
             kind, value, source = (c.strip() for c in row)
-            value = value.replace("[.]", ".")
-            if kind == "Md5Hash":
-                value = value.lower()
-                if not MD5_RE.fullmatch(value):
-                    self.ioc_import_errors.append(
-                        f"row {rownum}: not an MD5 digest: {value!r}")
-                    continue
-                cls, prop = CLS_HASH_VALUE, PROP_MD5
-            elif kind == "Domain":
-                if not value or " " in value or "." not in value:
-                    self.ioc_import_errors.append(
-                        f"row {rownum}: not a domain name: {value!r}")
-                    continue
-                cls, prop = CLS_DOMAIN_INDICATOR, PROP_DOMAIN_NAME
-            else:
-                self.ioc_import_errors.append(
-                    f"row {rownum}: unknown IoC kind {kind!r}")
+            if kind not in _IOC_KINDS:
+                self.ioc_import_errors.append(f"row {rownum}: unknown IoC kind {kind!r}")
+                continue
+            cls, prop, stored, check, what = _IOC_KINDS[kind]
+            value = stored(value)
+            if not check(value):
+                self.ioc_import_errors.append(f"row {rownum}: not {what}: {value!r}")
                 continue
             count += 1
             if (kind, value) in existing:
@@ -469,14 +474,6 @@ class CaseGraph:
 
     def validate(self):
         return validate_graph(self.graph, self.schema, self.catalog)
-
-
-def first_literal(g: Union[Graph, TripleIndex], subject, predicate) -> Optional[str]:
-    """Lexical form of the first literal value, in canonical order, or None."""
-    found = [t.object for t in g.scan(subject, predicate) if isinstance(t.object, Literal)]
-    if len(found) > 1:  # most properties hold one value: no key to compute
-        return min(found, key=term_sort_key).lexical
-    return found[0].lexical if found else None
 
 
 def new_case(name: str, at: str, schema: Optional[Schema] = None,
@@ -546,23 +543,14 @@ def merge(a: CaseGraph, b: CaseGraph, allow_mismatch: bool = False) -> MergeOutc
         if t.predicate in functional:
             a_values.setdefault((t.subject, t.predicate), set()).add(t.object)
 
-    conflicts: list[tuple[Iri, Iri, str, str]] = []
-    dropped: set[Triple] = set()
-    seen_conflict_keys = set()
-    for t in sorted(b.graph, key=lambda t: (str(t.subject), t.predicate.value, str(t.object))):
-        if t.predicate not in functional:
-            continue
-        key = (t.subject, t.predicate)
-        mine = a_values.get(key)
-        if mine and t.object not in mine:
-            dropped.add(t)
-            if key not in seen_conflict_keys:
-                seen_conflict_keys.add(key)
-                kept = sorted(mine, key=str)[0]
-                conflicts.append((skolemize_term(t.subject), t.predicate, str(kept),
-                                  str(t.object)))
-
-    merged_triples = a.graph.triples | (b.graph.triples - dropped)
+    dropped = sorted(
+        (t for t in b.graph if t.predicate in functional
+         and (mine := a_values.get((t.subject, t.predicate))) and t.object not in mine),
+        key=lambda t: (str(t.subject), t.predicate.value, str(t.object)))
+    # one conflict per (subject, property), naming the first value dropped
+    conflicts = [(skolemize_term(s), p, str(min(a_values[s, p], key=str)), str(next(ts).object))
+                 for (s, p), ts in groupby(dropped, key=lambda t: (t.subject, t.predicate))]
+    merged_triples = a.graph.triples | b.graph.triples.difference(dropped)
     prefixes = dict(b.graph.prefixes)
     prefixes.update(a.graph.prefixes)
     merged = CaseGraph(Graph(merged_triples, prefixes), a.case_iri, a.schema, a.catalog)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .casekit import CaseGraph, first_literal
+from .casekit import CaseGraph
 from .errors import InvalidCaseError, UnknownClassError
 from .namespaces import (
     CLS_ATTACK_TECHNIQUE,
@@ -19,7 +19,6 @@ from .namespaces import (
     PROP_CUSTODY_ACTION,
     PROP_CUSTODY_ACTOR,
     PROP_CUSTODY_OF,
-    PROP_CUSTODY_SEQ,
     PROP_CUSTODY_TS,
     PROP_DESCRIPTION,
     PROP_LOCATION_NOTE,
@@ -29,7 +28,8 @@ from .namespaces import (
     PROP_TACTIC,
     PROP_TECHNIQUE_ID,
 )
-from .terms import Graph, Iri, term_sort_key
+from .terms import Graph, Iri, first_literal, term_sort_key
+from .validation import custody_sequence
 
 # A case value reaches the Markdown as text: a line break as <br>, so it cannot
 # split its line; '&', '<' and '>' as entities, so <br> is the only markup;
@@ -93,8 +93,8 @@ def _label(g: Graph, node) -> str:
 
 def summarize(c: CaseGraph) -> CaseSummary:
     """The case's summary. Rows follow what they print, never hash order:
-    actions sort on their whole row, and where technique nodes share an id,
-    the node first in canonical term order names it."""
+    IoC, custody and action rows sort on their whole row, and where technique
+    nodes share an id, the node first in canonical term order names it."""
     report = c.validate()
     if report.errors:
         raise InvalidCaseError(report)
@@ -129,18 +129,17 @@ def summarize(c: CaseGraph) -> CaseSummary:
     iocs = tuple((i.kind, i.defanged(), i.source) for i in c.iocs())
 
     custody = []
-    for t in g.match(None, PROP_CUSTODY_OF, None):
+    for t in g.scan(None, PROP_CUSTODY_OF, None):
         rec, ev = t.subject, t.object
-        seq_text = first_literal(g, rec, PROP_CUSTODY_SEQ) or ""
         actor_nodes = g.objects_of(rec, PROP_CUSTODY_ACTOR)
         custody.append(CustodyEntry(
             at=first_literal(g, rec, PROP_CUSTODY_TS) or "",
             action=first_literal(g, rec, PROP_CUSTODY_ACTION) or "",
             evidence=_label(g, ev),
             actor=_label(g, actor_nodes[0]) if actor_nodes else "",
-            sequence=int(seq_text) if seq_text.lstrip("+-").isdigit() else 0,
+            sequence=custody_sequence(g, rec) or 0,
         ))
-    custody.sort(key=lambda e: (e.at, e.evidence, e.sequence))
+    custody.sort(key=lambda e: (e.at, e.evidence, e.sequence, e.action, e.actor))
 
     actions = []
     for subject in schema.instances_under(g, CLS_INVESTIGATIVE_ACTION):

@@ -11,12 +11,13 @@ own memo, so nothing is shared across parses but the constants defined here.
 Graphs are immutable; insert/remove return new graphs, so a graph value can be
 shared freely across readers. `TripleIndex` is the one lookup index: a graph
 builds one over its triples on first lookup, or adopts the one that a
-`casekit.CaseGraph` grew and handed over, and nothing writes to it after; its
-`estimate` gives, in O(1), the length of the list a lookup would read. A
-graph's table of canonical term ranks (keyed by the `id` of its term objects)
-and its triples sorted on those ranks, one list per order of the three
-positions, are built on first use and kept too; a copied or unpickled graph
-builds its own, not another's ids.
+`casekit.CaseGraph` grew and handed over, and nothing writes to it after (a
+case that writes again grows a `copy`); its `estimate` gives, in O(1), the
+length of the list a lookup would read. `first_literal` reads a property
+that should hold one value. A graph's table of canonical term ranks (keyed
+by the `id` of its term objects) and its triples sorted on those ranks, one
+list per order of the three positions, are built on first use and kept too;
+a copied or unpickled graph builds its own, not another's ids.
 """
 
 from __future__ import annotations
@@ -223,6 +224,15 @@ class TripleIndex:
             by_p.setdefault(t.predicate, []).append(t)
             by_o.setdefault(t.object, []).append(t)
 
+    def copy(self) -> "TripleIndex":
+        """A new index of the same triples that `add` may grow: a copy of the
+        set and of each list, made without re-reading the triples."""
+        new = TripleIndex.__new__(TripleIndex)
+        new.triples = set(self.triples)
+        new._by_s, new._by_p, new._by_o = ({k: v.copy() for k, v in lists.items()}
+                                           for lists in (self._by_s, self._by_p, self._by_o))
+        return new
+
     def add(self, t: Triple) -> bool:
         """Add t to the set being grown; False, changing nothing, if t is in it."""
         if t in self.triples:
@@ -357,7 +367,9 @@ class Graph:
     def with_prefixes(self, prefixes: Mapping[str, Iri]) -> "Graph":
         merged = dict(self._prefixes)
         merged.update(_check_prefix_map(prefixes))
-        return Graph(self._triples, merged)
+        g = Graph(self._triples, merged)
+        g._index = self._index  # the same triples: a built index serves both
+        return g
 
     # -- matching --
     def _build_index(self):
@@ -448,6 +460,15 @@ class Graph:
             if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
                 return True
         return False
+
+
+def first_literal(g: Union[Graph, TripleIndex], subject, predicate) -> Optional[str]:
+    """Lexical form of the first literal value, in canonical order, or None:
+    a property that should hold one value reads alike in every module."""
+    found = [t.object for t in g.scan(subject, predicate) if isinstance(t.object, Literal)]
+    if len(found) > 1:  # most properties hold one value: no key to compute
+        return min(found, key=term_sort_key).lexical
+    return found[0].lexical if found else None
 
 
 def skolemize_term(term: Term) -> Term:

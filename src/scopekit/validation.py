@@ -57,6 +57,7 @@ from .terms import (
     Iri,
     Literal,
     SKOLEM_PREFIX,
+    first_literal,
     skolemize_term,
 )
 
@@ -82,6 +83,14 @@ def is_valid_utc_timestamp(lexical: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def custody_sequence(g: Graph, record) -> int | None:
+    """A custody record's sequence number: its first literal in canonical
+    order, if that is an xsd:integer lexical form; else None. R10 orders a
+    chain by it and the report prints it."""
+    text = first_literal(g, record, PROP_CUSTODY_SEQ)
+    return int(text) if text is not None and INTEGER_LEX_RE.fullmatch(text) else None
 
 
 @dataclass(frozen=True)
@@ -300,17 +309,10 @@ def _rule_r10(ctx: _Ctx):
 
         entries = []
         for rec in records:
-            seq = None
-            for o in ctx.values(rec, PROP_CUSTODY_SEQ):
-                if isinstance(o, Literal) and INTEGER_LEX_RE.fullmatch(o.lexical):
-                    seq = int(o.lexical)
-            ts = None
-            for o in ctx.values(rec, PROP_CUSTODY_TS):
-                if isinstance(o, Literal) and is_valid_utc_timestamp(o.lexical):
-                    ts = o.lexical
-            if ts is None:
+            ts = first_literal(ctx.g, rec, PROP_CUSTODY_TS)
+            if ts is None or not is_valid_utc_timestamp(ts):
                 continue  # malformed timestamps are R03's finding
-            entries.append((seq, ts, skolemize_term(rec).value))
+            entries.append((custody_sequence(ctx.g, rec), ts, skolemize_term(rec).value))
 
         if len(entries) < 2:
             continue

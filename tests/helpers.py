@@ -340,3 +340,58 @@ def apply_random_steps(c, rng: random.Random, clock: _Clock) -> None:
     for i in range(rng.randint(0, 2)):
         c.add_action(f"step {i}", clock.tick(),
                      by=rng.choice(actors) if actors else None)
+
+
+def doubled_sequence_case():
+    """A LogFile seized at 01:00 and imaged at 02:00, whose first custody
+    record (sequence 1) holds a second sequence number, "3"."""
+    from scopekit import casekit
+    from scopekit.namespaces import PROP_CUSTODY_SEQ, evidence
+
+    c = casekit.new_case("doubled-sequence", at="2100-01-01T00:00:00Z", rng=random.Random(1))
+    item = c.add_evidence(evidence("LogFile"), seized_at="2100-01-01T01:00:00Z")
+    c.add_custody_event(item, "Imaged", "2100-01-01T02:00:00Z")
+    first = c.graph.scan(None, PROP_CUSTODY_SEQ, Literal("1", XSD_INTEGER))[0].subject
+    c.add(Triple(first, PROP_CUSTODY_SEQ, Literal("3", XSD_INTEGER)))
+    return c
+
+
+def malformed_sequence_graph(lexical: str) -> Graph:
+    """`doubled_sequence_case`'s graph with the first record's two sequence
+    numbers replaced by one plain literal, lexical."""
+    from scopekit.namespaces import PROP_CUSTODY_SEQ
+
+    g = doubled_sequence_case().graph
+    first = g.scan(None, PROP_CUSTODY_SEQ, Literal("1", XSD_INTEGER))[0].subject
+    for t in g.scan(first, PROP_CUSTODY_SEQ):
+        g = g.remove(t)
+    return g.insert(Triple(first, PROP_CUSTODY_SEQ, Literal(lexical)))
+
+
+def schemas_without_sequence_range(source: Path, target: Path) -> Path:
+    """A copy of the schema directory source at target, whose custodySequence
+    has no rdfs:range, so no rule checks a sequence's lexical form."""
+    import shutil
+
+    shutil.copytree(source, target)
+    evidence_ttl = target / "scope-evidence.ttl"
+    text = evidence_ttl.read_text(encoding="utf-8")
+    block = text.index("scope-evidence:custodySequence a rdf:Property")
+    evidence_ttl.write_text(
+        text[:block] + text[block:].replace("    rdfs:range xsd:integer ;\n", "", 1),
+        encoding="utf-8")
+    return target
+
+
+def stored_iocs_case():
+    """A case that stores IoC values in other than stored form: a defanged
+    domain and an uppercase MD5 digest."""
+    from scopekit import casekit
+    from scopekit.namespaces import evidence
+
+    c = casekit.new_case("stored-iocs", at="2100-01-01T00:00:00Z", rng=random.Random(2))
+    c.add_evidence(evidence("DomainIndicator"),
+                   attrs={"domainName": "evil[.]example", "iocSource": "feed"})
+    c.add_evidence(evidence("HashValue"),
+                   attrs={"md5": "D41D8CD98F00B204E9800998ECF8427E", "iocSource": "feed"})
+    return c

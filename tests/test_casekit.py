@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scopekit import casekit, cli
+from scopekit import casekit, cli, terms
 from scopekit.casekit import CustodyEvent, Ioc, first_literal, kebab
 from scopekit.catalog import load_default_catalog
 from scopekit.errors import (
@@ -25,6 +25,7 @@ from scopekit.namespaces import (
     PROP_CUSTODY_SEQ,
     PROP_DESCRIPTION,
     PROP_MD5,
+    PROP_NAME,
     PROP_TECHNIQUE_ID,
     attackpatterns,
     evidence,
@@ -37,6 +38,7 @@ from scopekit.terms import RDF_TYPE, XSD_INTEGER, Graph, Iri, Literal, Triple
 from scopekit.turtle import parse_turtle
 
 from conftest import FIXTURE_DIR
+from helpers import stored_iocs_case
 
 
 T0 = "2100-01-01T00:00:00Z"
@@ -276,6 +278,32 @@ class TestIocs:
         with pytest.raises(CsvFormatError):
             c.import_iocs("")
 
+    def test_stored_defanged_domain_exports_once(self):
+        out = stored_iocs_case().export_iocs()
+        assert out.splitlines() == ["kind,value,source", "Domain,evil[.]example,feed",
+                                    "Md5Hash,d41d8cd98f00b204e9800998ecf8427e,feed"]
+
+    @pytest.mark.parametrize("row", ["Domain,evil[.]example,other", "Domain,evil.example,feed",
+                                     "Md5Hash,D41D8CD98F00B204E9800998ECF8427E,feed",
+                                     "Md5Hash,d41d8cd98f00b204e9800998ecf8427e,other"])
+    def test_import_of_a_stored_value_is_counted_not_minted(self, row):
+        c = stored_iocs_case()
+        before = len(c.graph)
+        assert c.import_iocs(f"kind,value,source\n{row}\n") == 1
+        assert c.ioc_import_errors == [] and len(c.graph) == before
+
+    def test_rows_sort_on_what_they_print(self):
+        # equal kind and value, so only the source orders these rows,
+        # whatever IRIs the nodes got
+        rows = set()
+        for seed in range(6):
+            c = make_case(seed)
+            for source in ("lab b", "lab c", "lab a"):
+                c.add_evidence(evidence("DomainIndicator"),
+                               attrs={"domainName": "a.example", "iocSource": source})
+            rows.add(tuple(c.iocs()))
+        assert rows == {tuple(Ioc("Domain", "a.example", f"lab {x}") for x in "abc")}
+
     def test_defanged_helper(self):
         assert Ioc("Domain", "a.b.c", "").defanged() == "a[.]b[.]c"
         assert Ioc("Md5Hash", "0" * 32, "").defanged() == "0" * 32
@@ -381,6 +409,20 @@ class TestMerge:
         a, b, _ = self._conflicting_pair()
         out = casekit.merge(a, b)
         assert out.merged.validate().ok
+
+    def test_one_conflict_per_key_in_text_order(self):
+        a = make_case(8, "shared")
+        items = [a.add_evidence(evidence("DeviceImage"), attrs={"md5": "0" * 32}) for _ in range(3)]
+        g = a.graph
+        for item, values in zip(items, ("f", "ed", "")):
+            g = g.insert_all(Triple(item, PROP_MD5, Literal(x * 32)) for x in values)
+        out = casekit.merge(a, casekit.from_graph(g, case_iri=a.case_iri))
+        # the conflicting subjects in text order, each naming its first dropped value
+        assert out.conflicts == sorted(
+            [(items[0], PROP_MD5, f'"{"0" * 32}"', f'"{"f" * 32}"'),
+             (items[1], PROP_MD5, f'"{"0" * 32}"', f'"{"d" * 32}"')],
+            key=lambda c: c[0].value)
+        assert out.merged.graph.triples == a.graph.triples
 
     def test_mismatched_cases_rejected(self):
         a, b = make_case(1, "one"), make_case(2, "two")
@@ -549,6 +591,68 @@ class TestOneIndex:
         built, code = self.count_index_builds(monkeypatch, lambda: cli.main(["report", path]))
         assert code == 0 and capsys.readouterr().out.startswith("#")
         assert len(built) == 1
+
+    def test_first_literal_is_the_terms_reader(self):
+        assert casekit.first_literal is terms.first_literal
+
+    def count_index_builds_and_copies(self, monkeypatch, run):
+        """(TripleIndex builds, copies) while run() runs, and its result."""
+        counts = [0, 0]
+        build, copy = terms.TripleIndex.__init__, terms.TripleIndex.copy
+
+        def counted_build(self, triples):
+            counts[0] += 1
+            build(self, triples)
+
+        def counted_copy(self):
+            counts[1] += 1
+            return copy(self)
+
+        monkeypatch.setattr(terms.TripleIndex, "__init__", counted_build)
+        monkeypatch.setattr(terms.TripleIndex, "copy", counted_copy)
+        result = run()
+        monkeypatch.undo()
+        return tuple(counts), result
+
+    def test_add_read_cycles_copy_the_index(self, monkeypatch):
+        c = make_case()
+        component = c.add_component(infrastructure("EnergySystem"), "grid")
+        c.graph.scan(component)
+
+        def cycles():
+            for i in range(5):
+                c.add_action(f"step {i}", "2100-01-01T01:00:00Z")
+                c.graph.scan(component)
+            return c.graph
+
+        counts, g = self.count_index_builds_and_copies(monkeypatch, cycles)
+        assert counts == (0, 5)
+        assert len(g.scan(None, PROP_DESCRIPTION, None)) == 5
+
+    def test_ioc_import_builds_one_index(self, monkeypatch, capsys, tmp_path):
+        load_default_schema(), load_default_catalog()
+        feed = tmp_path / "feed.csv"
+        feed.write_text("kind,value,source\nDomain,example[.]test,unit\n", encoding="utf-8")
+        argv = ["iocs", "import", str(FIXTURE_DIR / "scenario1.ttl"), str(feed)]
+        counts, code = self.count_index_builds_and_copies(monkeypatch, lambda: cli.main(argv))
+        assert code == 0 and "imported 1 IoC rows" in capsys.readouterr().err
+        assert counts == (1, 1)
+
+    def test_forks_of_a_built_case_build_no_index(self, monkeypatch):
+        c = build_components(3)
+        g = c.graph
+        g.scan(c.case_iri)
+
+        def fork_twice():
+            forks = [casekit.from_graph(g) for _ in range(2)]
+            for fork, cls in zip(forks, ("WaterSystem", "EnergySystem")):
+                fork.add_component(infrastructure(cls), "plant")
+            return [fork.graph for fork in forks]
+
+        counts, graphs = self.count_index_builds_and_copies(monkeypatch, fork_twice)
+        assert counts == (0, 2)
+        assert [len(fg) - len(g) for fg in graphs] == [2, 2] and graphs[0] != graphs[1]
+        assert not g.scan(None, PROP_NAME, Literal("plant"))
 
     def test_built_case_validates_without_an_index_build(self, monkeypatch):
         def build_and_validate():

@@ -12,9 +12,14 @@ import pytest
 
 import scopekit
 from scopekit.cli import main
-from scopekit.turtle import parse_turtle
+from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
 from conftest import FIXTURE_DIR
+from helpers import (
+    doubled_sequence_case,
+    malformed_sequence_graph,
+    schemas_without_sequence_range,
+)
 
 
 def run_module(*args, module="scopekit.cli", python=(), **kwargs):
@@ -342,6 +347,38 @@ class TestIocs:
         err = capsys.readouterr().err
         assert "unknown IoC kind" in err
         assert "imported 0 IoC rows" in err
+
+
+class TestCustodySequence:
+    """R10 and the report read a custody record's sequence one way."""
+
+    def test_validate_does_not_depend_on_hash_seed(self, monkeypatch, tmp_path):
+        path = tmp_path / "doubled.ttl"
+        path.write_text(doubled_sequence_case().to_turtle(), encoding="utf-8")
+        outputs = set()
+        for seed in range(8):
+            monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+            run = run_module("validate", str(path), module="scopekit")
+            assert run.returncode == 1
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert "R10" not in outputs.pop()
+
+    @pytest.mark.parametrize("lexical", ["+-5", "\u00b2"])
+    def test_report_reads_a_malformed_sequence_as_zero(self, capsys, tmp_path, lexical):
+        # without the integer range, no rule rejects the value: the report
+        # prints the record, as sequence 0
+        schemas = schemas_without_sequence_range(FIXTURE_DIR.parent / "schemas",
+                                                 tmp_path / "schemas")
+        case = tmp_path / "odd.ttl"
+        case.write_text(serialize_turtle_canonical(malformed_sequence_graph(lexical)),
+                        encoding="utf-8")
+        argv = ["report", str(case), "--schema", str(schemas), "--format", "json"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [(e["action"], e["sequence"]) for e in json.loads(out)["custody"]] == [
+            ("Seized", 0), ("Imaged", 2)]
 
 
 class TestUndecodableInput:

@@ -256,6 +256,26 @@ class TestRowOrder:
         assert len(set(rows)) == 5
         assert rows == sorted(rows)
 
+    def test_custody_and_ioc_rows_sort_on_the_whole_row(self):
+        # rows that tie on time, evidence and sequence, or on kind and value,
+        # come out in printed order, whatever IRIs their nodes got
+        seen = set()
+        for seed in range(6):
+            c = casekit.new_case("tied-records", at=T0, rng=random.Random(seed))
+            for name in ("carol", "alice", "bob"):
+                actor = c.add_role(role("ForensicAnalyst"), name)
+                c.add_evidence(evidence("DeviceImage"), attrs={"name": "disk"},
+                               seized_at="2100-01-01T01:00:00Z", seized_by=actor)
+                c.add_evidence(evidence("DomainIndicator"),
+                               attrs={"domainName": "a.example", "iocSource": f"from {name}"})
+            s = summarize(c)
+            seen.add((s.iocs, tuple((e.at, e.evidence, e.sequence, e.action, e.actor)
+                                    for e in s.custody)))
+        assert seen == {(
+            tuple(("Domain", "a[.]example", f"from {name}") for name in ("alice", "bob", "carol")),
+            tuple(("2100-01-01T01:00:00Z", "disk", 1, "Seized", name)
+                  for name in ("alice", "bob", "carol")))}
+
     def test_shared_technique_id_named_by_canonical_first_node(self):
         c = self.tied_cases()[1]
         node = c.graph.match(None, PROP_TECHNIQUE_ID, None)[0].subject  # canonical order

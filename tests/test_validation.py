@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_text
-from helpers import random_case_script
+from helpers import doubled_sequence_case, random_case_script
 from scopekit import casekit
 from scopekit.errors import UnknownRuleError
 from scopekit.namespaces import (
@@ -47,6 +47,7 @@ from scopekit.turtle import parse_turtle
 from scopekit.validation import (
     RULE_CODES,
     Finding,
+    custody_sequence,
     explain_rule,
     is_valid_utc_timestamp,
     validate_graph,
@@ -366,12 +367,47 @@ class TestR10Custody:
             Triple(second.subject, PROP_CUSTODY_TS, first.object))
         assert codes(g, schema, catalog) == ["R10"]
 
+    def test_doubled_sequence_reads_the_canonical_first(self, schema, catalog):
+        # the record keeps "1" of "1" and "3", so seized (01:00) comes before
+        # imaged (02:00); only the second value itself is a finding
+        findings = validate_graph(doubled_sequence_case().graph, schema, catalog).findings
+        assert [(f.code, f.message.split(" has ")[0]) for f in findings] == [
+            ("R04", "functional property custodySequence")]
+
     def test_indicator_evidence_needs_no_chain(self, schema, catalog):
         c, _ = build_case()
         c.add_evidence(evidence("DomainIndicator"),
                        attrs={"domainName": "agegamepay.com",
                               "iocSource": "reversing"})
         assert validate_graph(c.graph, schema, catalog).ok
+
+
+class TestCustodySequence:
+    """R10 and the report read a record's sequence through one reader."""
+
+    REC = Iri("http://example.org/kb/record")
+
+    def sequence(self, *values):
+        return custody_sequence(Graph([Triple(self.REC, PROP_CUSTODY_SEQ, v) for v in values]),
+                                self.REC)
+
+    def test_reads_the_canonical_first_literal(self):
+        assert self.sequence(Literal("3", XSD_INTEGER), Literal("1", XSD_INTEGER)) == 1
+        assert self.sequence(Literal("007", XSD_INTEGER)) == 7
+        assert self.sequence(Literal("-2")) == -2
+        assert self.sequence(Iri("http://example.org/kb/x"), Literal("4", XSD_INTEGER)) == 4
+
+    @pytest.mark.parametrize("lexical", ["+-5", "\u00b2", "\u0665", "5\n", "1.0", ""])
+    def test_a_malformed_value_is_none(self, lexical):
+        assert self.sequence(Literal(lexical)) is None
+
+    def test_the_first_value_decides(self):
+        # "+-5" sorts before "9", so the well-formed later value is not read
+        assert self.sequence(Literal("+-5"), Literal("9", XSD_INTEGER)) is None
+
+    def test_none_without_a_value(self):
+        assert self.sequence() is None
+        assert self.sequence(Iri("http://example.org/kb/x")) is None
 
 
 class TestR11CrimeType:

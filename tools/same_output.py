@@ -12,8 +12,15 @@ in process and reports each one's stdout, stderr and exit code:
   and to Turtle, `query` with and without `--count`, `diff`, `merge`,
   `report` as Markdown and JSON, `iocs export` and `iocs import`) on the
   three bundled fixtures, on the `exchange` benchmark's seed-1 files A.ttl,
-  A.nt and B.ttl (built as perfbench/workloads.py builds them), and on the
-  cases perfbench/casegen.py generates from seeds 1-20;
+  A.nt and B.ttl (built as perfbench/workloads.py builds them), on the
+  cases perfbench/casegen.py generates from seeds 1-20, and on malformed
+  records from tests/helpers.py: a custody record with two sequence numbers,
+  and IoCs stored defanged or in uppercase (also imported again from a feed
+  that repeats them);
+- `validate` and `report` of a custody sequence of "+-5" or "\u00b2" under a
+  schema copy that gives custodySequence no range;
+- the TSV of each of the 80 queries of the `analyst` benchmark (seed 1) on
+  its case, built as perfbench/workloads.py builds them;
 - from the library, the canonical Turtle and N-Triples of those graphs;
 - the parse outcome (class, message, line, column) of every Turtle and
   N-Triples mutant that tests/test_contracts.py draws.
@@ -48,6 +55,11 @@ CASEGEN_BLOCKS = 32  # about 1.3k triples, the fewest that casegen.agency_b take
 QUERIES = ("?s ?p ?o", "?x a ?kind\n?x ?p ?v\nFILTER ?p /name|Time$/")
 IOC_CSV = ("kind,value,source\nDomain,example[.]test,same-output\n"
            "Md5Hash,00C4C3946EC03C915CFE4CBDDFFE93DA,same-output\nMd5Hash,not-a-digest,same-output\n")
+# the values helpers.stored_iocs_case stores, as a feed would send them again
+REPEAT_CSV = ("kind,value,source\nDomain,evil[.]example,same-output\n"
+              "Md5Hash,d41d8cd98f00b204e9800998ecf8427e,same-output\n")
+ODD_SEQUENCES = ("+-5", "\u00b2")
+ANALYST_SEED = 1
 
 # Each child puts its tree's src/ and this directory first on its path, so
 # both trees run the same run_jobs.
@@ -59,12 +71,12 @@ def run_jobs(jobs_file: str, results_file: str) -> None:
     """Run each job of jobs_file in this process and write its [stdout,
     stderr, exit code] to results_file; a job that raises reports
     "exception" and the exception on its stderr."""
-    results = []
+    results, parsed = [], {}
     for job in json.loads(Path(jobs_file).read_text()):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = run_job(job)
+                code = run_job(job, parsed)
             except Exception as e:
                 print(f"{type(e).__name__}: {e}", file=sys.stderr)
                 code = "exception"
@@ -72,17 +84,24 @@ def run_jobs(jobs_file: str, results_file: str) -> None:
     Path(results_file).write_text(json.dumps(results))
 
 
-def run_job(job: dict):
-    """One job's exit code; its output goes to sys.stdout and sys.stderr."""
+def run_job(job: dict, parsed: dict):
+    """One job's exit code; its output goes to sys.stdout and sys.stderr.
+    parsed maps a path to its graph, so the "tsv" jobs on one case parse it once."""
     from scopekit import cli
     from scopekit.errors import ParseError
     from scopekit.ntriples import parse_ntriples, render_triple, serialize_ntriples_canonical
+    from scopekit.query import run_text_query
     from scopekit.terms import skolemize
     from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
     kind = job["kind"]
     if kind == "cli":
         return cli.main(job["argv"])
+    if kind == "tsv":
+        if job["path"] not in parsed:
+            parsed[job["path"]] = parse_turtle(Path(job["path"]).read_bytes())
+        sys.stdout.write(run_text_query(parsed[job["path"]], job["query"]).to_tsv())
+        return 0
     if kind == "write":
         path = Path(job["path"])
         g = skolemize((parse_ntriples if path.suffix == ".nt" else parse_turtle)(path.read_bytes()))
@@ -101,6 +120,7 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
     """Write the corpus files into work: every case file, and the pairs that
     diff and merge read."""
     import casegen as cg
+    import helpers
 
     files, pairs = [], []
 
@@ -127,7 +147,42 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
         variant = cg.agency_b(case, random.Random(1000 + seed))
         pairs.append((write(f"case{seed}.ttl", cg.to_turtle(case.triples)),
                       write(f"case{seed}-b.ttl", cg.to_turtle(variant.triples))))
+    write("doubled-sequence.ttl", helpers.doubled_sequence_case().to_turtle())
+    write("stored-iocs.ttl", helpers.stored_iocs_case().to_turtle())
     return files, pairs
+
+
+def build_special_jobs(work: Path, cli) -> list[dict]:
+    """The commands that need their own inputs: an import feed that repeats
+    stored IoCs, malformed sequences under a schema that does not check them,
+    and the `analyst` queries on their case."""
+    import casegen as cg
+    import helpers
+    import workloads as wl
+    from scopekit.turtle import serialize_turtle_canonical
+
+    repeat = work / "repeat.csv"
+    repeat.write_text(REPEAT_CSV, encoding="utf-8")
+    cli("iocs", "import", work / "stored-iocs.ttl", repeat)
+    schemas = helpers.schemas_without_sequence_range(
+        ROOT / "src" / "scopekit" / "schemas", work / "schemas-no-sequence-range")
+    for i, lexical in enumerate(ODD_SEQUENCES):
+        path = work / f"odd-sequence{i}.ttl"
+        path.write_text(serialize_turtle_canonical(helpers.malformed_sequence_graph(lexical)),
+                        encoding="utf-8")
+        cli("validate", path, "--schema", schemas)
+        cli("report", path, "--schema", schemas)
+        cli("report", path, "--schema", schemas, "--format", "json")
+    # as perfbench/workloads.py Analyst builds them
+    rng = random.Random(ANALYST_SEED)
+    case = cg.generate_case(random.Random(rng.getrandbits(64)), wl.ANALYST_BLOCKS)
+    queries = wl.make_queries(random.Random(rng.getrandbits(64)), case)
+    path = work / "analyst.ttl"
+    path.write_text(cg.to_turtle(case.triples), encoding="utf-8")
+    short = cg.Abbreviator()
+    return [{"kind": "tsv", "path": str(path), "query": q.text(short),
+             "name": f"analyst query {i}: " + q.text(short).replace("\n", "\\n")}
+            for i, q in enumerate(queries)]
 
 
 def build_jobs(work: Path) -> list[dict]:
@@ -160,6 +215,7 @@ def build_jobs(work: Path) -> list[dict]:
     for a, b in pairs:
         cli("diff", a, b)
         cli("merge", a, b)
+    jobs += build_special_jobs(work, cli)
     import test_contracts as tc
 
     for fixture in tc.FIXTURE_FILES:
