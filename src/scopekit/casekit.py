@@ -130,7 +130,7 @@ class CustodyEvent:
 _IOC_KINDS = {
     "Md5Hash": (CLS_HASH_VALUE, PROP_MD5, str.lower, MD5_RE.fullmatch, "an MD5 digest"),
     "Domain": (CLS_DOMAIN_INDICATOR, PROP_DOMAIN_NAME, lambda v: v.replace("[.]", "."),
-               lambda v: "." in v and " " not in v, "a domain name"),
+               lambda v: "." in v and " " not in v and v.isprintable(), "a domain name"),
 }
 
 

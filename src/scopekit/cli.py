@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import InvalidCaseError, ScopeKitError
 from .namespaces import STANDARD_PREFIXES
 from .ntriples import parse_ntriples, read_text_file, render_triple, serialize_ntriples_canonical
-from .terms import Graph, skolemize, triple_sort_key
+from .terms import Graph, skolemize
 from .turtle import parse_turtle, serialize_turtle_canonical
 
 if TYPE_CHECKING:
@@ -114,10 +114,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    added, removed = (sorted(ts, key=triple_sort_key)
+    # lines sorted as canonical N-Triples sorts them
+    added, removed = (sorted(map(render_triple, ts))
                       for ts in _read_graph(args.a).diff(_read_graph(args.b)))
-    lines = ["# added", *map(render_triple, added), "# removed", *map(render_triple, removed)]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(["# added", *added, "# removed", *removed]) + "\n", args.output)
     return 1 if (added or removed) else 0
 
 

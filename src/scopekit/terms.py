@@ -2,13 +2,18 @@
 
 Terms are frozen values with structural equality: two literals are equal iff
 their lexical form, datatype, and language tag are equal ("1"^^xsd:int and
-"01"^^xsd:int are different terms). Terms and triples are slotted and compute
-their hash once, on construction, so set and dict lookups do not rebuild it.
-The Turtle and N-Triples parsers build one object per distinct term in a
-document, so equal terms in a parsed graph are the same object and container
-lookups on them succeed on identity, before any `==`. Each parse keeps its
-own memo, so nothing is shared across parses but the constants defined here.
-Graphs are immutable; insert/remove return new graphs, so a graph value can be
+"01"^^xsd:int are different terms). Terms and triples are slotted frozen
+dataclasses on one base, `_Hashed`: it holds the hash each computes once, on
+construction, so set and dict lookups do not rebuild it, and it pickles by
+rebuilding from the fields, as str hashes differ between processes. A hash
+is computed from strs, ints and other terms' cached hashes only, never from
+None or another object hashed by its address, so one PYTHONHASHSEED fixes
+every hash, and a graph's iteration order, in every interpreter. The Turtle
+and N-Triples parsers build one object per distinct term in a document, so
+equal terms in a parsed graph are the same object and container lookups on
+them succeed on identity, before any `==`. Each parse keeps its own memo, so
+nothing is shared across parses but the constants defined here. Graphs are
+immutable; insert/remove return new graphs, so a graph value can be
 shared freely across readers. `TripleIndex` is the one lookup index: a graph
 builds one over its triples on first lookup, or adopts the one that a
 `casekit.CaseGraph` grew and handed over, and nothing writes to it after (a
@@ -23,7 +28,7 @@ a copied or unpickled graph builds its own, not another's ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -41,18 +46,27 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 SKOLEM_PREFIX = "urn:skolem:"
 
 
-def _cached_hash():
-    """The field holding a term's hash: set once by __post_init__, left out
-    of repr and ==."""
-    return field(init=False, repr=False, compare=False)
+class _Hashed:
+    """Base of the terms and `Triple`: the hash that each class's
+    __post_init__ sets once, and a pickle that rebuilds from the fields. A
+    dataclass replaces an inherited __hash__, so each class body sets
+    `__hash__ = _Hashed.__hash__`."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, slots=True)
-class Iri:
+class Iri(_Hashed):
     """Absolute IRI. Rejects whitespace, control characters and <>"{}|^`\\."""
 
     value: str
-    _hash: int = _cached_hash()
+    __hash__ = _Hashed.__hash__
 
     def __post_init__(self):
         v = self.value
@@ -63,14 +77,7 @@ class Iri:
         bad = _FORBIDDEN_IRI_CHAR_RE.search(v)
         if bad:
             raise InvalidIriError(f"IRI contains forbidden character {bad.group()!r}: {v!r}")
-        object.__setattr__(self, "_hash", hash((v,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild rather than copy the slots: str hashes differ between processes
-        return Iri, (self.value,)
+        object.__setattr__(self, "_hash", hash(v))
 
     def local_name(self) -> str:
         """Substring after the last '/', '#', or ':' separator."""
@@ -102,13 +109,13 @@ KNOWN_DATATYPES = frozenset(
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Hashed):
     """RDF literal. A bare literal (no datatype, no lang) is an xsd:string."""
 
     lexical: str
     datatype: Optional[Iri] = None
     lang: Optional[str] = None
-    _hash: int = _cached_hash()
+    __hash__ = _Hashed.__hash__
 
     def __post_init__(self):
         if self.lang is not None and self.datatype is not None:
@@ -120,13 +127,8 @@ class Literal:
         elif self.datatype is None:
             # implied datatype
             object.__setattr__(self, "datatype", XSD_STRING)
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.lang)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Literal, (self.lexical, self.datatype, self.lang)
+        # after normalization exactly one of lang and datatype is set
+        object.__setattr__(self, "_hash", hash((self.lexical, self.lang or self.datatype._hash)))
 
     def __str__(self) -> str:
         if self.lang:
@@ -137,20 +139,14 @@ class Literal:
 
 
 @dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(_Hashed):
     label: str
-    _hash: int = _cached_hash()
+    __hash__ = _Hashed.__hash__
 
     def __post_init__(self):
         if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise ValueError(f"malformed blank node label: {self.label!r}")
-        object.__setattr__(self, "_hash", hash((self.label,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return BlankNode, (self.label,)
+        object.__setattr__(self, "_hash", hash(self.label))
 
     def __str__(self) -> str:
         return f"_:{self.label}"
@@ -169,11 +165,11 @@ def term_sort_key(t: Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(_Hashed):
     subject: Union[Iri, BlankNode]
     predicate: Iri
     object: Term
-    _hash: int = _cached_hash()
+    __hash__ = _Hashed.__hash__
 
     def __post_init__(self):
         if not isinstance(self.subject, (Iri, BlankNode)):
@@ -182,13 +178,8 @@ class Triple:
             raise TypeError(f"triple predicate must be an IRI: {self.predicate!r}")
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise TypeError(f"triple object must be a term: {self.object!r}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Triple, (self.subject, self.predicate, self.object)
+        object.__setattr__(self, "_hash", hash(
+            (self.subject._hash, self.predicate._hash, self.object._hash)))
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."

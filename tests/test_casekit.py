@@ -263,9 +263,13 @@ class TestIocs:
                 "Md5Hash,zz,lab\n"
                 "Domain,has space.com,lab\n"
                 "Beacon,10.0.0.1,lab\n"
-                "Domain,ageofwuxia[.]net,lab\n")
+                "Domain,ageofwuxia[.]net,lab\n"
+                "Domain,has\ttab.com,lab\n"
+                "Domain,has\x00nul.com,lab\n"
+                'Domain,"has\nnewline.com",lab\n')
         assert c.import_iocs(rows) == 1
-        assert len(c.ioc_import_errors) == 3
+        assert len(c.ioc_import_errors) == 6
+        assert [e.split(":")[0] for e in c.ioc_import_errors[3:]] == ["row 6", "row 7", "row 8"]
         assert [i.value for i in c.iocs()] == ["ageofwuxia.net"]
 
     def test_structural_problems_raise(self):

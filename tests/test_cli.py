@@ -201,6 +201,26 @@ class TestDiff:
         assert added < removed
         assert out.count(" .\n") > 0
 
+    def test_lines_come_in_the_n_triples_writer_order(self, capsys, tmp_path):
+        # "<http://ex/a>" sorts after "<http://ex/a-b>" bytewise, and an IRI
+        # object after a literal one, the reverse of the term order; six
+        # lines, so that an unsorted diff is seldom sorted by chance
+        empty, case = tmp_path / "empty.nt", tmp_path / "case.nt"
+        empty.write_text("", encoding="utf-8")
+        case.write_text("<http://ex/a> <http://ex/p> <http://ex/o> .\n"
+                        '<http://ex/a> <http://ex/p> "lit" .\n'
+                        '<http://ex/a> <http://ex/p> "lit"@en .\n'
+                        "<http://ex/a-b> <http://ex/p> <http://ex/o> .\n"
+                        "<http://ex/a.b> <http://ex/p> <http://ex/o> .\n"
+                        "<http://ex/a/b> <http://ex/p> <http://ex/o> .\n", encoding="utf-8")
+        assert main(["convert", str(case), "--to", "nt"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == sorted(lines)
+        assert main(["diff", str(empty), str(case)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["# added", *lines, "# removed"]
+        assert main(["diff", str(case), str(empty)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["# added", "# removed", *lines]
+
 
 class TestMerge:
     def test_self_merge_exits_zero(self, capsys, case_file):
@@ -379,6 +399,60 @@ class TestCustodySequence:
         assert err == ""
         assert [(e["action"], e["sequence"]) for e in json.loads(out)["custody"]] == [
             ("Seized", 0), ("Imaged", 2)]
+
+
+# runs each argv of the JSON list in argv[1] through main(), in process, and
+# prints a JSON list of [stdout, exit code]
+SEED_RUNNER = """
+import contextlib, io, json, sys
+from scopekit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([out.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+class TestHashSeeds:
+    """A hash seed fixes every order the program reads, so a command whose
+    output depends on it fails here under the seed that reproduces it."""
+
+    def test_every_subcommand_writes_one_stdout_under_seeds_0_to_3(self, tmp_path, case_file):
+        blank = tmp_path / "blank.ttl"
+        blank.write_text(case_file.read_text(encoding="utf-8") + '_:b1 uco-core:name "blank" .\n',
+                         encoding="utf-8")
+        feed = tmp_path / "feed.csv"
+        feed.write_text("kind,value,source\nDomain,example[.]test,unit\n"
+                        "Md5Hash,00C4C3946EC03C915CFE4CBDDFFE93DA,unit\n", encoding="utf-8")
+        a, b = str(case_file), str(blank)
+        commands = [["diff", a, b], ["diff", b, a], ["merge", a, b], ["merge", b, a]]
+        for path in (a, b):
+            commands += [
+                ["validate", path], ["validate", path, "--format", "json"],
+                ["report", path], ["report", path, "--format", "json"],
+                ["query", path, "-q", "?x a ?kind\n?x ?p ?v\nFILTER ?p /name|Time$/"],
+                ["query", path, "-q", "?s ?p ?o"], ["query", path, "--count", "-q", "?s ?p ?o"],
+                ["convert", path, "--to", "nt"], ["convert", path, "--to", "ttl"],
+                ["iocs", "export", path], ["iocs", "import", path, str(feed)],
+            ]
+        src = str(Path(scopekit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = {
+            seed: subprocess.Popen(
+                [sys.executable, "-c", SEED_RUNNER, json.dumps(commands)], stdout=subprocess.PIPE,
+                text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)))
+            for seed in range(4)}
+        results = {}
+        for seed, child in children.items():
+            results[seed] = json.loads(child.communicate(timeout=120)[0])
+            assert child.returncode == 0
+        for seed in (1, 2, 3):
+            for argv, first, this in zip(commands, results[0], results[seed]):
+                assert this == first, (f"`scopekit {' '.join(argv)}` under PYTHONHASHSEED={seed} "
+                                       "differs from PYTHONHASHSEED=0")
 
 
 class TestUndecodableInput:

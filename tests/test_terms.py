@@ -241,6 +241,48 @@ class TestTermContract:
         assert done.returncode == 0, done.stderr.decode()
 
 
+class TestHashInputs:
+    """A hash seed fixes every hash: none is built from an object's address."""
+
+    def test_one_seed_gives_one_hash_and_one_order_in_every_interpreter(self):
+        # before Python 3.12, hash(None) follows None's address, which moves
+        # between processes
+        script = (
+            "import sys\n"
+            "from scopekit.terms import Iri, Literal, Triple\n"
+            "from scopekit.turtle import parse_turtle\n"
+            "t = Triple(Iri('http://example.org/s'), Iri('http://example.org/p'), Literal('1'))\n"
+            "print(hash(Literal('1')), hash(Literal('x', lang='en')), hash(t))\n"
+            "print(*parse_turtle(sys.stdin.buffer.read()), sep='\\n')\n"
+        )
+        data = (Path(__file__).resolve().parents[1] / "src" / "scopekit" / "fixtures"
+                / "scenario1.ttl").read_bytes()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outputs = set()
+        for _ in range(3):
+            done = subprocess.run([sys.executable, "-c", script], input=data, env=env,
+                                  capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
+    def test_building_a_triple_calls_no_term_hash(self, monkeypatch):
+        calls = []
+        for cls in (Iri, BlankNode, Literal):
+            def counted(self, inner=cls.__hash__):
+                calls.append(self)
+                return inner(self)
+            monkeypatch.setattr(cls, "__hash__", counted)
+        s, p, o, b = iri("s"), iri("p"), Literal("o", lang="en"), BlankNode("b1")
+        hash(s)
+        assert calls == [s]  # the counter is in place
+        calls.clear()
+        Triple(s, p, o), Triple(b, p, s), Triple(s, p, b)
+        assert calls == []
+
+
 class TestTermOrder:
     def test_kind_rank(self):
         ordered = sorted(

@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Check that the tests kill every mutant of a fixed table.
+
+    python tools/mutants.py
+
+Each entry of MUTANTS names a module of src/scopekit, a text that occurs in
+it exactly once, the text to put in its place, and the pytest selection that
+must fail on the result. For each entry, src/ is copied into a temporary
+directory (removed on exit), the change is made in the copy, and the
+selection runs against the copy with a fixed hash seed, so a verdict can be
+reproduced; the checkout is not touched. A mutant is killed when pytest
+reports failing tests (exit 1). The exit status is 1 when a mutant survives,
+when pytest ends any other way, or when an entry's old text no longer occurs
+once in its module, and 0 when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (module, old text, new text, pytest selection)
+MUTANTS = [
+    # a UCHAR that names a surrogate decodes
+    ("ntriples.py",
+     "        if 0xD800 <= code <= 0xDFFF:\n"
+     '            raise ValueError(f"escape {m.group()} is not a Unicode scalar value", m.start())\n',
+     "", ["tests/test_parse_errors.py", "-k", "surrogate"]),
+    # the Markdown report writes &, < and > as they are
+    ("report.py", r'_UNSAFE_RE = re.compile("[\x00-\x1f\x7f&<>',
+     r'_UNSAFE_RE = re.compile("[\x00-\x1f\x7f', ["tests/test_report.py::TestInertValues"]),
+    # a custody sequence that is not an xsd:integer lexical form reaches int()
+    ("validation.py", "if text is not None and INTEGER_LEX_RE.fullmatch(text) else None",
+     "if text is not None else None", ["tests/test_cli.py::TestCustodySequence"]),
+    # a defanged domain is stored defanged
+    ("casekit.py", 'lambda v: v.replace("[.]", ".")', "lambda v: v",
+     ["tests/test_casekit.py::TestIocs"]),
+    # a filter regex with counted repetition compiles
+    ("query.py",
+     '        if ch in "{}":\n'
+     '            raise UnsupportedRegexError("counted repetition {m,n} is not supported in filters")\n',
+     "", ["tests/test_query.py::TestVariableAndRegexValidation"]),
+    # building a triple calls each term's __hash__
+    ("terms.py", "(self.subject._hash, self.predicate._hash, self.object._hash)",
+     "(self.subject, self.predicate, self.object)", ["tests/test_terms.py::TestHashInputs"]),
+    # diff lists its lines in set order
+    ("cli.py", "sorted(map(render_triple, ts))", "list(map(render_triple, ts))",
+     ["tests/test_cli.py::TestDiff"]),
+    # a domain with a tab, a NUL or a line break imports
+    ("casekit.py", 'lambda v: "." in v and " " not in v and v.isprintable()',
+     'lambda v: "." in v and " " not in v', ["tests/test_casekit.py::TestIocs"]),
+]
+
+
+def run_mutant(work: Path, module: str, old: str, new: str, selection: list[str]) -> str:
+    """The verdict on one mutant: "killed", "SURVIVED", or what went wrong."""
+    src = work / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "scopekit" / module
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return f"STALE: the old text occurs {text.count(old)} times"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                          *selection], cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=600)
+    if run.returncode == 1:
+        return "killed"
+    if run.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exited {run.returncode}\n{run.stdout[-2000:]}{run.stderr[-2000:]}"
+
+
+def main() -> int:
+    began = time.perf_counter()
+    faults = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        for module, old, new, selection in MUTANTS:
+            started = time.perf_counter()
+            verdict = run_mutant(Path(tmp), module, old, new, selection)
+            faults += verdict != "killed"
+            first = old.strip().splitlines()[0]
+            print(f"{verdict}: {module}: {first[:70]!r} ({time.perf_counter() - started:.1f} s)")
+    print(f"mutants: {len(MUTANTS) - faults} of {len(MUTANTS)} killed, "
+          f"{time.perf_counter() - began:.1f} s")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

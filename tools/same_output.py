@@ -13,10 +13,11 @@ in process and reports each one's stdout, stderr and exit code:
   `report` as Markdown and JSON, `iocs export` and `iocs import`) on the
   three bundled fixtures, on the `exchange` benchmark's seed-1 files A.ttl,
   A.nt and B.ttl (built as perfbench/workloads.py builds them), on the
-  cases perfbench/casegen.py generates from seeds 1-20, and on malformed
-  records from tests/helpers.py: a custody record with two sequence numbers,
-  and IoCs stored defanged or in uppercase (also imported again from a feed
-  that repeats them);
+  cases perfbench/casegen.py generates from seeds 1-20, on an empty graph
+  and a graph whose diff from it sorts one way on terms and another
+  bytewise, and on malformed records from tests/helpers.py: a custody
+  record with two sequence numbers, and IoCs stored defanged or in
+  uppercase (also imported again from a feed that repeats them);
 - `validate` and `report` of a custody sequence of "+-5" or "\u00b2" under a
   schema copy that gives custodySequence no range;
 - the TSV of each of the 80 queries of the `analyst` benchmark (seed 1) on
@@ -58,6 +59,10 @@ IOC_CSV = ("kind,value,source\nDomain,example[.]test,same-output\n"
 # the values helpers.stored_iocs_case stores, as a feed would send them again
 REPEAT_CSV = ("kind,value,source\nDomain,evil[.]example,same-output\n"
               "Md5Hash,d41d8cd98f00b204e9800998ecf8427e,same-output\n")
+# "<http://ex/a>" sorts after "<http://ex/a-b>" bytewise, and an IRI object
+# after a literal one, the reverse of the term order
+ORDER_NT = ("<http://ex/a> <http://ex/p> <http://ex/o> .\n<http://ex/a> <http://ex/p> \"lit\" .\n"
+            "<http://ex/a-b> <http://ex/p> <http://ex/o> .\n")
 ODD_SEQUENCES = ("+-5", "\u00b2")
 ANALYST_SEED = 1
 
@@ -147,6 +152,9 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
         variant = cg.agency_b(case, random.Random(1000 + seed))
         pairs.append((write(f"case{seed}.ttl", cg.to_turtle(case.triples)),
                       write(f"case{seed}-b.ttl", cg.to_turtle(variant.triples))))
+    # a diff whose lines sort one way on terms and another bytewise
+    empty, order = write("empty.nt", ""), write("order.nt", ORDER_NT)
+    pairs += [(empty, order), (order, empty)]
     write("doubled-sequence.ttl", helpers.doubled_sequence_case().to_turtle())
     write("stored-iocs.ttl", helpers.stored_iocs_case().to_turtle())
     return files, pairs
