@@ -16,13 +16,15 @@ nothing is shared across parses but the constants defined here. Graphs are
 immutable; insert/remove return new graphs, so a graph value can be
 shared freely across readers. `TripleIndex` is the one lookup index: a graph
 builds one over its triples on first lookup, or adopts the one that a
-`casekit.CaseGraph` grew and handed over, and nothing writes to it after (a
+`casekit.CaseGraph` grew and handed over, and nothing adds to it after (a
 case that writes again grows a `copy`); its `estimate` gives, in O(1), the
-length of the list a lookup would read. `first_literal` reads a property
-that should hold one value. A graph's table of canonical term ranks (keyed
-by the `id` of its term objects) and its triples sorted on those ranks, one
-list per order of the three positions, are built on first use and kept too;
-a copied or unpickled graph builds its own, not another's ids.
+length of the list a lookup would read, and per predicate it keeps a
+`column` of values by subject, which `first_literal` (a property that should
+hold one value) and `Graph.objects_of` read. A graph's table of canonical
+term ranks (keyed by the `id` of its term objects) and its triples sorted on
+those ranks, one list per order of the three positions, are built on first
+use and kept too; a copied or unpickled graph builds its own, not another's
+ids.
 """
 
 from __future__ import annotations
@@ -201,14 +203,16 @@ def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
 
 
 class TripleIndex:
-    """The one lookup index: a triple set plus its triples listed by subject,
-    predicate and object. It keeps the set it is given: a graph's frozenset,
-    or the set a case grows with `add` until `snapshot` hands it to a graph."""
+    """The one lookup index: a triple set, its triples listed by subject,
+    predicate and object, and per predicate a kept `column` (Hexastore's PSO
+    order). It keeps the set it is given: a graph's frozenset, or the set a
+    case grows with `add` until `snapshot` hands it, columns too, to a graph."""
 
-    __slots__ = ("triples", "_by_s", "_by_p", "_by_o")
+    __slots__ = ("triples", "_by_s", "_by_p", "_by_o", "_columns")
 
     def __init__(self, triples: set[Triple] | frozenset[Triple]):
         self.triples = triples
+        self._columns = {}
         self._by_s, self._by_p, self._by_o = by_s, by_p, by_o = {}, {}, {}
         for t in triples:
             by_s.setdefault(t.subject, []).append(t)
@@ -217,22 +221,38 @@ class TripleIndex:
 
     def copy(self) -> "TripleIndex":
         """A new index of the same triples that `add` may grow: a copy of the
-        set and of each list, made without re-reading the triples."""
+        set and of each list, made without re-reading the triples; no columns."""
         new = TripleIndex.__new__(TripleIndex)
-        new.triples = set(self.triples)
+        new.triples, new._columns = set(self.triples), {}
         new._by_s, new._by_p, new._by_o = ({k: v.copy() for k, v in lists.items()}
                                            for lists in (self._by_s, self._by_p, self._by_o))
         return new
 
     def add(self, t: Triple) -> bool:
-        """Add t to the set being grown; False, changing nothing, if t is in it."""
+        """Add t to the set being grown and to its predicate's built column;
+        False, changing nothing, if t is in it."""
         if t in self.triples:
             return False
         self.triples.add(t)
         self._by_s.setdefault(t.subject, []).append(t)
         self._by_p.setdefault(t.predicate, []).append(t)
         self._by_o.setdefault(t.object, []).append(t)
+        column = self._columns.get(t.predicate)
+        if column is not None:
+            column.setdefault(t.subject, []).append(t.object)
         return True
+
+    def column(self, predicate: Iri) -> dict[Union[Iri, BlankNode], list[Term]]:
+        """predicate's values by subject: each subject that has one -> its
+        objects, in no particular order. Built from predicate's list on first
+        use and kept, shared: do not modify it."""
+        column = self._columns.get(predicate)
+        if column is None:
+            column = {}  # published whole, as a graph may be shared across readers
+            for t in self._by_p.get(predicate, ()):
+                column.setdefault(t.subject, []).append(t.object)
+            self._columns[predicate] = column
+        return column
 
     def snapshot(self, prefixes: Mapping[str, Iri]) -> "Graph":
         """A graph of these triples that adopts this index, which then holds
@@ -287,10 +307,11 @@ class Graph:
     """Immutable set of triples plus a prefix map.
 
     Equality and hashing consider the triple set only; the prefix map is
-    presentation metadata (N-Triples, for one, cannot carry it). The index,
-    `term_ranks` and each `sorted_triples` order are built on first use and
-    kept; copies rebuild them (`__reduce__`). Canonical Turtle reads the kept
-    (s, p, o) order, as query full scans read theirs.
+    presentation metadata (N-Triples, for one, cannot carry it). The index
+    and its columns, `term_ranks` and each `sorted_triples` order are built on
+    first use and kept; copies rebuild them (`__reduce__`). Canonical Turtle
+    reads the kept (s, p, o) order, as query full scans read theirs; a read
+    of one subject's values of one predicate reads that predicate's column.
     """
 
     __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders")
@@ -366,19 +387,24 @@ class Graph:
     def _build_index(self):
         self._index = TripleIndex(self._triples)
 
+    def _indexed(self) -> TripleIndex:
+        if self._index is None:
+            self._build_index()
+        return self._index
+
     def scan(self, subject: Term | None = None, predicate: Iri | None = None,
              object: Term | None = None) -> list[Triple]:
         """`TripleIndex.scan` over this graph's index."""
-        if self._index is None:
-            self._build_index()
-        return self._index.scan(subject, predicate, object)
+        return self._indexed().scan(subject, predicate, object)
 
     def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
                  object: Term | None = None) -> int:
         """`TripleIndex.estimate` over this graph's index."""
-        if self._index is None:
-            self._build_index()
-        return self._index.estimate(subject, predicate, object)
+        return self._indexed().estimate(subject, predicate, object)
+
+    def column(self, predicate: Iri) -> dict[Union[Iri, BlankNode], list[Term]]:
+        """`TripleIndex.column` over this graph's index."""
+        return self._indexed().column(predicate)
 
     def match(self, subject: Term | None = None, predicate: Iri | None = None,
               object: Term | None = None) -> list[Triple]:
@@ -439,12 +465,11 @@ class Graph:
 
     def subjects(self) -> set[Union[Iri, BlankNode]]:
         """The distinct subjects, as a fresh set of the index's subject keys."""
-        if self._index is None:
-            self._build_index()
-        return self._index.subjects()
+        return self._indexed().subjects()
 
     def objects_of(self, subject: Term, predicate: Iri) -> list[Term]:
-        return [t.object for t in self.match(subject, predicate, None)]
+        """subject's values of predicate, in canonical order: a fresh list."""
+        return sorted(self.column(predicate).get(subject, ()), key=term_sort_key)
 
     def has_blank_nodes(self) -> bool:
         for t in self._triples:
@@ -456,7 +481,7 @@ class Graph:
 def first_literal(g: Union[Graph, TripleIndex], subject, predicate) -> Optional[str]:
     """Lexical form of the first literal value, in canonical order, or None:
     a property that should hold one value reads alike in every module."""
-    found = [t.object for t in g.scan(subject, predicate) if isinstance(t.object, Literal)]
+    found = [o for o in g.column(predicate).get(subject, ()) if isinstance(o, Literal)]
     if len(found) > 1:  # most properties hold one value: no key to compute
         return min(found, key=term_sort_key).lexical
     return found[0].lexical if found else None

@@ -5,21 +5,20 @@ are sorted by (code, subject, message), so equal graphs always produce
 byte-identical reports. Validation never mutates the graph and never infers
 anything: an untyped node is a finding, not a candidate for inference.
 
-Every rule reads the graph through its own index (`Graph.scan` and
-`Graph.subjects`); nothing copies it. The property rules (R02-R04) check one
-schema property at a time over that property's triples, as a SHACL property
-shape checks one path over its value nodes. The class rules (R09-R11) read
-a class's members through `Schema.instances_under`, one type scan per
-subclass. The only per-call view is each subject's shape, which serves
-R01-R05: one per distinct set of rdf:type objects, in the manner of SHACL
-node shapes, holding its undeclared classes and its declared classes'
-ancestors.
+Every rule reads the graph through its own index; nothing copies it. The
+property rules (R02-R04) check one schema property at a time over the
+index's kept column of it (`Graph.column`) or, for R03, its triples, as a
+SHACL property shape checks one path over its value nodes. The class rules
+(R09-R11) read a class's members through `Schema.instances_under` and look
+each up in a column. No rule scans on a bound (subject, predicate). The only
+per-call view is each subject's shape, which serves R01-R05: one per
+distinct set of rdf:type objects, in the manner of SHACL node shapes,
+holding its undeclared classes and its declared classes' ancestors.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -160,23 +159,20 @@ class _Ctx:
 
     def __init__(self, g: Graph, schema: Schema):
         self.g, self.schema = g, schema
-        types: dict = {}
-        for t in g.scan(None, RDF_TYPE, None):
-            types.setdefault(t.subject, []).append(t.object)
+        types = g.column(RDF_TYPE)
         self._ancestors: dict = {}
         self._shapes: dict = {}
         self.shape = {s: self._shape(types.get(s, ())) for s in g.subjects()}
         self.untyped = self._shape(())
 
     def _shape(self, types) -> _Shape:
-        key = frozenset(c for c in types if isinstance(c, Iri))
-        return self._shapes.get(key) or self._shapes.setdefault(key, _Shape(key, self))
+        # most subjects have one type: that object is the key, with no set to build
+        key = types[0] if len(types) == 1 else frozenset(types)
+        return self._shapes.get(key) or self._shapes.setdefault(
+            key, _Shape(frozenset(c for c in types if isinstance(c, Iri)), self))
 
     def ancestors(self, c: Iri) -> frozenset[Iri]:
         return self._ancestors.get(c) or self._ancestors.setdefault(c, self.schema.ancestors(c))
-
-    def values(self, subject, predicate: Iri) -> list:
-        return [t.object for t in self.g.scan(subject, predicate, None)]
 
 
 def _rule_r01(ctx: _Ctx):
@@ -189,13 +185,18 @@ def _rule_r01(ctx: _Ctx):
 
 
 def _rule_r02(ctx: _Ctx):
-    """Domain conformance for declared properties; untyped subjects are R01's."""
+    """Domain conformance for declared properties; untyped subjects are R01's.
+    One verdict per (property, shape)."""
     for p in ctx.schema.properties.values():
         if not p.domain:
             continue
-        for s in dict.fromkeys(t.subject for t in ctx.g.scan(None, p.iri, None)):
+        outside: dict = {}
+        for s in ctx.g.column(p.iri):
             shape = ctx.shape[s]
-            if shape.ancestors and not p.domain & shape.ancestors:
+            wrong = outside.get(shape)
+            if wrong is None:
+                wrong = outside[shape] = bool(shape.ancestors) and not p.domain & shape.ancestors
+            if wrong:
                 yield Finding(ERROR, "R02", skolemize_term(s), f"{p.iri.local_name()} is not "
                               f"applicable to a node of class {shape.class_names}")
 
@@ -249,15 +250,15 @@ def _rule_r04(ctx: _Ctx):
         if p.max_card is None:
             continue
         kind = "functional property" if p.functional else "property"
-        # a subject's triples for one property have distinct objects: the graph is a set
-        for s, n in Counter(t.subject for t in ctx.g.scan(None, p.iri, None)).items():
-            if n > p.max_card:
+        # a subject's values of one property are distinct: the graph is a set
+        for s, values in ctx.g.column(p.iri).items():
+            if len(values) > p.max_card:
                 yield Finding(ERROR, "R04", skolemize_term(s), f"{kind} {p.iri.local_name()} has "
-                              f"{n} distinct values, at most {p.max_card} allowed")
+                              f"{len(values)} distinct values, at most {p.max_card} allowed")
     # min side: every instance of a domain class must reach the floor
     for s, shape in ctx.shape.items():
         for p in shape.min_props:
-            n = len(ctx.values(s, p.iri))
+            n = len(ctx.g.column(p.iri).get(s, ()))
             if n < p.min_card:
                 yield Finding(ERROR, "R04", skolemize_term(s),
                               f"property {p.iri.local_name()} has {n} values, at least {p.min_card} required")
@@ -293,8 +294,9 @@ _rule_r12 = _literal_shape_rule("R12", PROP_CVE_ID, CVE_ID_RE, "CVE id (CVE-YYYY
 
 def _rule_r09(ctx: _Ctx):
     """Threat nodes should point at the infrastructure they apply to."""
+    targets = ctx.g.column(PROP_TARGETS)
     for s in ctx.schema.instances_under(ctx.g, CLS_THREAT):
-        if not ctx.values(s, PROP_TARGETS):
+        if s not in targets:
             yield Finding(WARNING, "R09", skolemize_term(s),
                           "threat is not linked to any infrastructure component")
 
@@ -305,6 +307,7 @@ def _rule_r10(ctx: _Ctx):
         records = [t.subject for t in ctx.g.scan(None, PROP_CUSTODY_OF, e)]
         if not records:
             yield Finding(ERROR, "R10", skolemize_term(e), "no custody chain recorded")
+        if len(records) < 2:
             continue
 
         entries = []
@@ -333,8 +336,9 @@ def _rule_r10(ctx: _Ctx):
 def _rule_r11(ctx: _Ctx):
     """Crime nodes carry a crimeType from the closed set."""
     allowed = ", ".join(sorted(CRIME_TYPES))
+    crime_types = ctx.g.column(PROP_CRIME_TYPE)
     for s in ctx.schema.instances_under(ctx.g, CLS_CYBERCRIME):
-        values = ctx.values(s, PROP_CRIME_TYPE)
+        values = crime_types.get(s)
         if not values:
             yield Finding(ERROR, "R11", skolemize_term(s),
                           f"crime node lacks a crimeType (one of: {allowed})")

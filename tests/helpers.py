@@ -395,3 +395,43 @@ def stored_iocs_case():
     c.add_evidence(evidence("HashValue"),
                    attrs={"md5": "D41D8CD98F00B204E9800998ECF8427E", "iocSource": "feed"})
     return c
+
+
+def column_branch_graphs() -> dict[str, Graph]:
+    """Graphs that reach each branch of the validator's column reads, by name:
+
+    - "column-branches", valid: a component with two rdf:type objects, an
+      evidence item with one custody record and one with three;
+    - "first-timestamp-malformed": that graph, whose third record holds two
+      timestamps: a malformed one, its canonical first, and a well-formed one
+      earlier than the record before it, which R10 must not read;
+    - "untyped-domain": that graph plus an untyped subject with a targets
+      value, and a crimeType on the two-typed component."""
+    from scopekit import casekit
+    from scopekit.namespaces import (
+        PROP_CRIME_TYPE, PROP_CUSTODY_SEQ, PROP_CUSTODY_TS, PROP_TARGETS, evidence,
+        infrastructure,
+    )
+    from scopekit.terms import RDF_TYPE
+
+    c = casekit.new_case("column-branches", at="2100-01-01T00:00:00Z", rng=random.Random(3))
+    grid = c.add_component(infrastructure("EnergySystem"), "grid")
+    c.add(Triple(grid, RDF_TYPE, infrastructure("WaterSystem")))
+    c.add_evidence(evidence("LogFile"), seized_at="2100-01-01T01:00:00Z")
+    image = c.add_evidence(evidence("DeviceImage"), seized_at="2100-01-01T01:00:00Z")
+    c.add_custody_event(image, "Imaged", "2100-01-01T02:00:00Z")
+    c.add_custody_event(image, "Analyzed", "2100-01-01T03:00:00Z")
+    g = c.graph
+    third = g.scan(None, PROP_CUSTODY_SEQ, Literal("3", XSD_INTEGER))[0].subject
+    # " " sorts before "T": the malformed form is the record's first literal
+    stamps = [Triple(third, PROP_CUSTODY_TS, Literal(at, XSD_DATETIME))
+              for at in ("2100-01-01 00:30:00Z", "2100-01-01T01:30:00Z")]
+    return {
+        "column-branches": g,
+        "first-timestamp-malformed": Graph(
+            [t for t in g if t.subject != third or t.predicate != PROP_CUSTODY_TS] + stamps,
+            g.prefixes),
+        "untyped-domain": g.insert_all([
+            Triple(Iri("http://example.org/untyped"), PROP_TARGETS, grid),
+            Triple(grid, PROP_CRIME_TYPE, Literal("IllegalAccess"))]),
+    }

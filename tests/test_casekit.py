@@ -36,9 +36,10 @@ from scopekit.namespaces import (
 from scopekit.schema import load_default_schema
 from scopekit.terms import RDF_TYPE, XSD_INTEGER, Graph, Iri, Literal, Triple
 from scopekit.turtle import parse_turtle
+from scopekit.validation import validate_graph
 
 from conftest import FIXTURE_DIR
-from helpers import stored_iocs_case
+from helpers import column_branch_graphs, stored_iocs_case
 
 
 T0 = "2100-01-01T00:00:00Z"
@@ -666,3 +667,47 @@ class TestOneIndex:
         built, (c, report) = self.count_index_builds(monkeypatch, build_and_validate)
         assert report.findings == () and report.checked_triples == len(c.graph)
         assert built == []
+
+    def test_validation_builds_each_column_once(self, monkeypatch):
+        g = parse_turtle((FIXTURE_DIR / "scenario1.ttl").read_bytes())
+        schema, catalog = load_default_schema(), load_default_catalog()
+        returned = {}  # predicate -> each column object handed out for it
+        column = terms.TripleIndex.column
+
+        def recorded(index, predicate):
+            found = column(index, predicate)
+            returned.setdefault(predicate, []).append(found)
+            return found
+
+        def columns_built():
+            return {p: len({id(c) for c in cs}) for p, cs in returned.items()}
+
+        monkeypatch.setattr(terms.TripleIndex, "column", recorded)
+        first = validate_graph(g, schema, catalog)
+        built, reads = columns_built(), sum(map(len, returned.values()))
+        assert set(built.values()) == {1} and reads > len(built)
+        second = validate_graph(g, schema, catalog)
+        assert columns_built() == built and sum(map(len, returned.values())) == 2 * reads
+        assert first == second
+
+    def test_add_keeps_a_read_column_current(self):
+        c = make_case()
+        assert c.name == "merge-lab"  # builds the name column of the index the case grows
+        plant = c.add_component(infrastructure("WaterSystem"), "plant")
+        assert first_literal(c.graph, plant, PROP_NAME) == "plant"
+
+    def test_validation_makes_no_subject_predicate_scan(self, monkeypatch):
+        graphs = [parse_turtle((FIXTURE_DIR / f"scenario{i}.ttl").read_bytes()) for i in (1, 2, 3)]
+        graphs += [*column_branch_graphs().values(), build_components(3).graph]
+        schema, catalog = load_default_schema(), load_default_catalog()
+        scans = []
+        scan = Graph.scan
+
+        def recorded(g, subject=None, predicate=None, object=None):
+            scans.append((subject, predicate))
+            return scan(g, subject, predicate, object)
+
+        monkeypatch.setattr(Graph, "scan", recorded)
+        for g in graphs:
+            validate_graph(g, schema, catalog)
+        assert scans and [(s, p) for s, p in scans if s is not None and p is not None] == []

@@ -18,6 +18,8 @@ from scopekit.terms import (
     Iri,
     Literal,
     Triple,
+    TripleIndex,
+    first_literal,
     skolemize,
     term_sort_key,
     triple_sort_key,
@@ -25,7 +27,7 @@ from scopekit.terms import (
 
 from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
-from helpers import random_graph
+from helpers import random_graph, random_mixed_graph
 
 
 EX = "http://example.org/"
@@ -421,6 +423,51 @@ class TestGraph:
         g = Graph([Triple(iri("s"), iri("p"), Literal("a")),
                    Triple(iri("s"), iri("p"), Literal("b"))])
         assert [o.lexical for o in g.objects_of(iri("s"), iri("p"))] == ["a", "b"]
+
+
+def column_values(column) -> dict:
+    """A column in an order-free form: subject -> its values, sorted."""
+    return {s: sorted(values, key=term_sort_key) for s, values in column.items()}
+
+
+class TestColumns:
+    def test_a_column_lists_each_subjects_values_of_its_predicate(self):
+        g = random_mixed_graph(random.Random(12), 80)
+        for p in {t.predicate for t in g} | {iri("absent")}:
+            want = {}
+            for t in g.scan(None, p, None):
+                want.setdefault(t.subject, []).append(t.object)
+            assert column_values(g.column(p)) == column_values(want)
+            for s in {t.subject for t in g}:
+                assert g.objects_of(s, p) == [t.object for t in g.match(s, p, None)]
+
+    def test_index_add_keeps_a_built_column_current(self):
+        index = TripleIndex(set())
+        column = index.column(iri("p"))
+        assert column == {}
+        assert index.add(Triple(iri("s"), iri("p"), Literal("a")))
+        assert not index.add(Triple(iri("s"), iri("p"), Literal("a")))
+        index.add(Triple(iri("s"), iri("q"), Literal("b")))
+        assert index.column(iri("p")) is column and column == {iri("s"): [Literal("a")]}
+        assert first_literal(index, iri("s"), iri("p")) == "a"
+
+    def test_an_index_copy_builds_its_own_columns(self):
+        index = TripleIndex({Triple(iri("s"), iri("p"), Literal("a"))})
+        column = index.column(iri("p"))
+        grown = index.copy()
+        grown.add(Triple(iri("s"), iri("p"), Literal("b")))
+        assert column == {iri("s"): [Literal("a")]}
+        assert column_values(grown.column(iri("p"))) == {iri("s"): [Literal("a"), Literal("b")]}
+
+    def test_copies_rebuild_columns_and_with_prefixes_shares_them(self):
+        g = random_graph(random.Random(14), 60)
+        p = next(iter(g)).predicate
+        column = g.column(p)
+        assert column and g.column(p) is column
+        assert g.with_prefixes({"ex": Iri(EX)}).column(p) is column
+        for other in (Graph(*g.__reduce__()[1]), pickle.loads(pickle.dumps(g))):
+            assert other == g and other.column(p) is not column
+            assert column_values(other.column(p)) == column_values(column)
 
 
 class TestSkolemize:

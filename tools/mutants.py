@@ -56,6 +56,23 @@ MUTANTS = [
     # a domain with a tab, a NUL or a line break imports
     ("casekit.py", 'lambda v: "." in v and " " not in v and v.isprintable()',
      'lambda v: "." in v and " " not in v', ["tests/test_casekit.py::TestIocs"]),
+    # an add leaves a built column as it was
+    ("terms.py",
+     "        column = self._columns.get(t.predicate)\n"
+     "        if column is not None:\n"
+     "            column.setdefault(t.subject, []).append(t.object)\n",
+     "", ["tests/test_casekit.py::TestOneIndex"]),
+    # R02 keeps one domain verdict per property, whatever the subject's shape
+    ("validation.py",
+     "            wrong = outside.get(shape)\n"
+     "            if wrong is None:\n"
+     "                wrong = outside[shape] =",
+     "            wrong = outside.get(p.iri)\n"
+     "            if wrong is None:\n"
+     "                wrong = outside[p.iri] =", ["tests/test_validation.py"]),
+    # first_literal reads whichever value its column lists first
+    ("terms.py", "return min(found, key=term_sort_key).lexical", "return found[0].lexical",
+     ["tests/test_casekit.py::TestOneIndex::test_first_literal_is_the_canonical_first"]),
 ]
 
 

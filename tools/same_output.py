@@ -17,7 +17,10 @@ in process and reports each one's stdout, stderr and exit code:
   and a graph whose diff from it sorts one way on terms and another
   bytewise, and on malformed records from tests/helpers.py: a custody
   record with two sequence numbers, and IoCs stored defanged or in
-  uppercase (also imported again from a feed that repeats them);
+  uppercase (also imported again from a feed that repeats them); and on
+  the graphs of helpers.column_branch_graphs: a node with two types,
+  custody chains of one and three records, a record whose canonical first
+  timestamp is malformed, and an untyped subject with a domain property;
 - `validate` and `report` of a custody sequence of "+-5" or "\u00b2" under a
   schema copy that gives custodySequence no range;
 - the TSV of each of the 80 queries of the `analyst` benchmark (seed 1) on
@@ -126,6 +129,7 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
     diff and merge read."""
     import casegen as cg
     import helpers
+    from scopekit.turtle import serialize_turtle_canonical
 
     files, pairs = [], []
 
@@ -157,6 +161,8 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
     pairs += [(empty, order), (order, empty)]
     write("doubled-sequence.ttl", helpers.doubled_sequence_case().to_turtle())
     write("stored-iocs.ttl", helpers.stored_iocs_case().to_turtle())
+    for name, g in helpers.column_branch_graphs().items():
+        write(f"{name}.ttl", serialize_turtle_canonical(g))
     return files, pairs
 
 
