@@ -17,11 +17,11 @@ text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
 the text returns that object after; each @prefix empties that memo. IRIREFs,
 blank node labels and string literals are built by `ntriples.build_term`, the
 builder N-Triples uses, whose table keeps each distinct term one object for
-the whole parse. The step takes every valid statement; one that the step or
-a term check rejects goes to the token parser, a loop over one token pattern
-compiled on first use. It re-reads the statement from its subject and raises
-the diagnostic, with line and column worked out from the offset only then,
-or, should the step have missed a valid form, adds its triples.
+the whole parse. A step that fails, or whose terms do not build, is diagnosed
+by a walk over the step's own parts from where the step began: the first part
+that does not match, or the first term that does not build, is the fault,
+named by the token found there. A token is judged only once the token after
+it is read, so a fault inside that next token comes first.
 
 The canonical serializer writes the prefix lines sorted by short-name, then
 one block per subject in a single pass over the graph's kept (s, p, o)
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Union
+from typing import Callable, NoReturn, Union
 
 from .errors import BlankNodePresentError, InvalidIriError, ParseError, UndefinedPrefixError
 from .ntriples import (
@@ -70,24 +70,29 @@ _PREFIX_RE = re.compile(rf"^{_PREFIX_NAME}$")
 # A word starts with a letter and runs on over letters, digits and '-'.
 _WORD = r"[^\W\d_](?:[^\W_]|-)*"
 _WORD_END = r"(?![^\W_]|-)"
+# A language tag or a directive, with its '@'.
+_AT_WORD = r"@(?:[^\W_]|-)+"
 
 # Whitespace and comments, in a form that matches them one way only, so a
 # step that fails backtracks over them in linear time.
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
-# Only an ASCII prefix can be defined, so a step leaves any other prefixed
-# name to the token parser. A local name stops before trailing dots, which end
-# the statement; the lookahead keeps it as long as the tokenizer reads it.
-_PNAME = rf"{_PREFIX_NAME}:(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
+# A prefixed name's prefix is a word. It tries an ASCII prefix, the only kind
+# @prefix defines, first, so valid input pays nothing for other words. A local
+# name stops before trailing dots, which end the statement; the lookahead
+# keeps a step from matching less of it.
+_PNAME = rf"(?:{_PREFIX_NAME}|{_WORD}):(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
 _SUBJECT = rf"(?P<s>{IRIREF}|{BLANK_NODE_LABEL}|{_PNAME})"
 _VERB = rf"(?P<p>{IRIREF}|{_PNAME}|a{_WORD_END})"
-# An object and the terminator after it. `q`, `dt` and `lang` are the parts
-# of a literal, whose '^^' or '@' may follow a gap; the lookahead tries that
-# gap only before a '^^', '@' or comment, so a plain literal pays nothing for it.
+# An object. `q`, `dt` and `lang` are the parts of a literal, whose '^^' or
+# '@' may follow a gap; the lookahead tries that gap only before a '^^', '@'
+# or comment, so a plain literal pays nothing for it. The walk reads single
+# tokens with it too, so a string never starts '"""' and a boolean is a word.
 _OBJECT = rf"""(?P<o>{IRIREF}
-  | (?P<q>{STRING_LITERAL_QUOTE})(?:(?=[ \t\r\n]*[\^@\#]){_SKIP}
-        (?:\^\^{_SKIP}(?P<dt>{IRIREF}|{_PNAME})|(?P<lang>@(?:[^\W_]|-)+)))?
-  | {BLANK_NODE_LABEL} | {INTEGER}(?![0-9eE]|[.][0-9]) | {_PNAME} | {BOOLEAN}
-){_SKIP}(?P<end>[.;,])"""
+  | (?!\"\"\")(?P<q>{STRING_LITERAL_QUOTE})(?:(?=[ \t\r\n]*[\^@\#]){_SKIP}
+        (?:\^\^{_SKIP}(?P<dt>{IRIREF}|{_PNAME})|(?P<lang>{_AT_WORD})))?
+  | {BLANK_NODE_LABEL} | {INTEGER}(?![0-9eE]|[.][0-9]) | {_PNAME} | (?:{BOOLEAN}){_WORD_END}
+)"""
+_ROLES = ("subject", "predicate", "object")
 
 
 @functools.cache
@@ -100,7 +105,7 @@ def _step():
     return re.compile(rf"""(?:
     (?:(?:\A|(?<=\.)){_SKIP}{_SUBJECT}|(?<=;)){_SKIP}{_VERB}
   | (?<=,)
-){_SKIP}{_OBJECT}
+){_SKIP}{_OBJECT}{_SKIP}[.;,]
 | (?:\A|(?<=\.)){_SKIP}(?:
     @prefix{_WORD_END}{_SKIP}(?P<name>{_PREFIX_NAME}):(?![\w.-]*[\w-])
         {_SKIP}(?P<ns>{IRIREF}){_SKIP}\.
@@ -109,28 +114,22 @@ def _step():
 
 
 @functools.cache
-def _token_re() -> re.Pattern:
-    """One token after any whitespace and comments. A local name stops before
-    trailing dots, which end the statement. ERROR matches, empty, where no
-    token starts. Compiled on first use: only a diagnosis reads tokens."""
-    return re.compile(rf"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
-    (?P<IRIREF>{IRIREF})
-  | (?!\"\"\")(?P<STRING>{STRING_LITERAL_QUOTE})
-  | (?P<ATWORD>@(?:[^\W_]|-)+)
-  | (?P<BLANK>{BLANK_NODE_LABEL})
-  | (?P<INTEGER>{INTEGER})(?![0-9eE]|[.][0-9])
-  | (?P<PNAME>{_WORD}):(?P<LOCAL>(?:[\w.-]*[\w-])?)
-  | (?P<BOOLEAN>{BOOLEAN}){_WORD_END}
-  | (?P<A>a){_WORD_END}
-  | (?P<WORD>{_WORD})
-  | (?P<PUNCT>[.;,]|\^\^)
-  | (?P<EOF>\Z)
-  | (?P<ERROR>)
-)""", re.X)
+def _parts() -> dict[str, Callable]:
+    """The patterns of the walk that diagnoses a failed step, compiled on
+    first use. By the terminator before the step ('@' for a directive), the
+    parts of the branch it tried, each tried once the parts before it have
+    matched; then the gaps, the objects and the other tokens the step reads."""
+    return {name: re.compile(pattern, re.X).match for name, pattern in (
+        (".", rf"(?:{_SUBJECT}(?:{_SKIP}{_VERB}(?:{_SKIP}{_OBJECT})?)?)?"),
+        (";", rf"(?:{_VERB}(?:{_SKIP}{_OBJECT})?)?"), (",", rf"(?:{_OBJECT})?"),
+        ("@", rf"""(?P<word>{_AT_WORD})(?:{_SKIP}(?P<name>{_WORD}:(?![\w.-]*[\w-]))
+            (?:{_SKIP}(?P<ns>{IRIREF})(?:{_SKIP}(?P<dot>\.))?)?)?"""),
+        ("skip", _SKIP), ("object", _OBJECT), ("word", _WORD),
+        ("other", rf"a{_WORD_END}|\^\^|[.;,]|\Z|{_AT_WORD}"))}
 
 
 def _token_error(text: str, pos: int) -> tuple[str, int]:
-    """Message and offset for text[pos:], where no token matches."""
+    """Message and offset for text[pos:], where no token starts."""
     ch = text[pos]
     if text.startswith('"""', pos):
         return "triple-quoted strings are not supported", pos
@@ -155,25 +154,18 @@ def _token_error(text: str, pos: int) -> tuple[str, int]:
         return "anonymous blank node property lists '[ ]' are not supported", pos
     if ch in "()":
         return "collections '( )' are not supported", pos
+    m = _parts()["word"](text, pos)
+    if m is not None:
+        return f"unexpected token {m.group()!r}", pos
     return f"unexpected character {ch!r}", pos
 
 
-class _Reread(Exception):
-    """A statement that the step pattern or a term check does not take."""
-
-
 class _Parser:
-    """The step pattern's loop, and the token parser for the statements the
-    step rejects, which diagnoses them.
-
-    The token parser reads a statement in one loop over tokens (kind, value,
-    local, offset), where `local` is the local part of a PNAME, whose value
-    is the prefix. Its tokenizer runs one token ahead of it.
-    """
+    """The step pattern's loop, and the walk over the step's parts that
+    diagnoses a step that fails."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.prefixes: dict[str, Iri] = {}
         self.triples: set[Triple] = set()
         # Step term text -> term, cleared by each @prefix, since a prefixed
@@ -187,40 +179,42 @@ class _Parser:
     def parse(self) -> Graph:
         text, memo, add, term, step = (
             self.text, self.memo, self.triples.add, self._term, _step())
-        # `start` is where the current statement starts, for a re-read
-        pos = start = 0
+        pos = 0
         while True:
+            m = step(text, pos)
+            if m is None:
+                self._diagnose(pos)
+            s, p, o, _, _, _, name, ns = m.groups()
             try:
-                m = step(text, pos)
-                if m is None:
-                    raise _Reread
-                s, p, o, _, _, _, end, name, ns = m.groups()
                 if o is not None:
                     if s:
-                        subject = memo.get(s) or term(s, m)
+                        subject = memo.get(s) or term(m, "s")
                     if p:
-                        predicate = memo.get(p) or term(p, m)
-                    add(Triple(subject, predicate, memo.get(o) or term(o, m)))
+                        predicate = memo.get(p) or term(m, "p")
+                    add(Triple(subject, predicate, memo.get(o) or term(m, "o")))
                 elif ns is not None:
-                    self._bind(name, term(ns, m))
+                    self._bind(name, term(m, "ns"))
                 elif m.end() == len(text):
                     return Graph(self.triples, self.prefixes)
-                pos = m.end()
-                if end != ";" and end != ",":
-                    start = pos
-            except _Reread:
-                pos = start = self._reread(start)
+            except ParseError:
+                self._diagnose(pos)
+            pos = m.end()
 
-    def _term(self, text: str, m: re.Match) -> Term:
-        """The term a step reads as `text`, built and checked the first time
-        the text appears since the last @prefix; `m` holds a literal's parts.
-        IRIREFs, blank nodes and string literals go to `build_term`."""
+    def _term(self, m: re.Match, group: str) -> Term:
+        """The term in `group` of a step or part match `m`, built and checked
+        the first time its text appears since the last @prefix. A term that
+        does not build raises its ParseError, placed where the fault lies."""
+        text = m.group(group)
         first = text[0]
         try:
-            if first in '<"_':
+            if first == '"':
                 q, dt, lang = m.group("q", "dt", "lang")
-                datatype = (self.memo.get(dt) or self._term(dt, m)) if first == '"' and dt else None
+                if dt and dt not in self.memo:
+                    unescape(q[1:-1])  # a fault in the string comes before one in its datatype
+                datatype = dt and (self.memo.get(dt) or self._term(m, "dt"))
                 term = build_term(text, self.interned, q, lang, datatype)
+            elif first in "<_":
+                term = build_term(text, self.interned)
             elif first in "+-0123456789":
                 term = self._intern(Literal(text, XSD_INTEGER))
             elif text in ("true", "false"):
@@ -229,12 +223,17 @@ class _Parser:
                 term = RDF_TYPE
             else:
                 name, _, local = text.partition(":")
-                ns = self.prefixes.get(name)
-                if ns is None or not _LOCAL_SAFE_RE.match(local):
-                    raise _Reread
-                term = build_term(f"<{ns.value}{local}>", self.interned)
-        except (InvalidIriError, ValueError):
-            raise _Reread from None
+                if not _LOCAL_SAFE_RE.match(local):
+                    raise self._fail(f"malformed local name {local!r}", m.end(group))
+                if name not in self.prefixes:
+                    raise self._judged(name, m.start(group), m.end(group), UndefinedPrefixError)
+                term = build_term(f"<{self.prefixes[name].value}{local}>", self.interned)
+        except InvalidIriError as e:
+            raise self._judged(str(e), m.start(group), m.end(group)) from None
+        except ValueError as e:
+            if len(e.args) == 2:  # an escape, at its offset inside the quotes
+                raise self._fail(e.args[0], m.start(group) + 1 + e.args[1]) from None
+            raise self._judged(str(e), m.start("lang"), m.end(group)) from None
         self.memo[text] = term
         return term
 
@@ -245,147 +244,92 @@ class _Parser:
         self.prefixes[name] = iri
         self.memo.clear()
 
-    def _reread(self, start: int) -> int:
-        """Read the statement or directive at `start` with the token parser,
-        which raises the error that a failed step leaves unplaced, or adds the
-        statement's triples. Returns the offset after its closing '.'."""
-        self.pos = start
-        self.tok = self._scan()
-        if self.tok[0] == "ATWORD":
-            return self._directive()
-        return self._statement()
+    # -- the walk that diagnoses a failed step
 
-    # -- the token parser
-
-    def _where(self, offset: int) -> tuple[int, int]:
+    def _fail(self, message: str, offset: int, error=ParseError) -> ParseError:
         line = self.text.count("\n", 0, offset) + 1
-        return line, offset - self.text.rfind("\n", 0, offset)
+        return error(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def _fail(self, message: str, offset: int) -> ParseError:
-        return ParseError(message, *self._where(offset))
+    def _judged(self, message: str, offset: int, end: int, error=ParseError) -> ParseError:
+        """The error of the token at `offset`, which ends at `end`, once the
+        token after it is read: a fault inside that one comes first."""
+        self._token(self._skip(end))
+        return self._fail(message, offset, error)
 
-    def _scan(self) -> tuple:
-        m = _token_re().match(self.text, self.pos)
-        kind = m.lastgroup
-        start, self.pos = m.start(kind), m.end()
-        value = m.group(kind)
-        if kind == "IRIREF":
-            value = value[1:-1]
-        elif kind == "STRING":
+    def _skip(self, at: int) -> int:
+        return _parts()["skip"](self.text, at).end()
+
+    def _diagnose(self, pos: int) -> NoReturn:
+        """Raise the error of the step at `pos`, which fails or whose terms do
+        not build. The terminator before `pos` picks the branch the step tried
+        (the start counts as a '.'); each term that branch's parts match is
+        built in turn, and the first part they leave unset is the fault."""
+        text = self.text
+        after = text[pos - 1] if pos else "."
+        at = self._skip(pos)
+        if after == "." and text.startswith("@", at):
+            self._directive(at)
+        m = _parts()[after](text, at)
+        for role in _ROLES[".;,".index(after):]:
+            if m.group(role[0]) is None:
+                self._unexpected(self._skip(m.end()), role)
+            self._term(m, role[0])
+        at = self._skip(m.end())
+        if m.end("q") == m.end() and text.startswith("^^", at):  # a plain literal's '^^'
+            self._unexpected(self._skip(at + 2), "expected datatype IRI after '^^'")
+        self._unexpected(at, "expected '.' at end of statement")
+
+    def _directive(self, at: int) -> NoReturn:
+        """Raise the error of the directive at `at`, read as a statement is;
+        its IRI is built once the '.' and the token after it are read."""
+        self._token(at)
+        m = _parts()["@"](self.text, at)
+        word, name, ns = m.group("word", "name", "ns")
+        if word != "@prefix":
+            self._unexpected(at, "@base is not supported" if word == "@base"
+                             else f"unknown directive {word}")
+        if name is None:
+            self._unexpected(self._skip(m.end()), "expected prefix name (like 'ex:') after @prefix")
+        if not _PREFIX_RE.match(name[:-1]):
+            self._unexpected(m.start("name"), f"malformed prefix short-name {name[:-1]!r}")
+        if ns is None:
+            self._unexpected(self._skip(m.end()), "expected <IRI> in @prefix directive")
+        if m.group("dot"):
+            self._token(self._skip(m.end()))
+            self._term(m, "ns")
+        self._unexpected(self._skip(m.end("ns")), "expected '.' to close @prefix directive")
+
+    def _token(self, at: int) -> tuple[str, int]:
+        """The value and end of the token at `at` ('' at the end). Raises the
+        fault inside it, or the one that keeps a token from starting."""
+        text, parts = self.text, _parts()
+        m = parts["object"](text, at)
+        if m is None:
+            m = parts["other"](text, at)
+            if m is None:
+                raise self._fail(*_token_error(text, at))
+            return m.group().lstrip("@"), m.end()
+        token, q = m.group("o"), m.group("q")
+        if q:
             try:
-                value = unescape(value[1:-1])
+                return unescape(q[1:-1]), m.end("q")
             except ValueError as e:
-                message, offset = e.args
-                raise self._fail(message, start + 1 + offset) from None
-        elif kind == "BLANK":
-            value = value[2:]
-        elif kind == "ATWORD":
-            value = value[1:]
-        elif kind == "LOCAL":
-            if not _LOCAL_SAFE_RE.match(value):
-                raise self._fail(f"malformed local name {value!r}", self.pos)
-            return "PNAME", m.group("PNAME"), value, m.start("PNAME")
-        elif kind == "PUNCT":
-            kind = value
-        elif kind == "WORD":
-            raise self._fail(f"unexpected token {value!r}", start)
-        elif kind == "ERROR":
-            raise self._fail(*_token_error(self.text, start))
-        return kind, value, None, start
+                raise self._fail(e.args[0], at + 1 + e.args[1]) from None
+        local = token.partition(":")[2] if token[0] != "<" else ""
+        if not _LOCAL_SAFE_RE.match(local):
+            raise self._fail(f"malformed local name {local!r}", m.end())
+        return token.removeprefix("_:"), m.end()
 
-    def _next(self) -> tuple:
-        tok = self.tok
-        if tok[0] != "EOF":
-            self.tok = self._scan()
-        return tok
-
-    def _directive(self) -> int:
-        _, word, _, offset = self._next()
-        if word == "base":
-            raise self._fail("@base is not supported", offset)
-        if word != "prefix":
-            raise self._fail(f"unknown directive @{word}", offset)
-        kind, name, local, offset = self._next()
-        if kind != "PNAME" or local != "":
-            raise self._fail("expected prefix name (like 'ex:') after @prefix", offset)
-        if not _PREFIX_RE.match(name):
-            raise self._fail(f"malformed prefix short-name {name!r}", offset)
-        iri_tok = self._next()
-        if iri_tok[0] != "IRIREF":
-            raise self._fail("expected <IRI> in @prefix directive", iri_tok[3])
-        dot = self._next()
-        if dot[0] != ".":
-            raise self._fail("expected '.' to close @prefix directive", dot[3])
-        self._bind(name, self._iri(iri_tok))
-        return dot[3] + 1
-
-    def _iri(self, tok: tuple) -> Iri:
-        """The IRI an IRIREF or PNAME token names."""
-        kind, value, local, offset = tok
-        if kind == "PNAME":
-            if value not in self.prefixes:
-                raise UndefinedPrefixError(value, *self._where(offset))
-            value = self.prefixes[value].value + local
-        try:
-            return build_term(f"<{value}>", self.interned)
-        except InvalidIriError as e:
-            raise self._fail(str(e), offset) from None
-
-    def _statement(self) -> int:
-        subject, predicate = self._read("subject"), self._read("predicate")
-        while True:
-            self.triples.add(Triple(subject, predicate, self._read("object")))
-            punct = self.tok[0]
-            if punct != "," and punct != ";":
-                break
-            self._next()
-            if punct == ";":
-                if self.tok[0] == ".":  # a trailing ';' before the closing '.'
-                    break
-                predicate = self._read("predicate")
-        dot = self._next()
-        if dot[0] != ".":
-            raise self._fail("expected '.' at end of statement", dot[3])
-        return dot[3] + 1
-
-    def _read(self, role: str) -> Term:
-        """The next token as the statement's subject, predicate or object,
-        or that role's diagnostic."""
-        tok = self._next()
-        kind, value, _, offset = tok
-        if kind == "IRIREF" or kind == "PNAME":
-            return self._iri(tok)
-        if role == "predicate":
-            if kind == "A":
-                return RDF_TYPE
-        elif kind == "BLANK":
-            return self._intern(BlankNode(value))
-        elif kind in ("STRING", "INTEGER", "BOOLEAN"):
-            if role == "subject":
-                raise self._fail("a literal cannot be the subject of a triple", offset)
-            if kind == "STRING":
-                return self._literal_tail(value)
-            return self._intern(Literal(value, XSD_INTEGER if kind == "INTEGER" else XSD_BOOLEAN))
-        if kind == "EOF" and role != "subject":
-            raise self._fail(f"unexpected end of input (expected {role})", offset)
-        raise self._fail(f"expected {role}, found {value!r}", offset)
-
-    def _literal_tail(self, lexical: str) -> Literal:
-        kind, value, _, offset = self.tok
-        if kind == "^^":
-            self._next()
-            dt_tok = self._next()
-            if dt_tok[0] not in ("IRIREF", "PNAME"):
-                raise self._fail("expected datatype IRI after '^^'", dt_tok[3])
-            return self._intern(Literal(lexical, self._iri(dt_tok)))
-        if kind == "ATWORD":
-            self._next()
-            try:
-                lit = Literal(lexical, lang=value)
-            except ValueError as e:
-                raise self._fail(str(e), offset) from None
-            return self._intern(lit)
-        return self._intern(Literal(lexical))
+    def _unexpected(self, at: int, expected: str) -> NoReturn:
+        """Raise the error for the token at `at`: a fault inside it or the next
+        token, else `expected`, the message or the role that it does not fill."""
+        found, end = self._token(at)
+        if expected == "subject" and _parts()["object"](self.text, at):
+            expected = "a literal cannot be the subject of a triple"
+        elif expected in _ROLES:
+            expected = (f"expected {expected}, found {found!r}" if at < len(self.text)
+                        else f"unexpected end of input (expected {expected})")
+        raise self._judged(expected, at, end)
 
 
 def parse_turtle(doc: Union[str, bytes]) -> Graph:

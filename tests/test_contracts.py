@@ -4,11 +4,12 @@ Hypothesis runs these under the derandomized `contracts` profile, so every run
 draws the same examples and a failure reproduces without a database.
 
 - A graph written in any Turtle layout parses to the graph its N-Triples
-  lines parse to, and the parser's step patterns read the whole document:
-  the token parser, which only diagnoses, is never reached.
-- On mutated documents the step patterns and the token parser alone agree on
-  the graph or on the error, every error lies inside the document, the CLI
-  exits 0 or 2 without a traceback, and what `convert`, `validate` and
+  lines parse to, and the parser's step pattern reads the whole document:
+  the walk that diagnoses a failed step is never reached.
+- On mutated documents (the fixtures', and small graphs' in random layouts)
+  the parse gives the graph or the error pinned in
+  data/turtle_mutant_outcomes.txt, every error lies inside the document, the
+  CLI exits 0 or 2 without a traceback, and what `convert`, `validate` and
   `query` write to stdout encodes as UTF-8.
 - On mutated N-Triples documents the parser raises only a ParseError, whose
   line and column lie inside the document, and `convert --to ttl` exits 0
@@ -20,6 +21,8 @@ draws the same examples and a failure reproduces without a database.
 """
 
 import contextlib
+import functools
+import hashlib
 import random
 import re
 import time
@@ -184,34 +187,28 @@ def write_turtle(triples, rng: random.Random) -> str:
     return nl.join(lines) + rng.choice(("", nl, nl + "# the end"))
 
 
-def token_parse(text: str) -> Graph:
-    """The token parser alone, statement by statement: what parse_turtle
-    must return or raise whatever the step patterns take."""
-    p = turtle._Parser(text)
-    end = 0
-    while True:
-        p.pos = end
-        p.tok = p._scan()
-        if p.tok[0] == "EOF":
-            return Graph(p.triples, p.prefixes)
-        end = p._reread(end)
-
-
 @contextlib.contextmanager
 def steps_only():
-    """Fails a parse that leaves a statement to the token parser."""
-    def refuse(self, start):
-        pytest.fail(f"the statement at offset {start} fell back to the token parser:\n"
-                    + self.text[start:start + 300])
+    """Fails a parse that diagnoses a step: on a valid document, that is a
+    valid form the step pattern misses."""
+    def refuse(self, pos):
+        pytest.fail(f"the step at offset {pos} was diagnosed:\n" + self.text[pos:pos + 300])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(turtle._Parser, "_reread", refuse)
+        mp.setattr(turtle._Parser, "_diagnose", refuse)
         yield
 
 
 def casegen_text() -> str:
     casegen = load_casegen()
     return casegen.to_turtle(casegen.generate_case(random.Random(7), 6).triples)
+
+
+# whitespace and comments around a literal's '^^' or '@' and inside @prefix
+GAPS_TEXT = ('@prefix # the vocabulary\n v: # its name\n <http://example.org/vocab#> # . \n .\n'
+             '@prefix xsd:<http://www.w3.org/2001/XMLSchema#>.\n'
+             'v:s v:p "x" ^^ xsd:string , "1"\n# typed\n^^# here\n<http://ex/dt> ;\n'
+             '  v:q "y" @en , "z"\t# tagged\n@EN-gb .\n')
 
 
 class TestLayouts:
@@ -236,13 +233,9 @@ class TestLayouts:
             assert len(parse_turtle(text)) > 0
 
     def test_gaps_around_literal_suffixes_and_in_prefix_need_no_fallback(self):
-        text = ('@prefix # the vocabulary\n v: # its name\n <http://example.org/vocab#> # . \n .\n'
-                '@prefix xsd:<http://www.w3.org/2001/XMLSchema#>.\n'
-                'v:s v:p "x" ^^ xsd:string , "1"\n# typed\n^^# here\n<http://ex/dt> ;\n'
-                '  v:q "y" @en , "z"\t# tagged\n@EN-gb .\n')
         with steps_only():
-            g = parse_turtle(text)
-        assert g == token_parse(text)
+            g = parse_turtle(GAPS_TEXT)
+        assert outcome_line((g.triples, g.prefixes)) == pinned_outcomes()["gaps-0"]
         assert {str(t.object) for t in g} == {
             '"x"', '"1"^^http://ex/dt', '"y"@en', '"z"@en-gb'}
 
@@ -288,6 +281,42 @@ def ntriples_mutants(name: str, count: int) -> list[bytes]:
     return [mutate(data, rng) for _ in range(count)]
 
 
+def layout_triples(rng: random.Random) -> list[Triple]:
+    """One to eight triples over three subjects and three predicates, so that
+    their Turtle groups objects under ';' and ','; the objects take every
+    literal form."""
+    ns = sorted(PREFIXES.values())
+    subjects = [Iri(rng.choice(ns) + rng.choice(LOCALS)) for _ in range(2)] + [BlankNode("b0")]
+    predicates = [Iri(rng.choice(ns) + rng.choice(LOCALS)) for _ in range(2)] + [RDF_TYPE]
+    lexical = ("x", "a b", 'q"t', "é", "", "2024-01-01T00:00:00Z")
+    objects = (
+        lambda: rng.choice(subjects),
+        lambda: Literal(rng.choice(lexical)),
+        lambda: Literal(rng.choice(lexical), lang=rng.choice(LANGS)),
+        lambda: Literal(rng.choice(lexical), XSD_DATETIME),
+        lambda: Literal(str(rng.randint(-99, 99)), XSD_INTEGER),
+        lambda: Literal(rng.choice(("true", "false")), XSD_BOOLEAN))
+    return [Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects)())
+            for _ in range(rng.randint(1, 8))]
+
+
+# Pinned parse outcomes: each fixture's 150 mutants, 300 mutants of small
+# graphs in random layouts (which reach the ',', ';' and literal-gap branches
+# that the fixtures rarely do), and GAPS_TEXT. A change that moves one on
+# purpose rewrites the file from `turtle_mutant_outcomes()` and says which.
+PINNED_OUTCOMES = Path(__file__).parent / "data" / "turtle_mutant_outcomes.txt"
+PINNED_SOURCES = [p.name for p in FIXTURE_FILES] + ["layouts", "gaps"]
+
+
+def pinned_documents(source: str) -> list[bytes]:
+    if source == "gaps":
+        return [GAPS_TEXT.encode()]
+    if source != "layouts":
+        return mutants(source, 150)
+    rng = random.Random("layout-mutants")
+    return [mutate(write_turtle(layout_triples(rng), rng).encode(), rng) for _ in range(300)]
+
+
 def outcome(parse, doc):
     try:
         g = parse(doc)
@@ -296,18 +325,45 @@ def outcome(parse, doc):
     return g.triples, g.prefixes
 
 
+def outcome_line(result) -> str:
+    """An outcome as one line: class|message|line|column, or the SHA-256 of
+    the graph's sorted @prefix lines and sorted N-Triples lines."""
+    if len(result) == 4:
+        cls, message, line, column = result
+        message = message.removesuffix(f" (line {line}, column {column})")
+        return f"{cls.__name__}|{message}|{line}|{column}"
+    triples, prefixes = result
+    lines = sorted(f"@prefix {name}: <{ns.value}> ." for name, ns in prefixes.items())
+    lines += sorted(map(render_triple, triples))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def turtle_mutant_outcomes() -> str:
+    """The pinned file's text: one line per document, its source and index,
+    then its parse outcome."""
+    return "".join(f"{source}-{i} {outcome_line(outcome(parse_turtle, data))}\n"
+                   for source in PINNED_SOURCES for i, data in enumerate(pinned_documents(source)))
+
+
+@functools.cache
+def pinned_outcomes() -> dict[str, str]:
+    return dict(line.split(" ", 1)
+                for line in PINNED_OUTCOMES.read_text(encoding="utf-8").splitlines())
+
+
 class TestMutatedFixtures:
-    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES])
+    @pytest.mark.parametrize("name", [p.name for p in FIXTURE_FILES] + ["layouts"])
     def test_errors_stay_inside_the_document(self, name):
-        for data in mutants(name, 150):
+        pinned = pinned_outcomes()
+        for i, data in enumerate(pinned_documents(name)):
             result = outcome(parse_turtle, data)
+            assert outcome_line(result) == pinned[f"{name}-{i}"], data
             try:
                 text = decode_document(data)
             except ParseError as e:
                 assert result == outcome(decode_document, data)
                 assert (e.line, e.column) == (0, 0)
                 continue
-            assert result == outcome(token_parse, text)
             if len(result) == 4:
                 line, column = result[2:]
                 lines = text.split("\n")

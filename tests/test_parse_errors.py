@@ -77,6 +77,19 @@ TURTLE_ERRORS = [
     (f"{S} {P} {O} . foo", ParseError, "unexpected token 'foo'", 1, 45),
     (f"<relative> {P} {O} .", ParseError, "IRI has no scheme: 'relative'", 1, 1),
     (f'{S} {P} "x"^^<relative> .', ParseError, "IRI has no scheme: 'relative'", 1, 34),
+    # a fault inside a term that was read comes before a part missing after it
+    (f'<relative> "lit" {O} .', ParseError, "IRI has no scheme: 'relative'", 1, 1),
+    # after a ',' or ';', and the terms a step reads but cannot build
+    (PFX + "ex:s ex:p ex:o , %", ParseError, "unexpected character '%'", 2, 18),
+    (PFX + 'ex:s ex:p ex:o ; "x" ex:o .', ParseError, "expected predicate, found 'x'", 2, 18),
+    (PFX + "ex:s ex:p nope:o .", UndefinedPrefixError, "undefined prefix 'nope:'", 2, 11),
+    (PFX + 'ex:s ex:p "v" # gap\n ^^ nope:d .', UndefinedPrefixError,
+     "undefined prefix 'nope:'", 3, 5),
+    (PFX + "ex:s ex:-p ex:o .", ParseError, "malformed local name '-p'", 2, 11),
+    ("é:s <http://ex/p> <http://ex/o> .", UndefinedPrefixError, "undefined prefix 'é:'", 1, 1),
+    ("@prefix ex: # c\n .", ParseError, "expected <IRI> in @prefix directive", 2, 2),
+    (PFX + "ex:s ex:p ex:o ; ex:q <rel> .", ParseError, "IRI has no scheme: 'rel'", 2, 23),
+    (PFX + 'ex:s ex:p "x", 12abc .', ParseError, "unexpected token 'abc'", 2, 18),
     # positions across lines, comments and CRLF line ends
     (PFX + "ex:s ex:p ex:o ;\n    ex:q %", ParseError, "unexpected character '%'", 3, 10),
     ('# comment\r\n@prefix ex: <http://ex/> .\r\nex:s ex:p\r\n  "a\\z" .', ParseError,

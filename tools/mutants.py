@@ -73,6 +73,23 @@ MUTANTS = [
     # first_literal reads whichever value its column lists first
     ("terms.py", "return min(found, key=term_sort_key).lexical", "return found[0].lexical",
      ["tests/test_casekit.py::TestOneIndex::test_first_literal_is_the_canonical_first"]),
+    # a redefined prefix leaves the names built under the old one in the memo
+    ("turtle.py", "        self.prefixes[name] = iri\n        self.memo.clear()\n",
+     "        self.prefixes[name] = iri\n",
+     ["tests/test_turtle.py::TestTermInterning::test_redefined_prefix_gives_a_new_iri"]),
+    # a literal where a subject should be is named as any other token
+    ("turtle.py",
+     '        if expected == "subject" and _parts()["object"](self.text, at):\n'
+     '            expected = "a literal cannot be the subject of a triple"\n'
+     "        elif expected in _ROLES:\n",
+     "        if expected in _ROLES:\n", ["tests/test_parse_errors.py"]),
+    # the walk looks for a missing part before it builds the terms it has matched
+    ("turtle.py",
+     "                self._unexpected(self._skip(m.end()), role)\n"
+     "            self._term(m, role[0])\n",
+     "                self._unexpected(self._skip(m.end()), role)\n"
+     '        for role in _ROLES[".;,".index(after):]:\n'
+     "            self._term(m, role[0])\n", ["tests/test_parse_errors.py"]),
 ]
 
 
