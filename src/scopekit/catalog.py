@@ -51,6 +51,8 @@ STRIDE_CATEGORIES = (
     "DenialOfService",
     "ElevationOfPrivilege",
 )
+# each category's class, built once: building an Iri runs two regexes
+_STRIDE_IRIS = tuple(zip(STRIDE_CATEGORIES, map(threats, STRIDE_CATEGORIES)))
 
 
 @dataclass(frozen=True)
@@ -169,8 +171,8 @@ class Catalog:
         ancestors = schema.ancestors(threat_class)
         if CLS_THREAT not in ancestors:
             raise UnknownClassError(f"not a threat class: {threat_class}")
-        for category in STRIDE_CATEGORIES:
-            if threats(category) in ancestors:
+        for category, iri in _STRIDE_IRIS:
+            if iri in ancestors:
                 return category
         raise UnknownClassError(f"threat class carries no category: {threat_class}")
 

@@ -11,10 +11,11 @@ far, again by the shortest list; ties keep the written order. Rows that bind a
 pattern's bound cells to the same term objects share one lookup, filtered and
 cut to the pattern's new cells once per call. The table is sorted on the ranks
 a graph computes once for its terms (`Graph.term_ranks`). A full scan, one
-pattern of three distinct variables, sorts nothing: it reads the triples in
-the order of its columns, which the graph builds once and keeps
-(`Graph.sorted_triples`). A table that passes MAX_ROWS rows raises
-QueryTooLargeError.
+pattern of three distinct variables, sorts nothing and builds no row: it
+returns the row table that the graph builds once and keeps for the order of
+its columns (`Graph.sorted_rows`), or the rows of that table that pass its
+filters, each regex run once per distinct term of its column. A table that
+passes MAX_ROWS rows raises QueryTooLargeError.
 
 The text syntax puts one pattern per line. Lines end at LF only; whitespace
 around a line, a trailing CR included, is ignored. Terms are read with one
@@ -302,23 +303,20 @@ def _join(g: Graph, patterns: Sequence[Pattern], filters: Iterable[tuple[str, st
 
 
 def _full_scan(g: Graph, p: Pattern, filters: Iterable[tuple[str, str]]) -> BindingTable:
-    """The table of one pattern of three distinct variables: the graph's
-    triples in the kept order of its columns, filtered, with no sort."""
+    """The table of one pattern of three distinct variables: the row table
+    the graph keeps for the order of its columns, or the rows of it that
+    every filter passes, with no sort and no new row."""
     position_of = {getattr(p, at).name: at for at in _POSITIONS}
     columns = tuple(sorted(position_of))
-    order = tuple(map(position_of.__getitem__, columns))
-    checks = [(position_of[var], rx) for var, rx in _checked_filters([p], filters)]
-    triples = g.sorted_triples(order)
-    # every position repeats its terms across the graph: rx searches each
-    # distinct term object once
-    for at, rx in checks:
-        terms = list(map(attrgetter(at), triples))
-        distinct = dict(zip(map(id, terms), terms))
-        verdict = {i: rx.search(_filter_text(t)) for i, t in distinct.items()}
-        triples = list(compress(triples, map(verdict.__getitem__, map(id, terms))))
-    if len(triples) > MAX_ROWS:
+    rows = g.sorted_rows(tuple(map(position_of.__getitem__, columns)))
+    # a column repeats its terms across the graph: rx searches each distinct one once
+    for var, rx in _checked_filters([p], filters):
+        cells = list(map(itemgetter(columns.index(var)), rows))
+        passed = {t for t in set(cells) if rx.search(_filter_text(t))}
+        rows = tuple(compress(rows, map(passed.__contains__, cells)))
+    if len(rows) > MAX_ROWS:
         raise QueryTooLargeError(f"query table passes {MAX_ROWS:,} rows")
-    return BindingTable(columns, tuple(map(attrgetter(*order), triples)))
+    return BindingTable(columns, rows)
 
 
 def run_query(g: Graph, patterns: Sequence[Pattern],

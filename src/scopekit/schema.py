@@ -21,6 +21,7 @@ from .errors import (
     UnknownClassError,
     UnknownPropertyError,
 )
+from . import namespaces
 from .namespaces import SCOPE_META
 from .ntriples import read_text_file
 from .terms import (
@@ -42,6 +43,9 @@ from .turtle import parse_turtle
 SCM_MIN_COUNT = Iri(SCOPE_META + "minCount")
 SCM_MAX_COUNT = Iri(SCOPE_META + "maxCount")
 SCM_FUNCTIONAL = Iri(SCOPE_META + "functional")
+# the class and property constants code looks up: a schema names them with
+# these objects, so lookups keyed on either side hit on identity
+_CONSTANTS = {v: v for k, v in vars(namespaces).items() if k.startswith(("CLS_", "PROP_"))}
 
 
 @dataclass(frozen=True)
@@ -209,14 +213,14 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
 
     class_iris: set[Iri] = set()
     property_iris: set[Iri] = set()
-    for t in union.match(None, RDF_TYPE, RDFS_CLASS):
+    for t in union.scan(None, RDF_TYPE, RDFS_CLASS):
         if not isinstance(t.subject, Iri):
             raise DanglingReferenceError("class declarations must use IRIs")
-        class_iris.add(t.subject)
-    for t in union.match(None, RDF_TYPE, RDF_PROPERTY):
+        class_iris.add(_CONSTANTS.get(t.subject, t.subject))
+    for t in union.scan(None, RDF_TYPE, RDF_PROPERTY):
         if not isinstance(t.subject, Iri):
             raise DanglingReferenceError("property declarations must use IRIs")
-        property_iris.add(t.subject)
+        property_iris.add(_CONSTANTS.get(t.subject, t.subject))
 
     both = class_iris & property_iris
     if both:

@@ -21,10 +21,11 @@ case that writes again grows a `copy`); its `estimate` gives, in O(1), the
 length of the list a lookup would read, and per predicate it keeps a
 `column` of values by subject, which `first_literal` (a property that should
 hold one value) and `Graph.objects_of` read. A graph's table of canonical
-term ranks (keyed by the `id` of its term objects) and its triples sorted on
-those ranks, one list per order of the three positions, are built on first
-use and kept too; a copied or unpickled graph builds its own, not another's
-ids.
+term ranks (keyed by the `id` of its term objects), its triples sorted on
+those ranks, one list per order of the three positions, and each such order
+as a table of (term, term, term) rows, which query full scans return, are
+built on first use and kept too; a copied or unpickled graph builds its own,
+not another's ids.
 """
 
 from __future__ import annotations
@@ -308,13 +309,14 @@ class Graph:
 
     Equality and hashing consider the triple set only; the prefix map is
     presentation metadata (N-Triples, for one, cannot carry it). The index
-    and its columns, `term_ranks` and each `sorted_triples` order are built on
-    first use and kept; copies rebuild them (`__reduce__`). Canonical Turtle
-    reads the kept (s, p, o) order, as query full scans read theirs; a read
-    of one subject's values of one predicate reads that predicate's column.
+    and its columns, `term_ranks`, each `sorted_triples` order and its
+    `sorted_rows` table are built on first use and kept; copies rebuild them
+    (`__reduce__`). Canonical Turtle reads the kept (s, p, o) order, query
+    full scans return a kept row table; a read of one subject's values of
+    one predicate reads that predicate's column.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders")
+    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders", "_rows")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
         self._triples: frozenset[Triple] = frozenset(triples)
@@ -323,7 +325,8 @@ class Graph:
                 raise TypeError(f"not a triple: {t!r}")
         self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
         # built lazily; the graph is immutable, so they never go stale
-        self._index = self._ranks = self._orders = None
+        self._index = self._ranks = None
+        self._orders, self._rows = {}, {}  # per order of the three positions
 
     # -- basic accessors --
     @property
@@ -440,13 +443,20 @@ class Graph:
         of their terms there. Built on the first call for each order (at most
         six) and kept, shared: do not modify it.
         """
-        if self._orders is None:
-            self._orders = {}
         out = self._orders.get(order)
         if out is None:
             out = self._orders[order] = self.sorted_on_ranks(
                 list(self._triples), list(map(attrgetter, order)))
         return out
+
+    def sorted_rows(self, order: tuple[str, str, str]) -> tuple[tuple[Term, Term, Term], ...]:
+        """`sorted_triples(order)` as a table of rows, each a triple's terms
+        in that order. Built on the first call for each order and stored
+        only once whole, then kept, shared."""
+        rows = self._rows.get(order)
+        if rows is None:
+            rows = self._rows[order] = tuple(map(attrgetter(*order), self.sorted_triples(order)))
+        return rows
 
     def sorted_on_ranks(self, items: list, cells: list[Callable]) -> list:
         """items in canonical order: compared on the `term_ranks` of the

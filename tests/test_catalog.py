@@ -17,6 +17,7 @@ from scopekit.errors import CatalogFormatError, MalformedIdError, ParseError, Un
 from scopekit.namespaces import infrastructure, threats
 
 from conftest import FIXTURE_DIR
+from helpers import iris_built
 
 
 class TestTechniqueLookup:
@@ -107,6 +108,11 @@ class TestStride:
     def test_categories(self, catalog, schema):
         assert catalog.stride_category_of(threats("Tampering"), schema) == "Tampering"
         assert catalog.stride_category_of(threats("DenialOfService"), schema) == "DenialOfService"
+
+    def test_builds_no_iri(self, monkeypatch, catalog, schema):
+        category, built = iris_built(
+            monkeypatch, lambda c: catalog.stride_category_of(c, schema), threats("Spoofing"))
+        assert category == "Spoofing" and built == []
 
     def test_root_threat_has_no_category(self, catalog, schema):
         from scopekit.errors import UnknownClassError

@@ -440,16 +440,63 @@ class TestFullScanDifferential:
         want = [run_query(g, [p], f) for p, f in queries]
         orders = list(permutations(("subject", "predicate", "object")))
         kept = [g.sorted_triples(order) for order in orders]
+        tables = [g.sorted_rows(order) for order in orders]
         for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert [run_query(other, [p], f) for p, f in queries] == want
-            for order, k in zip(orders, kept):
+            terms_of_other = {id(x) for t in other for x in (t.subject, t.predicate, t.object)}
+            for order, k, table in zip(orders, kept, tables):
                 mine = other.sorted_triples(order)
                 assert mine == k and mine is not k
                 assert set(map(id, mine)) == set(map(id, other))
+                rows = other.sorted_rows(order)
+                assert rows == table and rows is not table
+                assert not {id(row) for row in rows} & {id(row) for row in table}
+                assert {id(x) for row in rows for x in row} == terms_of_other
         # g reads its kept orders: no rank table, no sort key
         monkeypatch.setattr(Graph, "term_ranks", None)
         monkeypatch.setattr(terms, "term_sort_key", None)
         assert [run_query(g, [p], f) for p, f in queries] == want
+
+
+class TestKeptRowTable:
+    """A full scan returns the row table the graph keeps for the order of its
+    columns, or rows picked from it: after the first scan it builds no row."""
+
+    ORDER = ("object", "predicate", "subject")  # ?s ?p ?o: columns o, p, s
+
+    def test_a_plain_scan_returns_the_kept_table(self):
+        g = parse_turtle(fixture_text("scenario1"))
+        first = run_text_query(g, "?s ?p ?o")
+        assert first.rows is run_text_query(g, "?s ?p ?o").rows is g.sorted_rows(self.ORDER)
+        assert first.rows == tuple((t.object, t.predicate, t.subject)
+                                   for t in g.sorted_triples(self.ORDER))
+
+    def test_filtered_rows_are_rows_of_the_table(self, monkeypatch):
+        g = parse_turtle(fixture_text("scenario1"))
+        table = {id(row) for row in g.sorted_rows(self.ORDER)}
+        want = {text: run_text_query(g, text) for text in (
+            "?s ?p ?o\nFILTER ?p /name$/", "?s ?p ?o\nFILTER ?o /^[A-Z]/\nFILTER ?s /[0-4]$/")}
+        for got in want.values():
+            assert 0 < len(got) < len(g)
+            assert {id(row) for row in got.rows} <= table
+        # the kept table serves every later scan: no rank, no sorted order
+        monkeypatch.setattr(Graph, "term_ranks", None)
+        monkeypatch.setattr(Graph, "sorted_triples", None)
+        assert {text: run_text_query(g, text) for text in want} == want
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_the_regex_runs_once_per_distinct_term_of_its_column(self, monkeypatch, column):
+        calls = []
+        original = query._filter_text
+        monkeypatch.setattr(query, "_filter_text", lambda t: calls.append(t) or original(t))
+        rng = random.Random(40 + column)
+        for g in (parse_turtle(fixture_text("scenario1")), random_mixed_graph(rng, 80)):
+            var = "ops"[column]
+            calls.clear()
+            table = run_text_query(g, f"?s ?p ?o\nFILTER ?{var} /./")
+            assert table.rows == g.sorted_rows(self.ORDER)
+            assert sorted(calls, key=term_sort_key) == sorted(
+                {row[column] for row in table.rows}, key=term_sort_key)
 
 
 class TestLookupsPerKey:

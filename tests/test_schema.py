@@ -259,6 +259,13 @@ class TestEmbeddedSchema:
         name = schema.property(PROP_NAME)
         assert name.functional
 
+    def test_names_classes_and_properties_with_the_namespace_constants(self, schema):
+        # lookups keyed on a PROP_*/CLS_* constant then hit on identity
+        assert load_default_schema().properties[PROP_CUSTODY_TS].iri is PROP_CUSTODY_TS
+        assert schema.classes[CLS_INCIDENT].iri is CLS_INCIDENT
+        assert schema.property(PROP_TARGETS).range is CLS_SCI
+        assert [c for c in schema.classes[CLS_SCI].parents if c is CLS_OBSERVABLE]
+
     def test_declared_namespaces_cover_families(self, schema):
         short = set(schema.namespaces)
         for expected in ("uco-core", "uco-observable", "case-investigation",

@@ -90,6 +90,17 @@ MUTANTS = [
      "                self._unexpected(self._skip(m.end()), role)\n"
      '        for role in _ROLES[".;,".index(after):]:\n'
      "            self._term(m, role[0])\n", ["tests/test_parse_errors.py"]),
+    # a filter keeps the rows whose term is the one object it searched, not an equal one
+    ("query.py",
+     "        passed = {t for t in set(cells) if rx.search(_filter_text(t))}\n"
+     "        rows = tuple(compress(rows, map(passed.__contains__, cells)))\n",
+     "        passed = {id(t) for t in set(cells) if rx.search(_filter_text(t))}\n"
+     "        rows = tuple(compress(rows, map(passed.__contains__, map(id, cells))))\n",
+     ["tests/test_query.py::TestFullScanDifferential::test_random_mixed_graphs"]),
+    # a copy of a graph shares its row tables instead of building its own
+    ("terms.py", "        return Graph, (self._triples, self._prefixes)\n",
+     '        return Graph, (self._triples, self._prefixes), (None, {"_rows": self._rows})\n',
+     ["tests/test_query.py::TestFullScanDifferential::test_copies_of_a_graph_with_kept_orders"]),
 ]
 
 
