@@ -10,10 +10,10 @@ built purely through this module validates with zero errors.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 import re
-import uuid
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional, Union
@@ -90,6 +90,7 @@ from .terms import (
     Graph,
     Iri,
     Literal,
+    Term,
     Triple,
     TripleIndex,
     first_literal,
@@ -100,6 +101,8 @@ from .turtle import serialize_turtle_canonical
 from .validation import is_valid_utc_timestamp, validate_graph
 
 _CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+# a UUID's version (4) and variant (RFC 4122) bits: those to clear, those to set
+_UUID4_CLEAR, _UUID4_SET = ~(0xF000 << 64 | 0xC000 << 48), 4 << 76 | 0x8000 << 48
 
 # add_evidence's attribute shorthands
 _ATTR_SHORTHAND = {
@@ -109,12 +112,11 @@ _ATTR_SHORTHAND = {
 }
 
 
+@functools.lru_cache(maxsize=1024)  # mint's: class names recur
 def kebab(text: str) -> str:
     """Lowercase-kebab a label or CamelCase class name; e.g. ResourceSystem
     becomes resource-system."""
-    text = _CAMEL_SPLIT_RE.sub("-", text)
-    text = re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-").lower()
-    return text
+    return re.sub(r"[^A-Za-z0-9]+", "-", _CAMEL_SPLIT_RE.sub("-", text)).strip("-").lower()
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,9 @@ class CaseGraph:
     copies the snapshot's index if it has built one, else builds one from its
     triples, so building n triples takes O(n). `graph` hands the index to a
     new snapshot as that graph's own index and writes no more to it; the next
-    add of a new triple copies it.
+    add of a new triple copies it. A builder call checks all of its arguments
+    before it mints, then writes all of its triples with one `add_all`: a call
+    that raises leaves the case as it was.
     """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
@@ -184,7 +188,7 @@ class CaseGraph:
         self.case_iri = case_iri
         self.schema = schema
         self.catalog = catalog
-        self._rng = rng
+        self._rng = rng or random.SystemRandom()  # mint's source of UUIDs
         self.ioc_import_errors: list[str] = []
 
     # -- plumbing --
@@ -208,36 +212,33 @@ class CaseGraph:
         return first_literal(self._lookup(), self.case_iri, PROP_NAME) or ""
 
     def add(self, triple: Triple) -> None:
-        if not isinstance(triple, Triple):
-            raise TypeError(f"not a triple: {triple!r}")
-        if self._index is None:
-            if triple in self._snapshot:
-                return
-            built = self._snapshot._index
-            self._index = built.copy() if built is not None else TripleIndex(set(self._snapshot))
-        if self._index.add(triple):
-            self._snapshot = None
+        self.add_all((triple,))
 
     def add_all(self, triples: Iterable[Triple]) -> None:
-        triples = list(triples)
+        """Write triples, all or none: a non-triple raises before any is
+        written. A batch the snapshot holds whole copies nothing."""
+        triples = tuple(triples)
         for t in triples:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a triple: {t!r}")
-        for t in triples:
-            self.add(t)
+        if self._index is None:
+            if all(map(self._snapshot.__contains__, triples)):
+                return
+            built = self._snapshot._index
+            self._index = built.copy() if built is not None else TripleIndex(set(self._snapshot))
+        if self._index.add_all(triples):
+            self._snapshot = None
 
     def mint(self, base: str) -> Iri:
+        """kb:<kebab of base>-<a version 4 UUID drawn from the case's rng>."""
         slug = kebab(base)
         if not slug:
             raise InvalidNameError(f"cannot derive a name from {base!r}")
-        if self._rng is not None:
-            u = uuid.UUID(int=self._rng.getrandbits(128), version=4)
-        else:
-            u = uuid.uuid4()
-        return Iri(f"{KB}{slug}-{u}")
+        h = f"{self._rng.getrandbits(128) & _UUID4_CLEAR | _UUID4_SET:032x}"
+        return Iri(f"{KB}{slug}-{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}")
 
     def has_node(self, iri: Iri) -> bool:
-        return bool(self._lookup().scan(iri))
+        return self._lookup().estimate(iri) > 0
 
     def _require_node(self, iri: Iri, what: str) -> None:
         if not self.has_node(iri):
@@ -251,13 +252,22 @@ class CaseGraph:
     def add_node(self, class_iri: Iri, label: Optional[str] = None) -> Iri:
         """Mint a typed node of any declared class; building block for the
         add_* helpers."""
+        return self._write(self._new_node(class_iri, label))
+
+    def _new_node(self, class_iri: Iri, label: Optional[str] = None,
+                  values: Iterable[tuple[Iri, Optional[Term]]] = ()) -> list[Triple]:
+        """A new node's triples, unwritten: its type, its label, each value not None."""
         if class_iri not in self.schema.classes:
             raise UnknownClassError(f"class not declared: {class_iri}")
         node = self.mint(class_iri.local_name())
-        self.add(Triple(node, RDF_TYPE, class_iri))
-        if label:
-            self.add(Triple(node, PROP_NAME, Literal(label)))
-        return node
+        return [Triple(node, p, o) for p, o in (
+            (RDF_TYPE, class_iri), (PROP_NAME, Literal(label) if label else None), *values)
+            if o is not None]
+
+    def _write(self, batch: list[Triple]) -> Iri:
+        """Write a builder call's triples; the node its first one types."""
+        self.add_all(batch)
+        return batch[0].subject
 
     # -- builders --
 
@@ -268,10 +278,8 @@ class CaseGraph:
     def add_threat(self, stride_class: Iri, target: Iri) -> Iri:
         self._require_class(stride_class, CLS_THREAT, "threat")
         self._require_node(target, "target component")
-        node = self.add_node(stride_class)
-        self.add(Triple(node, PROP_TARGETS, target))
-        self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
-        return node
+        return self._write(self._new_node(stride_class, None, (
+            (PROP_TARGETS, target), (PROP_RELATED_INCIDENT, self.case_iri))))
 
     def add_crime(self, crime_type: str, target: Iri,
                   adversary: Optional[Iri] = None) -> Iri:
@@ -279,14 +287,11 @@ class CaseGraph:
             raise UnknownClassError(
                 f"crime type {crime_type!r} is not one of: {', '.join(sorted(CRIME_TYPES))}")
         self._require_node(target, "target component")
-        node = self.add_node(crime_iri(crime_type))
-        self.add(Triple(node, PROP_CRIME_TYPE, Literal(crime_type)))
-        self.add(Triple(node, PROP_AFFECTS, target))
-        self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
         if adversary is not None:
             self._require_node(adversary, "adversary")
-            self.add(Triple(node, PROP_ADVERSARY, adversary))
-        return node
+        return self._write(self._new_node(crime_iri(crime_type), None, (
+            (PROP_CRIME_TYPE, Literal(crime_type)), (PROP_AFFECTS, target),
+            (PROP_RELATED_INCIDENT, self.case_iri), (PROP_ADVERSARY, adversary))))
 
     def add_role(self, role_class: Iri, name: str) -> Iri:
         self._require_class(role_class, role("Role"), "role")
@@ -302,17 +307,19 @@ class CaseGraph:
         if not acquired and CLS_INDICATOR_VALUE not in ancestors:
             raise UnknownClassError(
                 f"{evidence_class.local_name()} is not an evidence class")
-        node = self.add_node(evidence_class)
-        self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
-        for key, value in (attrs or {}).items():
-            self.add(Triple(node, self._resolve_attr(key), self._literal_for(value)))
+        values = [(PROP_RELATED_INCIDENT, self.case_iri), *(
+            (self._resolve_attr(key), self._literal_for(value))
+            for key, value in (attrs or {}).items())]
         if crime is not None:
             self._require_node(crime, "crime")
-            self.add(Triple(node, PROP_EVIDENCE_OF, crime))
         if acquired:
-            at = _check_timestamp(seized_at) if seized_at else (self.created or "1970-01-01T00:00:00Z")
-            self.add_custody_event(node, "Seized", at, actor=seized_by)
-        return node
+            at = _check_timestamp(seized_at or self.created or "1970-01-01T00:00:00Z")
+            if seized_by is not None:
+                self._require_node(seized_by, "custody actor")
+        batch = self._new_node(evidence_class, None, (*values, (PROP_EVIDENCE_OF, crime)))
+        if acquired:  # a new node's first record
+            batch += self._custody_record(batch[0].subject, "Seized", at, seized_by, 1)
+        return self._write(batch)
 
     def _resolve_attr(self, key) -> Iri:
         if isinstance(key, Iri):
@@ -344,22 +351,28 @@ class CaseGraph:
             raise InvalidNameError(
                 f"custody action must be one of {', '.join(CUSTODY_ACTIONS)}, got {action!r}")
         _check_timestamp(at)
-        seq = len(self._lookup().scan(None, PROP_CUSTODY_OF, evidence)) + 1
-        rec = self.add_node(CLS_PROVENANCE_RECORD)
-        self.add(Triple(rec, PROP_CUSTODY_OF, evidence))
-        self.add(Triple(rec, PROP_CUSTODY_ACTION, Literal(action)))
-        self.add(Triple(rec, PROP_CUSTODY_TS, Literal(at, XSD_DATETIME)))
-        self.add(Triple(rec, PROP_CUSTODY_SEQ, Literal(str(seq), XSD_INTEGER)))
         if actor is not None:
             self._require_node(actor, "custody actor")
-            self.add(Triple(rec, PROP_CUSTODY_ACTOR, actor))
-        return rec
+        seq = len(self._lookup().scan(None, PROP_CUSTODY_OF, evidence)) + 1
+        return self._write(self._custody_record(evidence, action, at, actor, seq))
 
-    def _first_subject(self, predicate: Iri, obj: Literal) -> Optional[Iri]:
-        """The first IRI subject, in canonical order, of (?, predicate, obj)."""
-        found = [t.subject for t in self._lookup().scan(None, predicate, obj)
-                 if isinstance(t.subject, Iri)]
-        return min(found, key=term_sort_key, default=None)
+    def _custody_record(self, evidence, action, at, actor, seq: int) -> list[Triple]:
+        return self._new_node(CLS_PROVENANCE_RECORD, None, (
+            (PROP_CUSTODY_OF, evidence), (PROP_CUSTODY_ACTION, Literal(action)),
+            (PROP_CUSTODY_TS, Literal(at, XSD_DATETIME)),
+            (PROP_CUSTODY_SEQ, Literal(str(seq), XSD_INTEGER)), (PROP_CUSTODY_ACTOR, actor)))
+
+    def _shared_node(self, batch: list[Triple], predicate: Iri, key: str, class_iri: Iri,
+                     name: str, *values: tuple[Iri, Term]) -> Iri:
+        """The node whose `predicate` value is `key`: the case's first, in
+        canonical order, or the one batch holds, else one minted into batch."""
+        value = Literal(key)
+        found = [t.subject for t in self._lookup().scan(None, predicate, value) + batch
+                 if isinstance(t.subject, Iri) and t.predicate == predicate and t.object == value]
+        if found:
+            return min(found, key=term_sort_key)
+        batch += (new := self._new_node(class_iri, name, ((predicate, value), *values)))
+        return new[0].subject
 
     def attach_technique(self, subject: Iri, technique_id: str, capec: bool = False,
                          cve: Union[str, list[str], None] = None) -> Iri:
@@ -367,25 +380,19 @@ class CaseGraph:
         nodes are shared within a case, keyed by their id."""
         entry = self.catalog.lookup_technique(technique_id)
         self._require_node(subject, "annotation subject")
-        node = self._first_subject(PROP_TECHNIQUE_ID, Literal(technique_id))
-        if node is None:
-            node = self.add_node(CLS_ATTACK_TECHNIQUE, entry.name)
-            self.add(Triple(node, PROP_TECHNIQUE_ID, Literal(entry.id)))
-            self.add(Triple(node, PROP_TACTIC, Literal(entry.tactic)))
-        self.add(Triple(subject, PROP_USES_TECHNIQUE, node))
-        if capec:
-            for pattern in self.catalog.capec_for_technique(technique_id):
-                pnode = self._first_subject(PROP_CAPEC_ID, Literal(pattern.id))
-                if pnode is None:
-                    pnode = self.add_node(CLS_ATTACK_PATTERN, pattern.name)
-                    self.add(Triple(pnode, PROP_CAPEC_ID, Literal(pattern.id)))
-                self.add(Triple(node, PROP_RELATED_PATTERN, pnode))
-        if cve:
-            ids = [cve] if isinstance(cve, str) else list(cve)
-            for cve_id in ids:
-                if not CVE_ID_RE.fullmatch(cve_id):
-                    raise MalformedIdError(f"not a CVE id: {cve_id!r}")
-                self.add(Triple(node, PROP_CVE_ID, Literal(cve_id)))
+        cves = [cve] if isinstance(cve, str) else list(cve or ())
+        for cve_id in cves:
+            if not CVE_ID_RE.fullmatch(cve_id):
+                raise MalformedIdError(f"not a CVE id: {cve_id!r}")
+        batch = []
+        node = self._shared_node(batch, PROP_TECHNIQUE_ID, entry.id, CLS_ATTACK_TECHNIQUE,
+                                 entry.name, (PROP_TACTIC, Literal(entry.tactic)))
+        batch.append(Triple(subject, PROP_USES_TECHNIQUE, node))
+        for pattern in self.catalog.capec_for_technique(technique_id) if capec else ():
+            pnode = self._shared_node(batch, PROP_CAPEC_ID, pattern.id, CLS_ATTACK_PATTERN,
+                                      pattern.name)
+            batch.append(Triple(node, PROP_RELATED_PATTERN, pnode))
+        self.add_all(batch + [Triple(node, PROP_CVE_ID, Literal(cve_id)) for cve_id in cves])
         return node
 
     def add_action(self, description: str, at: str, location: Optional[str] = None,
@@ -393,16 +400,13 @@ class CaseGraph:
         if not description:
             raise InvalidNameError("action description must be non-empty")
         _check_timestamp(at)
-        node = self.add_node(CLS_INVESTIGATIVE_ACTION)
-        self.add(Triple(node, PROP_DESCRIPTION, Literal(description)))
-        self.add(Triple(node, PROP_START_TIME, Literal(at, XSD_DATETIME)))
-        self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
-        if location:
-            self.add(Triple(node, PROP_LOCATION_NOTE, Literal(location)))
         if by is not None:
             self._require_node(by, "performer")
-            self.add(Triple(node, PROP_PERFORMED_BY, by))
-        return node
+        return self._write(self._new_node(CLS_INVESTIGATIVE_ACTION, None, (
+            (PROP_DESCRIPTION, Literal(description)), (PROP_START_TIME, Literal(at, XSD_DATETIME)),
+            (PROP_RELATED_INCIDENT, self.case_iri),
+            (PROP_LOCATION_NOTE, Literal(location) if location else None),
+            (PROP_PERFORMED_BY, by))))
 
     # -- IoC ingest / export --
 
@@ -451,11 +455,9 @@ class CaseGraph:
             if (kind, value) in existing:
                 continue
             existing.add((kind, value))
-            node = self.add_node(cls)
-            self.add(Triple(node, prop, Literal(value)))
-            self.add(Triple(node, PROP_RELATED_INCIDENT, self.case_iri))
-            if source:
-                self.add(Triple(node, PROP_IOC_SOURCE, Literal(source)))
+            self._write(self._new_node(cls, None, (
+                (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),
+                (PROP_IOC_SOURCE, Literal(source) if source else None))))
         return count
 
     def export_iocs(self) -> str:
@@ -486,11 +488,9 @@ def new_case(name: str, at: str, schema: Optional[Schema] = None,
     schema = schema or load_default_schema()
     catalog = catalog or load_default_catalog()
     c = CaseGraph(Graph(prefixes=STANDARD_PREFIXES), CLS_INCIDENT, schema, catalog, rng)
-    case_iri = c.mint(name)
-    c.case_iri = case_iri
-    c.add(Triple(case_iri, RDF_TYPE, CLS_INCIDENT))
-    c.add(Triple(case_iri, PROP_NAME, Literal(name)))
-    c.add(Triple(case_iri, PROP_CREATED_TIME, Literal(at, XSD_DATETIME)))
+    c.case_iri = case_iri = c.mint(name)
+    c.add_all((Triple(case_iri, RDF_TYPE, CLS_INCIDENT), Triple(case_iri, PROP_NAME, Literal(name)),
+               Triple(case_iri, PROP_CREATED_TIME, Literal(at, XSD_DATETIME))))
     return c
 
 

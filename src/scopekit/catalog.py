@@ -16,7 +16,15 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import CatalogFormatError, MalformedIdError, UnknownClassError, UnknownIdError
-from .namespaces import CLS_THREAT, threats
+from .namespaces import (
+    CLS_DENIAL_OF_SERVICE,
+    CLS_ELEVATION_OF_PRIVILEGE,
+    CLS_INFORMATION_DISCLOSURE,
+    CLS_REPUDIATION,
+    CLS_SPOOFING,
+    CLS_TAMPERING,
+    CLS_THREAT,
+)
 from .ntriples import read_text_file
 from .schema import Schema
 from .terms import Iri
@@ -51,8 +59,10 @@ STRIDE_CATEGORIES = (
     "DenialOfService",
     "ElevationOfPrivilege",
 )
-# each category's class, built once: building an Iri runs two regexes
-_STRIDE_IRIS = tuple(zip(STRIDE_CATEGORIES, map(threats, STRIDE_CATEGORIES)))
+# each category's class: the namespaces constant, which the schema's classes are
+_STRIDE_IRIS = tuple(zip(STRIDE_CATEGORIES, (
+    CLS_SPOOFING, CLS_TAMPERING, CLS_REPUDIATION, CLS_INFORMATION_DISCLOSURE,
+    CLS_DENIAL_OF_SERVICE, CLS_ELEVATION_OF_PRIVILEGE)))
 
 
 @dataclass(frozen=True)

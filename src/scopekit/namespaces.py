@@ -71,6 +71,12 @@ CLS_PROVENANCE_RECORD = case_investigation("ProvenanceRecord")
 
 CLS_SCI = infrastructure("SmartCityInfrastructure")
 CLS_THREAT = threats("Threat")
+CLS_SPOOFING = threats("Spoofing")
+CLS_TAMPERING = threats("Tampering")
+CLS_REPUDIATION = threats("Repudiation")
+CLS_INFORMATION_DISCLOSURE = threats("InformationDisclosure")
+CLS_DENIAL_OF_SERVICE = threats("DenialOfService")
+CLS_ELEVATION_OF_PRIVILEGE = threats("ElevationOfPrivilege")
 CLS_CYBERCRIME = crime("Cybercrime")
 CLS_ACQUIRED_EVIDENCE = evidence("AcquiredEvidence")
 CLS_INDICATOR_VALUE = evidence("IndicatorValue")

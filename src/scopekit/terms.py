@@ -5,7 +5,10 @@ their lexical form, datatype, and language tag are equal ("1"^^xsd:int and
 "01"^^xsd:int are different terms). Terms and triples are slotted frozen
 dataclasses on one base, `_Hashed`: it holds the hash each computes once, on
 construction, so set and dict lookups do not rebuild it, and it pickles by
-rebuilding from the fields, as str hashes differ between processes. A hash
+rebuilding from the fields, as str hashes differ between processes. A
+`Triple` is built in one step: its own `__init__` checks the three terms and
+writes them and the hash through the class's slot setters, with no
+`__post_init__` and no pass through the frozen `__setattr__`. A hash
 is computed from strs, ints and other terms' cached hashes only, never from
 None or another object hashed by its address, so one PYTHONHASHSEED fixes
 every hash, and a graph's iteration order, in every interpreter. The Turtle
@@ -50,8 +53,8 @@ SKOLEM_PREFIX = "urn:skolem:"
 
 
 class _Hashed:
-    """Base of the terms and `Triple`: the hash that each class's
-    __post_init__ sets once, and a pickle that rebuilds from the fields. A
+    """Base of the terms and `Triple`: the hash that each class sets once,
+    on construction, and a pickle that rebuilds from the fields. A
     dataclass replaces an inherited __hash__, so each class body sets
     `__hash__ = _Hashed.__hash__`."""
 
@@ -167,25 +170,32 @@ def term_sort_key(t: Term):
     return (2, t.lexical, t.datatype.value if t.datatype else "", t.lang or "")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Triple(_Hashed):
     subject: Union[Iri, BlankNode]
     predicate: Iri
     object: Term
     __hash__ = _Hashed.__hash__
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise TypeError(f"triple subject must be an IRI or blank node: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TypeError(f"triple predicate must be an IRI: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise TypeError(f"triple object must be a term: {self.object!r}")
-        object.__setattr__(self, "_hash", hash(
-            (self.subject._hash, self.predicate._hash, self.object._hash)))
+    def __init__(self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term):
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise TypeError(f"triple subject must be an IRI or blank node: {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"triple predicate must be an IRI: {predicate!r}")
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise TypeError(f"triple object must be a term: {object!r}")
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject._hash, predicate._hash, object._hash)))
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_subject, _set_predicate, _set_object, _set_hash = (
+    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__, _Hashed._hash.__set__)
 
 
 def triple_sort_key(t: Triple):
@@ -207,7 +217,8 @@ class TripleIndex:
     """The one lookup index: a triple set, its triples listed by subject,
     predicate and object, and per predicate a kept `column` (Hexastore's PSO
     order). It keeps the set it is given: a graph's frozenset, or the set a
-    case grows with `add` until `snapshot` hands it, columns too, to a graph."""
+    case grows with `add_all` until `snapshot` hands it, columns too, to a
+    graph."""
 
     __slots__ = ("triples", "_by_s", "_by_p", "_by_o", "_columns")
 
@@ -221,7 +232,7 @@ class TripleIndex:
             by_o.setdefault(t.object, []).append(t)
 
     def copy(self) -> "TripleIndex":
-        """A new index of the same triples that `add` may grow: a copy of the
+        """A new index of the same triples that `add_all` may grow: a copy of the
         set and of each list, made without re-reading the triples; no columns."""
         new = TripleIndex.__new__(TripleIndex)
         new.triples, new._columns = set(self.triples), {}
@@ -229,19 +240,22 @@ class TripleIndex:
                                            for lists in (self._by_s, self._by_p, self._by_o))
         return new
 
-    def add(self, t: Triple) -> bool:
-        """Add t to the set being grown and to its predicate's built column;
-        False, changing nothing, if t is in it."""
-        if t in self.triples:
-            return False
-        self.triples.add(t)
-        self._by_s.setdefault(t.subject, []).append(t)
-        self._by_p.setdefault(t.predicate, []).append(t)
-        self._by_o.setdefault(t.object, []).append(t)
-        column = self._columns.get(t.predicate)
-        if column is not None:
-            column.setdefault(t.subject, []).append(t.object)
-        return True
+    def add_all(self, triples: Iterable[Triple]) -> int:
+        """Add each of triples not yet in the set being grown to it, to its
+        lists and to its predicate's built column; the number added."""
+        have, put, columns, added = self.triples.__contains__, self.triples.add, self._columns, 0
+        by_s, by_p, by_o = self._by_s.setdefault, self._by_p.setdefault, self._by_o.setdefault
+        for t in triples:
+            if have(t):
+                continue
+            put(t)
+            by_s(t.subject, []).append(t)
+            by_p(t.predicate, []).append(t)
+            by_o(t.object, []).append(t)
+            if columns and (column := columns.get(t.predicate)) is not None:
+                column.setdefault(t.subject, []).append(t.object)
+            added += 1
+        return added
 
     def column(self, predicate: Iri) -> dict[Union[Iri, BlankNode], list[Term]]:
         """predicate's values by subject: each subject that has one -> its

@@ -50,6 +50,7 @@ from .ntriples import (
     unescape,
 )
 from .terms import (
+    KNOWN_DATATYPES,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_INTEGER,
@@ -172,9 +173,9 @@ class _Parser:
         # name can change meaning.
         self.memo: dict[str, Term] = {}
         # The parse's terms, one object each, keyed as `build_term` keys them
-        # (the IRIs the grammar implies are the terms.py constants).
-        self.interned: dict = {
-            f"<{iri.value}>": iri for iri in (RDF_TYPE, XSD_STRING, XSD_INTEGER, XSD_BOOLEAN)}
+        # (rdf:type and the datatypes a schema range may name are the terms.py
+        # constants).
+        self.interned: dict = {f"<{iri.value}>": iri for iri in (RDF_TYPE, *KNOWN_DATATYPES)}
 
     def parse(self) -> Graph:
         text, memo, add, term, step = (
@@ -343,8 +344,9 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
     object, however they were spelled (`<...>` or a prefixed name, `a` or
     `rdf:type`, `1` or `"1"^^xsd:integer`). Each term is built and checked
     the first time it appears. The memo lives for this call only, so two
-    parses share no term object beyond the terms.py constants the grammar
-    implies (`rdf:type` and the datatypes of bare literals).
+    parses share no term object beyond the terms.py constants it starts
+    from: `rdf:type` and the six datatypes a schema range may name
+    (`KNOWN_DATATYPES`), so a parsed `xsd:dateTime` is `terms.XSD_DATETIME`.
     """
     return _Parser(decode_document(doc)).parse()
 
@@ -353,16 +355,28 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
 # canonical serialization
 
 
-def _abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
-    """Prefixed-name rendering, or None when no prefix yields a safe local;
-    the longest namespace wins, then the short-name that sorts first."""
-    value = iri.value
-    fits = [(-len(ns.value), name) for name, ns in prefixes.items()
-            if value.startswith(ns.value) and _LOCAL_SAFE_RE.match(value[len(ns.value):])]
-    if not fits:
+def _stem(value: str) -> str:
+    """value up to and including its last '/' or '#'; '' if it holds neither."""
+    return value[:max(value.rfind("/"), value.rfind("#")) + 1]
+
+
+def _abbreviator(prefixes: dict[str, Iri]) -> Callable[[Iri], str | None]:
+    """An IRI's prefixed-name rendering, or None when no prefix yields a safe
+    local; the longest namespace wins, then the short-name that sorts first.
+    A safe local holds no '/' or '#', so a namespace that fits an IRI has the
+    IRI's stem: each IRI tries only the namespaces of its stem, in that order."""
+    table: dict[str, list[tuple[str, str]]] = {}
+    for name, ns in sorted(prefixes.items(), key=lambda item: (-len(item[1].value), item[0])):
+        table.setdefault(_stem(ns.value), []).append((ns.value, name))
+
+    @functools.cache
+    def abbreviate(iri: Iri) -> str | None:
+        value = iri.value
+        for ns, name in table.get(_stem(value), ()):
+            if value.startswith(ns) and _LOCAL_SAFE_RE.match(value[len(ns):]):
+                return f"{name}:{value[len(ns):]}"
         return None
-    size, name = min(fits)
-    return f"{name}:{value[-size:]}"
+    return abbreviate
 
 
 def _render_term(term: Term, abbreviate: Callable) -> str:
@@ -395,7 +409,7 @@ def serialize_turtle_canonical(g: Graph) -> str:
         raise BlankNodePresentError(
             "canonical Turtle is defined for skolemized graphs; call skolemize() first")
     prefixes, ranks = g.prefixes, g.term_ranks()
-    abbreviate = functools.cache(lambda iri: _abbreviate(iri, prefixes))
+    abbreviate = _abbreviator(prefixes)
     # rank -> text, so each distinct term renders once; a predicate's text
     # has a memo of its own, as rdf:type is `a` only there
     forms, verbs, chunks, last_s, last_p = {}, {}, [], None, None

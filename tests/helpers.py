@@ -96,6 +96,52 @@ def random_graph(rng: random.Random, max_triples: int = 200,
     return Graph(triples, prefixes)
 
 
+# -- prefixed names: the canonical writer's rule, by a linear search --
+
+LOCAL_SAFE_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+# nested (ex:, ex/a/), mid-segment (ex/ab, ex/a), with no '/' or '#' (urn:x),
+# and namespaces that differ only past their last '/' or '#'
+PREFIX_NS_POOL = ("http://ex/", "http://ex/a/", "http://ex/ab", "http://ex/a", "http://ex/a/b#",
+                  "http://ex/a/b#c", "http://ex", "urn:x", "urn:x:y", "http://other.example/")
+PREFIX_NAME_POOL = ("ex", "a", "ab", "b-2", "c", "x", "Y9", "z", "q", "ns")
+LOCAL_POOL = ("", "a", "b", "ab", "abc", "a.b", "a.", "-x", "_", "1", "x/y", "x#y", "a:b", "#", "/")
+
+
+def reference_abbreviate(iri: Iri, prefixes: dict[str, Iri]) -> str | None:
+    """Prefixed-name rendering, or None when no prefix yields a safe local;
+    the longest namespace wins, then the short-name that sorts first."""
+    value = iri.value
+    fits = [(-len(ns.value), name) for name, ns in prefixes.items()
+            if value.startswith(ns.value) and LOCAL_SAFE_RE.match(value[len(ns.value):])]
+    if not fits:
+        return None
+    size, name = min(fits)
+    return f"{name}:{value[-size:]}"
+
+
+def random_prefix_map(rng: random.Random) -> dict[str, Iri]:
+    """Some namespaces of the pool under random short-names, one of them
+    often under a second name too."""
+    names = rng.sample(PREFIX_NAME_POOL, rng.randint(1, len(PREFIX_NAME_POOL)))
+    spaces = rng.sample(PREFIX_NS_POOL, min(len(names), len(PREFIX_NS_POOL)))
+    prefixes = {name: Iri(ns) for name, ns in zip(names, spaces)}
+    if len(names) > 1 and rng.random() < 0.7:
+        prefixes[names[-1]] = prefixes[names[0]]
+    return prefixes
+
+
+def prefix_probe_iris(rng: random.Random, count: int = 40) -> list[Iri]:
+    """IRIs under the pool's namespaces: each namespace itself, and namespaces
+    followed by one or two locals of the pool, safe and not."""
+    iris = [Iri(ns) for ns in PREFIX_NS_POOL]
+    for _ in range(count):
+        iri = rng.choice(PREFIX_NS_POOL) + rng.choice(LOCAL_POOL)
+        if rng.random() < 0.3:
+            iri += rng.choice(LOCAL_POOL)
+        iris.append(Iri(iri))
+    return iris
+
+
 # -- query oracle: same semantics, no indexes, no early exits --
 
 def term_objects(g: Graph) -> list:

@@ -1,6 +1,7 @@
 """Case building, IoC exchange, diff/apply, and merge semantics."""
 
 import random
+import uuid
 
 import pytest
 
@@ -19,6 +20,7 @@ from scopekit.errors import (
     UnknownPropertyError,
 )
 from scopekit.namespaces import (
+    KB,
     PROP_CAPEC_ID,
     PROP_CUSTODY_ACTION,
     PROP_CUSTODY_OF,
@@ -221,6 +223,62 @@ class TestAttachTechnique:
         threat = c.add_threat(threats("Tampering"), comp)
         c.attach_technique(threat, "T1486", capec=True, cve="CVE-2022-2884")
         assert c.validate().ok
+
+
+class TestAtomicBuilders:
+    """A builder call checks every argument before it writes: one that
+    raises leaves the case as it was."""
+
+    GHOST = Iri("http://example.org/kb/ghost-0bd1a6d2-33aa-4f2e-9842-9ab2c3d4e5f6")
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda c, comp, item, ghost: c.add_crime("IllegalAccess", comp, adversary=ghost),
+         DanglingTargetError),
+        (lambda c, comp, item, ghost: c.add_action("imaged", T0, by=ghost),
+         DanglingTargetError),
+        (lambda c, comp, item, ghost: c.add_evidence(evidence("DeviceImage"), {"nosuch": "x"}),
+         UnknownPropertyError),
+        (lambda c, comp, item, ghost: c.add_evidence(evidence("DeviceImage"), crime=ghost),
+         DanglingTargetError),
+        (lambda c, comp, item, ghost: c.add_evidence(evidence("DeviceImage"), seized_by=ghost),
+         DanglingTargetError),
+        (lambda c, comp, item, ghost: c.add_custody_event(item, "Imaged", T0, actor=ghost),
+         DanglingTargetError),
+        (lambda c, comp, item, ghost: c.attach_technique(comp, "T1190", capec=True,
+                                                         cve="CVE-bad"),
+         MalformedIdError),
+    ], ids=["crime-adversary", "action-by", "evidence-attrs", "evidence-crime",
+            "evidence-seized-by", "custody-actor", "technique-cve"])
+    def test_a_call_that_raises_writes_nothing(self, call, error):
+        c = make_case()
+        comp = c.add_component(infrastructure("EnergySystem"), "grid")
+        item = c.add_evidence(evidence("DeviceImage"))
+        before = c.graph
+        with pytest.raises(error):
+            call(c, comp, item, self.GHOST)
+        assert c.graph == before
+
+    def test_a_call_shares_the_pattern_nodes_it_mints(self, monkeypatch):
+        c = make_case()
+        threat = c.add_threat(threats("Tampering"),
+                              c.add_component(infrastructure("EnergySystem"), "grid"))
+        patterns = c.catalog.capec_for_technique("T1190")
+        assert patterns
+        monkeypatch.setattr(c.catalog, "capec_for_technique", lambda _: patterns * 2)
+        technique = c.attach_technique(threat, "T1190", capec=True)
+        for pattern in patterns:
+            assert len(c.graph.scan(None, PROP_CAPEC_ID, Literal(pattern.id))) == 1
+        assert {t.object for t in c.graph.scan(technique, attackpatterns("relatedPattern"))} == {
+            t.subject for t in c.graph.scan(None, PROP_CAPEC_ID, None)}
+        assert c.validate().ok
+
+    def test_mint_writes_the_uuid4_of_the_rngs_draw(self):
+        c = make_case(seed=24)
+        twin = random.Random(24)
+        twin.getrandbits(128)  # the case IRI's draw
+        for _ in range(1000):
+            want = uuid.UUID(int=twin.getrandbits(128), version=4)
+            assert c.mint("DeviceImage") == Iri(f"{KB}device-image-{want}")
 
 
 class TestIocs:

@@ -14,6 +14,7 @@ from scopekit.catalog import (
     load_default_catalog,
 )
 from scopekit.errors import CatalogFormatError, MalformedIdError, ParseError, UnknownIdError
+from scopekit import namespaces
 from scopekit.namespaces import infrastructure, threats
 
 from conftest import FIXTURE_DIR
@@ -113,6 +114,20 @@ class TestStride:
         category, built = iris_built(
             monkeypatch, lambda c: catalog.stride_category_of(c, schema), threats("Spoofing"))
         assert category == "Spoofing" and built == []
+
+    @pytest.mark.parametrize("category,constant", [
+        ("Spoofing", "CLS_SPOOFING"), ("Tampering", "CLS_TAMPERING"),
+        ("Repudiation", "CLS_REPUDIATION"),
+        ("InformationDisclosure", "CLS_INFORMATION_DISCLOSURE"),
+        ("DenialOfService", "CLS_DENIAL_OF_SERVICE"),
+        ("ElevationOfPrivilege", "CLS_ELEVATION_OF_PRIVILEGE")])
+    def test_schema_classes_are_the_namespaces_constants(self, schema, category, constant):
+        # so the category search finds each class on identity, before any ==
+        constant = getattr(namespaces, constant)
+        assert constant == threats(category)
+        declared = {c: c for c in schema.classes}[constant]
+        assert declared is constant
+        assert any(c is constant for c in schema.ancestors(constant))
 
     def test_root_threat_has_no_category(self, catalog, schema):
         from scopekit.errors import UnknownClassError

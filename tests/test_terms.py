@@ -445,9 +445,9 @@ class TestColumns:
         index = TripleIndex(set())
         column = index.column(iri("p"))
         assert column == {}
-        assert index.add(Triple(iri("s"), iri("p"), Literal("a")))
-        assert not index.add(Triple(iri("s"), iri("p"), Literal("a")))
-        index.add(Triple(iri("s"), iri("q"), Literal("b")))
+        assert index.add_all([Triple(iri("s"), iri("p"), Literal("a"))]) == 1
+        assert index.add_all([Triple(iri("s"), iri("p"), Literal("a"))]) == 0
+        assert index.add_all([Triple(iri("s"), iri("q"), Literal("b"))] * 2) == 1
         assert index.column(iri("p")) is column and column == {iri("s"): [Literal("a")]}
         assert first_literal(index, iri("s"), iri("p")) == "a"
 
@@ -455,7 +455,7 @@ class TestColumns:
         index = TripleIndex({Triple(iri("s"), iri("p"), Literal("a"))})
         column = index.column(iri("p"))
         grown = index.copy()
-        grown.add(Triple(iri("s"), iri("p"), Literal("b")))
+        grown.add_all([Triple(iri("s"), iri("p"), Literal("b"))])
         assert column == {iri("s"): [Literal("a")]}
         assert column_values(grown.column(iri("p"))) == {iri("s"): [Literal("a"), Literal("b")]}
 

@@ -39,8 +39,11 @@ from helpers import (
     assert_one_object_per_term,
     iris_built,
     load_casegen,
+    prefix_probe_iris,
     random_graph,
     random_mixed_graph,
+    random_prefix_map,
+    reference_abbreviate,
     term_objects,
 )
 
@@ -89,6 +92,16 @@ class TestParser:
         objs = {tr.object for tr in g}
         assert Literal("2100-01-01T00:00:00Z", XSD_DATETIME) in objs
         assert Literal("hallo", lang="de") in objs
+
+    def test_schema_datatypes_are_the_terms_constants(self):
+        g = parse_turtle(
+            "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+            '<http://ex/s> <http://ex/p> "2100-01-01T00:00:00Z"^^xsd:dateTime, "1.5"^^xsd:decimal,\n'
+            '    "http://ex/"^^<http://www.w3.org/2001/XMLSchema#anyURI> .\n')
+        datatypes = {tr.object.lexical: tr.object.datatype for tr in g}
+        assert datatypes["2100-01-01T00:00:00Z"] is XSD_DATETIME
+        assert datatypes["1.5"] is terms.XSD_DECIMAL
+        assert datatypes["http://ex/"] is terms.XSD_ANYURI
 
     def test_bare_integer_and_boolean(self):
         g = parse_turtle("@prefix ex: <http://ex/> .\nex:s ex:n -42 ; ex:b true .")
@@ -227,6 +240,35 @@ class TestSerializer:
         out = serialize_turtle_canonical(g)
         assert '"TRUE"' in out
         assert parse_turtle(out) == g
+
+
+class TestPrefixTable:
+    """The writer looks a prefix up by the IRI's stem and renders every IRI
+    as the linear rule in helpers does: the longest namespace that leaves a
+    safe local name, then the short-name that sorts first."""
+
+    def test_each_iri_renders_as_the_linear_rule(self):
+        rng = random.Random(2417)
+        for _ in range(300):
+            prefixes = random_prefix_map(rng)
+            abbreviate = turtle._abbreviator(prefixes)
+            for iri in prefix_probe_iris(rng):
+                assert abbreviate(iri) == reference_abbreviate(iri, prefixes), (iri, prefixes)
+
+    def test_written_text_is_the_linear_rules(self, monkeypatch):
+        rng = random.Random(2418)
+        cases = []
+        for _ in range(40):
+            iris = prefix_probe_iris(rng, 20)
+            triples = [t(rng.choice(iris), rng.choice(iris), rng.choice(iris + [Literal("v")]))
+                       for _ in range(30)]
+            g = Graph(triples, random_prefix_map(rng))
+            cases.append((g, serialize_turtle_canonical(g)))
+        monkeypatch.setattr(turtle, "_abbreviator", lambda prefixes: (
+            lambda iri: reference_abbreviate(iri, prefixes)))
+        for g, text in cases:
+            assert serialize_turtle_canonical(Graph(g.triples, g.prefixes)) == text
+            assert parse_turtle(text) == g
 
 
 WRITER_DIGESTS = Path(__file__).parent / "data" / "writer_digests.txt"

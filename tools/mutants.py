@@ -26,6 +26,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# add_action's check of its performer, and its write
+_BY_CHECK = '        if by is not None:\n            self._require_node(by, "performer")\n'
+_ACTION_WRITE = (
+    "self._write(self._new_node(CLS_INVESTIGATIVE_ACTION, None, (\n"
+    "            (PROP_DESCRIPTION, Literal(description)),"
+    " (PROP_START_TIME, Literal(at, XSD_DATETIME)),\n"
+    "            (PROP_RELATED_INCIDENT, self.case_iri),\n"
+    "            (PROP_LOCATION_NOTE, Literal(location) if location else None),\n"
+    "            (PROP_PERFORMED_BY, by))))\n")
+
 # (module, old text, new text, pytest selection)
 MUTANTS = [
     # a UCHAR that names a surrogate decodes
@@ -48,8 +58,8 @@ MUTANTS = [
      '            raise UnsupportedRegexError("counted repetition {m,n} is not supported in filters")\n',
      "", ["tests/test_query.py::TestVariableAndRegexValidation"]),
     # building a triple calls each term's __hash__
-    ("terms.py", "(self.subject._hash, self.predicate._hash, self.object._hash)",
-     "(self.subject, self.predicate, self.object)", ["tests/test_terms.py::TestHashInputs"]),
+    ("terms.py", "hash((subject._hash, predicate._hash, object._hash))",
+     "hash((subject, predicate, object))", ["tests/test_terms.py::TestHashInputs"]),
     # diff lists its lines in set order
     ("cli.py", "sorted(map(render_triple, ts))", "list(map(render_triple, ts))",
      ["tests/test_cli.py::TestDiff"]),
@@ -58,9 +68,8 @@ MUTANTS = [
      'lambda v: "." in v and " " not in v', ["tests/test_casekit.py::TestIocs"]),
     # an add leaves a built column as it was
     ("terms.py",
-     "        column = self._columns.get(t.predicate)\n"
-     "        if column is not None:\n"
-     "            column.setdefault(t.subject, []).append(t.object)\n",
+     "            if columns and (column := columns.get(t.predicate)) is not None:\n"
+     "                column.setdefault(t.subject, []).append(t.object)\n",
      "", ["tests/test_casekit.py::TestOneIndex"]),
     # R02 keeps one domain verdict per property, whatever the subject's shape
     ("validation.py",
@@ -97,6 +106,16 @@ MUTANTS = [
      "        passed = {id(t) for t in set(cells) if rx.search(_filter_text(t))}\n"
      "        rows = tuple(compress(rows, map(passed.__contains__, map(id, cells))))\n",
      ["tests/test_query.py::TestFullScanDifferential::test_random_mixed_graphs"]),
+    # add_action writes its triples before it checks its performer
+    ("casekit.py", _BY_CHECK + "        return " + _ACTION_WRITE,
+     "        node = " + _ACTION_WRITE + _BY_CHECK + "        return node\n",
+     ["tests/test_casekit.py::TestAtomicBuilders"]),
+    # the prefix table tries a stem's shortest namespace first
+    ("turtle.py", "key=lambda item: (-len(item[1].value), item[0])",
+     "key=lambda item: (len(item[1].value), item[0])", ["tests/test_turtle.py::TestPrefixTable"]),
+    # mint leaves the UUID's variant bits as drawn
+    ("casekit.py", "~(0xF000 << 64 | 0xC000 << 48), 4 << 76 | 0x8000 << 48",
+     "~(0xF000 << 64), 4 << 76", ["tests/test_casekit.py::TestAtomicBuilders"]),
     # a copy of a graph shares its row tables instead of building its own
     ("terms.py", "        return Graph, (self._triples, self._prefixes)\n",
      '        return Graph, (self._triples, self._prefixes), (None, {"_rows": self._rows})\n',
