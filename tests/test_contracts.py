@@ -15,7 +15,9 @@ draws the same examples and a failure reproduces without a database.
   line and column lie inside the document, and `convert --to ttl` exits 0
   or 2 without a traceback.
 - On mutated query texts, parsing the query and compiling its filters raise
-  only the query text's own errors.
+  only the query text's own errors, and the parse gives the patterns and
+  filters or the error pinned in data/query_mutant_outcomes.txt, as it does
+  on seeded lines of terms and near-terms.
 - Each canonical writer's output parses back to the graph it wrote, and
   Turtle -> N-Triples -> Turtle gives back the same bytes.
 """
@@ -36,16 +38,18 @@ from scopekit.errors import (
     MalformedVariableError,
     ParseError,
     QueryTextError,
+    ScopeKitError,
     UnsupportedRegexError,
 )
 from scopekit.namespaces import RDF_NS, XSD
 from scopekit.ntriples import (
     decode_document,
     parse_ntriples,
+    render_term,
     render_triple,
     serialize_ntriples_canonical,
 )
-from scopekit.query import check_regex, parse_query
+from scopekit.query import Variable, check_regex, parse_query
 from scopekit.terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -440,18 +444,80 @@ QUERY_TEXTS = (
 )
 
 
+# terms and near-terms for seeded query lines, faulty ones included: a
+# datatype IRI that does not close, a variable or a literal as a datatype,
+# escapes that end or name nothing, and words that no term rule reads
+QUERY_TOKENS = (
+    "?s", "?o", "?1", "?", "a", "true", "42", "-7", "kb:a", ":x", "nope:x", "kb:a{b",
+    "xsd:integer", "<http://ex/a>", "<rel>", "<http://a", "<http://a b>", "<>", '"x"',
+    '"x"@en', '"x"@toolongtag', '"x"@', '"x"^^xsd:integer', '"x"^^<http://ex/d>',
+    '"x"^^<http://a', '"x"^^?v', '"x"^^', '"x"^^"y"', '"x"^^"\\q"', '"x"^^a', '"a\\',
+    '"\\q"', '"\\u12G4"', '"\\U0000FFF"', '"\\U00110000"', '"\\uD800"', '"open',
+    '"\u00e9\\t"', "_:b", "_:1", "_a", "%%", "^^", "@en", "FILTER", "/x/", "#")
+
+
+def query_mutants() -> list[str]:
+    """500 mutants of each of QUERY_TEXTS."""
+    rng = random.Random("query-mutants")
+    return [mutate(text.encode(), rng).decode("utf-8", "replace")
+            for text in QUERY_TEXTS for _ in range(500)]
+
+
+def query_token_texts() -> list[str]:
+    """1,000 texts of one to three lines, each one to four of QUERY_TOKENS
+    apart by a space, a tab or nothing."""
+    rng = random.Random("query-tokens")
+    return ["\n".join("".join(rng.choice(QUERY_TOKENS) + rng.choice(("", " ", " ", "\t"))
+                               for _ in range(rng.randint(1, 4)))
+                       for _ in range(rng.randint(1, 3)))
+            for _ in range(1000)]
+
+
+# Pinned query parse outcomes. A change that moves one on purpose rewrites
+# the file from `query_mutant_outcomes()` and says which.
+PINNED_QUERY_OUTCOMES = Path(__file__).parent / "data" / "query_mutant_outcomes.txt"
+QUERY_SOURCES = {"mutant": query_mutants, "tokens": query_token_texts}
+
+
+def query_outcome(text: str) -> str:
+    """parse_query's outcome as one ASCII line: its patterns, ' | ' and its
+    filters, or the error's class|line|message; with backslash escapes for
+    non-ASCII and control characters."""
+    try:
+        patterns, filters = parse_query(text)
+    except ScopeKitError as e:
+        message = str(e).removesuffix(f" (query line {e.line})")
+        result = f"{type(e).__name__}|{e.line}|{message}"
+    else:
+        result = " ; ".join(" ".join(str(t) if isinstance(t, Variable) else render_term(t)
+                                     for t in (p.subject, p.predicate, p.object))
+                            for p in patterns)
+        result += " | " + " ; ".join(f"?{var} /{regex}/" for var, regex in filters)
+    return result.encode("unicode_escape").decode("ascii")
+
+
+def query_mutant_outcomes() -> str:
+    """The pinned file's text: one line per query text, its source and index,
+    then its parse outcome."""
+    return "".join(f"{source}-{i} {query_outcome(text)}\n"
+                   for source, texts in QUERY_SOURCES.items() for i, text in enumerate(texts()))
+
+
 class TestMutatedQueries:
     def test_only_query_errors(self):
-        rng = random.Random("query-mutants")
-        for text in QUERY_TEXTS:
-            data = text.encode()
-            for _ in range(500):
-                mutant = mutate(data, rng).decode("utf-8", "replace")
-                try:
-                    for _, regex in parse_query(mutant)[1]:
-                        check_regex(regex)
-                except (QueryTextError, MalformedVariableError, UnsupportedRegexError):
-                    pass
+        for mutant in query_mutants():
+            try:
+                for _, regex in parse_query(mutant)[1]:
+                    check_regex(regex)
+            except (QueryTextError, MalformedVariableError, UnsupportedRegexError):
+                pass
+
+    def test_outcomes_are_pinned(self):
+        pinned = dict(line.split(" ", 1) for line in
+                      PINNED_QUERY_OUTCOMES.read_text(encoding="ascii").splitlines())
+        for source, texts in QUERY_SOURCES.items():
+            for i, text in enumerate(texts()):
+                assert query_outcome(text) == pinned[f"{source}-{i}"], text
 
 
 # skolemized graphs for the round trips: IRIs in a bound namespace (the
