@@ -426,7 +426,8 @@ class CaseGraph:
     def import_iocs(self, rows: str) -> int:
         """Ingest kind,value,source CSV. Values are put in stored form; rows
         already present (same kind and stored value) are counted but not
-        re-minted. Per-row validation failures land in ioc_import_errors."""
+        re-minted. Per-row validation failures land in ioc_import_errors. A
+        malformed row raises CsvFormatError before any row is written."""
         self.ioc_import_errors = []
         reader = csv.reader(io.StringIO(rows))
         try:
@@ -436,6 +437,7 @@ class CaseGraph:
         if [h.strip() for h in header] != ["kind", "value", "source"]:
             raise CsvFormatError("expected header kind,value,source", 1)
         existing = {(i.kind, i.value) for i in self.iocs()}
+        batch: list[Triple] = []
         count = 0
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -455,9 +457,10 @@ class CaseGraph:
             if (kind, value) in existing:
                 continue
             existing.add((kind, value))
-            self._write(self._new_node(cls, None, (
+            batch += self._new_node(cls, None, (
                 (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),
-                (PROP_IOC_SOURCE, Literal(source) if source else None))))
+                (PROP_IOC_SOURCE, Literal(source) if source else None)))
+        self.add_all(batch)
         return count
 
     def export_iocs(self) -> str:

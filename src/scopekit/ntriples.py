@@ -9,14 +9,15 @@ match is diagnosed where it starts, by a few checks.
 
 Turtle and the query text build on this grammar. They take from here the term
 sub-patterns, `unescape`, `escape_string_literal`, `decode_document` and the
-N-Triples rendering of terms. Both parsers build IRIs, blank nodes and string
-literals with `build_term`, which gives a parse one object per term. String
-literals accept the escapes \\t \\b \\n \\r \\f \\" \\' \\\\ (ECHAR), \\uXXXX and
-\\UXXXXXXXX (UCHAR). A UCHAR must name a Unicode scalar value: an escaped
-surrogate (U+D800 to U+DFFF) or a number above U+10FFFF is a parse error, so
-every parsed literal is valid UTF-8 text. `read_text_file` reads the other
-UTF-8 inputs (schema, catalog, query and IoC files) and reports undecodable
-bytes as a ParseError too.
+N-Triples rendering of terms; the query text also takes `term_error`, so it
+words a faulty IRI or string literal as a case file's parse does. Both parsers
+build IRIs, blank nodes and string literals with `build_term`, which gives a
+parse one object per term. String literals accept the escapes \\t \\b \\n \\r
+\\f \\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must name a
+Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a number
+above U+10FFFF is a parse error, so every parsed literal is valid UTF-8 text.
+`read_text_file` reads the other UTF-8 inputs (schema, catalog, query and IoC
+files) and reports undecodable bytes as a ParseError too.
 
 The canonical serializer writes one triple per line with lines sorted
 bytewise, so output is stable across runs and insertion orders. It sorts its

@@ -18,10 +18,14 @@ filters, each regex run once per distinct term of its column. A table that
 passes MAX_ROWS rows raises QueryTooLargeError.
 
 The text syntax puts one pattern per line. Lines end at LF only; whitespace
-around a line, a trailing CR included, is ignored. Terms are read with one
-compiled pattern that shares its string-literal and integer forms with
-N-Triples, so the same escapes apply: a \\uXXXX or \\UXXXXXXXX escape must
-name a Unicode scalar value, and an escaped surrogate is an error.
+around a line, a trailing CR included, is ignored. A pattern line is read
+with one compiled pattern, as N-Triples reads a line: the subject, predicate
+and object are each tried only once the terms before them have matched, so
+the first term the match leaves unset is the fault: "expected a term" at the
+end of the line, else the fault of an IRI or string literal as
+`ntriples.term_error` words it in a case file. String literals and integers
+are N-Triples' own: a \\uXXXX or \\UXXXXXXXX escape must name a Unicode
+scalar value.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     UnsupportedRegexError,
 )
 from .namespaces import STANDARD_PREFIXES
-from .ntriples import INTEGER, STRING_CHARS, STRING_LITERAL_QUOTE, render_term, unescape
+from .ntriples import INTEGER, STRING_LITERAL_QUOTE, render_term, term_error, unescape
 from .terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -343,97 +347,67 @@ def count(g: Graph, patterns: Sequence[Pattern],
 _FILTER_LINE_RE = re.compile(r"^FILTER\s+\?([A-Za-z][A-Za-z0-9_]*)\s+/((?:[^/\\]|\\.)*)/\s*$")
 _PNAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)?:(\S*)$")
 _INTEGER_RE = re.compile(INTEGER)
-_STRING_PREFIX_RE = re.compile(f'"{STRING_CHARS}')
 
-# One term after spaces and tabs. An IRI is any text up to '>', checked by
-# Iri. 'other' matches, empty, where no term starts.
-_TERM_RE = re.compile(rf"""[ \t]*(?:
-    \?(?P<variable>[^ \t]*)
-  | <(?P<iri>[^>]*)>
-  | (?P<literal>(?P<quoted>{STRING_LITERAL_QUOTE})(?:(?P<datatype>\^\^)|@(?P<lang>[^ \t]*))?)
-  | (?P<word>[^ \t<"][^ \t]*)
-  | (?P<other>)
-)""", re.X)
+# A variable, an IRI (any text up to '>', checked by Iri) or a word (any other
+# run of non-blanks); a term without a suffix is one of those or a literal.
+_NOT_LITERAL = r'\?[^ \t]*|<[^>]*>|[^ \t<"][^ \t]*'
+_PLAIN = f"{_NOT_LITERAL}|{STRING_LITERAL_QUOTE}"
 
 
-def _no_term(line: str, pos: int) -> str:
-    """Why no term matches at line[pos:]."""
-    if pos == len(line):
-        return "expected a term"
-    if line[pos] == "<":
-        return "unterminated <IRI>"
-    # a string literal without its closing quote, or with a bad escape
-    at = _STRING_PREFIX_RE.match(line, pos).end()
-    if at == len(line):
-        return "unterminated string literal"
-    esc = line[at + 1:at + 2]
-    if esc == "":
-        return "unterminated escape in string literal"
-    if esc not in ("u", "U"):
-        return f"unknown string escape \\{esc}"
-    if esc == "U" and re.fullmatch("[0-9A-Fa-f]{8}", line[at + 2:at + 10]):
-        return "escape beyond the Unicode range"
-    return f"\\{esc} needs {4 if esc == 'u' else 8} hex digits"
+def _term_pattern(role: str) -> str:
+    """A term in group `role`; a literal's parts in groups role + "q", "dt" and "lang"."""
+    return (rf'(?P<{role}>{_NOT_LITERAL}|(?P<{role}q>{STRING_LITERAL_QUOTE})'
+            rf'(?:\^\^(?P<{role}dt>{_PLAIN})?|@(?P<{role}lang>[^ \t]*))?)')
 
 
-def _word_term(word: str, lineno: int, prefixes: dict[str, Iri]) -> PatternTerm:
-    if word == "a":
+# One pattern line: a subject, a predicate and an object, each tried only once
+# the terms before it have matched, with the blanks after each.
+_LINE_RE = re.compile("(?:{}[ \t]*(?:{}[ \t]*(?:{}[ \t]*)?)?)?".format(*map(_term_pattern, "spo")))
+
+
+def _missing(line: str, pos: int, expected: str) -> str:
+    """Why no term matches at line[pos]: the fault of the IRI or literal there, else `expected`."""
+    return term_error(line, pos)[0] if line[pos:pos + 1] in ("<", '"') else expected
+
+
+def _build(text: str, lineno: int, prefixes: dict[str, Iri],
+           m: Optional[re.Match] = None, role: str = "") -> PatternTerm:
+    """The term `text` names: the one in group `role` of the line match `m`, or a datatype."""
+    if text[0] == "?":
+        return Variable(text[1:])
+    if text[0] == "<":
+        return Iri(text[1:-1])
+    if text[0] == '"':
+        q, dt, lang = m.group(role + "q", role + "dt", role + "lang") if m else (text, None, None)
+        lexical = unescape(q[1:-1])
+        if lang is not None:
+            return Literal(lexical, lang=lang)
+        if len(q) == len(text):
+            return Literal(lexical)
+        if dt is None:
+            raise QueryTextError(_missing(m.string, m.end(role), "^^ needs a datatype"), lineno)
+        datatype = _build(dt, lineno, prefixes)
+        if not isinstance(datatype, Iri):
+            raise QueryTextError("datatype must be an IRI", lineno)
+        return Literal(lexical, datatype)
+    if text == "a":
         return RDF_TYPE
-    if word in ("true", "false"):
-        return Literal(word, XSD_BOOLEAN)
-    if _INTEGER_RE.fullmatch(word):
-        return Literal(word, XSD_INTEGER)
-    if word.startswith("_:"):
+    if text in ("true", "false"):
+        return Literal(text, XSD_BOOLEAN)
+    if _INTEGER_RE.fullmatch(text):
+        return Literal(text, XSD_INTEGER)
+    if text.startswith("_:"):
         try:
-            return BlankNode(word[2:])
+            return BlankNode(text[2:])
         except ValueError as exc:
             raise QueryTextError(f"bad blank node label: {exc}", lineno) from None
-    m = _PNAME_RE.match(word)
-    if m:
-        prefix = m.group(1) or ""
-        if prefix not in prefixes:
-            raise QueryTextError(f"undefined prefix {prefix!r}", lineno)
-        try:
-            return Iri(prefixes[prefix].value + m.group(2))
-        except InvalidIriError as exc:
-            raise QueryTextError(f"bad IRI: {exc}", lineno) from None
-    raise QueryTextError(f"cannot read term starting at {word!r}", lineno)
-
-
-def _read_term(line: str, pos: int, lineno: int,
-               prefixes: dict[str, Iri]) -> tuple[PatternTerm, int]:
-    """The term at line[pos:] and the offset just after it."""
-    m = _TERM_RE.match(line, pos)
-    kind, end = m.lastgroup, m.end()
-    value = m.group(kind)
-    if kind == "variable":
-        try:
-            return Variable(value), end
-        except MalformedVariableError as exc:
-            raise QueryTextError(str(exc), lineno) from None
-    if kind == "iri":
-        try:
-            return Iri(value), end
-        except InvalidIriError as exc:
-            raise QueryTextError(f"bad IRI: {exc}", lineno) from None
-    if kind == "word":
-        return _word_term(value, lineno, prefixes), end
-    if kind == "other":
-        raise QueryTextError(_no_term(line, end), lineno)
-    try:
-        lexical = unescape(m.group("quoted")[1:-1])
-        if m.group("lang") is not None:
-            return Literal(lexical, lang=m.group("lang")), end
-    except ValueError as exc:
-        raise QueryTextError(exc.args[0], lineno) from None
-    if m.group("datatype") is None:
-        return Literal(lexical), end
-    if end == len(line) or line[end] in " \t":
-        raise QueryTextError("^^ needs a datatype", lineno)
-    datatype, end = _read_term(line, end, lineno, prefixes)
-    if not isinstance(datatype, Iri):
-        raise QueryTextError("datatype must be an IRI", lineno)
-    return Literal(lexical, datatype), end
+    name = _PNAME_RE.match(text)
+    if name is None:
+        raise QueryTextError(f"cannot read term starting at {text!r}", lineno)
+    prefix = name.group(1) or ""
+    if prefix not in prefixes:
+        raise QueryTextError(f"undefined prefix {prefix!r}", lineno)
+    return Iri(prefixes[prefix].value + name.group(2))
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
@@ -456,15 +430,23 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
                 raise QueryTextError("FILTER lines look like: FILTER ?v /regex/", lineno)
             filters.append((m.group(1), m.group(2).replace("\\/", "/")))
             continue
-        s, pos = _read_term(line, 0, lineno, resolved)
-        p, pos = _read_term(line, pos, lineno, resolved)
-        o, pos = _read_term(line, pos, lineno, resolved)
-        if line[pos:].strip(" \t"):
-            raise QueryTextError("a pattern line holds exactly three terms", lineno)
+        m = _LINE_RE.match(line)
+        s, p, o = m.group("s", "p", "o")
         try:
-            patterns.append(Pattern(s, p, o))
-        except MalformedVariableError as exc:
-            raise QueryTextError(str(exc), lineno) from None
+            if o is None or m.end() < len(line):
+                # a fault in a term that was read comes before what follows it
+                for role, t in zip("spo", (s, p, o)):
+                    if t is not None:
+                        _build(t, lineno, resolved, m, role)
+                raise QueryTextError("a pattern line holds exactly three terms" if o is not None
+                                     else _missing(line, m.end(), "expected a term"), lineno)
+            patterns.append(Pattern(_build(s, lineno, resolved, m, "s"),
+                                    _build(p, lineno, resolved, m, "p"),
+                                    _build(o, lineno, resolved, m, "o")))
+        except InvalidIriError as exc:
+            raise QueryTextError(f"bad IRI: {exc}", lineno) from None
+        except (MalformedVariableError, ValueError) as exc:  # a name, an escape, a language tag
+            raise QueryTextError(exc.args[0], lineno) from None
     if not patterns:
         raise QueryTextError("query has no patterns", 1)
     return patterns, filters

@@ -341,6 +341,14 @@ class TestIocs:
         with pytest.raises(CsvFormatError):
             c.import_iocs("")
 
+    def test_a_malformed_row_writes_no_row(self):
+        c = make_case()
+        before = c.graph
+        with pytest.raises(CsvFormatError) as err:
+            c.import_iocs("kind,value,source\nDomain,a[.]example,feed\nDomain,b.example\n")
+        assert err.value.row == 3
+        assert c.graph == before and c.iocs() == []
+
     def test_stored_defanged_domain_exports_once(self):
         out = stored_iocs_case().export_iocs()
         assert out.splitlines() == ["kind,value,source", "Domain,evil[.]example,feed",

@@ -141,18 +141,23 @@ NTRIPLES_ERRORS = [
 
 QUERY_ERRORS = [
     ('?s ?p "open', "unterminated string literal", 1),
-    ('?s ?p "a\\', "unterminated escape in string literal", 1),
-    ('?s ?p "\\u12G4"', "\\u needs 4 hex digits", 1),
-    ('?s ?p "\\U0000FFF"', "\\U needs 8 hex digits", 1),
-    ('?s ?p "\\U00110000"', "escape beyond the Unicode range", 1),
-    ('?s ?p "\\q"', "unknown string escape \\q", 1),
-    ("?s ?p <http://a", "unterminated <IRI>", 1),
+    ('?s ?p "a\\', "unknown escape \\", 1),
+    ('?s ?p "\\u12G4"', "malformed \\u escape", 1),
+    ('?s ?p "\\U0000FFF"', "malformed \\U escape", 1),
+    ('?s ?p "\\U00110000"', "escape is not a valid code point", 1),
+    ('?s ?p "\\q"', "unknown escape \\q", 1),
+    ("?s ?p <http://a", "unterminated IRI (missing '>')", 1),
+    ("?s <http://a ?o", "whitespace or control character inside IRI", 1),
     ("?s ?p <rel>", "bad IRI: IRI has no scheme: 'rel'", 1),
     ("?s ?p <http://a b>", "bad IRI: IRI contains forbidden character ' ': 'http://a b'", 1),
     ("kb:a{b ?p ?o", "bad IRI: IRI contains forbidden character '{': 'http://example.org/kb/a{b'", 1),
     ('?s ?p "x"^^kb:a|b', "bad IRI: IRI contains forbidden character '|': 'http://example.org/kb/a|b'", 1),
     ('?s ?p "x"^^', "^^ needs a datatype", 1),
     ('?s ?p "x"^^?v', "datatype must be an IRI", 1),
+    # the term after '^^' is read, and its fault named, as any other term
+    ('?s ?p "x"^^<http://a', "unterminated IRI (missing '>')", 1),
+    ('?s ?p "x"^^"\\q"', "unknown escape \\q", 1),
+    ('?s ?p "x"^^"y"@en', "datatype must be an IRI", 1),
     ('?s ?p "x"@toolongtag', "malformed language tag: 'toolongtag'", 1),
     ("?s ?p", "expected a term", 1),
     ("?1 ?p ?o", "variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?1", 1),
@@ -202,6 +207,23 @@ def test_query_errors(text, message, line):
     assert type(exc.value) is QueryTextError
     assert exc.value.line == line
     assert str(exc.value) == f"{message} (query line {line})"
+
+
+# the faults of an IRI or a string literal that does not close or holds a bad escape
+TERM_FAULTS = ("unterminated IRI (missing '>')", "unterminated string literal",
+               "malformed \\u escape", "malformed \\U escape", "escape is not a valid code point",
+               "unknown escape \\q", "unknown escape \\")
+
+
+@pytest.mark.parametrize("doc,message,line,column",
+                         [row for row in NTRIPLES_ERRORS if row[1] in TERM_FAULTS])
+def test_query_words_a_term_fault_as_ntriples_does(doc, message, line, column):
+    # the N-Triples object, from the faulty term on, as a query object
+    text = doc.split("\n")[line - 1].rstrip("\r")
+    assert text.startswith(f"{S} {P} ")
+    with pytest.raises(QueryTextError) as exc:
+        parse_query("?s ?p " + text.removeprefix(f"{S} {P} "))
+    assert str(exc.value) == f"{message} (query line 1)"
 
 
 SURROGATE_ESCAPES = ["\\uD800", "\\uDFFF", "\\U0000D800"]

@@ -120,6 +120,39 @@ MUTANTS = [
     ("terms.py", "        return Graph, (self._triples, self._prefixes)\n",
      '        return Graph, (self._triples, self._prefixes), (None, {"_rows": self._rows})\n',
      ["tests/test_query.py::TestFullScanDifferential::test_copies_of_a_graph_with_kept_orders"]),
+    # an N-Triples literal's '^^' or '@' is looked for after the blanks that follow it
+    ("ntriples.py", 'line.startswith(("^^", "@"), end)', 'line.startswith(("^^", "@"), pos)',
+     ["tests/test_parse_errors.py::test_ntriples_errors"]),
+    # an N-Triples line that stops short names the missing part before a fault in a term it read
+    ("ntriples.py",
+     '    for role, text in (("s", s), ("p", p), ("o", o)):\n'
+     "        if text is not None and text not in memo:\n"
+     "            _term(m, role, lineno, memo)\n",
+     "", ["tests/test_parse_errors.py::test_ntriples_errors"]),
+    # content after an N-Triples '.' is refused before the line's terms are built
+    ("ntriples.py",
+     "        if dot is not None:\n"
+     "            add(Triple(",
+     "        if dot is not None:\n"
+     '            if m.end() < len(line) and line[m.end()] != "#":\n'
+     "                raise ParseError(\"unexpected trailing content after '.'\","
+     " lineno, m.end() + 1)\n"
+     "            add(Triple(", ["tests/test_parse_errors.py::test_ntriples_errors"]),
+    # no blanks may follow an N-Triples '.'
+    ("ntriples.py", r"(?P<dot>\.[ \t]*)?", r"(?P<dot>\.)?",
+     ["tests/test_parse_errors.py::test_ntriples_errors"]),
+    # a query line says "expected a term" for every term it could not read
+    ("query.py", '_missing(line, m.end(), "expected a term")', '"expected a term"',
+     ["tests/test_parse_errors.py::test_query_words_a_term_fault_as_ntriples_does"]),
+    # import_iocs writes each row as it reads it
+    ("casekit.py",
+     "            batch += self._new_node(cls, None, (\n"
+     "                (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),\n"
+     "                (PROP_IOC_SOURCE, Literal(source) if source else None)))\n",
+     "            self.add_all(self._new_node(cls, None, (\n"
+     "                (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),\n"
+     "                (PROP_IOC_SOURCE, Literal(source) if source else None))))\n",
+     ["tests/test_casekit.py::TestIocs::test_a_malformed_row_writes_no_row"]),
 ]
 
 
