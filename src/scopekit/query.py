@@ -431,18 +431,14 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
             filters.append((m.group(1), m.group(2).replace("\\/", "/")))
             continue
         m = _LINE_RE.match(line)
-        s, p, o = m.group("s", "p", "o")
         try:
-            if o is None or m.end() < len(line):
-                # a fault in a term that was read comes before what follows it
-                for role, t in zip("spo", (s, p, o)):
-                    if t is not None:
-                        _build(t, lineno, resolved, m, role)
-                raise QueryTextError("a pattern line holds exactly three terms" if o is not None
-                                     else _missing(line, m.end(), "expected a term"), lineno)
-            patterns.append(Pattern(_build(s, lineno, resolved, m, "s"),
-                                    _build(p, lineno, resolved, m, "p"),
-                                    _build(o, lineno, resolved, m, "o")))
+            terms = [_build(t, lineno, resolved, m, role)
+                     for role, t in zip("spo", m.group("s", "p", "o")) if t is not None]
+            if len(terms) < 3:
+                raise QueryTextError(_missing(line, m.end(), "expected a term"), lineno)
+            if m.end() < len(line):
+                raise QueryTextError("a pattern line holds exactly three terms", lineno)
+            patterns.append(Pattern(*terms))
         except InvalidIriError as exc:
             raise QueryTextError(f"bad IRI: {exc}", lineno) from None
         except (MalformedVariableError, ValueError) as exc:  # a name, an escape, a language tag
