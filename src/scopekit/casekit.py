@@ -14,7 +14,6 @@ import functools
 import io
 import random
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional, Union
 
@@ -90,6 +89,7 @@ from .terms import (
     Graph,
     Iri,
     Literal,
+    Record,
     Term,
     Triple,
     TripleIndex,
@@ -119,12 +119,11 @@ def kebab(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", _CAMEL_SPLIT_RE.sub("-", text)).strip("-").lower()
 
 
-@dataclass(frozen=True)
-class CustodyEvent:
-    evidence: Iri
-    actor: Optional[Iri]
-    action: str
-    at: str
+class CustodyEvent(Record):
+    __slots__ = ("evidence", "actor", "action", "at")
+
+    def __init__(self, evidence: Iri, actor: Optional[Iri], action: str, at: str):
+        self._set(evidence, actor, action, at)
 
 
 # kind -> (class, value property, the form a value is stored in, the check a
@@ -136,22 +135,26 @@ _IOC_KINDS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Ioc:
-    """One IoC row, its value in stored form: a domain without `[.]`, a digest in lowercase."""
+@functools.total_ordering
+class Ioc(Record):
+    """One IoC row, its value in stored form: a domain without `[.]`, a digest
+    in lowercase. Rows order on (kind, value, source)."""
 
-    kind: str  # Md5Hash | Domain
-    value: str
-    source: str
+    __slots__ = ("kind", "value", "source")
+
+    def __init__(self, kind: str, value: str, source: str):  # kind: Md5Hash | Domain
+        self._set(kind, value, source)
+
+    def __lt__(self, other) -> bool:
+        return self._key(self) < other._key(other) if type(other) is Ioc else NotImplemented
 
     def defanged(self) -> str:
         return self.value.replace(".", "[.]") if self.kind == "Domain" else self.value
 
 
-@dataclass
 class MergeOutcome:
-    merged: "CaseGraph"
-    conflicts: list[tuple[Iri, Iri, str, str]]
+    def __init__(self, merged: CaseGraph, conflicts: list[tuple[Iri, Iri, str, str]]):
+        self.merged, self.conflicts = merged, conflicts
 
     def conflicts_text(self) -> str:
         """Conflict lines in the validator's line-oriented report format."""
@@ -421,14 +424,15 @@ class CaseGraph:
                 if value is not None:
                     out.append(Ioc(kind, stored(value),
                                    first_literal(g, t.subject, PROP_IOC_SOURCE) or ""))
-        return sorted(out)
+        return sorted(out, key=Ioc._key)
 
     def import_iocs(self, rows: str) -> int:
         """Ingest kind,value,source CSV. Values are put in stored form; rows
         already present (same kind and stored value) are counted but not
         re-minted. Per-row validation failures land in ioc_import_errors. A
-        malformed row raises CsvFormatError before any row is written."""
-        self.ioc_import_errors = []
+        malformed row raises CsvFormatError before any row is written, and
+        leaves ioc_import_errors as it was."""
+        errors: list[str] = []
         reader = csv.reader(io.StringIO(rows))
         try:
             header = next(reader)
@@ -446,12 +450,12 @@ class CaseGraph:
                 raise CsvFormatError(f"expected 3 columns, found {len(row)}", rownum)
             kind, value, source = (c.strip() for c in row)
             if kind not in _IOC_KINDS:
-                self.ioc_import_errors.append(f"row {rownum}: unknown IoC kind {kind!r}")
+                errors.append(f"row {rownum}: unknown IoC kind {kind!r}")
                 continue
             cls, prop, stored, check, what = _IOC_KINDS[kind]
             value = stored(value)
             if not check(value):
-                self.ioc_import_errors.append(f"row {rownum}: not {what}: {value!r}")
+                errors.append(f"row {rownum}: not {what}: {value!r}")
                 continue
             count += 1
             if (kind, value) in existing:
@@ -461,6 +465,7 @@ class CaseGraph:
                 (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),
                 (PROP_IOC_SOURCE, Literal(source) if source else None)))
         self.add_all(batch)
+        self.ioc_import_errors = errors
         return count
 
     def export_iocs(self) -> str:

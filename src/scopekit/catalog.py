@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -27,7 +26,7 @@ from .namespaces import (
 )
 from .ntriples import read_text_file
 from .schema import Schema
-from .terms import Iri
+from .terms import Iri, Record
 
 TECHNIQUE_ID_RE = re.compile(r"T\d{4}(\.\d{3})?", re.ASCII)
 CAPEC_ID_RE = re.compile(r"CAPEC-\d+", re.ASCII)
@@ -65,32 +64,32 @@ _STRIDE_IRIS = tuple(zip(STRIDE_CATEGORIES, (
     CLS_DENIAL_OF_SERVICE, CLS_ELEVATION_OF_PRIVILEGE)))
 
 
-@dataclass(frozen=True)
-class TechniqueEntry:
-    id: str
-    name: str
-    tactic: str
+class TechniqueEntry(Record):
+    __slots__ = ("id", "name", "tactic")
+
+    def __init__(self, id: str, name: str, tactic: str):
+        self._set(id, name, tactic)
 
 
-@dataclass(frozen=True)
-class CapecEntry:
-    id: str
-    name: str
-    related_techniques: frozenset[str]
+class CapecEntry(Record):
+    __slots__ = ("id", "name", "related_techniques")
+
+    def __init__(self, id: str, name: str, related_techniques: frozenset[str]):
+        self._set(id, name, related_techniques)
 
 
-@dataclass(frozen=True)
-class IndicatorEntry:
-    iso_standard: str
-    clause: str
-    description: str
-    system: Iri
+class IndicatorEntry(Record):
+    __slots__ = ("iso_standard", "clause", "description", "system")
+
+    def __init__(self, iso_standard: str, clause: str, description: str, system: Iri):
+        self._set(iso_standard, clause, description, system)
 
 
-@dataclass(frozen=True)
-class CrimeType:
-    name: str
-    description: str
+class CrimeType(Record):
+    __slots__ = ("name", "description")
+
+    def __init__(self, name: str, description: str):
+        self._set(name, description)
 
 
 CRIME_TYPES: dict[str, CrimeType] = {

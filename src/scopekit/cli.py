@@ -13,7 +13,9 @@ Only errors, terms, namespaces, ntriples and turtle load with this module; each
 subcommand imports the rest on first use, so a cold command pays for what it
 runs: convert, diff and init nothing more; query adds query; validate adds
 schema, catalog and validation; merge and iocs add casekit (which loads those
-three); report adds casekit and report.
+three); report adds casekit and report. Terms and records are plain slotted
+classes, so no command loads the standard class factory module or the inspect,
+ast and dis it imports.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ scalar value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -54,6 +53,7 @@ from .terms import (
     Graph,
     Iri,
     Literal,
+    Record,
     Term,
 )
 
@@ -61,14 +61,14 @@ _VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 MAX_ROWS = 1_000_000  # rows a pattern's table may hold before the join gives up
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Record):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _VAR_NAME_RE.fullmatch(self.name):
+    def __init__(self, name: str):
+        if not _VAR_NAME_RE.fullmatch(name):
             raise MalformedVariableError(
-                f"variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?{self.name}")
+                f"variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?{name}")
+        self._set(name)
 
     def __str__(self) -> str:
         return "?" + self.name
@@ -77,25 +77,24 @@ class Variable:
 PatternTerm = Union[Variable, Iri, Literal, BlankNode]
 
 
-@dataclass(frozen=True)
-class Pattern:
-    subject: PatternTerm
-    predicate: PatternTerm
-    object: PatternTerm
+class Pattern(Record):
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if not isinstance(self.predicate, (Variable, Iri)):
+    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+        if not isinstance(predicate, (Variable, Iri)):
             raise MalformedVariableError("pattern predicate must be an IRI or a variable")
+        self._set(subject, predicate, object)
 
     def variables(self) -> set[str]:
         return {t.name for t in (self.subject, self.predicate, self.object)
                 if isinstance(t, Variable)}
 
 
-@dataclass(frozen=True)
-class BindingTable:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Term, ...], ...]
+class BindingTable(Record):
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple[Term, ...], ...]):
+        self._set(columns, rows)
 
     def __len__(self) -> int:
         return len(self.rows)

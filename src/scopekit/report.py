@@ -8,7 +8,6 @@ reader downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .casekit import CaseGraph
 from .errors import InvalidCaseError, UnknownClassError
@@ -28,7 +27,7 @@ from .namespaces import (
     PROP_TACTIC,
     PROP_TECHNIQUE_ID,
 )
-from .terms import Graph, Iri, first_literal, term_sort_key
+from .terms import Graph, Iri, Record, first_literal, term_sort_key
 from .validation import custody_sequence
 
 # A case value reaches the Markdown as text: a line break as <br>, so it cannot
@@ -38,33 +37,36 @@ _UNSAFE_RE = re.compile("[\x00-\x1f\x7f&<>\u202a-\u202e\u2066-\u2069]")
 _MARKUP = {"\n": "<br>", "\r": "<br>", "&": "&amp;", "<": "&lt;", ">": "&gt;"}
 
 
-@dataclass(frozen=True)
-class CustodyEntry:
-    at: str
-    action: str
-    evidence: str  # display label
-    actor: str  # display label, "" when unrecorded
-    sequence: int
+class CustodyEntry(Record):
+    """evidence and actor are display labels, actor "" when unrecorded."""
+
+    __slots__ = ("at", "action", "evidence", "actor", "sequence")
+
+    def __init__(self, at: str, action: str, evidence: str, actor: str, sequence: int):
+        self._set(at, action, evidence, actor, sequence)
 
 
-@dataclass(frozen=True)
-class ActionEntry:
-    at: str
-    description: str
-    location: str
-    performer: str
+class ActionEntry(Record):
+    __slots__ = ("at", "description", "location", "performer")
+
+    def __init__(self, at: str, description: str, location: str, performer: str):
+        self._set(at, description, location, performer)
 
 
-@dataclass(frozen=True)
-class CaseSummary:
-    case_id: str
-    name: str
-    created: str
-    threat_counts: tuple[tuple[str, int], ...]  # (category, count), sorted
-    tactic_map: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]  # tactic -> ((id, name), ...)
-    iocs: tuple[tuple[str, str, str], ...]  # (kind, defanged value, source)
-    custody: tuple[CustodyEntry, ...]  # ascending timeline
-    actions: tuple[ActionEntry, ...]  # ascending log
+class CaseSummary(Record):
+    """threat_counts: (category, count), sorted; tactic_map: tactic -> ((id,
+    name), ...); iocs: (kind, defanged value, source); custody: the ascending
+    timeline; actions: the ascending log."""
+
+    __slots__ = ("case_id", "name", "created", "threat_counts", "tactic_map", "iocs", "custody",
+                 "actions")
+
+    def __init__(self, case_id: str, name: str, created: str,
+                 threat_counts: tuple[tuple[str, int], ...],
+                 tactic_map: tuple[tuple[str, tuple[tuple[str, str], ...]], ...],
+                 iocs: tuple[tuple[str, str, str], ...], custody: tuple[CustodyEntry, ...],
+                 actions: tuple[ActionEntry, ...]):
+        self._set(case_id, name, created, threat_counts, tactic_map, iocs, custody, actions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,11 +136,9 @@ def summarize(c: CaseGraph) -> CaseSummary:
         actor_nodes = g.objects_of(rec, PROP_CUSTODY_ACTOR)
         custody.append(CustodyEntry(
             at=first_literal(g, rec, PROP_CUSTODY_TS) or "",
-            action=first_literal(g, rec, PROP_CUSTODY_ACTION) or "",
-            evidence=_label(g, ev),
+            action=first_literal(g, rec, PROP_CUSTODY_ACTION) or "", evidence=_label(g, ev),
             actor=_label(g, actor_nodes[0]) if actor_nodes else "",
-            sequence=custody_sequence(g, rec) or 0,
-        ))
+            sequence=custody_sequence(g, rec) or 0))
     custody.sort(key=lambda e: (e.at, e.evidence, e.sequence, e.action, e.actor))
 
     actions = []
@@ -148,20 +148,11 @@ def summarize(c: CaseGraph) -> CaseSummary:
             at=first_literal(g, subject, PROP_START_TIME) or "",
             description=first_literal(g, subject, PROP_DESCRIPTION) or "",
             location=first_literal(g, subject, PROP_LOCATION_NOTE) or "",
-            performer=_label(g, performers[0]) if performers else "",
-        ))
+            performer=_label(g, performers[0]) if performers else ""))
     actions.sort(key=lambda a: (a.at, a.description, a.location, a.performer))
 
-    return CaseSummary(
-        case_id=c.case_iri.value,
-        name=c.name,
-        created=c.created,
-        threat_counts=threat_counts,
-        tactic_map=tactic_map,
-        iocs=iocs,
-        custody=tuple(custody),
-        actions=tuple(actions),
-    )
+    return CaseSummary(c.case_iri.value, c.name, c.created, threat_counts, tactic_map, iocs,
+                       tuple(custody), tuple(actions))
 
 
 def _section(lines: list[str], title: str, items, header: tuple[str, ...] = ()) -> None:

@@ -9,7 +9,6 @@ functional). Anything else in a schema document is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -37,6 +36,7 @@ from .terms import (
     Graph,
     Iri,
     Literal,
+    Record,
 )
 from .turtle import parse_turtle
 
@@ -48,24 +48,21 @@ SCM_FUNCTIONAL = Iri(SCOPE_META + "functional")
 _CONSTANTS = {v: v for k, v in vars(namespaces).items() if k.startswith(("CLS_", "PROP_"))}
 
 
-@dataclass(frozen=True)
-class ClassDef:
-    iri: Iri
-    parents: frozenset[Iri]
-    label: str = ""
-    description: str = ""
+class ClassDef(Record):
+    __slots__ = ("iri", "parents", "label", "description")
+
+    def __init__(self, iri: Iri, parents: frozenset[Iri], label: str = "", description: str = ""):
+        self._set(iri, parents, label, description)
 
 
-@dataclass(frozen=True)
-class PropertyDef:
-    iri: Iri
-    domain: frozenset[Iri]
-    range: Optional[Iri]
-    min_card: int = 0
-    max_card: Optional[int] = None  # None = unbounded
-    functional: bool = False
-    label: str = ""
-    description: str = ""
+class PropertyDef(Record):
+    __slots__ = ("iri", "domain", "range", "min_card", "max_card", "functional", "label",
+                 "description")
+
+    def __init__(self, iri: Iri, domain: frozenset[Iri], range: Optional[Iri], min_card: int = 0,
+                 max_card: Optional[int] = None, functional: bool = False, label: str = "",
+                 description: str = ""):  # max_card None = unbounded
+        self._set(iri, domain, range, min_card, max_card, functional, label, description)
 
 
 class Schema:
@@ -242,12 +239,8 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
             if not isinstance(o, Iri):
                 raise DanglingReferenceError(f"subclass target of {c} must be an IRI")
             parents.add(own.get(o, o))
-        classes[c] = ClassDef(
-            iri=c,
-            parents=frozenset(parents),
-            label=_single_string(union, c, RDFS_LABEL, "label"),
-            description=_single_string(union, c, RDFS_COMMENT, "comment"),
-        )
+        classes[c] = ClassDef(c, frozenset(parents), _single_string(union, c, RDFS_LABEL, "label"),
+                              _single_string(union, c, RDFS_COMMENT, "comment"))
 
     properties: dict[Iri, PropertyDef] = {}
     for p in _by_iri(property_iris):
@@ -275,16 +268,9 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
         if min_card < 0 or (max_card is not None and max_card < min_card):
             raise InvalidCardinalityError(
                 f"{p} has an impossible cardinality window [{min_card}, {max_card}]")
-        properties[p] = PropertyDef(
-            iri=p,
-            domain=frozenset(domain),
-            range=rng,
-            min_card=min_card,
-            max_card=max_card,
-            functional=functional,
-            label=_single_string(union, p, RDFS_LABEL, "label"),
-            description=_single_string(union, p, RDFS_COMMENT, "comment"),
-        )
+        properties[p] = PropertyDef(p, frozenset(domain), rng, min_card, max_card, functional,
+                                    _single_string(union, p, RDFS_LABEL, "label"),
+                                    _single_string(union, p, RDFS_COMMENT, "comment"))
 
     # referential integrity over the merged documents
     for c in classes.values():

@@ -2,13 +2,11 @@
 
 Terms are frozen values with structural equality: two literals are equal iff
 their lexical form, datatype, and language tag are equal ("1"^^xsd:int and
-"01"^^xsd:int are different terms). Terms and triples are slotted frozen
-dataclasses on one base, `_Hashed`: it holds the hash each computes once, on
-construction, so set and dict lookups do not rebuild it, and it pickles by
-rebuilding from the fields, as str hashes differ between processes. A
-`Triple` is built in one step: its own `__init__` checks the three terms and
-writes them and the hash through the class's slot setters, with no
-`__post_init__` and no pass through the frozen `__setattr__`. A hash
+"01"^^xsd:int are different terms). Terms and triples are `Record`s on one
+base, `_Hashed`: each term's own `__init__` checks and normalises its fields,
+then writes them and the hash it computes once through the slots' setters, so
+set and dict lookups do not rebuild the hash; a term pickles by rebuilding
+through its constructor, as str hashes differ between processes. A hash
 is computed from strs, ints and other terms' cached hashes only, never from
 None or another object hashed by its address, so one PYTHONHASHSEED fixes
 every hash, and a graph's iteration order, in every interpreter. The Turtle
@@ -34,7 +32,6 @@ not another's ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -52,38 +49,69 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 SKOLEM_PREFIX = "urn:skolem:"
 
 
-class _Hashed:
-    """Base of the terms and `Triple`: the hash that each class sets once,
-    on construction, and a pickle that rebuilds from the fields. A
-    dataclass replaces an inherited __hash__, so each class body sets
-    `__hash__ = _Hashed.__hash__`."""
+class Record:
+    """Base of the frozen records and, through `_Hashed`, of the terms. A
+    class lists its fields as its `__slots__`, and its own `__init__` writes
+    each once through the slot's setter (`_setters`). Records of one class are
+    equal when their fields are; a record hashes on its fields, prints as
+    `Class(field=value, ...)`, pickles by rebuilding through its constructor,
+    and refuses any assignment after."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._key = attrgetter(*cls.__slots__)  # one field's value, or a tuple of the fields
+
+    def _set(self, *values) -> None:
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def __eq__(self, other) -> bool:
+        key = self._key
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class _Hashed(Record):
+    """Base of the terms and `Triple`: a `Record` that hashes on the hash its
+    `__init__` computes once, from its fields, and writes to `_hash`."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-@dataclass(frozen=True, slots=True)
 class Iri(_Hashed):
     """Absolute IRI. Rejects whitespace, control characters and <>"{}|^`\\."""
 
-    value: str
-    __hash__ = _Hashed.__hash__
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if not v:
+    def __init__(self, value: str):
+        if not value:
             raise InvalidIriError("IRI must be non-empty")
-        if not _SCHEME_RE.match(v):
-            raise InvalidIriError(f"IRI has no scheme: {v!r}")
-        bad = _FORBIDDEN_IRI_CHAR_RE.search(v)
-        if bad:
-            raise InvalidIriError(f"IRI contains forbidden character {bad.group()!r}: {v!r}")
-        object.__setattr__(self, "_hash", hash(v))
+        if not _SCHEME_RE.match(value):
+            raise InvalidIriError(f"IRI has no scheme: {value!r}")
+        if bad := _FORBIDDEN_IRI_CHAR_RE.search(value):
+            raise InvalidIriError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
+        _set_value(self, value)
+        _set_hash(self, hash(value))
 
     def local_name(self) -> str:
         """Substring after the last '/', '#', or ':' separator."""
@@ -93,6 +121,9 @@ class Iri(_Hashed):
     def __str__(self) -> str:
         return self.value
 
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+(_set_hash,), (_set_value,) = _Hashed._setters, Iri._setters
 
 # Fixed datatype IRIs used throughout.
 XSD_STRING = Iri(XSD + "string")
@@ -114,27 +145,25 @@ KNOWN_DATATYPES = frozenset(
     (XSD_STRING, XSD_INTEGER, XSD_BOOLEAN, XSD_DECIMAL, XSD_DATETIME, XSD_ANYURI))
 
 
-@dataclass(frozen=True, slots=True)
 class Literal(_Hashed):
     """RDF literal. A bare literal (no datatype, no lang) is an xsd:string."""
 
-    lexical: str
-    datatype: Optional[Iri] = None
-    lang: Optional[str] = None
-    __hash__ = _Hashed.__hash__
+    __slots__ = ("lexical", "datatype", "lang")
 
-    def __post_init__(self):
-        if self.lang is not None and self.datatype is not None:
-            raise ValueError("literal cannot carry both a language tag and a datatype")
-        if self.lang is not None:
-            if not _LANG_TAG_RE.fullmatch(self.lang):
-                raise ValueError(f"malformed language tag: {self.lang!r}")
-            object.__setattr__(self, "lang", self.lang.lower())
-        elif self.datatype is None:
-            # implied datatype
-            object.__setattr__(self, "datatype", XSD_STRING)
+    def __init__(self, lexical: str, datatype: Optional[Iri] = None, lang: Optional[str] = None):
+        if lang is not None:
+            if datatype is not None:
+                raise ValueError("literal cannot carry both a language tag and a datatype")
+            if not _LANG_TAG_RE.fullmatch(lang):
+                raise ValueError(f"malformed language tag: {lang!r}")
+            lang = lang.lower()
+        elif datatype is None:
+            datatype = XSD_STRING  # implied datatype
+        _set_lexical(self, lexical)
+        _set_datatype(self, datatype)
+        _set_lang(self, lang)
         # after normalization exactly one of lang and datatype is set
-        object.__setattr__(self, "_hash", hash((self.lexical, self.lang or self.datatype._hash)))
+        _set_hash(self, hash((lexical, lang or datatype._hash)))
 
     def __str__(self) -> str:
         if self.lang:
@@ -144,18 +173,20 @@ class Literal(_Hashed):
         return f'"{self.lexical}"'
 
 
-@dataclass(frozen=True, slots=True)
 class BlankNode(_Hashed):
-    label: str
-    __hash__ = _Hashed.__hash__
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if not _BLANK_LABEL_RE.fullmatch(self.label):
-            raise ValueError(f"malformed blank node label: {self.label!r}")
-        object.__setattr__(self, "_hash", hash(self.label))
+    def __init__(self, label: str):
+        if not _BLANK_LABEL_RE.fullmatch(label):
+            raise ValueError(f"malformed blank node label: {label!r}")
+        _set_label(self, label)
+        _set_hash(self, hash(label))
 
     def __str__(self) -> str:
         return f"_:{self.label}"
+
+
+(_set_lexical, _set_datatype, _set_lang), (_set_label,) = Literal._setters, BlankNode._setters
 
 
 Term = Union[Iri, BlankNode, Literal]
@@ -170,12 +201,8 @@ def term_sort_key(t: Term):
     return (2, t.lexical, t.datatype.value if t.datatype else "", t.lang or "")
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Triple(_Hashed):
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
-    __hash__ = _Hashed.__hash__
+    __slots__ = ("subject", "predicate", "object")
 
     def __init__(self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term):
         if not isinstance(subject, (Iri, BlankNode)):
@@ -193,9 +220,7 @@ class Triple(_Hashed):
         return f"{self.subject} {self.predicate} {self.object} ."
 
 
-# the slots' own setters, which the frozen __setattr__ does not guard
-_set_subject, _set_predicate, _set_object, _set_hash = (
-    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__, _Hashed._hash.__set__)
+_set_subject, _set_predicate, _set_object = Triple._setters
 
 
 def triple_sort_key(t: Triple):
@@ -303,7 +328,7 @@ class TripleIndex:
         candidates, predicate, object = self._candidates(subject, predicate, object)
         if predicate is None and object is None:
             return list(candidates)
-        # identity, then the cached hash, so few candidates reach the dataclass __eq__
+        # identity, then the cached hash, so few candidates reach the fields' __eq__
         ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
         return [
             t for t in candidates

@@ -19,7 +19,6 @@ holding its undeclared classes and its declared classes' ancestors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
 
 from .catalog import (
@@ -55,6 +54,7 @@ from .terms import (
     Graph,
     Iri,
     Literal,
+    Record,
     SKOLEM_PREFIX,
     first_literal,
     skolemize_term,
@@ -92,19 +92,18 @@ def custody_sequence(g: Graph, record) -> int | None:
     return int(text) if text is not None and INTEGER_LEX_RE.fullmatch(text) else None
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str
-    code: str
-    subject: Iri
-    message: str
+class Finding(Record):
+    __slots__ = ("severity", "code", "subject", "message")
+
+    def __init__(self, severity: str, code: str, subject: Iri, message: str):
+        self._set(severity, code, subject, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-    checked_triples: int
-    schema_version: str
+class ValidationReport(Record):
+    __slots__ = ("findings", "checked_triples", "schema_version")
+
+    def __init__(self, findings: tuple[Finding, ...], checked_triples: int, schema_version: str):
+        self._set(findings, checked_triples, schema_version)
 
     @property
     def errors(self) -> list[Finding]:
@@ -129,15 +128,8 @@ class ValidationReport:
             "checked_triples": self.checked_triples,
             "error_count": len(self.errors),
             "warning_count": len(self.warnings),
-            "findings": [
-                {
-                    "code": f.code,
-                    "severity": f.severity,
-                    "subject": f.subject.value,
-                    "message": f.message,
-                }
-                for f in self.findings
-            ],
+            "findings": [{"code": f.code, "severity": f.severity, "subject": f.subject.value,
+                          "message": f.message} for f in self.findings],
         }
 
 

@@ -164,13 +164,13 @@ def assert_one_object_per_term(g: Graph) -> None:
 def iris_built(monkeypatch, parse, doc) -> tuple[Graph, list[str]]:
     """parse(doc), and the value of every Iri constructed while it ran."""
     built = []
-    post_init = Iri.__post_init__
+    init = Iri.__init__
 
-    def counted(self):
-        built.append(self.value)
-        post_init(self)
+    def counted(self, value):
+        built.append(value)
+        init(self, value)
 
-    monkeypatch.setattr(Iri, "__post_init__", counted)
+    monkeypatch.setattr(Iri, "__init__", counted)
     try:
         return parse(doc), built
     finally:

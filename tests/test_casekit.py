@@ -349,6 +349,17 @@ class TestIocs:
         assert err.value.row == 3
         assert c.graph == before and c.iocs() == []
 
+    def test_a_raising_call_leaves_the_row_errors_as_they_were(self):
+        c = make_case()
+        assert c.import_iocs("kind,value,source\nMd5Hash,zz,lab\n") == 0
+        before = list(c.ioc_import_errors)
+        with pytest.raises(CsvFormatError) as err:
+            c.import_iocs("kind,value,source\nBeacon,x,lab\nDomain,a[.]example,feed\n"
+                          "Domain,b.example\n")
+        assert err.value.row == 4
+        assert c.ioc_import_errors == before == ["row 2: not an MD5 digest: 'zz'"]
+        assert c.iocs() == []
+
     def test_stored_defanged_domain_exports_once(self):
         out = stored_iocs_case().export_iocs()
         assert out.splitlines() == ["kind,value,source", "Domain,evil[.]example,feed",

@@ -49,6 +49,12 @@ CONSTANTS = {"CRIME_TYPES": "catalog", "CUSTODY_ACTIONS": "catalog",
 
 LOADED = ("import json, sys; print(json.dumps(sorted(m.split('.', 1)[1] "
           "for m in sys.modules if m.startswith('scopekit.'))))")
+# the standard class factory and the module it imports that costs the most; a
+# site hook may load them at start-up, so only those loaded after STARTED count
+UNLOADED = ("dataclasses", "inspect")
+STARTED = "import sys; started = set(sys.modules)\n"
+UNLOADED_FOUND = (f"; print(json.dumps([m for m in {UNLOADED!r} "
+                  "if m in sys.modules and m not in started]))")
 
 
 def child(code, *args):
@@ -78,6 +84,10 @@ def test_a_submodule_name_loads_that_submodule():
                                                                "query", "terms"}
 
 
+def test_import_cli_loads_no_class_factory():
+    assert json.loads(child(STARTED + "import json, scopekit.cli" + UNLOADED_FOUND)) == []
+
+
 CASE = str(FIXTURE_DIR / "scenario3.ttl")
 
 
@@ -90,15 +100,21 @@ CASE = str(FIXTURE_DIR / "scenario3.ttl")
     (["validate", CASE], VALIDATE),
     (["merge", CASE, CASE], CASEKIT),
     (["iocs", "export", CASE], CASEKIT),
+    (["iocs", "import", CASE, "FEED"], CASEKIT),
     (["report", CASE, "--format", "json"], CASEKIT | {"report"}),
 ], ids=["convert-nt", "convert-ttl", "diff", "init", "query", "validate", "merge", "iocs-export",
-        "report"])
-def test_subcommand_loads_only_what_it_runs(argv, heavy):
-    code = ("import contextlib, io, sys\n"
+        "iocs-import", "report"])
+def test_subcommand_loads_only_what_it_runs(argv, heavy, tmp_path):
+    feed = tmp_path / "feed.csv"
+    feed.write_text("kind,value,source\nDomain,example[.]test,lab\n", encoding="utf-8")
+    argv = [str(feed) if arg == "FEED" else arg for arg in argv]
+    code = (STARTED + "import contextlib, io\n"
             "from scopekit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(sys.argv[1:]) == 0\n" + LOADED)
-    assert set(json.loads(child(code, *argv))) == LIGHT | heavy
+            "    assert main(sys.argv[1:]) == 0\n" + LOADED + UNLOADED_FOUND)
+    modules, unloaded = map(json.loads, child(code, *argv).splitlines())
+    assert set(modules) == LIGHT | heavy
+    assert unloaded == []
 
 
 def test_turtle_pattern_compiles_on_first_parse(tmp_path):

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import os
 import pickle
 import random
@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from scopekit.casekit import CustodyEvent, Ioc, MergeOutcome
+from scopekit.catalog import CapecEntry, CrimeType, IndicatorEntry, TechniqueEntry
 from scopekit.errors import InvalidIriError
+from scopekit.query import BindingTable, Pattern, Variable
+from scopekit.report import ActionEntry, CaseSummary, CustodyEntry
+from scopekit.schema import ClassDef, PropertyDef
 from scopekit.terms import (
     RDF_TYPE,
     XSD_INTEGER,
@@ -26,6 +31,7 @@ from scopekit.terms import (
 )
 
 from scopekit.turtle import parse_turtle, serialize_turtle_canonical
+from scopekit.validation import Finding, ValidationReport
 
 from helpers import random_graph, random_mixed_graph
 
@@ -150,6 +156,11 @@ class TestBlankNodeAndTriple:
             Triple(iri("s"), iri("p"), "bare string")
 
 
+# each term class's value fields, in constructor order
+VALUE_FIELDS = {Iri: ("value",), Literal: ("lexical", "datatype", "lang"), BlankNode: ("label",),
+                Triple: ("subject", "predicate", "object")}
+
+
 def sample_terms():
     return [
         iri("a"),
@@ -179,13 +190,26 @@ class TestTermContract:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("a,b", [
+        (iri("a"), iri("b")),
+        (Literal("x", lang="en"), Literal("y", lang="en")),
+        (Literal("1", XSD_INTEGER), Literal("1")),
+        (Literal("x", lang="en"), Literal("x", lang="de")),
+        (BlankNode("b1"), BlankNode("b2")),
+        (Triple(iri("s"), iri("p"), iri("o")), Triple(iri("t"), iri("p"), iri("o"))),
+        (Triple(iri("s"), iri("p"), iri("o")), Triple(iri("s"), iri("q"), iri("o"))),
+        (Triple(iri("s"), iri("p"), iri("o")), Triple(iri("s"), iri("p"), iri("x"))),
+    ])
+    def test_terms_that_differ_in_one_field_are_unequal(self, a, b):
+        assert a != b and not a == b
+        assert a == type(a)(*(getattr(a, name) for name in VALUE_FIELDS[type(a)]))
+
     @pytest.mark.parametrize("term", sample_terms(), ids=lambda t: type(t).__name__)
     def test_attributes_cannot_be_set(self, term):
         before = repr(term), hash(term)
-        for f in dataclasses.fields(term):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(term, f.name, None)
-        # slotted dataclasses refuse a new attribute with TypeError
+        for name in VALUE_FIELDS[type(term)]:
+            with pytest.raises(AttributeError):
+                setattr(term, name, None)
         with pytest.raises((AttributeError, TypeError)):
             term.extra = None
         assert (repr(term), hash(term)) == before
@@ -215,7 +239,8 @@ class TestTermContract:
          Triple(iri("s"), iri("p"), Literal("o"))),
     ])
     def test_replace_rehashes(self, term, changes, fresh):
-        changed = dataclasses.replace(term, **changes)
+        fields = {name: getattr(term, name) for name in VALUE_FIELDS[type(term)]}
+        changed = type(term)(**{**fields, **changes})
         assert changed == fresh
         assert hash(changed) == hash(fresh)
         assert changed in {fresh}
@@ -241,6 +266,81 @@ class TestTermContract:
         done = subprocess.run([sys.executable, "-c", script], input=data, env=env,
                               capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr.decode()
+
+
+def sample_records():
+    finding = Finding("Error", "R01", iri("s"), "node has no type")
+    return [
+        ClassDef(iri("C"), frozenset({iri("B")}), "C", "a class"),
+        PropertyDef(iri("p"), frozenset({iri("C")}), XSD_INTEGER, 1, 2, False, "p", "a property"),
+        finding,
+        ValidationReport((finding,), 3, "1.0"),
+        TechniqueEntry("T1059", "Command and Scripting Interpreter", "execution"),
+        CapecEntry("CAPEC-66", "SQL Injection", frozenset({"T1190"})),
+        IndicatorEntry("ISO 37120", "5.1", "an indicator", iri("Energy")),
+        CrimeType("IllegalAccess", "Access without right."),
+        Variable("x"),
+        Pattern(Variable("s"), iri("p"), Literal("o", lang="en")),
+        BindingTable(("s",), ((iri("a"),), (BlankNode("b1"),))),
+        CustodyEvent(iri("e"), None, "seized", "2024-01-01T00:00:00Z"),
+        Ioc("Domain", "a.example", "lab"),
+        CustodyEntry("2024-01-01T00:00:00Z", "seized", "disk", "", 1),
+        ActionEntry("2024-01-01T00:00:00Z", "imaged", "lab", "officer"),
+        CaseSummary("urn:case", "case", "", (("Spoofing", 1),), (), (), (), ()),
+    ]
+
+
+def record_fields(record) -> dict:
+    """The record's fields by name, read through its constructor's parameters."""
+    names = inspect.signature(type(record)).parameters
+    return {name: getattr(record, name) for name in names}
+
+
+class TestRecordContract:
+    """The records are frozen values: equal and hashed on their fields, printed
+    as `Class(field=value, ...)`, pickled through their constructor; only
+    MergeOutcome may be changed."""
+
+    @pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+    def test_rebuilt_record_is_equal_and_hashes_equal(self, record):
+        rebuilt = type(record)(**record_fields(record))
+        assert rebuilt == record and hash(rebuilt) == hash(record) and rebuilt in {record}
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    @pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+    def test_repr_lists_the_fields(self, record):
+        fields = ", ".join(f"{name}={value!r}" for name, value in record_fields(record).items())
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    @pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_set_or_deleted(self, record):
+        before = repr(record), hash(record)
+        for name in record_fields(record):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert (repr(record), hash(record)) == before
+
+    def test_records_differing_in_the_last_field_are_unequal(self):
+        assert Finding("Error", "R01", iri("s"), "a") != Finding("Error", "R01", iri("s"), "b")
+        assert Ioc("Domain", "a.example", "x") != Ioc("Domain", "a.example", "y")
+
+    def test_iocs_order_on_kind_value_and_source(self):
+        rows = [Ioc("Md5Hash", "0" * 32, ""), Ioc("Domain", "b.example", "a"),
+                Ioc("Domain", "a.example", "z"), Ioc("Domain", "a.example", "b")]
+        assert sorted(rows) == [rows[3], rows[2], rows[1], rows[0]]
+        assert rows[3] < rows[2] <= rows[2] <= rows[1] and rows[0] > rows[1] >= rows[1]
+        with pytest.raises(TypeError):
+            rows[0] < ("Domain", "a", "b")
+
+    def test_merge_outcome_stays_mutable(self):
+        outcome = MergeOutcome(None, [])
+        outcome.conflicts = [(iri("s"), iri("p"), "a", "b")]
+        assert outcome.conflicts_text() == (
+            "M01\tError\thttp://example.org/s\tp: kept 'a', dropped 'b'\n")
 
 
 class TestHashInputs:

@@ -153,6 +153,18 @@ MUTANTS = [
      "                (prop, Literal(value)), (PROP_RELATED_INCIDENT, self.case_iri),\n"
      "                (PROP_IOC_SOURCE, Literal(source) if source else None))))\n",
      ["tests/test_casekit.py::TestIocs::test_a_malformed_row_writes_no_row"]),
+    # import_iocs sets its row errors as it reads the rows, before a malformed row raises
+    ("casekit.py", "                errors.append(f\"row {rownum}: unknown IoC kind {kind!r}\")",
+     "                self.ioc_import_errors = errors\n"
+     "                errors.append(f\"row {rownum}: unknown IoC kind {kind!r}\")",
+     ["tests/test_casekit.py::TestIocs"]),
+    # term equality ignores a field after the second (Literal.lang, Triple.object)
+    ("terms.py", "cls._key = attrgetter(*cls.__slots__)",
+     "cls._key = attrgetter(*cls.__slots__[:2])", ["tests/test_terms.py::TestTermContract"]),
+    # a record takes assignments to its fields
+    ("validation.py", '    __slots__ = ("severity", "code", "subject", "message")\n',
+     '    __slots__ = ("severity", "code", "subject", "message")\n'
+     "    __setattr__ = object.__setattr__\n", ["tests/test_terms.py::TestRecordContract"]),
 ]
 
 
