@@ -8,16 +8,17 @@ match leaves unset is where a faulty line goes wrong; a term that does not
 match is diagnosed where it starts, by a few checks.
 
 Turtle and the query text build on this grammar. They take from here the term
-sub-patterns, `unescape`, `escape_string_literal`, `decode_document` and the
-N-Triples rendering of terms; the query text also takes `term_error`, so it
-words a faulty IRI or string literal as a case file's parse does. Both parsers
-build IRIs, blank nodes and string literals with `build_term`, which gives a
-parse one object per term. String literals accept the escapes \\t \\b \\n \\r
-\\f \\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must name a
-Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a number
-above U+10FFFF is a parse error, so every parsed literal is valid UTF-8 text.
-`read_text_file` reads the other UTF-8 inputs (schema, catalog, query and IoC
-files) and reports undecodable bytes as a ParseError too.
+sub-patterns, `unescape`, `escape_string_literal`, `decode_document`,
+`term_error` and the N-Triples rendering of terms, and build every term but a
+variable with `build_term` or, for `a`, booleans, integers and prefixed names,
+`build_short_form`: so both read a local name by one rule, LOCAL_NAME_RE,
+which the Turtle writer abbreviates under, and a parse gets one object per
+term. String literals accept the escapes \\t \\b \\n \\r \\f \\" \\' \\\\
+(ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must name a Unicode scalar
+value: an escaped surrogate (U+D800 to U+DFFF) or a number above U+10FFFF is
+a parse error, so every parsed literal is valid UTF-8 text. `read_text_file`
+reads the other UTF-8 inputs (schema, catalog, query and IoC files) and
+reports undecodable bytes as a ParseError too.
 
 The canonical serializer writes one triple per line with lines sorted
 bytewise, so output is stable across runs and insertion orders. It sorts its
@@ -28,10 +29,13 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
 from .terms import (
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_INTEGER,
     XSD_STRING,
     BlankNode,
     Graph,
@@ -54,6 +58,10 @@ BLANK_NODE_LABEL = r"_:[A-Za-z][A-Za-z0-9_]*(?!\w)"
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 INTEGER = r"[+-]?[0-9]+"
 BOOLEAN = r"true|false"
+# Turtle's short forms: a prefix name that @prefix may define, and the one rule
+# for a local name, which the Turtle writer also abbreviates under.
+PREFIX_NAME = r"[A-Za-z][A-Za-z0-9-]*"
+LOCAL_NAME_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
@@ -121,16 +129,12 @@ def decode_document(doc: Union[str, bytes]) -> str:
             return doc.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError(f"document is not valid UTF-8: {e.reason}") from None
-    if len(doc) > MAX_DOCUMENT_BYTES:
-        raise DocumentTooLargeError(
-            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
-    try:
-        size = len(doc.encode("utf-8"))
+    try:  # a str longer than the limit is refused before it is encoded
+        too_large = len(doc) > MAX_DOCUMENT_BYTES or len(doc.encode("utf-8")) > MAX_DOCUMENT_BYTES
     except UnicodeEncodeError as e:
         raise ParseError(f"document is not valid Unicode text: {e.reason}") from None
-    if size > MAX_DOCUMENT_BYTES:
-        raise DocumentTooLargeError(
-            f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
+    if too_large:
+        raise DocumentTooLargeError(f"document exceeds {MAX_DOCUMENT_BYTES} bytes")
     return doc
 
 
@@ -159,19 +163,36 @@ def term_error(text: str, pos: int) -> tuple[str, int]:
 
 
 def build_term(text: str, interned: dict, q: str | None = None, lang: str | None = None,
-               datatype: Iri | None = None) -> Term:
+               datatype: Callable[[], Iri] | None = None) -> Term:
     """The parse's one object for the IRIREF, blank node label or string
     literal `text`; a literal comes as its groups `q` and `lang` (with quotes
-    and '@') and the datatype its caller built. `interned` holds IRIs under
-    their IRIREF text, other terms under themselves, so that "x" and
-    "x"^^<...#string>, or @EN and @en, give one object. Raises only
-    InvalidIriError or ValueError, which for an escape also holds its offset
-    inside the quotes (see `unescape`)."""
+    and '@') and, after a '^^', a function that builds its datatype once the
+    string has decoded, so a fault in the string comes first. `interned` holds
+    IRIs under their IRIREF text, other terms under themselves, so "x" and
+    "x"^^<...#string>, or @EN and @en, give one object. Raises what `datatype`
+    raises, InvalidIriError, or ValueError, which for an escape also holds its
+    offset inside the quotes (see `unescape`)."""
     if text[0] == "<":
         return interned.get(text) or interned.setdefault(text, Iri(text[1:-1]))
     term = (BlankNode(text[2:]) if text[0] == "_"
-            else Literal(unescape(q[1:-1]), datatype, lang and lang[1:]))
+            else Literal(unescape(q[1:-1]), datatype and datatype(), lang and lang[1:]))
     return interned.setdefault(term, term)
+
+
+def build_short_form(text: str, interned: dict, prefixes: dict[str, Iri]) -> Term:
+    """The parse's one object for the Turtle short form `text` (`a`, a boolean,
+    an integer or a prefixed name under `prefixes`), interned as `build_term`
+    interns. Raises ValueError for a local name that LOCAL_NAME_RE does not
+    match, then KeyError(prefix) for an undefined prefix; the caller places both."""
+    if text == "a":
+        return RDF_TYPE
+    if text in ("true", "false") or text[0] in "+-0123456789":
+        term = Literal(text, XSD_BOOLEAN if text[0] in "tf" else XSD_INTEGER)
+        return interned.setdefault(term, term)
+    name, _, local = text.partition(":")
+    if not LOCAL_NAME_RE.match(local):
+        raise ValueError(f"malformed local name {local!r}")
+    return build_term(f"<{prefixes[name].value}{local}>", interned)
 
 
 def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
@@ -180,10 +201,8 @@ def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
     text = m.group(role)
     q, dt, lang = m.group("q", "dt", "lang") if text[0] == '"' else (None, None, None)
     try:
-        if dt is not None and dt not in memo:
-            unescape(q[1:-1])  # a fault in the string comes before one in its datatype
-            _term(m, "dt", lineno, memo)
-        term = build_term(text, memo, q, lang, dt and memo[dt])
+        term = build_term(text, memo, q, lang, dt and (
+            lambda: memo.get(dt) or _term(m, "dt", lineno, memo)))
     except (InvalidIriError, ValueError) as e:
         if len(e.args) == 2:  # an escape, at its offset inside the quotes
             raise ParseError(e.args[0], lineno, m.start(role) + e.args[1] + 2) from None
@@ -293,5 +312,5 @@ def serialize_ntriples_canonical(g: Graph) -> str:
 
 
 __all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES", "build_term",
-           "decode_document", "escape_string_literal", "read_text_file", "render_term",
-           "render_triple", "unescape"]
+           "build_short_form", "decode_document", "escape_string_literal", "read_text_file",
+           "render_term", "render_triple", "unescape"]

@@ -22,10 +22,11 @@ around a line, a trailing CR included, is ignored. A pattern line is read
 with one compiled pattern, as N-Triples reads a line: the subject, predicate
 and object are each tried only once the terms before them have matched, so
 the first term the match leaves unset is the fault: "expected a term" at the
-end of the line, else the fault of an IRI or string literal as
-`ntriples.term_error` words it in a case file. String literals and integers
-are N-Triples' own: a \\uXXXX or \\UXXXXXXXX escape must name a Unicode
-scalar value.
+end of the line, the fault of an IRI, blank node label or string literal as
+`ntriples.term_error` words it in a case file, else "cannot read term". The
+terms are Turtle's, built by Turtle's builders, so a prefixed name's local
+name follows Turtle's rule and every name the Turtle writer abbreviates reads
+back; a \\uXXXX or \\UXXXXXXXX escape must name a Unicode scalar value.
 """
 
 from __future__ import annotations
@@ -44,11 +45,19 @@ from .errors import (
     UnsupportedRegexError,
 )
 from .namespaces import STANDARD_PREFIXES
-from .ntriples import INTEGER, STRING_LITERAL_QUOTE, render_term, term_error, unescape
+from .ntriples import (
+    BLANK_NODE_LABEL,
+    BOOLEAN,
+    INTEGER,
+    IRIREF,
+    PREFIX_NAME,
+    STRING_LITERAL_QUOTE,
+    build_short_form,
+    build_term,
+    render_term,
+    term_error,
+)
 from .terms import (
-    RDF_TYPE,
-    XSD_BOOLEAN,
-    XSD_INTEGER,
     BlankNode,
     Graph,
     Iri,
@@ -344,19 +353,18 @@ def count(g: Graph, patterns: Sequence[Pattern],
 # -- textual query syntax (one pattern per line, FILTER lines) --
 
 _FILTER_LINE_RE = re.compile(r"^FILTER\s+\?([A-Za-z][A-Za-z0-9_]*)\s+/((?:[^/\\]|\\.)*)/\s*$")
-_PNAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)?:(\S*)$")
-_INTEGER_RE = re.compile(INTEGER)
 
-# A variable, an IRI (any text up to '>', checked by Iri) or a word (any other
-# run of non-blanks); a term without a suffix is one of those or a literal.
-_NOT_LITERAL = r'\?[^ \t]*|<[^>]*>|[^ \t<"][^ \t]*'
-_PLAIN = f"{_NOT_LITERAL}|{STRING_LITERAL_QUOTE}"
+# A variable, an IRI, or a blank node label or short form (`a`, a boolean, an
+# integer or a prefixed name) that runs on to a blank; a literal's datatype is
+# one of those or a literal without a suffix.
+_WORD = rf"(?:{BLANK_NODE_LABEL}|a|{BOOLEAN}|{INTEGER}|(?:{PREFIX_NAME})?:[^ \t]*)(?![^ \t])"
+_NOT_LITERAL = rf"\?[^ \t]*|{IRIREF}|{_WORD}"
 
 
 def _term_pattern(role: str) -> str:
     """A term in group `role`; a literal's parts in groups role + "q", "dt" and "lang"."""
-    return (rf'(?P<{role}>{_NOT_LITERAL}|(?P<{role}q>{STRING_LITERAL_QUOTE})'
-            rf'(?:\^\^(?P<{role}dt>{_PLAIN})?|@(?P<{role}lang>[^ \t]*))?)')
+    return (rf'(?P<{role}>{_NOT_LITERAL}|(?P<{role}q>{STRING_LITERAL_QUOTE})(?:\^\^'
+            rf'(?P<{role}dt>{_NOT_LITERAL}|{STRING_LITERAL_QUOTE})?|(?P<{role}lang>@[^ \t]*))?)')
 
 
 # One pattern line: a subject, a predicate and an object, each tried only once
@@ -365,48 +373,31 @@ _LINE_RE = re.compile("(?:{}[ \t]*(?:{}[ \t]*(?:{}[ \t]*)?)?)?".format(*map(_ter
 
 
 def _missing(line: str, pos: int, expected: str) -> str:
-    """Why no term matches at line[pos]: the fault of the IRI or literal there, else `expected`."""
-    return term_error(line, pos)[0] if line[pos:pos + 1] in ("<", '"') else expected
+    """Why no term matches at line[pos]: the fault of the IRI, blank node label
+    or literal there, else the word there, else `expected`."""
+    if line[pos:pos + 1] in ("<", "_", '"'):
+        return term_error(line, pos)[0]
+    word = re.match(r"[^ \t]*", line[pos:]).group()
+    return f"cannot read term starting at {word!r}" if word else expected
 
 
-def _build(text: str, lineno: int, prefixes: dict[str, Iri],
+def _build(text: str, lineno: int, prefixes: dict[str, Iri], interned: dict,
            m: Optional[re.Match] = None, role: str = "") -> PatternTerm:
     """The term `text` names: the one in group `role` of the line match `m`, or a datatype."""
     if text[0] == "?":
         return Variable(text[1:])
-    if text[0] == "<":
-        return Iri(text[1:-1])
-    if text[0] == '"':
-        q, dt, lang = m.group(role + "q", role + "dt", role + "lang") if m else (text, None, None)
-        lexical = unescape(q[1:-1])
-        if lang is not None:
-            return Literal(lexical, lang=lang)
-        if len(q) == len(text):
-            return Literal(lexical)
+    if text[0] != '"':
+        return build_term(text, interned) if text[0] in "<_" else build_short_form(
+            text, interned, prefixes)
+    q, dt, lang = m.group(role + "q", role + "dt", role + "lang") if m else (text, None, None)
+
+    def datatype() -> Iri:
         if dt is None:
             raise QueryTextError(_missing(m.string, m.end(role), "^^ needs a datatype"), lineno)
-        datatype = _build(dt, lineno, prefixes)
-        if not isinstance(datatype, Iri):
-            raise QueryTextError("datatype must be an IRI", lineno)
-        return Literal(lexical, datatype)
-    if text == "a":
-        return RDF_TYPE
-    if text in ("true", "false"):
-        return Literal(text, XSD_BOOLEAN)
-    if _INTEGER_RE.fullmatch(text):
-        return Literal(text, XSD_INTEGER)
-    if text.startswith("_:"):
-        try:
-            return BlankNode(text[2:])
-        except ValueError as exc:
-            raise QueryTextError(f"bad blank node label: {exc}", lineno) from None
-    name = _PNAME_RE.match(text)
-    if name is None:
-        raise QueryTextError(f"cannot read term starting at {text!r}", lineno)
-    prefix = name.group(1) or ""
-    if prefix not in prefixes:
-        raise QueryTextError(f"undefined prefix {prefix!r}", lineno)
-    return Iri(prefixes[prefix].value + name.group(2))
+        if isinstance(built := _build(dt, lineno, prefixes, interned), Iri):
+            return built
+        raise QueryTextError("datatype must be an IRI", lineno)
+    return build_term(text, interned, q, lang, datatype if text.startswith("^", len(q)) else None)
 
 
 def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
@@ -419,6 +410,7 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
         resolved.update(prefixes)
     patterns: list[Pattern] = []
     filters: list[tuple[str, str]] = []
+    interned: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -431,16 +423,18 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
             continue
         m = _LINE_RE.match(line)
         try:
-            terms = [_build(t, lineno, resolved, m, role)
+            terms = [_build(t, lineno, resolved, interned, m, role)
                      for role, t in zip("spo", m.group("s", "p", "o")) if t is not None]
             if len(terms) < 3:
                 raise QueryTextError(_missing(line, m.end(), "expected a term"), lineno)
             if m.end() < len(line):
                 raise QueryTextError("a pattern line holds exactly three terms", lineno)
             patterns.append(Pattern(*terms))
+        except KeyError as exc:
+            raise QueryTextError(f"undefined prefix {exc.args[0]!r}", lineno) from None
         except InvalidIriError as exc:
             raise QueryTextError(f"bad IRI: {exc}", lineno) from None
-        except (MalformedVariableError, ValueError) as exc:  # a name, an escape, a language tag
+        except (MalformedVariableError, ValueError) as exc:  # a name, an escape, a tag, a local
             raise QueryTextError(exc.args[0], lineno) from None
     if not patterns:
         raise QueryTextError("query has no patterns", 1)

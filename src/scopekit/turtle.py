@@ -14,14 +14,15 @@ The grammar has no nesting, so the parser reads a whole triple per match of
 one step pattern built from those sub-patterns; the terminator before a step
 picks what it holds. A term is built and checked the first time its source
 text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
-the text returns that object after; each @prefix empties that memo. IRIREFs,
-blank node labels and string literals are built by `ntriples.build_term`, the
-builder N-Triples uses, whose table keeps each distinct term one object for
-the whole parse. A step that fails, or whose terms do not build, is diagnosed
-by a walk over the step's own parts from where the step began: the first part
-that does not match, or the first term that does not build, is the fault,
-named by the token found there. A token is judged only once the token after
-it is read, so a fault inside that next token comes first.
+the text returns that object after; each @prefix empties that memo. Terms are
+built by `ntriples.build_term`, the builder N-Triples uses, and short forms by
+`ntriples.build_short_form`, which the query text uses too; their table keeps
+each distinct term one object for the whole parse. A step that fails, or whose
+terms do not build, is diagnosed by a walk over the step's own parts from where
+the step began: the first part that does not match, or the first term that
+does not build, is the fault, named by the token found there. A token is
+judged only once the token after it is read, so a fault inside that next token
+comes first.
 
 The canonical serializer writes the prefix lines sorted by short-name, then
 one block per subject in a single pass over the graph's kept (s, p, o)
@@ -40,8 +41,11 @@ from .ntriples import (
     BOOLEAN,
     INTEGER,
     IRIREF,
+    LOCAL_NAME_RE,
     MAX_DOCUMENT_BYTES,
+    PREFIX_NAME,
     STRING_LITERAL_QUOTE,
+    build_short_form,
     build_term,
     decode_document,
     escape_string_literal,
@@ -58,15 +62,11 @@ from .terms import (
     BlankNode,
     Graph,
     Iri,
-    Literal,
     Term,
     Triple,
 )
 
 _INTEGER_RE = re.compile(INTEGER)
-_LOCAL_SAFE_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
-_PREFIX_NAME = r"[A-Za-z][A-Za-z0-9-]*"
-_PREFIX_RE = re.compile(rf"^{_PREFIX_NAME}$")
 
 # A word starts with a letter and runs on over letters, digits and '-'.
 _WORD = r"[^\W\d_](?:[^\W_]|-)*"
@@ -81,7 +81,7 @@ _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 # @prefix defines, first, so valid input pays nothing for other words. A local
 # name stops before trailing dots, which end the statement; the lookahead
 # keeps a step from matching less of it.
-_PNAME = rf"(?:{_PREFIX_NAME}|{_WORD}):(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
+_PNAME = rf"(?:{PREFIX_NAME}|{_WORD}):(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"
 _SUBJECT = rf"(?P<s>{IRIREF}|{BLANK_NODE_LABEL}|{_PNAME})"
 _VERB = rf"(?P<p>{IRIREF}|{_PNAME}|a{_WORD_END})"
 # An object. `q`, `dt` and `lang` are the parts of a literal, whose '^^' or
@@ -108,7 +108,7 @@ def _step():
   | (?<=,)
 ){_SKIP}{_OBJECT}{_SKIP}[.;,]
 | (?:\A|(?<=\.)){_SKIP}(?:
-    @prefix{_WORD_END}{_SKIP}(?P<name>{_PREFIX_NAME}):(?![\w.-]*[\w-])
+    @prefix{_WORD_END}{_SKIP}(?P<name>{PREFIX_NAME}):(?![\w.-]*[\w-])
         {_SKIP}(?P<ns>{IRIREF}){_SKIP}\.
   | \Z)
 | (?<=;){_SKIP}\.""", re.X).match
@@ -206,40 +206,26 @@ class _Parser:
         the first time its text appears since the last @prefix. A term that
         does not build raises its ParseError, placed where the fault lies."""
         text = m.group(group)
-        first = text[0]
         try:
-            if first == '"':
+            if text[0] == '"':
                 q, dt, lang = m.group("q", "dt", "lang")
-                if dt and dt not in self.memo:
-                    unescape(q[1:-1])  # a fault in the string comes before one in its datatype
-                datatype = dt and (self.memo.get(dt) or self._term(m, "dt"))
-                term = build_term(text, self.interned, q, lang, datatype)
-            elif first in "<_":
+                term = build_term(text, self.interned, q, lang, dt and (
+                    lambda: self.memo.get(dt) or self._term(m, "dt")))
+            elif text[0] in "<_":
                 term = build_term(text, self.interned)
-            elif first in "+-0123456789":
-                term = self._intern(Literal(text, XSD_INTEGER))
-            elif text in ("true", "false"):
-                term = self._intern(Literal(text, XSD_BOOLEAN))
-            elif text == "a":
-                term = RDF_TYPE
             else:
-                name, _, local = text.partition(":")
-                if not _LOCAL_SAFE_RE.match(local):
-                    raise self._fail(f"malformed local name {local!r}", m.end(group))
-                if name not in self.prefixes:
-                    raise self._judged(name, m.start(group), m.end(group), UndefinedPrefixError)
-                term = build_term(f"<{self.prefixes[name].value}{local}>", self.interned)
-        except InvalidIriError as e:
-            raise self._judged(str(e), m.start(group), m.end(group)) from None
+                term = build_short_form(text, self.interned, self.prefixes)
+        except (KeyError, InvalidIriError) as e:  # an undefined prefix, or an IRI's fault
+            error = UndefinedPrefixError if isinstance(e, KeyError) else ParseError
+            raise self._judged(e.args[0], m.start(group), m.end(group), error) from None
         except ValueError as e:
             if len(e.args) == 2:  # an escape, at its offset inside the quotes
                 raise self._fail(e.args[0], m.start(group) + 1 + e.args[1]) from None
+            if text[0] != '"':  # a local name, placed after it
+                raise self._fail(str(e), m.end(group)) from None
             raise self._judged(str(e), m.start("lang"), m.end(group)) from None
         self.memo[text] = term
         return term
-
-    def _intern(self, term: Term) -> Term:
-        return self.interned.setdefault(term, term)
 
     def _bind(self, name: str, iri: Iri):
         self.prefixes[name] = iri
@@ -291,7 +277,7 @@ class _Parser:
                              else f"unknown directive {word}")
         if name is None:
             self._unexpected(self._skip(m.end()), "expected prefix name (like 'ex:') after @prefix")
-        if not _PREFIX_RE.match(name[:-1]):
+        if not re.fullmatch(PREFIX_NAME, name[:-1]):
             self._unexpected(m.start("name"), f"malformed prefix short-name {name[:-1]!r}")
         if ns is None:
             self._unexpected(self._skip(m.end()), "expected <IRI> in @prefix directive")
@@ -317,7 +303,7 @@ class _Parser:
             except ValueError as e:
                 raise self._fail(e.args[0], at + 1 + e.args[1]) from None
         local = token.partition(":")[2] if token[0] != "<" else ""
-        if not _LOCAL_SAFE_RE.match(local):
+        if not LOCAL_NAME_RE.match(local):
             raise self._fail(f"malformed local name {local!r}", m.end())
         return token.removeprefix("_:"), m.end()
 
@@ -373,7 +359,7 @@ def _abbreviator(prefixes: dict[str, Iri]) -> Callable[[Iri], str | None]:
     def abbreviate(iri: Iri) -> str | None:
         value = iri.value
         for ns, name in table.get(_stem(value), ()):
-            if value.startswith(ns) and _LOCAL_SAFE_RE.match(value[len(ns):]):
+            if value.startswith(ns) and LOCAL_NAME_RE.match(value[len(ns):]):
                 return f"{name}:{value[len(ns):]}"
         return None
     return abbreviate

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from scopekit import cli, turtle
 from scopekit.errors import (
@@ -41,7 +41,7 @@ from scopekit.errors import (
     ScopeKitError,
     UnsupportedRegexError,
 )
-from scopekit.namespaces import RDF_NS, XSD
+from scopekit.namespaces import RDF_NS, STANDARD_PREFIXES, XSD
 from scopekit.ntriples import (
     decode_document,
     parse_ntriples,
@@ -562,6 +562,51 @@ class TestRoundTrips:
         again = Graph(parse_ntriples(nt), g.prefixes)
         assert serialize_turtle_canonical(again) == ttl
         assert serialize_ntriples_canonical(again) == nt
+
+
+# Turtle's short forms and near-forms: a bound prefix, an unbound one or none,
+# then characters a local name may and may not hold. `a` is left out, as
+# Turtle reads it only as a verb.
+SHORT_FORM_PREFIXES = {**STANDARD_PREFIXES, "ex": Iri("http://ex/")}
+EX_P = Iri("http://ex/p")
+short_forms = st.one_of(
+    st.sampled_from(("true", "false", "TRUE", "+7", "-0", "007", "1.5", "1e3", "-", "_:b", "_:9")),
+    st.builds(lambda prefix, rest: prefix + rest,
+              st.sampled_from(("", "ex:", "kb:", "nope:", ":", "é:")),
+              st.text(alphabet="bx9_/#{|:.-é", max_size=6)))
+
+
+class TestShortForms:
+    """The query text and Turtle build a short form through one builder."""
+
+    @CONTRACTS
+    @given(form=short_forms)
+    @example(form="ex:a/b")
+    @example(form="kb::x")
+    def test_query_and_turtle_build_the_same_term(self, form):
+        # the statement goes on after the form, so Turtle reads the form as one
+        # token or fails: a '#' in it would end the line, a '.' the statement
+        doc = "".join(f"@prefix {name}: <{ns.value}> .\n"
+                      for name, ns in SHORT_FORM_PREFIXES.items())
+        doc += f"<http://ex/s> <http://ex/p> {form} ;\n    <http://ex/q> <http://ex/o> ."
+        try:
+            in_turtle = next(t.object for t in parse_turtle(doc) if t.predicate == EX_P)
+        except ParseError:
+            in_turtle = None
+        try:
+            in_query = parse_query(f"?s ?p {form}", SHORT_FORM_PREFIXES)[0][0].object
+        except QueryTextError:
+            in_query = None
+        assert in_query == in_turtle
+
+    @CONTRACTS
+    @given(g=skolem_graphs)
+    def test_query_reads_back_the_names_the_turtle_writer_writes(self, g):
+        for iri in {term for t in g for term in (t.subject, t.predicate, t.object)
+                    if isinstance(term, Iri)}:
+            text = serialize_turtle_canonical(Graph([Triple(iri, iri, iri)], g.prefixes))
+            pattern = parse_query(text.splitlines()[-1].removesuffix(" ."), g.prefixes)[0][0]
+            assert (pattern.subject, pattern.predicate, pattern.object) == (iri, iri, iri)
 
 
 def test_failed_step_backtracks_in_linear_time():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scopekit import ntriples
 from scopekit.errors import BlankNodePresentError, DocumentTooLargeError, ParseError
 from scopekit.ntriples import (
     MAX_DOCUMENT_BYTES,
@@ -79,6 +80,16 @@ class TestParse:
     def test_size_limit(self):
         with pytest.raises(DocumentTooLargeError):
             parse_ntriples(b" " * (MAX_DOCUMENT_BYTES + 1))
+
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+    @pytest.mark.parametrize("doc", ["# xxxxxxx", "# \u00e9\u00e9\u00e9\u00e9"])
+    def test_size_limit_of_text_counts_utf8_bytes(self, monkeypatch, parse, doc):
+        # 9 characters, or 6 characters in 10 bytes, against a limit of 8 bytes
+        monkeypatch.setattr(ntriples, "MAX_DOCUMENT_BYTES", 8)
+        with pytest.raises(DocumentTooLargeError) as exc:
+            parse(doc)
+        assert str(exc.value) == "document exceeds 8 bytes"
+        assert len(parse(doc[:-1])) == 0  # 8 bytes or fewer
 
 
 class TestSerialize:

@@ -161,6 +161,15 @@ MUTANTS = [
     # term equality ignores a field after the second (Literal.lang, Triple.object)
     ("terms.py", "cls._key = attrgetter(*cls.__slots__)",
      "cls._key = attrgetter(*cls.__slots__[:2])", ["tests/test_terms.py::TestTermContract"]),
+    # a short form's local name is not checked, so `ex:a/b` names an IRI
+    ("ntriples.py",
+     "    if not LOCAL_NAME_RE.match(local):\n"
+     '        raise ValueError(f"malformed local name {local!r}")\n',
+     "", ["tests/test_parse_errors.py"]),
+    # the query text reads an IRI as any text up to '>', blanks included
+    ("query.py", r'_NOT_LITERAL = rf"\?[^ \t]*|{IRIREF}|{_WORD}"',
+     r'_NOT_LITERAL = rf"\?[^ \t]*|<[^>]*>|{_WORD}"',
+     ["tests/test_parse_errors.py::test_query_words_a_term_fault_as_ntriples_does"]),
     # a record takes assignments to its fields
     ("validation.py", '    __slots__ = ("severity", "code", "subject", "message")\n',
      '    __slots__ = ("severity", "code", "subject", "message")\n'
