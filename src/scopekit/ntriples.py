@@ -33,6 +33,8 @@ from typing import Callable, Union
 
 from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
 from .terms import (
+    BLANK_LABEL_RE,
+    PREFIX_NAME_RE,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_INTEGER,
@@ -54,13 +56,13 @@ IRIREF = r"<[^>\x00-\x20]*>"
 STRING_CHARS = (r'[^"\\\n]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}'
                 r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\\n]*)*')
 STRING_LITERAL_QUOTE = f'"{STRING_CHARS}"'
-BLANK_NODE_LABEL = r"_:[A-Za-z][A-Za-z0-9_]*(?!\w)"
+BLANK_NODE_LABEL = rf"_:{BLANK_LABEL_RE.pattern}(?!\w)"
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 INTEGER = r"[+-]?[0-9]+"
 BOOLEAN = r"true|false"
 # Turtle's short forms: a prefix name that @prefix may define, and the one rule
 # for a local name, which the Turtle writer also abbreviates under.
-PREFIX_NAME = r"[A-Za-z][A-Za-z0-9-]*"
+PREFIX_NAME = PREFIX_NAME_RE.pattern
 LOCAL_NAME_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}

@@ -402,9 +402,11 @@ def _build(text: str, lineno: int, prefixes: dict[str, Iri], interned: dict,
 
 def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
                 ) -> tuple[list[Pattern], list[tuple[str, str]]]:
-    """One whitespace-separated s p o pattern per line; `FILTER ?v /regex/`
-    lines; `#` comments and blank lines ignored. Prefixed names resolve
-    against the standard profile unless a map is supplied."""
+    """One s p o pattern per line; `FILTER ?v /regex/` lines; `#` comments
+    and blank lines ignored. A variable, a blank node label or a short form
+    ends at a blank, while an IRI or a literal may be followed directly by
+    the next term. Prefixed names resolve against the standard profile
+    unless a map is supplied."""
     resolved = dict(STANDARD_PREFIXES)
     if prefixes:
         resolved.update(prefixes)

@@ -39,8 +39,10 @@ from .errors import InvalidIriError
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _FORBIDDEN_IRI_CHAR_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+# A blank node label and a prefix short-name; the grammars in ntriples.py build
+# their sub-patterns from these.
+BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -177,7 +179,7 @@ class BlankNode(_Hashed):
     __slots__ = ("label",)
 
     def __init__(self, label: str):
-        if not _BLANK_LABEL_RE.fullmatch(label):
+        if not BLANK_LABEL_RE.fullmatch(label):
             raise ValueError(f"malformed blank node label: {label!r}")
         _set_label(self, label)
         _set_hash(self, hash(label))
@@ -230,7 +232,7 @@ def triple_sort_key(t: Triple):
 def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
     out: dict[str, Iri] = {}
     for name, ns in prefixes.items():
-        if not _PREFIX_NAME_RE.fullmatch(name):
+        if not PREFIX_NAME_RE.fullmatch(name):
             raise ValueError(f"malformed prefix short-name: {name!r}")
         if not isinstance(ns, Iri):
             ns = Iri(str(ns))

@@ -20,9 +20,9 @@ built by `ntriples.build_term`, the builder N-Triples uses, and short forms by
 each distinct term one object for the whole parse. A step that fails, or whose
 terms do not build, is diagnosed by a walk over the step's own parts from where
 the step began: the first part that does not match, or the first term that
-does not build, is the fault, named by the token found there. A token is
-judged only once the token after it is read, so a fault inside that next token
-comes first.
+does not build, is the fault, named by the token found there. The walk reads
+no token past the fault it names, so, as in N-Triples and the query text, the
+error is the first fault in document order.
 
 The canonical serializer writes the prefix lines sorted by short-name, then
 one block per subject in a single pass over the graph's kept (s, p, o)
@@ -51,10 +51,10 @@ from .ntriples import (
     escape_string_literal,
     render_term,
     term_error,
-    unescape,
 )
 from .terms import (
     KNOWN_DATATYPES,
+    PREFIX_NAME_RE,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_INTEGER,
@@ -124,7 +124,7 @@ def _parts() -> dict[str, Callable]:
         (".", rf"(?:{_SUBJECT}(?:{_SKIP}{_VERB}(?:{_SKIP}{_OBJECT})?)?)?"),
         (";", rf"(?:{_VERB}(?:{_SKIP}{_OBJECT})?)?"), (",", rf"(?:{_OBJECT})?"),
         ("@", rf"""(?P<word>{_AT_WORD})(?:{_SKIP}(?P<name>{_WORD}:(?![\w.-]*[\w-]))
-            (?:{_SKIP}(?P<ns>{IRIREF})(?:{_SKIP}(?P<dot>\.))?)?)?"""),
+            (?:{_SKIP}(?P<ns>{IRIREF}))?)?"""),
         ("skip", _SKIP), ("object", _OBJECT), ("word", _WORD),
         ("other", rf"a{_WORD_END}|\^\^|[.;,]|\Z|{_AT_WORD}"))}
 
@@ -217,13 +217,13 @@ class _Parser:
                 term = build_short_form(text, self.interned, self.prefixes)
         except (KeyError, InvalidIriError) as e:  # an undefined prefix, or an IRI's fault
             error = UndefinedPrefixError if isinstance(e, KeyError) else ParseError
-            raise self._judged(e.args[0], m.start(group), m.end(group), error) from None
+            raise self._fail(e.args[0], m.start(group), error) from None
         except ValueError as e:
             if len(e.args) == 2:  # an escape, at its offset inside the quotes
                 raise self._fail(e.args[0], m.start(group) + 1 + e.args[1]) from None
             if text[0] != '"':  # a local name, placed after it
                 raise self._fail(str(e), m.end(group)) from None
-            raise self._judged(str(e), m.start("lang"), m.end(group)) from None
+            raise self._fail(str(e), m.start("lang")) from None
         self.memo[text] = term
         return term
 
@@ -236,12 +236,6 @@ class _Parser:
     def _fail(self, message: str, offset: int, error=ParseError) -> ParseError:
         line = self.text.count("\n", 0, offset) + 1
         return error(message, line, offset - self.text.rfind("\n", 0, offset))
-
-    def _judged(self, message: str, offset: int, end: int, error=ParseError) -> ParseError:
-        """The error of the token at `offset`, which ends at `end`, once the
-        token after it is read: a fault inside that one comes first."""
-        self._token(self._skip(end))
-        return self._fail(message, offset, error)
 
     def _skip(self, at: int) -> int:
         return _parts()["skip"](self.text, at).end()
@@ -267,8 +261,8 @@ class _Parser:
         self._unexpected(at, "expected '.' at end of statement")
 
     def _directive(self, at: int) -> NoReturn:
-        """Raise the error of the directive at `at`, read as a statement is;
-        its IRI is built once the '.' and the token after it are read."""
+        """Raise the error of the directive at `at`, read as a statement is:
+        its IRI is built once it is read, before the '.' is looked for."""
         self._token(at)
         m = _parts()["@"](self.text, at)
         word, name, ns = m.group("word", "name", "ns")
@@ -277,46 +271,36 @@ class _Parser:
                              else f"unknown directive {word}")
         if name is None:
             self._unexpected(self._skip(m.end()), "expected prefix name (like 'ex:') after @prefix")
-        if not re.fullmatch(PREFIX_NAME, name[:-1]):
+        if not PREFIX_NAME_RE.fullmatch(name[:-1]):
             self._unexpected(m.start("name"), f"malformed prefix short-name {name[:-1]!r}")
         if ns is None:
             self._unexpected(self._skip(m.end()), "expected <IRI> in @prefix directive")
-        if m.group("dot"):
-            self._token(self._skip(m.end()))
-            self._term(m, "ns")
-        self._unexpected(self._skip(m.end("ns")), "expected '.' to close @prefix directive")
+        self._term(m, "ns")
+        self._unexpected(self._skip(m.end()), "expected '.' to close @prefix directive")
 
-    def _token(self, at: int) -> tuple[str, int]:
-        """The value and end of the token at `at` ('' at the end). Raises the
-        fault inside it, or the one that keeps a token from starting."""
+    def _token(self, at: int) -> str:
+        """The text of the token at `at` as written ('' at the end), a string
+        without its quotes. Raises where no token starts."""
         text, parts = self.text, _parts()
         m = parts["object"](text, at)
+        if m is not None:
+            q = m.group("q")
+            return q[1:-1] if q else m.group("o").removeprefix("_:")
+        m = parts["other"](text, at)
         if m is None:
-            m = parts["other"](text, at)
-            if m is None:
-                raise self._fail(*_token_error(text, at))
-            return m.group().lstrip("@"), m.end()
-        token, q = m.group("o"), m.group("q")
-        if q:
-            try:
-                return unescape(q[1:-1]), m.end("q")
-            except ValueError as e:
-                raise self._fail(e.args[0], at + 1 + e.args[1]) from None
-        local = token.partition(":")[2] if token[0] != "<" else ""
-        if not LOCAL_NAME_RE.match(local):
-            raise self._fail(f"malformed local name {local!r}", m.end())
-        return token.removeprefix("_:"), m.end()
+            raise self._fail(*_token_error(text, at))
+        return m.group().lstrip("@")
 
     def _unexpected(self, at: int, expected: str) -> NoReturn:
-        """Raise the error for the token at `at`: a fault inside it or the next
-        token, else `expected`, the message or the role that it does not fill."""
-        found, end = self._token(at)
+        """Raise the error for the token at `at`: the fault that keeps it
+        from starting, else `expected`, the message or the role it does not fill."""
+        found = self._token(at)
         if expected == "subject" and _parts()["object"](self.text, at):
             expected = "a literal cannot be the subject of a triple"
         elif expected in _ROLES:
             expected = (f"expected {expected}, found {found!r}" if at < len(self.text)
                         else f"unexpected end of input (expected {expected})")
-        raise self._judged(expected, at, end)
+        raise self._fail(expected, at)
 
 
 def parse_turtle(doc: Union[str, bytes]) -> Graph:

@@ -1,16 +1,30 @@
-"""Pinned error behaviour of the three text grammars.
+"""Pinned error behaviour of the three text grammars and of the schema and
+catalog loaders.
 
 Each row is a malformed input and the exact error it raises: exception class,
 message, line and column. At least one row per error branch of the Turtle, N-Triples
 and query-text parsers, so a rewrite of a tokenizer cannot move or reword a
-diagnostic unnoticed.
+diagnostic unnoticed; and one row per raise of the schema and catalog loaders.
 """
 
 import pytest
 
-from scopekit.errors import ParseError, QueryTextError, UndefinedPrefixError
+from scopekit.catalog import load_catalog
+from scopekit.cli import main
+from scopekit.errors import (
+    CatalogFormatError,
+    DanglingReferenceError,
+    DuplicateDefinitionError,
+    InvalidCardinalityError,
+    ParseError,
+    QueryTextError,
+    UndefinedPrefixError,
+    UnknownClassError,
+)
 from scopekit.ntriples import parse_ntriples
 from scopekit.query import parse_query
+from scopekit.schema import load_schema, load_schema_dir
+from scopekit.terms import Iri
 from scopekit.turtle import parse_turtle
 
 S, P, O = "<http://ex/s>", "<http://ex/p>", "<http://ex/o>"
@@ -95,10 +109,14 @@ TURTLE_ERRORS = [
     ('# comment\r\n@prefix ex: <http://ex/> .\r\nex:s ex:p\r\n  "a\\z" .', ParseError,
      "unknown escape \\z", 4, 5),
     (PFX + "\n\n  ex:s ex:p <http://ex/x y> .", ParseError, "whitespace inside IRI", 4, 25),
-    # a term that does not build is judged once the token after it is read,
-    # so a fault inside that token comes first
-    (f'{S} <rel> "\\uD800" .', ParseError, "escape \\uD800 is not a Unicode scalar value", 1, 22),
-    (PFX + f"{S} <rel> ex:é .", ParseError, "malformed local name 'é'", 2, 25),
+    # the first fault in document order: no token after a faulty one is read
+    (f'{S} <rel> "\\uD800" .', ParseError, "IRI has no scheme: 'rel'", 1, 15),
+    (PFX + f"{S} <rel> ex:é .", ParseError, "IRI has no scheme: 'rel'", 2, 15),
+    ("<relative> %", ParseError, "IRI has no scheme: 'relative'", 1, 1),
+    ("@prefix ex: <rel> . %", ParseError, "IRI has no scheme: 'rel'", 1, 13),
+    (f'"\\uD800" {P} {O} .', ParseError, "a literal cannot be the subject of a triple", 1, 1),
+    # a string is named by its text between the quotes, as written
+    (f'{S} "a\\tb" {O} .', ParseError, "expected predicate, found 'a\\\\tb'", 1, 15),
 ]
 
 NTRIPLES_ERRORS = [
@@ -257,3 +275,119 @@ def test_surrogate_escapes_rejected_in_query(escape):
 def test_raw_surrogate_in_text_rejected(parse):
     with pytest.raises(ParseError, match="surrogates not allowed"):
         parse(f'{S} {P} "\ud800" .')
+
+
+SCHEMA_PFX = ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+              "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+              "@prefix scm: <https://ontology.scopeontology.org/scope/meta/> .\n" + PFX)
+CLASS_A = SCHEMA_PFX + "ex:A a rdfs:Class .\n"
+
+# A schema document, or the files of a schema directory, and its error.
+SCHEMA_ERRORS = [
+    (SCHEMA_PFX + 'ex:A a rdfs:Class ; rdfs:label "a", "b" .', DuplicateDefinitionError,
+     "http://ex/A has 2 distinct label values"),
+    (SCHEMA_PFX + "ex:p a rdf:Property ; scm:minCount ex:p .", InvalidCardinalityError,
+     "minCount on http://ex/p must be an integer literal"),
+    (SCHEMA_PFX + 'ex:p a rdf:Property ; scm:maxCount "many" .', InvalidCardinalityError,
+     "maxCount on http://ex/p is not an integer: 'many'"),
+    (SCHEMA_PFX + "ex:p a rdf:Property ; scm:maxCount 1, 2 .", DuplicateDefinitionError,
+     "http://ex/p has conflicting maxCount values"),
+    (SCHEMA_PFX + "_:c a rdfs:Class .", DanglingReferenceError,
+     "class declarations must use IRIs"),
+    (SCHEMA_PFX + "_:p a rdf:Property .", DanglingReferenceError,
+     "property declarations must use IRIs"),
+    (CLASS_A + "ex:B rdfs:subClassOf ex:A .", DanglingReferenceError,
+     "subClassOf asserted on undeclared class http://ex/B"),
+    (SCHEMA_PFX + 'ex:A a rdfs:Class ; rdfs:subClassOf "x" .', DanglingReferenceError,
+     "subclass target of http://ex/A must be an IRI"),
+    (CLASS_A + 'ex:p a rdf:Property ; rdfs:domain "x" .', DanglingReferenceError,
+     "domain of http://ex/p must be an IRI"),
+    (SCHEMA_PFX + 'ex:p a rdf:Property ; rdfs:range "x" .', DanglingReferenceError,
+     "range of http://ex/p must be an IRI"),
+    # a directory's manifest names the namespaces and classes its documents hold
+    ({"a.ttl": CLASS_A, "manifest.txt": "version 1\nex\n"}, DanglingReferenceError,
+     "malformed manifest line: 'ex'"),
+    ({"a.ttl": CLASS_A, "manifest.txt": "nope http://ex/A\n"}, DanglingReferenceError,
+     "manifest expects namespace 'nope', absent from loaded documents"),
+    ({"a.ttl": CLASS_A, "manifest.txt": "ex http://ex/B\n"}, DanglingReferenceError,
+     "manifest expects class http://ex/B, absent from loaded documents"),
+]
+
+
+def write_files(directory, files: dict):
+    directory.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("source,cls,message", SCHEMA_ERRORS)
+def test_schema_errors(source, cls, message, tmp_path):
+    with pytest.raises(cls) as exc:
+        if isinstance(source, dict):
+            load_schema_dir(write_files(tmp_path / "schema", source))
+        else:
+            load_schema([source])
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("lookup,args", [("is_subclass_of", ("http://ex/A", "http://ex/B")),
+                                         ("subclasses_of", ("http://ex/B",))])
+def test_schema_lookup_of_an_undeclared_class(lookup, args):
+    schema = load_schema([CLASS_A])
+    with pytest.raises(UnknownClassError) as exc:
+        getattr(schema, lookup)(*map(Iri, args))
+    assert str(exc.value) == "class not declared: http://ex/B"
+
+
+def test_cli_names_a_schema_fault_on_one_line(tmp_path, capsys):
+    files, _, message = SCHEMA_ERRORS[-1]
+    case = tmp_path / "case.ttl"
+    case.write_text(f"{S} {P} {O} .\n", encoding="utf-8")
+    schema = write_files(tmp_path / "schema", files)
+    assert main(["validate", str(case), "--schema", str(schema)]) == 2
+    assert capsys.readouterr().err == f"scopekit: {message}\n"
+
+
+TECHNIQUES = "id,name,tactic\n"
+CAPEC = "id,name,technique_ids\n"
+INDICATORS = "standard,clause,description,system_iri\n"
+# A well-formed catalog, and, per row, the one file that replaces its own.
+CATALOG_FILES = {"techniques.csv": TECHNIQUES + "T1190,Exploit,InitialAccess\n",
+                 "capec.csv": CAPEC + "CAPEC-1,Pattern,T1190\n",
+                 "indicators.csv": INDICATORS + "ISO37120,1.1,Uptime,http://ex/S\n"}
+
+CATALOG_ERRORS = [
+    ("techniques.csv", "# commentary only\n\n", CatalogFormatError,
+     "techniques.csv: no header row"),
+    ("techniques.csv", TECHNIQUES + "T12,Exploit,Impact\n", CatalogFormatError,
+     "techniques.csv: row 2: bad id 'T12'"),
+    ("techniques.csv", TECHNIQUES + "T1190,Exploit,Nope\n", CatalogFormatError,
+     "techniques.csv: row 2: unknown tactic 'Nope'"),
+    ("techniques.csv", TECHNIQUES + "T1190,Exploit,Impact\nT1190,Again,Impact\n",
+     CatalogFormatError, "techniques.csv: row 3: duplicate id T1190"),
+    # a blank row is skipped, and counted
+    ("techniques.csv", TECHNIQUES + ",,\nT1190,,Impact\n", CatalogFormatError,
+     "techniques.csv: row 3: empty name"),
+    ("capec.csv", CAPEC + "CAPEC1,Pattern,\n", CatalogFormatError,
+     "capec.csv: row 2: bad id 'CAPEC1'"),
+    ("capec.csv", CAPEC + "CAPEC-1,Pattern,\nCAPEC-1,Again,\n", CatalogFormatError,
+     "capec.csv: row 3: duplicate id CAPEC-1"),
+    ("capec.csv", CAPEC + "CAPEC-1,Pattern,T1190; T99\n", CatalogFormatError,
+     "capec.csv: row 2: bad technique reference 'T99'"),
+    ("indicators.csv", INDICATORS + "ISO9001,1,Uptime,http://ex/S\n", CatalogFormatError,
+     "indicators.csv: row 2: unknown standard 'ISO9001'"),
+    ("indicators.csv", INDICATORS + "ISO37120,,Uptime,http://ex/S\n", CatalogFormatError,
+     "indicators.csv: row 2: empty clause"),
+    ("indicators.csv", INDICATORS + "ISO37120,1.1,Uptime,http://ex/S\nISO37120,1.1,Again,"
+     "http://ex/S\n", CatalogFormatError, "indicators.csv: row 3: duplicate clause ISO37120 1.1"),
+]
+
+
+@pytest.mark.parametrize("name,text,cls,message", CATALOG_ERRORS)
+def test_catalog_errors(name, text, cls, message):
+    with pytest.raises(cls) as exc:
+        load_catalog(*({**CATALOG_FILES, name: text}.values()))
+    assert type(exc.value) is cls
+    assert str(exc.value) == message

@@ -174,6 +174,23 @@ MUTANTS = [
     ("validation.py", '    __slots__ = ("severity", "code", "subject", "message")\n',
      '    __slots__ = ("severity", "code", "subject", "message")\n'
      "    __setattr__ = object.__setattr__\n", ["tests/test_terms.py::TestRecordContract"]),
+    # the Turtle walk reads the token after a term that does not build, and names a fault there
+    ("turtle.py", "            raise self._fail(e.args[0], m.start(group), error) from None\n",
+     "            self._token(self._skip(m.end(group)))\n"
+     "            raise self._fail(e.args[0], m.start(group), error) from None\n",
+     ["tests/test_parse_errors.py::test_turtle_errors"]),
+    # the schema loader takes subClassOf on an undeclared class
+    ("schema.py",
+     "        if t.subject not in class_iris:\n"
+     "            raise DanglingReferenceError(\n"
+     '                f"subClassOf asserted on undeclared class {t.subject}")\n',
+     "        pass\n", ["tests/test_parse_errors.py::test_schema_errors"]),
+    # the catalog loader takes a second row for one indicator clause
+    ("catalog.py",
+     "        if key in seen_clauses:\n"
+     "            raise CatalogFormatError(\n"
+     '                f"indicators.csv: row {lineno}: duplicate clause {standard} {clause}")\n',
+     "", ["tests/test_parse_errors.py::test_catalog_errors"]),
 ]
 
 

@@ -33,6 +33,11 @@ Both trees read the same inputs, built once by this checkout. Each command
 whose outputs differ is printed with a short diff. The exit status is 1 when
 a command differs that the --expect file (one command name per line, `#`
 comments) does not list, 2 when git or a runner fails, and 0 otherwise.
+
+Without --expect, the list is tools/same_output.expect when that file differs
+from REV's copy (or REV has none): a change lists there the commands whose
+output it changes on purpose. Once REV holds the file as it is here, the
+list is empty, so any difference fails.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPECT = Path(__file__).resolve().with_name("same_output.expect")
 EXCHANGE_BLOCKS = 92  # perfbench/workloads.py
 CASEGEN_SEEDS = range(1, 21)
 CASEGEN_BLOCKS = 32  # about 1.3k triples, the fewest that casegen.agency_b takes
@@ -278,16 +284,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--expect", type=Path, metavar="FILE",
                         help="commands, one name per line, whose output may differ")
     args = parser.parse_args(argv)
-    expected = set()
-    if args.expect:
-        expected = {line.strip() for line in args.expect.read_text(encoding="utf-8").splitlines()
-                    if line.strip() and not line.lstrip().startswith("#")}
     began = time.perf_counter()
     tmp = Path(tempfile.mkdtemp(prefix="same-output-"))
     tree = tmp / "rev"
     try:
         commit = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
         git("worktree", "add", "--detach", str(tree), commit)
+        expect, at_rev = args.expect, tree / EXPECT.relative_to(ROOT)
+        if expect is None and EXPECT.exists() and (
+                not at_rev.exists() or at_rev.read_bytes() != EXPECT.read_bytes()):
+            expect = EXPECT
+            print(f"same_output: expecting the commands that {EXPECT.relative_to(ROOT)} lists")
+        expected = {line.strip() for line in expect.read_text(encoding="utf-8").splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")} if expect else set()
         work = tmp / "work"
         work.mkdir()
         jobs = build_jobs(work)
