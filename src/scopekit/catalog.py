@@ -214,12 +214,12 @@ def load_catalog(techniques_csv: str, capec_csv: str, indicators_csv: str) -> Ca
             raise CatalogFormatError(f"capec.csv: row {lineno}: bad id {cid!r}")
         if cid in capec:
             raise CatalogFormatError(f"capec.csv: row {lineno}: duplicate id {cid}")
-        related = frozenset(t for t in (p.strip() for p in tids.split(";")) if t)
-        for t in related:
+        related = [t for t in (p.strip() for p in tids.split(";")) if t]
+        for t in related:  # in the row's order, so the first bad one is named
             if not TECHNIQUE_ID_RE.fullmatch(t):
                 raise CatalogFormatError(
                     f"capec.csv: row {lineno}: bad technique reference {t!r}")
-        capec[cid] = CapecEntry(cid, name, related)
+        capec[cid] = CapecEntry(cid, name, frozenset(related))
 
     indicators: list[IndicatorEntry] = []
     seen_clauses = set()

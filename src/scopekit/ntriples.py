@@ -34,6 +34,7 @@ from typing import Callable, Union
 from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
 from .terms import (
     BLANK_LABEL_RE,
+    KNOWN_DATATYPES,
     PREFIX_NAME_RE,
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -64,6 +65,11 @@ BOOLEAN = r"true|false"
 # for a local name, which the Turtle writer also abbreviates under.
 PREFIX_NAME = PREFIX_NAME_RE.pattern
 LOCAL_NAME_RE = re.compile(r"^$|^[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+
+# The terms.py constants every parse starts from, keyed as `build_term` keys an
+# IRI: rdf:type and the datatypes a schema range may name. Each reader starts
+# from a copy, so a parsed xsd:dateTime is `terms.XSD_DATETIME`.
+SHARED_TERMS = {f"<{iri.value}>": iri for iri in (RDF_TYPE, *KNOWN_DATATYPES)}
 
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
@@ -257,14 +263,15 @@ def parse_ntriples(doc: Union[str, bytes]) -> Graph:
     The graph holds one object per distinct term: equal terms are the same
     object, however they were spelled (`"x"` or `"x"^^<...#string>`, `@EN`
     or `@en`). Each term is built and checked the first time its text
-    appears. The memo lives for this call only, so two parses share no term
-    object beyond `terms.XSD_STRING`, the datatype of bare literals.
+    appears. The memo lives for this call only and starts from a copy of
+    SHARED_TERMS, so two parses share no term object beyond those constants:
+    `rdf:type` and the six datatypes a schema range may name.
     """
     text = decode_document(doc)
     triples: set[Triple] = set()
     # term text -> term, and build_term's table (literals and blank nodes
     # keyed by themselves); text keys start with '<', '_' or '"'.
-    memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}
+    memo: dict = dict(SHARED_TERMS)
     match, add = _LINE_RE.match, triples.add
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")

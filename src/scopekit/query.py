@@ -51,6 +51,7 @@ from .ntriples import (
     INTEGER,
     IRIREF,
     PREFIX_NAME,
+    SHARED_TERMS,
     STRING_LITERAL_QUOTE,
     build_short_form,
     build_term,
@@ -340,7 +341,7 @@ def run_query(g: Graph, patterns: Sequence[Pattern],
     if list(slot_of) != list(columns):
         rows = list(map(itemgetter(*[slot_of[c] for c in columns]), rows))
     if len(rows) > 1:  # every cell is a term object of g
-        rows = g.sorted_on_ranks(rows, list(map(itemgetter, range(len(columns)))))
+        rows = g.sorted_on_ranks(rows)
     return BindingTable(columns, tuple(rows))
 
 
@@ -373,11 +374,14 @@ _LINE_RE = re.compile("(?:{}[ \t]*(?:{}[ \t]*(?:{}[ \t]*)?)?)?".format(*map(_ter
 
 
 def _missing(line: str, pos: int, expected: str) -> str:
-    """Why no term matches at line[pos]: the fault of the IRI, blank node label
-    or literal there, else the word there, else `expected`."""
-    if line[pos:pos + 1] in ("<", "_", '"'):
-        return term_error(line, pos)[0]
+    """Why no term matches at line[pos]: the fault of the IRI or literal
+    there, a blank node label named by its whole run up to the next blank,
+    else the word there, else `expected`."""
     word = re.match(r"[^ \t]*", line[pos:]).group()
+    if word.startswith("_:"):
+        return f"malformed blank node label: {word[2:]!r}"
+    if word[:1] in ("<", "_", '"'):
+        return term_error(line, pos)[0]
     return f"cannot read term starting at {word!r}" if word else expected
 
 
@@ -412,7 +416,7 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
         resolved.update(prefixes)
     patterns: list[Pattern] = []
     filters: list[tuple[str, str]] = []
-    interned: dict = {}
+    interned: dict = dict(SHARED_TERMS)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

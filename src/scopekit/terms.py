@@ -22,18 +22,18 @@ case that writes again grows a `copy`); its `estimate` gives, in O(1), the
 length of the list a lookup would read, and per predicate it keeps a
 `column` of values by subject, which `first_literal` (a property that should
 hold one value) and `Graph.objects_of` read. A graph's table of canonical
-term ranks (keyed by the `id` of its term objects), its triples sorted on
-those ranks, one list per order of the three positions, and each such order
-as a table of (term, term, term) rows, which query full scans return, are
-built on first use and kept too; a copied or unpickled graph builds its own,
-not another's ids.
+term ranks (keyed by the `id` of its term objects) and, per order of the
+three positions, one table of (term, term, term) rows sorted on those ranks,
+which canonical Turtle reads and query full scans return, are built on first
+use and kept too; a copied or unpickled graph builds its own, not another's
+ids.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InvalidIriError
 
@@ -350,14 +350,14 @@ class Graph:
 
     Equality and hashing consider the triple set only; the prefix map is
     presentation metadata (N-Triples, for one, cannot carry it). The index
-    and its columns, `term_ranks`, each `sorted_triples` order and its
-    `sorted_rows` table are built on first use and kept; copies rebuild them
-    (`__reduce__`). Canonical Turtle reads the kept (s, p, o) order, query
-    full scans return a kept row table; a read of one subject's values of
-    one predicate reads that predicate's column.
+    and its columns, `term_ranks` and one `sorted_rows` table per order are
+    built on first use and kept; copies rebuild them (`__reduce__`).
+    Canonical Turtle reads the kept (s, p, o) table, query full scans return
+    a kept table; a read of one subject's values of one predicate reads that
+    predicate's column.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_orders", "_rows")
+    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_rows")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
         self._triples: frozenset[Triple] = frozenset(triples)
@@ -367,7 +367,7 @@ class Graph:
         self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
         # built lazily; the graph is immutable, so they never go stale
         self._index = self._ranks = None
-        self._orders, self._rows = {}, {}  # per order of the three positions
+        self._rows = {}  # per order of the three positions
 
     # -- basic accessors --
     @property
@@ -476,39 +476,26 @@ class Graph:
             self._ranks = dict(zip(objects, map(rank_of.__getitem__, keys)))
         return self._ranks
 
-    def sorted_triples(self, order: tuple[str, str, str]) -> list[Triple]:
-        """The triples in canonical order on the positions `order` names.
-
-        `order` is a permutation of ("subject", "predicate", "object"), the
-        most significant position first; triples compare on the `term_ranks`
-        of their terms there. Built on the first call for each order (at most
-        six) and kept, shared: do not modify it.
-        """
-        out = self._orders.get(order)
-        if out is None:
-            out = self._orders[order] = self.sorted_on_ranks(
-                list(self._triples), list(map(attrgetter, order)))
-        return out
-
     def sorted_rows(self, order: tuple[str, str, str]) -> tuple[tuple[Term, Term, Term], ...]:
-        """`sorted_triples(order)` as a table of rows, each a triple's terms
-        in that order. Built on the first call for each order and stored
-        only once whole, then kept, shared."""
+        """The triples as a table of rows in canonical order, each row a
+        triple's terms in `order`, a permutation of ("subject", "predicate",
+        "object"), the most significant position first. Built on the first
+        call for each order (at most six) and kept, shared."""
         rows = self._rows.get(order)
         if rows is None:
-            rows = self._rows[order] = tuple(map(attrgetter(*order), self.sorted_triples(order)))
+            rows = self._rows[order] = tuple(
+                self.sorted_on_ranks(list(map(attrgetter(*order), self._triples))))
         return rows
 
-    def sorted_on_ranks(self, items: list, cells: list[Callable]) -> list:
-        """items in canonical order: compared on the `term_ranks` of the
-        terms that cells pick out of each, the first most significant. Every
-        term picked must be an object of this graph's triples; equal terms tie.
-        """
+    def sorted_on_ranks(self, rows: list[tuple]) -> list[tuple]:
+        """rows in canonical order: compared cell by cell on the `term_ranks`
+        of their terms, the first cell most significant. Every cell must be an
+        object of this graph's triples; equal terms tie."""
         # a stable sort per cell, the least significant first
-        rank, at = self.term_ranks().__getitem__, list(range(len(items)))
-        for cell in reversed(cells):
-            at.sort(key=list(map(rank, map(id, map(cell, items)))).__getitem__)
-        return list(map(items.__getitem__, at))
+        rank, at = self.term_ranks().__getitem__, list(range(len(rows)))
+        for cell in reversed(range(len(rows[0]) if rows else 0)):
+            at.sort(key=list(map(rank, map(id, map(itemgetter(cell), rows)))).__getitem__)
+        return list(map(rows.__getitem__, at))
 
     def diff(self, other: "Graph") -> tuple[frozenset[Triple], frozenset[Triple]]:
         """(added, removed): the triples to add to / remove from this graph to obtain other."""

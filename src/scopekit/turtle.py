@@ -44,6 +44,7 @@ from .ntriples import (
     LOCAL_NAME_RE,
     MAX_DOCUMENT_BYTES,
     PREFIX_NAME,
+    SHARED_TERMS,
     STRING_LITERAL_QUOTE,
     build_short_form,
     build_term,
@@ -53,7 +54,6 @@ from .ntriples import (
     term_error,
 )
 from .terms import (
-    KNOWN_DATATYPES,
     PREFIX_NAME_RE,
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -172,10 +172,9 @@ class _Parser:
         # Step term text -> term, cleared by each @prefix, since a prefixed
         # name can change meaning.
         self.memo: dict[str, Term] = {}
-        # The parse's terms, one object each, keyed as `build_term` keys them
-        # (rdf:type and the datatypes a schema range may name are the terms.py
-        # constants).
-        self.interned: dict = {f"<{iri.value}>": iri for iri in (RDF_TYPE, *KNOWN_DATATYPES)}
+        # The parse's terms, one object each, keyed as `build_term` keys them;
+        # the shared constants are the terms.py objects.
+        self.interned: dict = dict(SHARED_TERMS)
 
     def parse(self) -> Graph:
         text, memo, add, term, step = (
@@ -315,8 +314,8 @@ def parse_turtle(doc: Union[str, bytes]) -> Graph:
     `rdf:type`, `1` or `"1"^^xsd:integer`). Each term is built and checked
     the first time it appears. The memo lives for this call only, so two
     parses share no term object beyond the terms.py constants it starts
-    from: `rdf:type` and the six datatypes a schema range may name
-    (`KNOWN_DATATYPES`), so a parsed `xsd:dateTime` is `terms.XSD_DATETIME`.
+    from (`ntriples.SHARED_TERMS`): `rdf:type` and the six datatypes a schema
+    range may name, so a parsed `xsd:dateTime` is `terms.XSD_DATETIME`.
     """
     return _Parser(decode_document(doc)).parse()
 
@@ -370,8 +369,8 @@ def _prefix_lines(prefixes: dict[str, Iri]) -> str:
 
 def serialize_turtle_canonical(g: Graph) -> str:
     """Deterministic Turtle text for a skolemized graph: prefix lines sorted
-    by short-name, then one block per subject in the (s, p, o) order that the
-    graph keeps (`Graph.sorted_triples`), LF endings. One pass over that order
+    by short-name, then one block per subject in the (s, p, o) row table that
+    the graph keeps (`Graph.sorted_rows`), LF endings. One pass over that table
     starts a block or a predicate where the subject's or predicate's rank
     changes. Raises BlankNodePresentError if the graph holds blank nodes.
     """
@@ -383,19 +382,19 @@ def serialize_turtle_canonical(g: Graph) -> str:
     # rank -> text, so each distinct term renders once; a predicate's text
     # has a memo of its own, as rdf:type is `a` only there
     forms, verbs, chunks, last_s, last_p = {}, {}, [], None, None
-    for t in g.sorted_triples(("subject", "predicate", "object")):
-        s, p, o = ranks[id(t.subject)], ranks[id(t.predicate)], ranks[id(t.object)]
-        obj = forms.get(o) or forms.setdefault(o, _render_term(t.object, abbreviate))
+    for subject, predicate, value in g.sorted_rows(("subject", "predicate", "object")):
+        s, p, o = ranks[id(subject)], ranks[id(predicate)], ranks[id(value)]
+        obj = forms.get(o) or forms.setdefault(o, _render_term(value, abbreviate))
         if s == last_s and p == last_p:
             chunks.append(f", {obj}")
             continue
-        verb = verbs.get(p) or verbs.setdefault(p, "a" if t.predicate == RDF_TYPE else (
-            forms.get(p) or forms.setdefault(p, _render_term(t.predicate, abbreviate))))
+        verb = verbs.get(p) or verbs.setdefault(p, "a" if predicate == RDF_TYPE else (
+            forms.get(p) or forms.setdefault(p, _render_term(predicate, abbreviate))))
         if s == last_s:
             chunks.append(f" ;\n    {verb} {obj}")
         else:
-            subject = forms.get(s) or forms.setdefault(s, _render_term(t.subject, abbreviate))
-            chunks.append(f" .\n\n{subject} {verb} {obj}")
+            head = forms.get(s) or forms.setdefault(s, _render_term(subject, abbreviate))
+            chunks.append(f" .\n\n{head} {verb} {obj}")
         last_s, last_p = s, p
     # the first block has no block before it to close
     body = "".join(chunks)[4:] + " ." if chunks else ""

@@ -36,7 +36,7 @@ from scopekit.namespaces import (
     threats,
 )
 from scopekit.schema import load_default_schema
-from scopekit.terms import RDF_TYPE, XSD_INTEGER, Graph, Iri, Literal, Triple
+from scopekit.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, Graph, Iri, Literal, Triple
 from scopekit.turtle import parse_turtle
 from scopekit.validation import validate_graph
 
@@ -119,6 +119,28 @@ class TestBuilders:
         comp = c.add_component(infrastructure("WaterSystem"), "plant")
         with pytest.raises(UnknownClassError):
             c.add_crime("Mischief", comp)
+
+    def test_a_base_with_no_kebab_mints_nothing(self):
+        with pytest.raises(InvalidNameError) as err:
+            make_case().mint("-- --")
+        assert str(err.value) == "cannot derive a name from '-- --'"
+
+    def test_add_node_of_an_undeclared_class(self):
+        c = make_case()
+        before, undeclared = c.graph, infrastructure("Nonexistent")
+        with pytest.raises(UnknownClassError) as err:
+            c.add_node(undeclared, "x")
+        assert str(err.value) == f"class not declared: {undeclared}"
+        assert c.graph is before
+
+    def test_evidence_attrs_by_declared_iri_and_by_value_type(self):
+        # a Literal is kept as it is, a bool is an xsd:boolean before an int an xsd:integer
+        c = make_case()
+        values = {PROP_MD5: Literal("a" * 32), PROP_DESCRIPTION: True, PROP_CUSTODY_SEQ: 3}
+        item = c.add_evidence(evidence("DeviceImage"), attrs=values)
+        assert {p: c.graph.objects_of(item, p) for p in values} == {
+            PROP_MD5: [Literal("a" * 32)], PROP_DESCRIPTION: [Literal("true", XSD_BOOLEAN)],
+            PROP_CUSTODY_SEQ: [Literal("3", XSD_INTEGER)]}
 
     def test_evidence_class_checked(self):
         c = make_case()
@@ -329,6 +351,13 @@ class TestIocs:
         assert c.import_iocs(rows) == 1
         assert len(c.ioc_import_errors) == 6
         assert [e.split(":")[0] for e in c.ioc_import_errors[3:]] == ["row 6", "row 7", "row 8"]
+        assert [i.value for i in c.iocs()] == ["ageofwuxia.net"]
+
+    def test_blank_rows_are_skipped_and_counted(self):
+        c = make_case()
+        rows = "kind,value,source\n\n , , \nMd5Hash,zz,lab\nDomain,ageofwuxia[.]net,lab\n"
+        assert c.import_iocs(rows) == 1
+        assert [e.split(":")[0] for e in c.ioc_import_errors] == ["row 4"]
         assert [i.value for i in c.iocs()] == ["ageofwuxia.net"]
 
     def test_structural_problems_raise(self):

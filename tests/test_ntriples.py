@@ -197,5 +197,5 @@ class TestTermInterning:
         first, second = parse_ntriples(self.DOC), parse_ntriples(self.DOC)
         assert first == second
         shared = {id(x) for x in term_objects(first)} & {id(x) for x in term_objects(second)}
-        # only the datatype that bare literals stand for
-        assert shared == {id(XSD_STRING)}
+        # only the shared constants the document uses: two of its datatypes
+        assert shared == {id(XSD_STRING), id(XSD_INTEGER)}

@@ -7,8 +7,14 @@ and query-text parsers, so a rewrite of a tokenizer cannot move or reword a
 diagnostic unnoticed; and one row per raise of the schema and catalog loaders.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scopekit
 from scopekit.catalog import load_catalog
 from scopekit.cli import main
 from scopekit.errors import (
@@ -184,6 +190,9 @@ QUERY_ERRORS = [
     ("?s ?p", "expected a term", 1),
     ("?1 ?p ?o", "variable names match ?[A-Za-z][A-Za-z0-9_]*, got ?1", 1),
     ("?s ?p _:1", "malformed blank node label: '1'", 1),
+    # a label runs to the next blank, and is named whole
+    ("_:b?r ?s ?o", "malformed blank node label: 'b?r'", 1),
+    ("?s ?p _:\ufffdb", "malformed blank node label: '\ufffdb'", 1),
     ("?s ?p nope:x", "undefined prefix 'nope'", 1),
     ("?s ?p %%", "cannot read term starting at '%%'", 1),
     ("?s ?p ?o ?x", "a pattern line holds exactly three terms", 1),
@@ -358,6 +367,9 @@ CATALOG_FILES = {"techniques.csv": TECHNIQUES + "T1190,Exploit,InitialAccess\n",
                  "capec.csv": CAPEC + "CAPEC-1,Pattern,T1190\n",
                  "indicators.csv": INDICATORS + "ISO37120,1.1,Uptime,http://ex/S\n"}
 
+# of several bad references, the first the row writes, whatever the hash seed
+SEVERAL_BAD_REFERENCES = ("capec.csv", CAPEC + "CAPEC-1,P,T1;T2;T3\n", CatalogFormatError,
+                          "capec.csv: row 2: bad technique reference 'T1'")
 CATALOG_ERRORS = [
     ("techniques.csv", "# commentary only\n\n", CatalogFormatError,
      "techniques.csv: no header row"),
@@ -376,6 +388,7 @@ CATALOG_ERRORS = [
      "capec.csv: row 3: duplicate id CAPEC-1"),
     ("capec.csv", CAPEC + "CAPEC-1,Pattern,T1190; T99\n", CatalogFormatError,
      "capec.csv: row 2: bad technique reference 'T99'"),
+    SEVERAL_BAD_REFERENCES,
     ("indicators.csv", INDICATORS + "ISO9001,1,Uptime,http://ex/S\n", CatalogFormatError,
      "indicators.csv: row 2: unknown standard 'ISO9001'"),
     ("indicators.csv", INDICATORS + "ISO37120,,Uptime,http://ex/S\n", CatalogFormatError,
@@ -391,3 +404,25 @@ def test_catalog_errors(name, text, cls, message):
         load_catalog(*({**CATALOG_FILES, name: text}.values()))
     assert type(exc.value) is cls
     assert str(exc.value) == message
+
+
+CATALOG_FIRST_FAULT = """
+import sys
+from scopekit.catalog import load_catalog
+try:
+    load_catalog(*sys.argv[1:])
+except Exception as exc:
+    print(exc)
+"""
+
+
+def test_catalog_names_the_first_bad_reference_under_every_hash_seed():
+    _, text, _, message = SEVERAL_BAD_REFERENCES
+    files = {**CATALOG_FILES, "capec.csv": text}
+    src = str(Path(scopekit.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", CATALOG_FIRST_FAULT, *files.values()],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out == message + "\n", f"PYTHONHASHSEED={seed}"

@@ -25,9 +25,16 @@ from scopekit.namespaces import (
     role,
     threats,
 )
-from scopekit.report import ActionEntry, CaseSummary, CustodyEntry, render_markdown, summarize
+from scopekit.report import (
+    ActionEntry,
+    CaseSummary,
+    CustodyEntry,
+    _label,
+    render_markdown,
+    summarize,
+)
 from scopekit.schema import load_schema
-from scopekit.terms import Literal, Triple
+from scopekit.terms import RDF_TYPE, BlankNode, Graph, Literal, Triple
 from scopekit.validation import validate_graph
 
 
@@ -62,6 +69,19 @@ class TestSummarize:
         assert {tid for tid, _ in by_tactic["Exfiltration"]} == {"T1029", "T1041"}
         total = sum(len(techs) for _, techs in s.tactic_map)
         assert total == 19
+
+    def test_a_technique_without_an_id_is_left_out(self):
+        c = casekit.new_case("unnumbered", at=T0, rng=random.Random(5))
+        crime = c.add_crime("SystemInterference",
+                            c.add_component(infrastructure("EnergySystem"), "grid"))
+        c.attach_technique(crime, "T1190")
+        c.add_node(CLS_ATTACK_TECHNIQUE, "no id")
+        exploit = ("T1190", "Exploit Public Facing Application")
+        assert summarize(c).tactic_map == (("InitialAccess", (exploit,)),)
+
+    def test_an_unnamed_blank_node_is_labelled_by_its_label(self):
+        node = BlankNode("b1")
+        assert _label(Graph([Triple(node, RDF_TYPE, CLS_INCIDENT)]), node) == "_:b1"
 
     def test_technique_ids_sorted_within_tactic(self, request):
         s = summarize(scenario_case(request, "scenario2"))

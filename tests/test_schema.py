@@ -173,6 +173,15 @@ class TestLoadSchema:
                                  env=env, capture_output=True, text=True, check=True).stdout
             assert json.loads(out) == expected, f"PYTHONHASHSEED={seed}"
 
+    def test_equality_and_repr(self):
+        body = "ex:T a rdfs:Class .\nex:p a rdf:Property ; rdfs:domain ex:T ."
+        s = load(body)
+        assert s == load(body)
+        assert s != load(body, version="other")
+        assert s != load(body + "\nex:U a rdfs:Class .")
+        assert s.__eq__(body) is NotImplemented
+        assert repr(s) == "<Schema vtest: 1 classes, 1 properties>"
+
     def test_repeatable_domain(self):
         s = load("""
         ex:A a rdfs:Class . ex:B a rdfs:Class .

@@ -145,6 +145,9 @@ class TestBlankNodeAndTriple:
         with pytest.raises(ValueError):
             BlankNode("b\n")
 
+    def test_blank_node_prints_as_its_label(self):
+        assert str(BlankNode("b1")) == "_:b1"
+
     def test_triple_position_types(self):
         t = Triple(iri("s"), iri("p"), Literal("o"))
         assert t.subject == iri("s")
@@ -409,6 +412,24 @@ class TestGraph:
         assert hash(g1) == hash(g2)
         assert g1.prefixes != g2.prefixes
 
+    def test_a_graph_is_not_equal_to_its_triple_set(self):
+        g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        assert g.__eq__(g.triples) is NotImplemented
+        assert g != g.triples
+
+    def test_repr_counts_triples_and_prefixes(self):
+        g = Graph([Triple(iri("s"), iri("p"), iri("o"))], {"ex": Iri(EX), "kb": Iri(EX + "kb/")})
+        assert repr(g) == "<Graph 1 triples, 2 prefixes>"
+
+    def test_a_str_namespace_is_read_as_an_iri(self):
+        assert Graph(prefixes={"ex": EX}).prefixes == {"ex": Iri(EX)}
+        assert Graph().with_prefixes({"ex": EX}).prefixes == {"ex": Iri(EX)}
+
+    def test_a_non_triple_is_refused(self):
+        with pytest.raises(TypeError) as exc:
+            Graph([(iri("s"), iri("p"), iri("o"))])
+        assert str(exc.value).startswith("not a triple: ")
+
     def test_insert_remove_are_persistent(self):
         t1 = Triple(iri("s"), iri("p"), Literal("1"))
         t2 = Triple(iri("s"), iri("p"), Literal("2"))
@@ -493,15 +514,16 @@ class TestGraph:
                         picked = (s, None, None) if s else (None, None, o) if o else (None, p, None)
                         assert g.estimate(s, p, o) == len(g.scan(*picked)) >= len(g.scan(s, p, o))
 
-    def test_sorted_triples_are_kept_per_order(self):
+    def test_sorted_rows_are_kept_per_order(self):
         from itertools import permutations
 
-        g = random_graph(random.Random(9), 80)
-        for order in permutations(("subject", "predicate", "object")):
-            kept = g.sorted_triples(order)
-            assert g.sorted_triples(order) is kept
-            key = lambda t: tuple(term_sort_key(getattr(t, at)) for at in order)
-            assert kept == sorted(g, key=key)
+        # the mixed graph ties on the first two positions in every order
+        for g in (random_graph(random.Random(9), 80), random_mixed_graph(random.Random(9))):
+            for order in permutations(("subject", "predicate", "object")):
+                kept = g.sorted_rows(order)
+                assert g.sorted_rows(order) is kept
+                rows = (tuple(getattr(t, at) for at in order) for t in g)
+                assert kept == tuple(sorted(rows, key=lambda row: tuple(map(term_sort_key, row))))
 
     def test_scan_and_match_return_fresh_lists(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])

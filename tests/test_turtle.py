@@ -352,7 +352,7 @@ class TestWriterReadsKeptOrder:
         # the writer left its order in the graph: reading it sorts nothing
         monkeypatch.setattr(Graph, "sorted_on_ranks", refuse)
         for g in graphs:
-            assert len(g.sorted_triples(SPO)) == len(g)
+            assert len(g.sorted_rows(SPO)) == len(g)
 
     def test_rdf_type_is_a_only_as_a_predicate(self):
         # equal type IRIs as distinct objects: the predicate reads `a`, the

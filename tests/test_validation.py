@@ -127,6 +127,16 @@ class TestR02Domain:
                                   Literal("IllegalAccess")))
         assert codes(g, schema, catalog) == ["R02"]
 
+    def test_a_property_without_a_domain_fits_any_node(self, case, catalog):
+        c, n = case
+        weight = Iri("http://example.org/vocab/weight")
+        open_schema = load_schema([
+            *(p.read_text(encoding="utf-8") for p in sorted(SCHEMA_DIR.glob("*.ttl"))),
+            f"<{weight.value}> a <{RDF_NS}Property> ."])
+        assert open_schema.property(weight).domain == frozenset()
+        g = c.graph.insert_all(Triple(n[node], weight, Literal("1")) for node in ("comp", "item"))
+        assert codes(g, open_schema, catalog) == []
+
     def test_untyped_subject_is_not_a_domain_finding(self, case, schema, catalog):
         c, n = case
         g = c.graph

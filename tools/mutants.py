@@ -191,6 +191,24 @@ MUTANTS = [
      "            raise CatalogFormatError(\n"
      '                f"indicators.csv: row {lineno}: duplicate clause {standard} {clause}")\n',
      "", ["tests/test_parse_errors.py::test_catalog_errors"]),
+    # a sort on ranks leaves its least significant cell unsorted
+    ("terms.py", "reversed(range(len(rows[0]) if rows else 0))",
+     "reversed(range(len(rows[0]) - 1 if rows else 0))",
+     ["tests/test_terms.py::TestGraph::test_sorted_rows_are_kept_per_order"]),
+    # the catalog loader checks a row's technique references in set order
+    ("catalog.py", '        related = [t for t in (p.strip() for p in tids.split(";")) if t]\n',
+     '        related = frozenset(t for t in (p.strip() for p in tids.split(";")) if t)\n',
+     ["tests/test_parse_errors.py::"
+      "test_catalog_names_the_first_bad_reference_under_every_hash_seed"]),
+    # the query text names a glued blank node label by its word characters only
+    ("query.py",
+     '    if word.startswith("_:"):\n'
+     '        return f"malformed blank node label: {word[2:]!r}"\n',
+     "", ["tests/test_parse_errors.py::test_query_errors"]),
+    # an N-Triples parse starts from xsd:string alone, not the shared constants
+    ("ntriples.py", "    memo: dict = dict(SHARED_TERMS)\n",
+     '    memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}\n',
+     ["tests/test_ntriples.py::TestTermInterning::test_parses_share_only_module_constants"]),
 ]
 
 
