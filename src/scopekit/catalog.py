@@ -109,8 +109,9 @@ CRIME_TYPES: dict[str, CrimeType] = {
 
 
 def _read_rows(text: str, expected_header: list[str], filename: str) -> list[tuple[int, list[str]]]:
-    # leading '#' lines are file commentary, not data
-    lines = text.splitlines()
+    # leading '#' lines are file commentary, not data; line ends are read as
+    # open() reads them, so a cell keeps every other line separator
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     start = 0
     while start < len(lines) and (not lines[start].strip() or lines[start].lstrip().startswith("#")):
         start += 1

@@ -6,8 +6,9 @@ Exit code contract, honored by every subcommand:
   2  usage, parse, or I/O failure
 
 Everything on standard output is deterministic for identical inputs and
-flags; diagnostics go to standard error. The only environment variable
-consulted is SCOPE_SCHEMA_DIR (overridden by --schema where offered).
+flags; diagnostics go to standard error. A command that fails leaves its -o
+target as it was. The only environment variable consulted is SCOPE_SCHEMA_DIR
+(overridden by --schema where offered).
 
 Only errors, terms, namespaces, ntriples and turtle load with this module; each
 subcommand imports the rest on first use, so a cold command pays for what it
@@ -70,10 +71,27 @@ def _write_graph(g: Graph, fmt: str) -> str:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    target = os.path.realpath(output)
+    # a new or writable file in a writable folder is written whole beside itself,
+    # then renamed onto its place; a pipe, a device or a read-only file in place
+    if not (os.access(os.path.dirname(target), os.W_OK) and (not os.path.exists(output) or (
+            os.path.isfile(target) and os.access(target, os.W_OK)))):
+        Path(output).write_text(text, encoding="utf-8")
+        return
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as f:
+            f.write(text)
+        if os.path.exists(target):
+            os.chmod(part, os.stat(target).st_mode & 0o7777)
+        os.replace(part, target)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
 
 
 # -- subcommands --
@@ -132,13 +150,9 @@ def cmd_merge(args) -> int:
     a = casekit.from_graph(_read_graph(args.a), schema, catalog)
     b = casekit.from_graph(_read_graph(args.b), schema, catalog)
     outcome = casekit.merge(a, b, allow_mismatch=args.allow_mismatch)
-    text = serialize_turtle_canonical(skolemize(outcome.merged.graph))
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        sys.stdout.write(outcome.conflicts_text())
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(outcome.conflicts_text())
+    _emit(serialize_turtle_canonical(skolemize(outcome.merged.graph)), args.output)
+    # with -o, the conflicts take the merged graph's place on standard output
+    (sys.stdout if args.output else sys.stderr).write(outcome.conflicts_text())
     return 1 if outcome.conflicts else 0
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv): outputs and exit codes."""
 
+import errno
 import io
 import json
 import os
@@ -96,6 +97,19 @@ class TestConvert:
         assert main(["convert", str(case_file), "--to", "nt", "-o", str(nt)]) == 0
         assert main(["convert", str(nt), "--to", "ttl", "-o", str(ttl_b)]) == 0
         assert ttl_a.read_bytes() == ttl_b.read_bytes()
+        assert main(["convert", str(ttl_b), "--to", "nt"]) == 0
+        assert capsys.readouterr().out == nt.read_text(encoding="utf-8")
+
+    def test_round_trip_diffs_empty_and_merges_valid(self, capsys, tmp_path, case_file):
+        nt, back = tmp_path / "case.nt", tmp_path / "back.ttl"
+        merged = tmp_path / "merged.ttl"
+        assert main(["convert", str(case_file), "--to", "nt", "-o", str(nt)]) == 0
+        assert main(["convert", str(nt), "--to", "ttl", "-o", str(back)]) == 0
+        assert main(["diff", str(case_file), str(back)]) == 0
+        assert capsys.readouterr().out == "# added\n# removed\n"
+        assert main(["merge", str(case_file), str(back), "-o", str(merged)]) == 0
+        assert main(["validate", str(merged)]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_convert_is_idempotent(self, capsys, tmp_path, case_file):
         once = tmp_path / "once.ttl"
@@ -326,6 +340,10 @@ class TestIocs:
         out = capsys.readouterr().out
         assert "example[.]test" in out
         assert "9" * 32 in out
+        # a builder-written graph validates and reports
+        assert main(["validate", str(merged)]) == 0
+        assert main(["report", str(merged)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_import_is_deterministic(self, tmp_path, case_file):
         # each run is a fresh interpreter, so nothing but the inputs can fix
@@ -453,6 +471,74 @@ class TestHashSeeds:
             for argv, first, this in zip(commands, results[0], results[seed]):
                 assert this == first, (f"`scopekit {' '.join(argv)}` under PYTHONHASHSEED={seed} "
                                        "differs from PYTHONHASHSEED=0")
+
+
+class DiskFull:
+    """A file open to write that takes 100 characters, then fails as a full disk does."""
+
+    ERROR = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, text):
+        self.file.write(text[:100])
+        self.file.flush()
+        raise self.ERROR
+
+
+class TestFailedWrite:
+    """A command whose -o write fails leaves the target as it was, and no
+    other file, even where the target is its input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "CASE"], ["convert", "CASE", "--to", "ttl"], ["query", "CASE", "-q", "?s ?p ?o"],
+        ["diff", "CASE", "OTHER"], ["merge", "CASE", "CASE"], ["report", "CASE"],
+        ["init", "--scenario", "2"], ["iocs", "export", "CASE"], ["iocs", "import", "CASE", "FEED"],
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "iocs" else argv[0])
+    def test_target_is_unchanged(self, capsys, monkeypatch, tmp_path, case_file, argv):
+        other = tmp_path / "other.ttl"
+        assert main(["init", "--scenario", "2", "-o", str(other)]) == 0
+        feed = tmp_path / "feed.csv"
+        feed.write_text("kind,value,source\nDomain,example[.]test,unit\n", encoding="utf-8")
+        files = {"CASE": case_file, "OTHER": other, "FEED": feed}
+        argv = [str(files.get(arg, arg)) for arg in argv] + ["-o", str(case_file)]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+
+        real_open = io.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return DiskFull(f) if "w" in mode else f
+
+        # the builtin, and io's name for it, which pathlib calls
+        monkeypatch.setattr("builtins.open", full_disk_open)
+        monkeypatch.setattr(io, "open", full_disk_open)
+        code = main(argv)
+        monkeypatch.undo()
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert capsys.readouterr() == ("", f"scopekit: {DiskFull.ERROR}\n")
+        assert code == 2
+
+    def test_device_link_and_mode(self, capsys, tmp_path, case_file):
+        # a device is written in place; a link's file is written, keeping the
+        # link and the file's mode
+        assert main(["convert", str(case_file), "--to", "nt", "-o", os.devnull]) == 0
+        link = tmp_path / "link.ttl"
+        link.symlink_to(case_file)
+        case_file.chmod(0o640)
+        assert main(["convert", str(link), "--to", "nt", "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert case_file.read_text(encoding="utf-8").startswith("<")
+        assert case_file.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.ttl", "link.ttl"]
 
 
 class TestUndecodableInput:

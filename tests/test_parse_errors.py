@@ -359,6 +359,26 @@ def test_cli_names_a_schema_fault_on_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"scopekit: {message}\n"
 
 
+# a fault in a case file or in a query, as the CLI names it: N-Triples (a term's
+# fault before trailing content), Turtle (after a ';') and a query term
+CLI_FAULTS = [
+    ("case.nt", f"<relative> {P} {O} . x\n", ["convert", "CASE", "--to", "ttl"],
+     "IRI has no scheme: 'relative' (line 1, column 1)"),
+    ("case.ttl", PFX + "ex:s ex:p ex:o ;\n    ex:q %\n", ["convert", "CASE", "--to", "nt"],
+     "unexpected character '%' (line 3, column 10)"),
+    ("case.ttl", f"{S} {P} {O} .\n", ["query", "CASE", "-q", '?s ?p "\\q"'],
+     "unknown escape \\q (query line 1)"),
+]
+
+
+@pytest.mark.parametrize("name,doc,argv,message", CLI_FAULTS, ids=["nt", "ttl", "query"])
+def test_cli_names_a_parse_fault_on_one_line(tmp_path, capsys, name, doc, argv, message):
+    case = tmp_path / name
+    case.write_text(doc, encoding="utf-8")
+    assert main([str(case) if arg == "CASE" else arg for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"scopekit: {message}\n")
+
+
 TECHNIQUES = "id,name,tactic\n"
 CAPEC = "id,name,technique_ids\n"
 INDICATORS = "standard,clause,description,system_iri\n"
@@ -404,6 +424,17 @@ def test_catalog_errors(name, text, cls, message):
         load_catalog(*({**CATALOG_FILES, name: text}.values()))
     assert type(exc.value) is cls
     assert str(exc.value) == message
+
+
+# characters that str.splitlines() breaks a line at, though a CSV line does not
+# end there
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                       "\u2029"])
+def test_catalog_cell_keeps_a_line_separator(separator):
+    description = f"line one{separator}line two"
+    indicators = f'# {separator} commentary\n{INDICATORS}ISO37120,1.1,"{description}",http://ex/S\n'
+    catalog = load_catalog(*({**CATALOG_FILES, "indicators.csv": indicators}.values()))
+    assert [i.description for i in catalog.indicators] == [description]
 
 
 CATALOG_FIRST_FAULT = """

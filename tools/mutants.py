@@ -209,6 +209,9 @@ MUTANTS = [
     ("ntriples.py", "    memo: dict = dict(SHARED_TERMS)\n",
      '    memo: dict = {f"<{XSD_STRING.value}>": XSD_STRING}\n',
      ["tests/test_ntriples.py::TestTermInterning::test_parses_share_only_module_constants"]),
+    # an -o target is written in place, so a failed write does not leave it as it was
+    ("cli.py", '    part = f"{target}.{os.getpid()}.part"\n', "    part = target\n",
+     ["tests/test_cli.py::TestFailedWrite"]),
 ]
 
 
