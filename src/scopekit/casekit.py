@@ -14,8 +14,8 @@ import functools
 import io
 import random
 import re
+from collections.abc import Iterable
 from itertools import groupby
-from typing import Iterable, Optional, Union
 
 from .catalog import (
     CRIME_TYPES,
@@ -98,7 +98,7 @@ from .terms import (
     term_sort_key,
 )
 from .turtle import serialize_turtle_canonical
-from .validation import is_valid_utc_timestamp, validate_graph
+from .validation import ERROR, is_valid_utc_timestamp, validate_graph
 
 _CAMEL_SPLIT_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 # a UUID's version (4) and variant (RFC 4122) bits: those to clear, those to set
@@ -122,7 +122,7 @@ def kebab(text: str) -> str:
 class CustodyEvent(Record):
     __slots__ = ("evidence", "actor", "action", "at")
 
-    def __init__(self, evidence: Iri, actor: Optional[Iri], action: str, at: str):
+    def __init__(self, evidence: Iri, actor: Iri | None, action: str, at: str):
         self._set(evidence, actor, action, at)
 
 
@@ -159,7 +159,7 @@ class MergeOutcome:
     def conflicts_text(self) -> str:
         """Conflict lines in the validator's line-oriented report format."""
         return "".join(
-            f"M01\tError\t{s.value}\t{p.local_name()}: kept {a!r}, dropped {b!r}\n"
+            f"M01\t{ERROR}\t{s.value}\t{p.local_name()}: kept {a!r}, dropped {b!r}\n"
             for s, p, a, b in self.conflicts)
 
 
@@ -184,9 +184,9 @@ class CaseGraph:
     """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
-                 rng: Optional[random.Random] = None):
-        self._snapshot: Optional[Graph] = graph
-        self._index: Optional[TripleIndex] = None  # the write state, built by the first add
+                 rng: random.Random | None = None):
+        self._snapshot: Graph | None = graph
+        self._index: TripleIndex | None = None  # the write state, built by the first add
         self._prefixes: dict[str, Iri] = graph.prefixes
         self.case_iri = case_iri
         self.schema = schema
@@ -202,7 +202,7 @@ class CaseGraph:
             self._snapshot, self._index = self._index.snapshot(self._prefixes), None
         return self._snapshot
 
-    def _lookup(self) -> Union[Graph, TripleIndex]:
+    def _lookup(self) -> Graph | TripleIndex:
         """What the case's lookups scan: the snapshot, or the index being grown."""
         return self._index if self._snapshot is None else self._snapshot
 
@@ -252,13 +252,13 @@ class CaseGraph:
             raise UnknownClassError(
                 f"{class_iri.local_name()} is not a {what} class (not under {under.local_name()})")
 
-    def add_node(self, class_iri: Iri, label: Optional[str] = None) -> Iri:
+    def add_node(self, class_iri: Iri, label: str | None = None) -> Iri:
         """Mint a typed node of any declared class; building block for the
         add_* helpers."""
         return self._write(self._new_node(class_iri, label))
 
-    def _new_node(self, class_iri: Iri, label: Optional[str] = None,
-                  values: Iterable[tuple[Iri, Optional[Term]]] = ()) -> list[Triple]:
+    def _new_node(self, class_iri: Iri, label: str | None = None,
+                  values: Iterable[tuple[Iri, Term | None]] = ()) -> list[Triple]:
         """A new node's triples, unwritten: its type, its label, each value not None."""
         if class_iri not in self.schema.classes:
             raise UnknownClassError(f"class not declared: {class_iri}")
@@ -285,7 +285,7 @@ class CaseGraph:
             (PROP_TARGETS, target), (PROP_RELATED_INCIDENT, self.case_iri))))
 
     def add_crime(self, crime_type: str, target: Iri,
-                  adversary: Optional[Iri] = None) -> Iri:
+                  adversary: Iri | None = None) -> Iri:
         if crime_type not in CRIME_TYPES:
             raise UnknownClassError(
                 f"crime type {crime_type!r} is not one of: {', '.join(sorted(CRIME_TYPES))}")
@@ -300,9 +300,9 @@ class CaseGraph:
         self._require_class(role_class, role("Role"), "role")
         return self.add_node(role_class, name)
 
-    def add_evidence(self, evidence_class: Iri, attrs: Optional[dict] = None,
-                     crime: Optional[Iri] = None, seized_at: Optional[str] = None,
-                     seized_by: Optional[Iri] = None) -> Iri:
+    def add_evidence(self, evidence_class: Iri, attrs: dict | None = None,
+                     crime: Iri | None = None, seized_at: str | None = None,
+                     seized_by: Iri | None = None) -> Iri:
         """Create an evidence node. Acquired items get their first custody
         record (Seized) automatically so the chain always exists."""
         ancestors = self.schema.ancestors(evidence_class)
@@ -342,8 +342,8 @@ class CaseGraph:
             return Literal(str(value), XSD_INTEGER)
         return Literal(str(value))
 
-    def add_custody_event(self, evidence_or_event, action: Optional[str] = None,
-                          at: Optional[str] = None, actor: Optional[Iri] = None) -> Iri:
+    def add_custody_event(self, evidence_or_event, action: str | None = None,
+                          at: str | None = None, actor: Iri | None = None) -> Iri:
         if isinstance(evidence_or_event, CustodyEvent):
             ev = evidence_or_event
             evidence, action, at, actor = ev.evidence, ev.action, ev.at, ev.actor
@@ -378,7 +378,7 @@ class CaseGraph:
         return new[0].subject
 
     def attach_technique(self, subject: Iri, technique_id: str, capec: bool = False,
-                         cve: Union[str, list[str], None] = None) -> Iri:
+                         cve: str | list[str] | None = None) -> Iri:
         """Annotate subject with a catalog technique. Technique and pattern
         nodes are shared within a case, keyed by their id."""
         entry = self.catalog.lookup_technique(technique_id)
@@ -398,8 +398,8 @@ class CaseGraph:
         self.add_all(batch + [Triple(node, PROP_CVE_ID, Literal(cve_id)) for cve_id in cves])
         return node
 
-    def add_action(self, description: str, at: str, location: Optional[str] = None,
-                   by: Optional[Iri] = None) -> Iri:
+    def add_action(self, description: str, at: str, location: str | None = None,
+                   by: Iri | None = None) -> Iri:
         if not description:
             raise InvalidNameError("action description must be non-empty")
         _check_timestamp(at)
@@ -486,9 +486,9 @@ class CaseGraph:
         return validate_graph(self.graph, self.schema, self.catalog)
 
 
-def new_case(name: str, at: str, schema: Optional[Schema] = None,
-             catalog: Optional[Catalog] = None,
-             rng: Optional[random.Random] = None) -> CaseGraph:
+def new_case(name: str, at: str, schema: Schema | None = None,
+             catalog: Catalog | None = None,
+             rng: random.Random | None = None) -> CaseGraph:
     """Open a case: one Incident node carrying the name and opening time."""
     if not name or not kebab(name):
         raise InvalidNameError(f"case name must be non-empty, got {name!r}")
@@ -502,10 +502,10 @@ def new_case(name: str, at: str, schema: Optional[Schema] = None,
     return c
 
 
-def from_graph(g: Graph, schema: Optional[Schema] = None,
-               catalog: Optional[Catalog] = None,
-               case_iri: Optional[Iri] = None,
-               rng: Optional[random.Random] = None) -> CaseGraph:
+def from_graph(g: Graph, schema: Schema | None = None,
+               catalog: Catalog | None = None,
+               case_iri: Iri | None = None,
+               rng: random.Random | None = None) -> CaseGraph:
     """Wrap an existing graph, locating its single Incident node."""
     schema = schema or load_default_schema()
     catalog = catalog or load_default_catalog()

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
-from pathlib import Path
-from typing import Optional, Union
 
 from .errors import CatalogFormatError, MalformedIdError, UnknownClassError, UnknownIdError
 from .namespaces import (
@@ -240,21 +239,19 @@ def load_catalog(techniques_csv: str, capec_csv: str, indicators_csv: str) -> Ca
     return Catalog(techniques, capec, indicators)
 
 
-def _embedded_catalog_dir() -> Path:
-    return Path(__file__).resolve().parent / "catalogs"
+_EMBEDDED_CATALOG_DIR = os.path.join(os.path.dirname(os.path.realpath(__file__)), "catalogs")
 
 
-def load_catalog_dir(directory: Union[str, Path]) -> Catalog:
-    directory = Path(directory)
-    return load_catalog(*(read_text_file(directory / name)
+def load_catalog_dir(directory: str | os.PathLike) -> Catalog:
+    return load_catalog(*(read_text_file(os.path.join(directory, name))
                           for name in ("techniques.csv", "capec.csv", "indicators.csv")))
 
 
-_DEFAULT_CATALOG: Optional[Catalog] = None
+_DEFAULT_CATALOG: Catalog | None = None
 
 
 def load_default_catalog() -> Catalog:
     global _DEFAULT_CATALOG
     if _DEFAULT_CATALOG is None:
-        _DEFAULT_CATALOG = load_catalog_dir(_embedded_catalog_dir())
+        _DEFAULT_CATALOG = load_catalog_dir(_EMBEDDED_CATALOG_DIR)
     return _DEFAULT_CATALOG

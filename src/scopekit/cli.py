@@ -16,7 +16,9 @@ runs: convert, diff and init nothing more; query adds query; validate adds
 schema, catalog and validation; merge and iocs add casekit (which loads those
 three); report adds casekit and report. Terms and records are plain slotted
 classes, so no command loads the standard class factory module or the inspect,
-ast and dis it imports.
+ast and dis it imports. Annotations take their abstract types from
+collections.abc, and files are read with open and os.path, so no command loads
+typing or pathlib either.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidCaseError, ScopeKitError
 from .namespaces import STANDARD_PREFIXES
@@ -34,17 +34,14 @@ from .ntriples import parse_ntriples, read_text_file, render_triple, serialize_n
 from .terms import Graph, skolemize
 from .turtle import parse_turtle, serialize_turtle_canonical
 
-if TYPE_CHECKING:
-    from .schema import Schema
-
-_FIXTURES = Path(__file__).parent / "fixtures"
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _err(message: str) -> None:
     print(f"scopekit: {message}", file=sys.stderr)
 
 
-def _load_schema(args) -> Schema:
+def _load_schema(args):
     from .schema import load_default_schema, load_schema_dir
 
     override = getattr(args, "schema", None) or os.environ.get("SCOPE_SCHEMA_DIR")
@@ -53,9 +50,10 @@ def _load_schema(args) -> Schema:
     return load_default_schema()
 
 
-def _read_graph(path: str, data: Optional[bytes] = None) -> Graph:
+def _read_graph(path: str, data: bytes | None = None) -> Graph:
     if data is None:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     if path.endswith(".nt"):
         return parse_ntriples(data)
     return parse_turtle(data)
@@ -70,7 +68,7 @@ def _write_graph(g: Graph, fmt: str) -> str:
     return serialize_turtle_canonical(Graph(g.triples, STANDARD_PREFIXES))
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if not output:
         sys.stdout.write(text)
         return
@@ -79,7 +77,8 @@ def _emit(text: str, output: Optional[str]) -> None:
     # then renamed onto its place; a pipe, a device or a read-only file in place
     if not (os.access(os.path.dirname(target), os.W_OK) and (not os.path.exists(output) or (
             os.path.isfile(target) and os.access(target, os.W_OK)))):
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(text)
         return
     part = f"{target}.{os.getpid()}.part"
     try:
@@ -172,9 +171,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_init(args) -> int:
-    src = _FIXTURES / f"scenario{args.scenario}.ttl"
-    text = src.read_text(encoding="utf-8")
-    _emit(text, args.output)
+    _emit(read_text_file(os.path.join(_FIXTURES, f"scenario{args.scenario}.ttl")), args.output)
     return 0
 
 
@@ -187,7 +184,8 @@ def cmd_iocs(args) -> int:
 
     schema = _load_schema(args)
     catalog = load_default_catalog()
-    data = Path(args.path).read_bytes()
+    with open(args.path, "rb") as f:
+        data = f.read()
     g = _read_graph(args.path, data)
     if args.ioc_command == "export":
         _emit(casekit.from_graph(g, schema, catalog).export_iocs(), args.output)
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -156,7 +156,6 @@ class InvalidCaseError(ScopeKitError):
 
     def __init__(self, report):
         self.report = report
-        errors = [f for f in report.findings if f.severity == "Error"]
         super().__init__(
-            f"case graph has {len(errors)} validation error(s); report refused"
+            f"case graph has {len(report.errors)} validation error(s); report refused"
         )

@@ -27,9 +27,9 @@ lines, not the graph's kept order, which ranks terms rather than bytes.
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import Path
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
 from .terms import (
@@ -118,16 +118,17 @@ def escape_string_literal(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
-def read_text_file(path: Union[str, Path]) -> str:
+def read_text_file(path: str | os.PathLike) -> str:
     """Text of a UTF-8 file, newlines translated as by open(); undecodable
     bytes raise a ParseError that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not valid UTF-8: {e.reason}") from None
 
 
-def decode_document(doc: Union[str, bytes]) -> str:
+def decode_document(doc: str | bytes) -> str:
     """Document text from str or UTF-8 bytes; over 64 MiB is refused."""
     if isinstance(doc, bytes):
         if len(doc) > MAX_DOCUMENT_BYTES:
@@ -257,7 +258,7 @@ def _suffix_error(line: str, lineno: int, pos: int) -> ParseError:
     return ParseError(message, lineno, pos + 1)
 
 
-def parse_ntriples(doc: Union[str, bytes]) -> Graph:
+def parse_ntriples(doc: str | bytes) -> Graph:
     """Parse an N-Triples document. Blank lines and `#` comment lines skip.
 
     The graph holds one object per distinct term: equal terms are the same

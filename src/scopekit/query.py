@@ -32,9 +32,9 @@ back; a \\uXXXX or \\UXXXXXXXX escape must name a Unicode scalar value.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     InvalidIriError,
@@ -84,7 +84,7 @@ class Variable(Record):
         return "?" + self.name
 
 
-PatternTerm = Union[Variable, Iri, Literal, BlankNode]
+PatternTerm = Variable | Iri | Literal | BlankNode
 
 
 class Pattern(Record):
@@ -220,7 +220,7 @@ def _compile(p: Pattern, slot_of: dict[str, int]):
       new     each new variable, in name order, and the position that binds it;
       same    pairs of positions that repeat one new variable (?x p ?x).
     """
-    lookup: list[tuple[Optional[int], Optional[Term]]] = []
+    lookup: list[tuple[int | None, Term | None]] = []
     same: list[tuple[str, str]] = []
     first: dict[str, str] = {}  # new variable -> the position that binds it
     for position, t in zip(_POSITIONS, (p.subject, p.predicate, p.object)):
@@ -386,7 +386,7 @@ def _missing(line: str, pos: int, expected: str) -> str:
 
 
 def _build(text: str, lineno: int, prefixes: dict[str, Iri], interned: dict,
-           m: Optional[re.Match] = None, role: str = "") -> PatternTerm:
+           m: re.Match | None = None, role: str = "") -> PatternTerm:
     """The term `text` names: the one in group `role` of the line match `m`, or a datatype."""
     if text[0] == "?":
         return Variable(text[1:])
@@ -404,7 +404,7 @@ def _build(text: str, lineno: int, prefixes: dict[str, Iri], interned: dict,
     return build_term(text, interned, q, lang, datatype if text.startswith("^", len(q)) else None)
 
 
-def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
+def parse_query(text: str, prefixes: dict[str, Iri] | None = None
                 ) -> tuple[list[Pattern], list[tuple[str, str]]]:
     """One s p o pattern per line; `FILTER ?v /regex/` lines; `#` comments
     and blank lines ignored. A variable, a blank node label or a short form
@@ -448,6 +448,6 @@ def parse_query(text: str, prefixes: Optional[dict[str, Iri]] = None
 
 
 def run_text_query(g: Graph, text: str,
-                   prefixes: Optional[dict[str, Iri]] = None) -> BindingTable:
+                   prefixes: dict[str, Iri] | None = None) -> BindingTable:
     patterns, filters = parse_query(text, prefixes)
     return run_query(g, patterns, filters)

@@ -9,8 +9,8 @@ functional). Anything else in a schema document is ignored.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Union
+import os
+from collections.abc import Iterable
 
 from .errors import (
     DanglingReferenceError,
@@ -59,8 +59,8 @@ class PropertyDef(Record):
     __slots__ = ("iri", "domain", "range", "min_card", "max_card", "functional", "label",
                  "description")
 
-    def __init__(self, iri: Iri, domain: frozenset[Iri], range: Optional[Iri], min_card: int = 0,
-                 max_card: Optional[int] = None, functional: bool = False, label: str = "",
+    def __init__(self, iri: Iri, domain: frozenset[Iri], range: Iri | None, min_card: int = 0,
+                 max_card: int | None = None, functional: bool = False, label: str = "",
                  description: str = ""):  # max_card None = unbounded
         self._set(iri, domain, range, min_card, max_card, functional, label, description)
 
@@ -143,7 +143,7 @@ def _single_string(g: Graph, subject: Iri, predicate: Iri, what: str) -> str:
     return values.pop() if values else ""
 
 
-def _single_int(g: Graph, subject: Iri, predicate: Iri, what: str) -> Optional[int]:
+def _single_int(g: Graph, subject: Iri, predicate: Iri, what: str) -> int | None:
     objs = g.objects_of(subject, predicate)
     values = set()
     for o in objs:
@@ -189,7 +189,7 @@ def _ancestor_sets(classes: dict[Iri, ClassDef]) -> dict[Iri, frozenset[Iri]]:
     return done
 
 
-def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> Schema:
+def load_schema(docs: Iterable[str | bytes], version: str = "custom") -> Schema:
     """Build a Schema from Turtle documents.
 
     Raises SchemaCycleError on a subClassOf cycle, DanglingReferenceError
@@ -289,14 +289,14 @@ def load_schema(docs: Iterable[Union[str, bytes]], version: str = "custom") -> S
     return Schema(classes, properties, namespaces, version)
 
 
-def _embedded_schema_dir() -> Path:
-    return Path(__file__).resolve().parent / "schemas"
+_EMBEDDED_SCHEMA_DIR = os.path.join(os.path.dirname(os.path.realpath(__file__)), "schemas")
 
 
-def read_manifest(path: Path) -> tuple[str, list[tuple[str, Iri]]]:
+def read_manifest(path: str | os.PathLike) -> tuple[str, list[tuple[str, Iri]]]:
     version = "unversioned"
     entries: list[tuple[str, Iri]] = []
-    for raw in read_text_file(path).splitlines():
+    # line ends as open() reads them: a line keeps every other line separator
+    for raw in read_text_file(path).split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -310,19 +310,21 @@ def read_manifest(path: Path) -> tuple[str, list[tuple[str, Iri]]]:
     return version, entries
 
 
-def load_schema_dir(directory: Union[str, Path]) -> Schema:
-    """Load every .ttl in a directory, checking it against the directory's
-    manifest.txt when present."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.ttl"))
-    if not paths:
-        raise DanglingReferenceError(f"no .ttl schema documents in {directory}")
-    docs = [read_text_file(p) for p in paths]
+def load_schema_dir(directory: str | os.PathLike) -> Schema:
+    """Load every .ttl in a directory, dot-files included, checking it against
+    the directory's manifest.txt when present."""
+    try:
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".ttl"))
+    except OSError:  # not a directory we can list: as an empty one
+        names = []
+    if not names:
+        raise DanglingReferenceError(f"no .ttl schema documents in {os.fspath(directory)}")
+    docs = [read_text_file(os.path.join(directory, name)) for name in names]
 
-    manifest_path = directory / "manifest.txt"
+    manifest_path = os.path.join(directory, "manifest.txt")
     version = "unversioned"
     entries: list[tuple[str, Iri]] = []
-    if manifest_path.exists():
+    if os.path.exists(manifest_path):
         version, entries = read_manifest(manifest_path)
 
     schema = load_schema(docs, version=version)
@@ -343,7 +345,7 @@ def load_default_schema() -> Schema:
     """The embedded schema set, loaded once per process."""
     global _DEFAULT_SCHEMA
     if _DEFAULT_SCHEMA is None:
-        _DEFAULT_SCHEMA = load_schema_dir(_embedded_schema_dir())
+        _DEFAULT_SCHEMA = load_schema_dir(_EMBEDDED_SCHEMA_DIR)
     return _DEFAULT_SCHEMA
 
 

@@ -32,8 +32,8 @@ ids.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InvalidIriError
 
@@ -152,7 +152,7 @@ class Literal(_Hashed):
 
     __slots__ = ("lexical", "datatype", "lang")
 
-    def __init__(self, lexical: str, datatype: Optional[Iri] = None, lang: Optional[str] = None):
+    def __init__(self, lexical: str, datatype: Iri | None = None, lang: str | None = None):
         if lang is not None:
             if datatype is not None:
                 raise ValueError("literal cannot carry both a language tag and a datatype")
@@ -191,7 +191,7 @@ class BlankNode(_Hashed):
 (_set_lexical, _set_datatype, _set_lang), (_set_label,) = Literal._setters, BlankNode._setters
 
 
-Term = Union[Iri, BlankNode, Literal]
+Term = Iri | BlankNode | Literal
 
 
 def term_sort_key(t: Term):
@@ -206,7 +206,7 @@ def term_sort_key(t: Term):
 class Triple(_Hashed):
     __slots__ = ("subject", "predicate", "object")
 
-    def __init__(self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term):
+    def __init__(self, subject: Iri | BlankNode, predicate: Iri, object: Term):
         if not isinstance(subject, (Iri, BlankNode)):
             raise TypeError(f"triple subject must be an IRI or blank node: {subject!r}")
         if not isinstance(predicate, Iri):
@@ -284,7 +284,7 @@ class TripleIndex:
             added += 1
         return added
 
-    def column(self, predicate: Iri) -> dict[Union[Iri, BlankNode], list[Term]]:
+    def column(self, predicate: Iri) -> dict[Iri | BlankNode, list[Term]]:
         """predicate's values by subject: each subject that has one -> its
         objects, in no particular order. Built from predicate's list on first
         use and kept, shared: do not modify it."""
@@ -340,7 +340,7 @@ class TripleIndex:
                  or t.object._hash == oh and t.object == object)
         ]
 
-    def subjects(self) -> set[Union[Iri, BlankNode]]:
+    def subjects(self) -> set[Iri | BlankNode]:
         """The distinct subjects, as a fresh set of the subject keys."""
         return set(self._by_s)
 
@@ -446,7 +446,7 @@ class Graph:
         """`TripleIndex.estimate` over this graph's index."""
         return self._indexed().estimate(subject, predicate, object)
 
-    def column(self, predicate: Iri) -> dict[Union[Iri, BlankNode], list[Term]]:
+    def column(self, predicate: Iri) -> dict[Iri | BlankNode, list[Term]]:
         """`TripleIndex.column` over this graph's index."""
         return self._indexed().column(predicate)
 
@@ -501,7 +501,7 @@ class Graph:
         """(added, removed): the triples to add to / remove from this graph to obtain other."""
         return other._triples - self._triples, self._triples - other._triples
 
-    def subjects(self) -> set[Union[Iri, BlankNode]]:
+    def subjects(self) -> set[Iri | BlankNode]:
         """The distinct subjects, as a fresh set of the index's subject keys."""
         return self._indexed().subjects()
 
@@ -516,7 +516,7 @@ class Graph:
         return False
 
 
-def first_literal(g: Union[Graph, TripleIndex], subject, predicate) -> Optional[str]:
+def first_literal(g: Graph | TripleIndex, subject, predicate) -> str | None:
     """Lexical form of the first literal value, in canonical order, or None:
     a property that should hold one value reads alike in every module."""
     found = [o for o in g.column(predicate).get(subject, ()) if isinstance(o, Literal)]

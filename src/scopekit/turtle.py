@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, NoReturn, Union
+from collections.abc import Callable
 
 from .errors import BlankNodePresentError, InvalidIriError, ParseError, UndefinedPrefixError
 from .ntriples import (
@@ -239,7 +239,7 @@ class _Parser:
     def _skip(self, at: int) -> int:
         return _parts()["skip"](self.text, at).end()
 
-    def _diagnose(self, pos: int) -> NoReturn:
+    def _diagnose(self, pos: int):
         """Raise the error of the step at `pos`, which fails or whose terms do
         not build. The terminator before `pos` picks the branch the step tried
         (the start counts as a '.'); each term that branch's parts match is
@@ -259,7 +259,7 @@ class _Parser:
             self._unexpected(self._skip(at + 2), "expected datatype IRI after '^^'")
         self._unexpected(at, "expected '.' at end of statement")
 
-    def _directive(self, at: int) -> NoReturn:
+    def _directive(self, at: int):
         """Raise the error of the directive at `at`, read as a statement is:
         its IRI is built once it is read, before the '.' is looked for."""
         self._token(at)
@@ -290,7 +290,7 @@ class _Parser:
             raise self._fail(*_token_error(text, at))
         return m.group().lstrip("@")
 
-    def _unexpected(self, at: int, expected: str) -> NoReturn:
+    def _unexpected(self, at: int, expected: str):
         """Raise the error for the token at `at`: the fault that keeps it
         from starting, else `expected`, the message or the role it does not fill."""
         found = self._token(at)
@@ -302,7 +302,7 @@ class _Parser:
         raise self._fail(expected, at)
 
 
-def parse_turtle(doc: Union[str, bytes]) -> Graph:
+def parse_turtle(doc: str | bytes) -> Graph:
     """Parse a Turtle-subset document into a Graph.
 
     Accepts str or UTF-8 bytes; documents over 64 MiB are refused. All

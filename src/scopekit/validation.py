@@ -1,9 +1,11 @@
 """Rule-based conformance checking for case graphs.
 
-Twelve registered rules, R01 through R12. Reports are deterministic: findings
-are sorted by (code, subject, message), so equal graphs always produce
-byte-identical reports. Validation never mutates the graph and never infers
-anything: an untyped node is a finding, not a candidate for inference.
+Twelve registered rules, R01 through R12. A rule yields (node, message) pairs,
+and the registry alone gives it its code and severity. Reports are
+deterministic: findings are sorted by (code, subject, message), so equal
+graphs always produce byte-identical reports. Validation never mutates the
+graph and never infers anything: an untyped node is a finding, not a
+candidate for inference.
 
 Every rule reads the graph through its own index; nothing copies it. The
 property rules (R02-R04) check one schema property at a time over the
@@ -171,9 +173,9 @@ def _rule_r01(ctx: _Ctx):
     """Typed-node discipline: every subject is typed, with declared classes."""
     for s, shape in ctx.shape.items():
         if not shape.typed:
-            yield Finding(ERROR, "R01", skolemize_term(s), "node has no type")
+            yield s, "node has no type"
         for c in shape.undeclared:
-            yield Finding(ERROR, "R01", skolemize_term(s), f"typed with undeclared class {c.value}")
+            yield s, f"typed with undeclared class {c.value}"
 
 
 def _rule_r02(ctx: _Ctx):
@@ -189,8 +191,8 @@ def _rule_r02(ctx: _Ctx):
             if wrong is None:
                 wrong = outside[shape] = bool(shape.ancestors) and not p.domain & shape.ancestors
             if wrong:
-                yield Finding(ERROR, "R02", skolemize_term(s), f"{p.iri.local_name()} is not "
-                              f"applicable to a node of class {shape.class_names}")
+                yield s, (f"{p.iri.local_name()} is not applicable to a node of class "
+                          f"{shape.class_names}")
 
 
 _LEXICAL_CHECKS = {
@@ -233,7 +235,7 @@ def _rule_r03(ctx: _Ctx):
             else:
                 continue
             if message:
-                yield Finding(ERROR, "R03", skolemize_term(t.subject), p.iri.local_name() + message)
+                yield t.subject, p.iri.local_name() + message
 
 
 def _rule_r04(ctx: _Ctx):
@@ -245,15 +247,15 @@ def _rule_r04(ctx: _Ctx):
         # a subject's values of one property are distinct: the graph is a set
         for s, values in ctx.g.column(p.iri).items():
             if len(values) > p.max_card:
-                yield Finding(ERROR, "R04", skolemize_term(s), f"{kind} {p.iri.local_name()} has "
-                              f"{len(values)} distinct values, at most {p.max_card} allowed")
+                yield s, (f"{kind} {p.iri.local_name()} has {len(values)} distinct values, "
+                          f"at most {p.max_card} allowed")
     # min side: every instance of a domain class must reach the floor
     for s, shape in ctx.shape.items():
         for p in shape.min_props:
             n = len(ctx.g.column(p.iri).get(s, ()))
             if n < p.min_card:
-                yield Finding(ERROR, "R04", skolemize_term(s),
-                              f"property {p.iri.local_name()} has {n} values, at least {p.min_card} required")
+                yield s, (f"property {p.iri.local_name()} has {n} values, "
+                          f"at least {p.min_card} required")
 
 
 def _rule_r05(ctx: _Ctx):
@@ -264,24 +266,22 @@ def _rule_r05(ctx: _Ctx):
             continue
         local = s.local_name()
         if not (UUID_TAIL_RE.fullmatch(local[-37:]) and KEBAB_NAME_RE.fullmatch(local[:-37])):
-            yield Finding(ERROR, "R05", s,
-                          f"local name {local!r} does not follow <kebab-name>-<uuid-v4>")
+            yield s, f"local name {local!r} does not follow <kebab-name>-<uuid-v4>"
 
 
-def _literal_shape_rule(code: str, prop: Iri, regex, what: str):
+def _literal_shape_rule(prop: Iri, regex, what: str):
     def rule(ctx: _Ctx):
         for t in ctx.g.scan(None, prop, None):
             if isinstance(t.object, Literal) and not regex.fullmatch(t.object.lexical):
-                yield Finding(ERROR, code, skolemize_term(t.subject),
-                              f"{t.object.lexical!r} is not a well-formed {what}")
+                yield t.subject, f"{t.object.lexical!r} is not a well-formed {what}"
     return rule
 
 
-_rule_r06 = _literal_shape_rule("R06", PROP_TECHNIQUE_ID, TECHNIQUE_ID_RE,
+_rule_r06 = _literal_shape_rule(PROP_TECHNIQUE_ID, TECHNIQUE_ID_RE,
                                 "technique id (T#### or T####.###)")
-_rule_r07 = _literal_shape_rule("R07", PROP_CAPEC_ID, CAPEC_ID_RE, "CAPEC id (CAPEC-N)")
-_rule_r08 = _literal_shape_rule("R08", PROP_MD5, MD5_RE, "MD5 digest (32 lowercase hex digits)")
-_rule_r12 = _literal_shape_rule("R12", PROP_CVE_ID, CVE_ID_RE, "CVE id (CVE-YYYY-N)")
+_rule_r07 = _literal_shape_rule(PROP_CAPEC_ID, CAPEC_ID_RE, "CAPEC id (CAPEC-N)")
+_rule_r08 = _literal_shape_rule(PROP_MD5, MD5_RE, "MD5 digest (32 lowercase hex digits)")
+_rule_r12 = _literal_shape_rule(PROP_CVE_ID, CVE_ID_RE, "CVE id (CVE-YYYY-N)")
 
 
 def _rule_r09(ctx: _Ctx):
@@ -289,8 +289,7 @@ def _rule_r09(ctx: _Ctx):
     targets = ctx.g.column(PROP_TARGETS)
     for s in ctx.schema.instances_under(ctx.g, CLS_THREAT):
         if s not in targets:
-            yield Finding(WARNING, "R09", skolemize_term(s),
-                          "threat is not linked to any infrastructure component")
+            yield s, "threat is not linked to any infrastructure component"
 
 
 def _rule_r10(ctx: _Ctx):
@@ -298,7 +297,7 @@ def _rule_r10(ctx: _Ctx):
     for e in ctx.schema.instances_under(ctx.g, CLS_ACQUIRED_EVIDENCE):
         records = [t.subject for t in ctx.g.scan(None, PROP_CUSTODY_OF, e)]
         if not records:
-            yield Finding(ERROR, "R10", skolemize_term(e), "no custody chain recorded")
+            yield e, "no custody chain recorded"
         if len(records) < 2:
             continue
 
@@ -320,8 +319,7 @@ def _rule_r10(ctx: _Ctx):
             entries.sort(key=lambda x: (x[1], x[2]))
         for (_, ts_a, _), (_, ts_b, rec_b) in zip(entries, entries[1:]):
             if ts_b <= ts_a:
-                yield Finding(ERROR, "R10", skolemize_term(e),
-                              f"custody timestamps do not strictly increase: {ts_b} follows {ts_a}")
+                yield e, f"custody timestamps do not strictly increase: {ts_b} follows {ts_a}"
                 break
 
 
@@ -332,13 +330,11 @@ def _rule_r11(ctx: _Ctx):
     for s in ctx.schema.instances_under(ctx.g, CLS_CYBERCRIME):
         values = crime_types.get(s)
         if not values:
-            yield Finding(ERROR, "R11", skolemize_term(s),
-                          f"crime node lacks a crimeType (one of: {allowed})")
+            yield s, f"crime node lacks a crimeType (one of: {allowed})"
             continue
         for v in values:
             if isinstance(v, Literal) and v.lexical not in CRIME_TYPES:
-                yield Finding(ERROR, "R11", skolemize_term(s),
-                              f"crimeType {v.lexical!r} is not one of: {allowed}")
+                yield s, f"crimeType {v.lexical!r} is not one of: {allowed}"
 
 
 _RULES = {
@@ -393,8 +389,9 @@ def validate_graph(g: Graph, schema: Schema, catalog: Catalog) -> ValidationRepo
     ctx = _Ctx(g, schema)
     findings: list[Finding] = []
     for code in RULE_CODES:
-        _, rule, _ = _RULES[code]
-        findings.extend(rule(ctx))
+        severity, rule, _ = _RULES[code]
+        findings.extend(Finding(severity, code, skolemize_term(node), message)
+                        for node, message in rule(ctx))
     findings.sort(key=lambda f: (f.code, f.subject.value, f.message))
     return ValidationReport(tuple(findings), checked_triples=len(g),
                             schema_version=schema.version)

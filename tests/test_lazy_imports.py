@@ -49,19 +49,18 @@ CONSTANTS = {"CRIME_TYPES": "catalog", "CUSTODY_ACTIONS": "catalog",
 
 LOADED = ("import json, sys; print(json.dumps(sorted(m.split('.', 1)[1] "
           "for m in sys.modules if m.startswith('scopekit.'))))")
-# the standard class factory and the module it imports that costs the most; a
-# site hook may load them at start-up, so only those loaded after STARTED count
-UNLOADED = ("dataclasses", "inspect")
-STARTED = "import sys; started = set(sys.modules)\n"
-UNLOADED_FOUND = (f"; print(json.dumps([m for m in {UNLOADED!r} "
-                  "if m in sys.modules and m not in started]))")
+# standard modules no command needs: the class factory and the module it imports
+# that costs the most, annotation and path helpers, and temporary files
+UNLOADED = ("dataclasses", "inspect", "typing", "pathlib", "tempfile")
+UNLOADED_FOUND = f"; print(json.dumps([m for m in {UNLOADED!r} if m in sys.modules]))"
 
 
 def child(code, *args):
-    """Run `code` in a fresh interpreter on this source tree; its stdout."""
+    """Run `code` in a fresh interpreter on this source tree, without the site
+    module, so no start-up hook loads anything first; its stdout."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    done = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -85,7 +84,7 @@ def test_a_submodule_name_loads_that_submodule():
 
 
 def test_import_cli_loads_no_class_factory():
-    assert json.loads(child(STARTED + "import json, scopekit.cli" + UNLOADED_FOUND)) == []
+    assert json.loads(child("import json, sys, scopekit.cli" + UNLOADED_FOUND)) == []
 
 
 CASE = str(FIXTURE_DIR / "scenario3.ttl")
@@ -108,7 +107,7 @@ def test_subcommand_loads_only_what_it_runs(argv, heavy, tmp_path):
     feed = tmp_path / "feed.csv"
     feed.write_text("kind,value,source\nDomain,example[.]test,lab\n", encoding="utf-8")
     argv = [str(feed) if arg == "FEED" else arg for arg in argv]
-    code = (STARTED + "import contextlib, io\n"
+    code = ("import contextlib, io, sys\n"
             "from scopekit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(sys.argv[1:]) == 0\n" + LOADED + UNLOADED_FOUND)

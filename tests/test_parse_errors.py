@@ -341,6 +341,27 @@ def test_schema_errors(source, cls, message, tmp_path):
     assert str(exc.value) == message
 
 
+def test_schema_dir_reads_a_dot_file(tmp_path):
+    schema = load_schema_dir(write_files(tmp_path / "schema", {".a.ttl": CLASS_A}))
+    assert list(schema.classes) == [Iri("http://ex/A")]
+
+
+@pytest.mark.parametrize("files", [None, {}, {"a.ttl.txt": CLASS_A, "manifest.txt": ""}],
+                         ids=["missing", "empty", "no-ttl"])
+def test_schema_dir_without_documents(tmp_path, capsys, files):
+    directory = tmp_path / "schema"
+    if files is not None:
+        write_files(directory, files)
+    message = f"no .ttl schema documents in {directory}"
+    with pytest.raises(DanglingReferenceError) as exc:
+        load_schema_dir(directory)
+    assert str(exc.value) == message
+    case = tmp_path / "case.ttl"
+    case.write_text(f"{S} {P} {O} .\n", encoding="utf-8")
+    assert main(["validate", str(case), "--schema", str(directory)]) == 2
+    assert capsys.readouterr().err == f"scopekit: {message}\n"
+
+
 @pytest.mark.parametrize("lookup,args", [("is_subclass_of", ("http://ex/A", "http://ex/B")),
                                          ("subclasses_of", ("http://ex/B",))])
 def test_schema_lookup_of_an_undeclared_class(lookup, args):
@@ -426,15 +447,24 @@ def test_catalog_errors(name, text, cls, message):
     assert str(exc.value) == message
 
 
-# characters that str.splitlines() breaks a line at, though a CSV line does not
-# end there
-@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-                                       "\u2029"])
+# characters that str.splitlines() breaks a line at, though a CSV or manifest
+# line does not end there
+LINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
 def test_catalog_cell_keeps_a_line_separator(separator):
     description = f"line one{separator}line two"
     indicators = f'# {separator} commentary\n{INDICATORS}ISO37120,1.1,"{description}",http://ex/S\n'
     catalog = load_catalog(*({**CATALOG_FILES, "indicators.csv": indicators}.values()))
     assert [i.description for i in catalog.indicators] == [description]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_manifest_version_keeps_a_line_separator(tmp_path, separator):
+    manifest = f"# {separator} commentary\nversion 1.0{separator}rc\n"
+    files = {"a.ttl": CLASS_A, "manifest.txt": manifest}
+    assert load_schema_dir(write_files(tmp_path / "schema", files)).version == f"1.0{separator}rc"
 
 
 CATALOG_FIRST_FAULT = """

@@ -212,6 +212,16 @@ MUTANTS = [
     # an -o target is written in place, so a failed write does not leave it as it was
     ("cli.py", '    part = f"{target}.{os.getpid()}.part"\n', "    part = target\n",
      ["tests/test_cli.py::TestFailedWrite"]),
+    # a schema directory's dot-files are skipped
+    ("schema.py", 'if name.endswith(".ttl"))',
+     'if name.endswith(".ttl") and not name.startswith("."))',
+     ["tests/test_parse_errors.py::test_schema_dir_reads_a_dot_file"]),
+    # a manifest line ends at every character str.splitlines() breaks at
+    ("schema.py", 'read_text_file(path).split("\\n")', "read_text_file(path).splitlines()",
+     ["tests/test_parse_errors.py::test_manifest_version_keeps_a_line_separator"]),
+    # every finding is an error, whatever its rule's registered severity
+    ("validation.py", "Finding(severity, code, skolemize_term(node), message)",
+     "Finding(ERROR, code, skolemize_term(node), message)", ["tests/test_validation.py"]),
 ]
 
 
