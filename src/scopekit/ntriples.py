@@ -13,12 +13,14 @@ sub-patterns, `unescape`, `escape_string_literal`, `decode_document`,
 variable with `build_term` or, for `a`, booleans, integers and prefixed names,
 `build_short_form`: so both read a local name by one rule, LOCAL_NAME_RE,
 which the Turtle writer abbreviates under, and a parse gets one object per
-term. String literals accept the escapes \\t \\b \\n \\r \\f \\" \\' \\\\
-(ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must name a Unicode scalar
-value: an escaped surrogate (U+D800 to U+DFFF) or a number above U+10FFFF is
-a parse error, so every parsed literal is valid UTF-8 text. `read_text_file`
-reads the other UTF-8 inputs (schema, catalog, query and IoC files) and
-reports undecodable bytes as a ParseError too.
+term. N-Triples and Turtle read a statement's terms with one function,
+`read_term`, which places a term's fault by one rule, so both readers name a
+faulty term alike. String literals accept the escapes \\t \\b \\n \\r \\f
+\\" \\' \\\\ (ECHAR), \\uXXXX and \\UXXXXXXXX (UCHAR). A UCHAR must name a
+Unicode scalar value: an escaped surrogate (U+D800 to U+DFFF) or a number
+above U+10FFFF is a parse error, so every parsed literal is valid UTF-8 text.
+`read_text_file` reads the other UTF-8 inputs (schema, catalog, query and IoC
+files) and reports undecodable bytes as a ParseError too.
 
 The canonical serializer writes one triple per line with lines sorted
 bytewise, so output is stable across runs and insertion orders. It sorts its
@@ -31,7 +33,8 @@ import os
 import re
 from collections.abc import Callable
 
-from .errors import BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError
+from .errors import (BlankNodePresentError, DocumentTooLargeError, InvalidIriError, ParseError,
+                     UndefinedPrefixError)
 from .terms import (
     BLANK_LABEL_RE,
     KNOWN_DATATYPES,
@@ -204,20 +207,42 @@ def build_short_form(text: str, interned: dict, prefixes: dict[str, Iri]) -> Ter
     return build_term(f"<{prefixes[name].value}{local}>", interned)
 
 
-def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
-    """The term in group `role` of the line match `m`, built the first time
-    its text appears; memo then hands out the same object."""
-    text = m.group(role)
-    q, dt, lang = m.group("q", "dt", "lang") if text[0] == '"' else (None, None, None)
+def read_term(m: re.Match, group: str, memo: dict, interned: dict,
+              prefixes: dict[str, Iri] | None, fail: Callable) -> Term:
+    """The term in `group` of the statement match `m`, built the first time
+    its text appears by `build_term`, or by `build_short_form` under
+    `prefixes`; `memo` then hands out the same object under that text. A
+    literal takes its parts from groups q, dt and lang, and reads its datatype
+    by this function. A term that does not build raises the error that
+    fail(message, offset, error) builds: an IRI's fault or an undefined prefix
+    where the term starts, an escape at its offset inside the quotes, a local
+    name after the name, a language tag at its '@'."""
+    text, start = m.group(group), m.start(group)
     try:
-        term = build_term(text, memo, q, lang, dt and (
-            lambda: memo.get(dt) or _term(m, "dt", lineno, memo)))
-    except (InvalidIriError, ValueError) as e:
-        if len(e.args) == 2:  # an escape, at its offset inside the quotes
-            raise ParseError(e.args[0], lineno, m.start(role) + e.args[1] + 2) from None
-        raise ParseError(str(e), lineno, m.start("lang" if lang else role) + 1) from None
+        if text[0] == '"':
+            q, dt, lang = m.group("q", "dt", "lang")
+            term = build_term(text, interned, q, lang, dt and (
+                lambda: memo.get(dt) or read_term(m, "dt", memo, interned, prefixes, fail)))
+        elif text[0] in "<_":
+            term = build_term(text, interned)
+        else:
+            term = build_short_form(text, interned, prefixes)
+    except (KeyError, InvalidIriError) as e:
+        error = UndefinedPrefixError if isinstance(e, KeyError) else ParseError
+        raise fail(e.args[0], start, error) from None
+    except ValueError as e:
+        if len(e.args) == 2:
+            raise fail(e.args[0], start + 1 + e.args[1]) from None
+        raise fail(str(e), m.start("lang") if text[0] == '"' else m.end(group)) from None
     memo[text] = term
     return term
+
+
+def _term(m: re.Match, role: str, lineno: int, memo: dict) -> Term:
+    """The term in group `role` of the line match `m`; memo is both its memo
+    and build_term's table."""
+    return read_term(m, role, memo, memo, None, lambda message, offset, error=ParseError:
+                     error(message, lineno, offset + 1))
 
 
 def _line_error(line: str, lineno: int, m: re.Match, memo: dict) -> ParseError:
@@ -320,7 +345,3 @@ def serialize_ntriples_canonical(g: Graph) -> str:
         return ""
     return "\n".join(lines) + "\n"
 
-
-__all__ = ["parse_ntriples", "serialize_ntriples_canonical", "MAX_DOCUMENT_BYTES", "build_term",
-           "build_short_form", "decode_document", "escape_string_literal", "read_text_file",
-           "render_term", "render_triple", "unescape"]

@@ -348,14 +348,3 @@ def load_default_schema() -> Schema:
         _DEFAULT_SCHEMA = load_schema_dir(_EMBEDDED_SCHEMA_DIR)
     return _DEFAULT_SCHEMA
 
-
-__all__ = [
-    "ClassDef",
-    "PropertyDef",
-    "Schema",
-    "KNOWN_DATATYPES",
-    "load_schema",
-    "load_schema_dir",
-    "load_default_schema",
-    "read_manifest",
-]

@@ -15,14 +15,15 @@ one step pattern built from those sub-patterns; the terminator before a step
 picks what it holds. A term is built and checked the first time its source
 text (`uco-core:name`, `a`, `"x"^^xsd:dateTime`) appears, and a memo keyed on
 the text returns that object after; each @prefix empties that memo. Terms are
-built by `ntriples.build_term`, the builder N-Triples uses, and short forms by
-`ntriples.build_short_form`, which the query text uses too; their table keeps
-each distinct term one object for the whole parse. A step that fails, or whose
-terms do not build, is diagnosed by a walk over the step's own parts from where
-the step began: the first part that does not match, or the first term that
-does not build, is the fault, named by the token found there. The walk reads
-no token past the fault it names, so, as in N-Triples and the query text, the
-error is the first fault in document order.
+read by `ntriples.read_term`, the reader N-Triples uses, which builds them with
+`build_term` and short forms with `build_short_form` (the query text's builder
+too), and places a term's fault by one rule; their table keeps each distinct
+term one object for the whole parse. A term that does not build raises where
+the step built it. A step that fails to match is diagnosed by a walk over the
+step's own parts from where the step began: the first part that does not
+match, or the first term that does not build, is the fault, named by the token
+found there. The walk reads no token past the fault it names, so, as in
+N-Triples and the query text, the error is the first fault in document order.
 
 The canonical serializer writes the prefix lines sorted by short-name, then
 one block per subject in a single pass over the graph's kept (s, p, o)
@@ -35,7 +36,7 @@ import functools
 import re
 from collections.abc import Callable
 
-from .errors import BlankNodePresentError, InvalidIriError, ParseError, UndefinedPrefixError
+from .errors import BlankNodePresentError, ParseError
 from .ntriples import (
     BLANK_NODE_LABEL,
     BOOLEAN,
@@ -46,10 +47,9 @@ from .ntriples import (
     PREFIX_NAME,
     SHARED_TERMS,
     STRING_LITERAL_QUOTE,
-    build_short_form,
-    build_term,
     decode_document,
     escape_string_literal,
+    read_term,
     render_term,
     term_error,
 )
@@ -163,7 +163,7 @@ def _token_error(text: str, pos: int) -> tuple[str, int]:
 
 class _Parser:
     """The step pattern's loop, and the walk over the step's parts that
-    diagnoses a step that fails."""
+    diagnoses a step that fails to match."""
 
     def __init__(self, text: str):
         self.text = text
@@ -185,65 +185,42 @@ class _Parser:
             if m is None:
                 self._diagnose(pos)
             s, p, o, _, _, _, name, ns = m.groups()
-            try:
-                if o is not None:
-                    if s:
-                        subject = memo.get(s) or term(m, "s")
-                    if p:
-                        predicate = memo.get(p) or term(m, "p")
-                    add(Triple(subject, predicate, memo.get(o) or term(m, "o")))
-                elif ns is not None:
-                    self._bind(name, term(m, "ns"))
-                elif m.end() == len(text):
-                    return Graph(self.triples, self.prefixes)
-            except ParseError:
-                self._diagnose(pos)
+            if o is not None:
+                if s:
+                    subject = memo.get(s) or term(m, "s")
+                if p:
+                    predicate = memo.get(p) or term(m, "p")
+                add(Triple(subject, predicate, memo.get(o) or term(m, "o")))
+            elif ns is not None:
+                self._bind(name, term(m, "ns"))
+            elif m.end() == len(text):
+                return Graph(self.triples, self.prefixes)
             pos = m.end()
 
     def _term(self, m: re.Match, group: str) -> Term:
-        """The term in `group` of a step or part match `m`, built and checked
-        the first time its text appears since the last @prefix. A term that
-        does not build raises its ParseError, placed where the fault lies."""
-        text = m.group(group)
-        try:
-            if text[0] == '"':
-                q, dt, lang = m.group("q", "dt", "lang")
-                term = build_term(text, self.interned, q, lang, dt and (
-                    lambda: self.memo.get(dt) or self._term(m, "dt")))
-            elif text[0] in "<_":
-                term = build_term(text, self.interned)
-            else:
-                term = build_short_form(text, self.interned, self.prefixes)
-        except (KeyError, InvalidIriError) as e:  # an undefined prefix, or an IRI's fault
-            error = UndefinedPrefixError if isinstance(e, KeyError) else ParseError
-            raise self._fail(e.args[0], m.start(group), error) from None
-        except ValueError as e:
-            if len(e.args) == 2:  # an escape, at its offset inside the quotes
-                raise self._fail(e.args[0], m.start(group) + 1 + e.args[1]) from None
-            if text[0] != '"':  # a local name, placed after it
-                raise self._fail(str(e), m.end(group)) from None
-            raise self._fail(str(e), m.start("lang")) from None
-        self.memo[text] = term
-        return term
+        """The term in `group` of a step or part match `m`, read by
+        `ntriples.read_term` the first time its text appears since the last
+        @prefix; a term that does not build raises there."""
+        return read_term(m, group, self.memo, self.interned, self.prefixes, self._fail)
 
     def _bind(self, name: str, iri: Iri):
         self.prefixes[name] = iri
         self.memo.clear()
 
-    # -- the walk that diagnoses a failed step
-
     def _fail(self, message: str, offset: int, error=ParseError) -> ParseError:
         line = self.text.count("\n", 0, offset) + 1
         return error(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    # -- the walk that diagnoses a failed step
 
     def _skip(self, at: int) -> int:
         return _parts()["skip"](self.text, at).end()
 
     def _diagnose(self, pos: int):
-        """Raise the error of the step at `pos`, which fails or whose terms do
-        not build. The terminator before `pos` picks the branch the step tried
-        (the start counts as a '.'); each term that branch's parts match is
-        built in turn, and the first part they leave unset is the fault."""
+        """Raise the error of the step at `pos`, which fails to match. The
+        terminator before `pos` picks the branch the step tried (the start
+        counts as a '.'); each term that branch's parts match is built in
+        turn, and the first part they leave unset is the fault."""
         text = self.text
         after = text[pos - 1] if pos else "."
         at = self._skip(pos)

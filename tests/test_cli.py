@@ -1,6 +1,8 @@
-"""End-to-end CLI behaviour through main(argv): outputs and exit codes."""
+"""End-to-end CLI behaviour through main(argv): outputs and exit codes; and
+the shipped fixtures and demos, which the CLI and the README point to."""
 
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -22,14 +24,22 @@ from helpers import (
     schemas_without_sequence_range,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_module(*args, module="scopekit.cli", python=(), **kwargs):
     """`python PYTHON -m MODULE ARGS` in a fresh interpreter on this source
     tree; keyword arguments go to subprocess.run."""
+    return run_python(*python, "-m", module, *args, **kwargs)
+
+
+def run_python(*args, **kwargs):
+    """`python ARGS` in a fresh interpreter on this source tree, its output
+    captured; keyword arguments go to subprocess.run."""
     src = str(Path(scopekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *python, "-m", module, *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
@@ -309,6 +319,25 @@ class TestInit:
         out = capsys.readouterr().out
         packaged = (FIXTURE_DIR / "scenario3.ttl").read_text(encoding="utf-8")
         assert out == packaged
+
+    def test_generator_writes_the_packaged_fixtures(self, monkeypatch):
+        # tools/generate_fixtures.py's builders, byte for byte; its check
+        # that each builds a clean case is test_fixtures_ship_clean. The
+        # generator puts its src/ on sys.path, which the test restores.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("generate_fixtures",
+                                                      ROOT / "tools" / "generate_fixtures.py")
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        for n, build in enumerate((generator.scenario1, generator.scenario2,
+                                   generator.scenario3), start=1):
+            assert build().encode("utf-8") == (FIXTURE_DIR / f"scenario{n}.ttl").read_bytes()
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(tmp_path, demo):
+    done = run_python(str(ROOT / "demos" / demo), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 class TestIocs:

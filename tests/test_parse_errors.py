@@ -31,7 +31,7 @@ from scopekit.ntriples import parse_ntriples
 from scopekit.query import parse_query
 from scopekit.schema import load_schema, load_schema_dir
 from scopekit.terms import Iri
-from scopekit.turtle import parse_turtle
+from scopekit.turtle import _Parser, parse_turtle
 
 S, P, O = "<http://ex/s>", "<http://ex/p>", "<http://ex/o>"
 PFX = "@prefix ex: <http://ex/> .\n"
@@ -284,6 +284,42 @@ def test_surrogate_escapes_rejected_in_query(escape):
 def test_raw_surrogate_in_text_rejected(parse):
     with pytest.raises(ParseError, match="surrogates not allowed"):
         parse(f'{S} {P} "\ud800" .')
+
+
+# one-line statements that both grammars match, with one term that does not build
+TERM_BUILD_FAULTS = [
+    f"<rel> {P} {O} .",
+    f"{S} <rel> {O} .",
+    f"{S} {P} <rel> .",
+    f"_:b {P} <> .",
+    f"{S} <http://ex/a{{b}}> {O} .",
+    f"{S} {P} <http://ex/a|b> .",
+    f'{S} {P} "ok\\uDABC" .',
+    f'{S} {P} "\\U0000DFFF" .',
+    f'{S} {P} "x"@toolongtag .',
+    f'{S} {P} "x"^^<rel> .',
+]
+
+
+@pytest.mark.parametrize("doc", TERM_BUILD_FAULTS)
+def test_both_readers_place_a_term_fault_alike(doc):
+    errors = []
+    for parse in (parse_ntriples, parse_turtle):
+        with pytest.raises(ParseError) as exc:
+            parse(doc)
+        errors.append((type(exc.value), str(exc.value), exc.value.line, exc.value.column))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("doc", [*TERM_BUILD_FAULTS, PFX + "ex:s ex:p nope:o .",
+                                 PFX + "ex:s ex:-p ex:o .", "@prefix ex: <rel> ."])
+def test_turtle_raises_a_term_fault_where_the_step_built_it(monkeypatch, doc):
+    # the walk diagnoses only a step that does not match
+    def diagnose(self, pos):
+        raise AssertionError(f"walked from {pos} after a step that matched")
+    monkeypatch.setattr(_Parser, "_diagnose", diagnose)
+    with pytest.raises(ParseError):
+        parse_turtle(doc)
 
 
 SCHEMA_PFX = ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"

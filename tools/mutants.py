@@ -175,10 +175,20 @@ MUTANTS = [
      '    __slots__ = ("severity", "code", "subject", "message")\n'
      "    __setattr__ = object.__setattr__\n", ["tests/test_terms.py::TestRecordContract"]),
     # the Turtle walk reads the token after a term that does not build, and names a fault there
-    ("turtle.py", "            raise self._fail(e.args[0], m.start(group), error) from None\n",
+    ("turtle.py",
+     "        return read_term(m, group, self.memo, self.interned, self.prefixes, self._fail)\n",
+     "        try:\n"
+     "            return read_term(m, group, self.memo, self.interned, self.prefixes, self._fail)\n"
+     "        except ParseError:\n"
      "            self._token(self._skip(m.end(group)))\n"
-     "            raise self._fail(e.args[0], m.start(group), error) from None\n",
+     "            raise\n",
      ["tests/test_parse_errors.py::test_turtle_errors"]),
+    # the term reader places a local name's fault where the term starts
+    ("ntriples.py", """m.start("lang") if text[0] == '"' else m.end(group)""",
+     """m.start("lang") if text[0] == '"' else start""", ["tests/test_parse_errors.py"]),
+    # the term reader places an escape's fault without counting the opening quote
+    ("ntriples.py", "fail(e.args[0], start + 1 + e.args[1])", "fail(e.args[0], start + e.args[1])",
+     ["tests/test_parse_errors.py"]),
     # the schema loader takes subClassOf on an undeclared class
     ("schema.py",
      "        if t.subject not in class_iris:\n"
