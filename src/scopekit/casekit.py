@@ -1,8 +1,8 @@
 """Case construction, diff, and merge.
 
 CaseGraph is the one mutable façade in the package. Builder calls add triples
-in place to a `TripleIndex` it grows, and `CaseGraph.graph` hands that index
-to an immutable Graph snapshot for readers. Everything a builder mints is named
+in place to a Graph that only the case holds, and `CaseGraph.graph` freezes
+that graph before it hands it to readers. Everything a builder mints is named
 kb:<kebab-name>-<uuid4>, typed, and linked back to the incident, so a case
 built purely through this module validates with zero errors.
 """
@@ -92,7 +92,6 @@ from .terms import (
     Record,
     Term,
     Triple,
-    TripleIndex,
     first_literal,
     skolemize_term,
     term_sort_key,
@@ -173,21 +172,19 @@ def _check_timestamp(at: str) -> str:
 class CaseGraph:
     """A single investigation's graph plus the handles builders need.
 
-    A case holds either a Graph snapshot or the `TripleIndex` its builder
-    calls grow, and its lookups scan that one. The first add of a new triple
-    copies the snapshot's index if it has built one, else builds one from its
-    triples, so building n triples takes O(n). `graph` hands the index to a
-    new snapshot as that graph's own index and writes no more to it; the next
-    add of a new triple copies it. A builder call checks all of its arguments
-    before it mints, then writes all of its triples with one `add_all`: a call
-    that raises leaves the case as it was.
+    A case holds one graph, and its lookups scan it. While readers may hold
+    that graph, the first add of a new triple grows a copy of it (its index
+    lists too, if built), so building n triples takes O(n); later adds write
+    to the copy in place. `graph` freezes the graph it hands out, and the
+    next add of a new triple grows a copy again. A builder call checks all of
+    its arguments before it mints, then writes all of its triples with one
+    `add_all`: a call that raises leaves the case as it was.
     """
 
     def __init__(self, graph: Graph, case_iri: Iri, schema: Schema, catalog: Catalog,
                  rng: random.Random | None = None):
-        self._snapshot: Graph | None = graph
-        self._index: TripleIndex | None = None  # the write state, built by the first add
-        self._prefixes: dict[str, Iri] = graph.prefixes
+        self._graph = graph
+        self._frozen = True  # readers may hold _graph, so an add grows a copy
         self.case_iri = case_iri
         self.schema = schema
         self.catalog = catalog
@@ -198,39 +195,34 @@ class CaseGraph:
 
     @property
     def graph(self) -> Graph:
-        if self._snapshot is None:
-            self._snapshot, self._index = self._index.snapshot(self._prefixes), None
-        return self._snapshot
-
-    def _lookup(self) -> Graph | TripleIndex:
-        """What the case's lookups scan: the snapshot, or the index being grown."""
-        return self._index if self._snapshot is None else self._snapshot
+        if not self._frozen:
+            self._graph._freeze()
+            self._frozen = True
+        return self._graph
 
     @property
     def created(self) -> str:
-        return first_literal(self._lookup(), self.case_iri, PROP_CREATED_TIME) or ""
+        return first_literal(self._graph, self.case_iri, PROP_CREATED_TIME) or ""
 
     @property
     def name(self) -> str:
-        return first_literal(self._lookup(), self.case_iri, PROP_NAME) or ""
+        return first_literal(self._graph, self.case_iri, PROP_NAME) or ""
 
     def add(self, triple: Triple) -> None:
         self.add_all((triple,))
 
     def add_all(self, triples: Iterable[Triple]) -> None:
         """Write triples, all or none: a non-triple raises before any is
-        written. A batch the snapshot holds whole copies nothing."""
+        written. A batch a frozen graph holds whole grows no copy."""
         triples = tuple(triples)
         for t in triples:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a triple: {t!r}")
-        if self._index is None:
-            if all(map(self._snapshot.__contains__, triples)):
+        if self._frozen:
+            if all(map(self._graph.__contains__, triples)):
                 return
-            built = self._snapshot._index
-            self._index = built.copy() if built is not None else TripleIndex(set(self._snapshot))
-        if self._index.add_all(triples):
-            self._snapshot = None
+            self._graph, self._frozen = self._graph._grown(), False
+        self._graph._add_all(triples)
 
     def mint(self, base: str) -> Iri:
         """kb:<kebab of base>-<a version 4 UUID drawn from the case's rng>."""
@@ -241,7 +233,7 @@ class CaseGraph:
         return Iri(f"{KB}{slug}-{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}")
 
     def has_node(self, iri: Iri) -> bool:
-        return self._lookup().estimate(iri) > 0
+        return self._graph.estimate(iri) > 0
 
     def _require_node(self, iri: Iri, what: str) -> None:
         if not self.has_node(iri):
@@ -356,7 +348,7 @@ class CaseGraph:
         _check_timestamp(at)
         if actor is not None:
             self._require_node(actor, "custody actor")
-        seq = len(self._lookup().scan(None, PROP_CUSTODY_OF, evidence)) + 1
+        seq = len(self._graph.scan(None, PROP_CUSTODY_OF, evidence)) + 1
         return self._write(self._custody_record(evidence, action, at, actor, seq))
 
     def _custody_record(self, evidence, action, at, actor, seq: int) -> list[Triple]:
@@ -370,7 +362,7 @@ class CaseGraph:
         """The node whose `predicate` value is `key`: the case's first, in
         canonical order, or the one batch holds, else one minted into batch."""
         value = Literal(key)
-        found = [t.subject for t in self._lookup().scan(None, predicate, value) + batch
+        found = [t.subject for t in self._graph.scan(None, predicate, value) + batch
                  if isinstance(t.subject, Iri) and t.predicate == predicate and t.object == value]
         if found:
             return min(found, key=term_sort_key)

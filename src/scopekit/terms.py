@@ -15,13 +15,13 @@ equal terms in a parsed graph are the same object and container lookups on
 them succeed on identity, before any `==`. Each parse keeps its own memo, so
 nothing is shared across parses but the constants defined here. Graphs are
 immutable; insert/remove return new graphs, so a graph value can be
-shared freely across readers. `TripleIndex` is the one lookup index: a graph
-builds one over its triples on first lookup, or adopts the one that a
-`casekit.CaseGraph` grew and handed over, and nothing adds to it after (a
-case that writes again grows a `copy`); its `estimate` gives, in O(1), the
-length of the list a lookup would read, and per predicate it keeps a
-`column` of values by subject, which `first_literal` (a property that should
-hold one value) and `Graph.objects_of` read. A graph's table of canonical
+shared freely across readers. A graph is its own index: on its first lookup
+it lists its triples by subject, predicate and object; `estimate` gives, in
+O(1), the length of the list a lookup would read, and per predicate it keeps
+a `column` of values by subject, which `first_literal` (a property that
+should hold one value) and `Graph.objects_of` read. A `casekit.CaseGraph`
+grows its own graph in place, lists included, and freezes it before any
+reader sees it; nothing adds to a graph after. A graph's table of canonical
 term ranks (keyed by the `id` of its term objects) and, per order of the
 three positions, one table of (term, term, term) rows sorted on those ranks,
 which canonical Turtle reads and query full scans return, are built on first
@@ -240,124 +240,23 @@ def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
     return out
 
 
-class TripleIndex:
-    """The one lookup index: a triple set, its triples listed by subject,
-    predicate and object, and per predicate a kept `column` (Hexastore's PSO
-    order). It keeps the set it is given: a graph's frozenset, or the set a
-    case grows with `add_all` until `snapshot` hands it, columns too, to a
-    graph."""
-
-    __slots__ = ("triples", "_by_s", "_by_p", "_by_o", "_columns")
-
-    def __init__(self, triples: set[Triple] | frozenset[Triple]):
-        self.triples = triples
-        self._columns = {}
-        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o = {}, {}, {}
-        for t in triples:
-            by_s.setdefault(t.subject, []).append(t)
-            by_p.setdefault(t.predicate, []).append(t)
-            by_o.setdefault(t.object, []).append(t)
-
-    def copy(self) -> "TripleIndex":
-        """A new index of the same triples that `add_all` may grow: a copy of the
-        set and of each list, made without re-reading the triples; no columns."""
-        new = TripleIndex.__new__(TripleIndex)
-        new.triples, new._columns = set(self.triples), {}
-        new._by_s, new._by_p, new._by_o = ({k: v.copy() for k, v in lists.items()}
-                                           for lists in (self._by_s, self._by_p, self._by_o))
-        return new
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Add each of triples not yet in the set being grown to it, to its
-        lists and to its predicate's built column; the number added."""
-        have, put, columns, added = self.triples.__contains__, self.triples.add, self._columns, 0
-        by_s, by_p, by_o = self._by_s.setdefault, self._by_p.setdefault, self._by_o.setdefault
-        for t in triples:
-            if have(t):
-                continue
-            put(t)
-            by_s(t.subject, []).append(t)
-            by_p(t.predicate, []).append(t)
-            by_o(t.object, []).append(t)
-            if columns and (column := columns.get(t.predicate)) is not None:
-                column.setdefault(t.subject, []).append(t.object)
-            added += 1
-        return added
-
-    def column(self, predicate: Iri) -> dict[Iri | BlankNode, list[Term]]:
-        """predicate's values by subject: each subject that has one -> its
-        objects, in no particular order. Built from predicate's list on first
-        use and kept, shared: do not modify it."""
-        column = self._columns.get(predicate)
-        if column is None:
-            column = {}  # published whole, as a graph may be shared across readers
-            for t in self._by_p.get(predicate, ()):
-                column.setdefault(t.subject, []).append(t.object)
-            self._columns[predicate] = column
-        return column
-
-    def snapshot(self, prefixes: Mapping[str, Iri]) -> "Graph":
-        """A graph of these triples that adopts this index, which then holds
-        the graph's frozenset: nothing may add to it after."""
-        g = Graph(self.triples, prefixes)
-        self.triples, g._index = g._triples, self
-        return g
-
-    def _candidates(self, subject: Term | None, predicate: Iri | None, object: Term | None):
-        """The narrowest available list for the bound positions (by subject,
-        object, then predicate), and the predicate and object its triples
-        still need comparing on: None where the list fixes the position."""
-        if subject is not None:
-            return self._by_s.get(subject, ()), predicate, object
-        if object is not None:
-            return self._by_o.get(object, ()), predicate, None
-        if predicate is not None:
-            return self._by_p.get(predicate, ()), None, None
-        return self.triples, None, None
-
-    def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
-                 object: Term | None = None) -> int:
-        """The length of the list `scan` reads for the bound positions, in
-        O(1): an upper bound on the number of matches."""
-        return len(self._candidates(subject, predicate, object)[0])
-
-    def scan(self, subject: Term | None = None, predicate: Iri | None = None,
-             object: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions, in no particular order.
-
-        None is a wildcard. The result is a fresh list.
-        """
-        candidates, predicate, object = self._candidates(subject, predicate, object)
-        if predicate is None and object is None:
-            return list(candidates)
-        # identity, then the cached hash, so few candidates reach the fields' __eq__
-        ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
-        return [
-            t for t in candidates
-            if (predicate is None or t.predicate is predicate
-                or t.predicate._hash == ph and t.predicate == predicate)
-            and (object is None or t.object is object
-                 or t.object._hash == oh and t.object == object)
-        ]
-
-    def subjects(self) -> set[Iri | BlankNode]:
-        """The distinct subjects, as a fresh set of the subject keys."""
-        return set(self._by_s)
-
-
 class Graph:
-    """Immutable set of triples plus a prefix map.
+    """Immutable set of triples plus a prefix map, and its own index.
 
     Equality and hashing consider the triple set only; the prefix map is
-    presentation metadata (N-Triples, for one, cannot carry it). The index
-    and its columns, `term_ranks` and one `sorted_rows` table per order are
-    built on first use and kept; copies rebuild them (`__reduce__`).
-    Canonical Turtle reads the kept (s, p, o) table, query full scans return
-    a kept table; a read of one subject's values of one predicate reads that
-    predicate's column.
+    presentation metadata (N-Triples, for one, cannot carry it). On the first
+    lookup a graph lists its triples by subject, predicate and object; per
+    predicate it keeps a `column` (Hexastore's PSO order); `term_ranks` and
+    one `sorted_rows` table per order are built on first use too. All are
+    kept; copies rebuild them (`__reduce__`). Canonical Turtle reads the kept
+    (s, p, o) table, query full scans return a kept table; a read of one
+    subject's values of one predicate reads that predicate's column.
+
+    `_grown`, `_add_all` and `_freeze` are `casekit.CaseGraph`'s write path:
+    it grows a private graph in place, and freezes it before a reader sees it.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_index", "_ranks", "_rows")
+    __slots__ = ("_triples", "_prefixes", "_by_s", "_by_p", "_by_o", "_columns", "_ranks", "_rows")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
         self._triples: frozenset[Triple] = frozenset(triples)
@@ -366,8 +265,8 @@ class Graph:
                 raise TypeError(f"not a triple: {t!r}")
         self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
         # built lazily; the graph is immutable, so they never go stale
-        self._index = self._ranks = None
-        self._rows = {}  # per order of the three positions
+        self._by_s = self._by_p = self._by_o = self._ranks = None
+        self._columns, self._rows = {}, {}  # per predicate; per order of the three positions
 
     # -- basic accessors --
     @property
@@ -424,31 +323,103 @@ class Graph:
         merged = dict(self._prefixes)
         merged.update(_check_prefix_map(prefixes))
         g = Graph(self._triples, merged)
-        g._index = self._index  # the same triples: a built index serves both
+        # the same triples: built lists and columns serve both
+        g._by_s, g._by_p, g._by_o, g._columns = self._by_s, self._by_p, self._by_o, self._columns
         return g
+
+    # -- growth, for casekit.CaseGraph only --
+    def _grown(self) -> "Graph":
+        """A graph of the same triples that `_add_all` may grow: a copy of
+        the set and of any built lists, made without re-reading the triples;
+        no columns. Unbuilt lists are built on its first lookup."""
+        g = Graph()
+        g._triples, g._prefixes = set(self._triples), self._prefixes
+        if self._by_s is not None:
+            g._by_s, g._by_p, g._by_o = ({k: v.copy() for k, v in lists.items()}
+                                         for lists in (self._by_s, self._by_p, self._by_o))
+        return g
+
+    def _add_all(self, triples: Iterable[Triple]) -> None:
+        """Add each of triples not yet in a `_grown` graph to its set, its
+        built lists and its predicate's built column."""
+        if self._by_s is None:  # built from the set on the first lookup
+            self._triples.update(triples)
+            return
+        have, put, columns = self._triples.__contains__, self._triples.add, self._columns
+        by_s, by_p, by_o = self._by_s.setdefault, self._by_p.setdefault, self._by_o.setdefault
+        for t in triples:
+            if have(t):
+                continue
+            put(t)
+            by_s(t.subject, []).append(t)
+            by_p(t.predicate, []).append(t)
+            by_o(t.object, []).append(t)
+            if columns and (column := columns.get(t.predicate)) is not None:
+                column.setdefault(t.subject, []).append(t.object)
+
+    def _freeze(self) -> None:
+        """End a `_grown` graph's growth: its set becomes a frozenset, and
+        its lists and columns are kept."""
+        self._triples = frozenset(self._triples)
 
     # -- matching --
     def _build_index(self):
-        self._index = TripleIndex(self._triples)
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o = {}, {}, {}
+        for t in self._triples:
+            by_s.setdefault(t.subject, []).append(t)
+            by_p.setdefault(t.predicate, []).append(t)
+            by_o.setdefault(t.object, []).append(t)
 
-    def _indexed(self) -> TripleIndex:
-        if self._index is None:
+    def _candidates(self, subject: Term | None, predicate: Iri | None, object: Term | None):
+        """The narrowest list for the bound positions (by subject, object,
+        then predicate), and the predicate and object its triples still need
+        comparing on: None where the list fixes the position."""
+        if self._by_s is None:
             self._build_index()
-        return self._index
-
-    def scan(self, subject: Term | None = None, predicate: Iri | None = None,
-             object: Term | None = None) -> list[Triple]:
-        """`TripleIndex.scan` over this graph's index."""
-        return self._indexed().scan(subject, predicate, object)
+        if subject is not None:
+            return self._by_s.get(subject, ()), predicate, object
+        if object is not None:
+            return self._by_o.get(object, ()), predicate, None
+        if predicate is not None:
+            return self._by_p.get(predicate, ()), None, None
+        return self._triples, None, None
 
     def estimate(self, subject: Term | None = None, predicate: Iri | None = None,
                  object: Term | None = None) -> int:
-        """`TripleIndex.estimate` over this graph's index."""
-        return self._indexed().estimate(subject, predicate, object)
+        """The length of the list `scan` reads for the bound positions, in
+        O(1): an upper bound on the number of matches."""
+        return len(self._candidates(subject, predicate, object)[0])
+
+    def scan(self, subject: Term | None = None, predicate: Iri | None = None,
+             object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions, in no particular order.
+
+        None is a wildcard. The result is a fresh list.
+        """
+        candidates, predicate, object = self._candidates(subject, predicate, object)
+        if predicate is None and object is None:
+            return list(candidates)
+        # identity, then the cached hash, so few candidates reach the fields' __eq__
+        ph, oh = getattr(predicate, "_hash", None), getattr(object, "_hash", None)
+        return [
+            t for t in candidates
+            if (predicate is None or t.predicate is predicate
+                or t.predicate._hash == ph and t.predicate == predicate)
+            and (object is None or t.object is object
+                 or t.object._hash == oh and t.object == object)
+        ]
 
     def column(self, predicate: Iri) -> dict[Iri | BlankNode, list[Term]]:
-        """`TripleIndex.column` over this graph's index."""
-        return self._indexed().column(predicate)
+        """predicate's values by subject: each subject that has one -> its
+        objects, in no particular order. Built from predicate's list on first
+        use and kept, shared: do not modify it."""
+        column = self._columns.get(predicate)
+        if column is None:
+            column = {}  # published whole, as a graph may be shared across readers
+            for t in self._candidates(None, predicate, None)[0]:
+                column.setdefault(t.subject, []).append(t.object)
+            self._columns[predicate] = column
+        return column
 
     def match(self, subject: Term | None = None, predicate: Iri | None = None,
               object: Term | None = None) -> list[Triple]:
@@ -502,8 +473,10 @@ class Graph:
         return other._triples - self._triples, self._triples - other._triples
 
     def subjects(self) -> set[Iri | BlankNode]:
-        """The distinct subjects, as a fresh set of the index's subject keys."""
-        return self._indexed().subjects()
+        """The distinct subjects, as a fresh set of the subject list's keys."""
+        if self._by_s is None:
+            self._build_index()
+        return set(self._by_s)
 
     def objects_of(self, subject: Term, predicate: Iri) -> list[Term]:
         """subject's values of predicate, in canonical order: a fresh list."""
@@ -516,7 +489,7 @@ class Graph:
         return False
 
 
-def first_literal(g: Graph | TripleIndex, subject, predicate) -> str | None:
+def first_literal(g: Graph, subject, predicate) -> str | None:
     """Lexical form of the first literal value, in canonical order, or None:
     a property that should hold one value reads alike in every module."""
     found = [o for o in g.column(predicate).get(subject, ()) if isinstance(o, Literal)]

@@ -560,7 +560,7 @@ def build_components(n):
 
 class TestBuilderScaling:
     def count_graph_work(self, monkeypatch, n):
-        calls = {"_build_index": 0, "__init__": 0}
+        calls = {"_build_index": 0, "_grown": 0, "__init__": 0}
         for name in calls:
             original = getattr(Graph, name)
 
@@ -624,6 +624,33 @@ class TestSnapshot:
         summarize(c)
         c.iocs()
         assert c.graph is wrapped
+
+    def test_each_read_is_a_frozen_value(self, monkeypatch):
+        """After every builder call, the case hands out a frozen graph, and
+        no later add changes a graph it handed out."""
+        seen = []  # (a graph handed out, its length, hash and scans then)
+
+        def state(g, case_iri):
+            scans = (g.scan(case_iri), g.scan(None, RDF_TYPE, None), g.scan(None, None, case_iri))
+            return len(g), hash(g), [sorted(map(str, found)) for found in scans]
+
+        def checked(builder):
+            def call(c, *args, **kwargs):
+                node = builder(c, *args, **kwargs)
+                for g, then in seen:
+                    assert state(g, c.case_iri) == then
+                g = c.graph
+                assert type(g.triples) is frozenset
+                assert hash(g) == hash(Graph(g.triples))
+                seen.append((g, state(g, c.case_iri)))
+                return node
+            return call
+
+        for name in ("add_role", "add_component", "add_threat", "add_crime", "add_evidence",
+                     "add_custody_event", "attach_technique", "add_action"):
+            monkeypatch.setattr(casekit.CaseGraph, name, checked(getattr(casekit.CaseGraph, name)))
+        c = build_components(3)
+        assert len(seen) == 1 + 3 * 7 and seen[-1][0] is c.graph
 
 
 def lookups(g, case_iri, component):
@@ -707,20 +734,20 @@ class TestOneIndex:
         assert casekit.first_literal is terms.first_literal
 
     def count_index_builds_and_copies(self, monkeypatch, run):
-        """(TripleIndex builds, copies) while run() runs, and its result."""
+        """(index builds, grown copies) while run() runs, and its result."""
         counts = [0, 0]
-        build, copy = terms.TripleIndex.__init__, terms.TripleIndex.copy
+        build, grown = Graph._build_index, Graph._grown
 
-        def counted_build(self, triples):
+        def counted_build(self):
             counts[0] += 1
-            build(self, triples)
+            build(self)
 
-        def counted_copy(self):
+        def counted_grown(self):
             counts[1] += 1
-            return copy(self)
+            return grown(self)
 
-        monkeypatch.setattr(terms.TripleIndex, "__init__", counted_build)
-        monkeypatch.setattr(terms.TripleIndex, "copy", counted_copy)
+        monkeypatch.setattr(Graph, "_build_index", counted_build)
+        monkeypatch.setattr(Graph, "_grown", counted_grown)
         result = run()
         monkeypatch.undo()
         return tuple(counts), result
@@ -766,11 +793,10 @@ class TestOneIndex:
         assert not g.scan(None, PROP_NAME, Literal("plant"))
 
     def test_built_case_validates_without_an_index_build(self, monkeypatch):
-        def build_and_validate():
-            c = build_components(5)
-            return c, c.validate()
-
-        built, (c, report) = self.count_index_builds(monkeypatch, build_and_validate)
+        # the case builds its index on its first lookup, and its graph keeps it
+        built, c = self.count_index_builds(monkeypatch, lambda: build_components(5))
+        assert len(built) == 1
+        built, report = self.count_index_builds(monkeypatch, c.validate)
         assert report.findings == () and report.checked_triples == len(c.graph)
         assert built == []
 
@@ -778,17 +804,17 @@ class TestOneIndex:
         g = parse_turtle((FIXTURE_DIR / "scenario1.ttl").read_bytes())
         schema, catalog = load_default_schema(), load_default_catalog()
         returned = {}  # predicate -> each column object handed out for it
-        column = terms.TripleIndex.column
+        column = Graph.column
 
-        def recorded(index, predicate):
-            found = column(index, predicate)
+        def recorded(graph, predicate):
+            found = column(graph, predicate)
             returned.setdefault(predicate, []).append(found)
             return found
 
         def columns_built():
             return {p: len({id(c) for c in cs}) for p, cs in returned.items()}
 
-        monkeypatch.setattr(terms.TripleIndex, "column", recorded)
+        monkeypatch.setattr(Graph, "column", recorded)
         first = validate_graph(g, schema, catalog)
         built, reads = columns_built(), sum(map(len, returned.values()))
         assert set(built.values()) == {1} and reads > len(built)

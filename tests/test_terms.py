@@ -23,7 +23,6 @@ from scopekit.terms import (
     Iri,
     Literal,
     Triple,
-    TripleIndex,
     first_literal,
     skolemize,
     term_sort_key,
@@ -564,20 +563,23 @@ class TestColumns:
                 assert g.objects_of(s, p) == [t.object for t in g.match(s, p, None)]
 
     def test_index_add_keeps_a_built_column_current(self):
-        index = TripleIndex(set())
-        column = index.column(iri("p"))
+        g = Graph()._grown()
+        column = g.column(iri("p"))
         assert column == {}
-        assert index.add_all([Triple(iri("s"), iri("p"), Literal("a"))]) == 1
-        assert index.add_all([Triple(iri("s"), iri("p"), Literal("a"))]) == 0
-        assert index.add_all([Triple(iri("s"), iri("q"), Literal("b"))] * 2) == 1
-        assert index.column(iri("p")) is column and column == {iri("s"): [Literal("a")]}
-        assert first_literal(index, iri("s"), iri("p")) == "a"
+        g._add_all([Triple(iri("s"), iri("p"), Literal("a"))])
+        assert len(g) == 1
+        g._add_all([Triple(iri("s"), iri("p"), Literal("a"))])
+        assert len(g) == 1
+        g._add_all([Triple(iri("s"), iri("q"), Literal("b"))] * 2)
+        assert len(g) == 2 and g.estimate(iri("s")) == 2
+        assert g.column(iri("p")) is column and column == {iri("s"): [Literal("a")]}
+        assert first_literal(g, iri("s"), iri("p")) == "a"
 
     def test_an_index_copy_builds_its_own_columns(self):
-        index = TripleIndex({Triple(iri("s"), iri("p"), Literal("a"))})
-        column = index.column(iri("p"))
-        grown = index.copy()
-        grown.add_all([Triple(iri("s"), iri("p"), Literal("b"))])
+        g = Graph([Triple(iri("s"), iri("p"), Literal("a"))])
+        column = g.column(iri("p"))
+        grown = g._grown()
+        grown._add_all([Triple(iri("s"), iri("p"), Literal("b"))])
         assert column == {iri("s"): [Literal("a")]}
         assert column_values(grown.column(iri("p"))) == {iri("s"): [Literal("a"), Literal("b")]}
 
@@ -590,6 +592,24 @@ class TestColumns:
         for other in (Graph(*g.__reduce__()[1]), pickle.loads(pickle.dumps(g))):
             assert other == g and other.column(p) is not column
             assert column_values(other.column(p)) == column_values(column)
+
+    def test_with_prefixes_of_an_unbuilt_graph_answers_as_a_fresh_graph(self):
+        g = random_mixed_graph(random.Random(16), 80)
+        other = g.with_prefixes({"ex": Iri(EX)})
+        probes = [(None, None, None)]
+        for t in g:
+            probes += [(t.subject, None, None), (None, t.predicate, None), (None, None, t.object),
+                       (t.subject, t.predicate, None), (None, t.predicate, t.object)]
+
+        def answers(h):  # subjects first: it is the first lookup of each graph
+            return (h.subjects(),
+                    [(sorted(h.scan(*probe), key=triple_sort_key), h.estimate(*probe))
+                     for probe in probes],
+                    {p: column_values(h.column(p)) for p in {t.predicate for t in g}})
+
+        want = answers(Graph(g.triples))
+        # the copy reads first, so the graph it came from reads the columns it built
+        assert answers(other) == want and answers(g) == want
 
 
 class TestSkolemize:

@@ -36,6 +36,10 @@ _ACTION_WRITE = (
     "            (PROP_LOCATION_NOTE, Literal(location) if location else None),\n"
     "            (PROP_PERFORMED_BY, by))))\n")
 
+# the test that compares the filter regexes refused with those re warns about
+_REGEX_TEST = ("tests/test_query.py::TestVariableAndRegexValidation::"
+               "test_rejects_exactly_what_re_warns_about_or_cannot_compile")
+
 # (module, old text, new text, pytest selection)
 MUTANTS = [
     # a UCHAR that names a surrogate decodes
@@ -232,6 +236,38 @@ MUTANTS = [
     # every finding is an error, whatever its rule's registered severity
     ("validation.py", "Finding(severity, code, skolemize_term(node), message)",
      "Finding(ERROR, code, skolemize_term(node), message)", ["tests/test_validation.py"]),
+    # a case's grown copy shares the lists of the graph it grew from
+    ("terms.py", "({k: v.copy() for k, v in lists.items()}", "(dict(lists)",
+     ["tests/test_casekit.py::TestOneIndex"]),
+    # a case hands out the graph it grows without freezing it
+    ("casekit.py", "            self._graph._freeze()\n", "",
+     ["tests/test_casekit.py::TestSnapshot::test_each_read_is_a_frozen_value"]),
+    # instances_under reads an undeclared root's subclasses
+    ("schema.py", "        if root not in self.classes:\n            return {}\n", "",
+     ["tests/test_report.py::TestUndeclaredRoot"]),
+    # a ']' right after a class's opening '[' closes it
+    ("query.py", '        if ch == "]" and members:\n', '        if ch == "]":\n', [_REGEX_TEST]),
+    # a doubled '-', '&', '~' or '|' in a class is taken
+    ("query.py",
+     "            if members and ch in _SET_OPERATIONS and text[i + 1:i + 2] == ch:\n"
+     "                raise UnsupportedRegexError(\n"
+     '                    f"ambiguous filter regex: Possible set {_SET_OPERATIONS[ch]}'
+     ' at position {i}")\n',
+     "", [_REGEX_TEST]),
+    # a range that ends at '-' is taken
+    ("query.py",
+     '        if ch == "-":\n'
+     "            raise UnsupportedRegexError(\n"
+     '                f"ambiguous filter regex: Possible set difference at position {i}")\n',
+     "", [_REGEX_TEST]),
+    # a '[' right after a class's opening '[' is taken
+    ("query.py",
+     '    if text[i + 1:i + 2] == "[":\n'
+     "        raise UnsupportedRegexError(\n"
+     '            f"ambiguous filter regex: Possible nested set at position {i + 1}")\n',
+     "", [_REGEX_TEST]),
+    # a '-' before a class's closing ']' starts a range
+    ("query.py", '        if ch == "]":\n            return i + 2\n', "", [_REGEX_TEST]),
 ]
 
 
