@@ -15,7 +15,6 @@ import io
 import random
 import re
 from collections.abc import Iterable
-from itertools import groupby
 
 from .catalog import (
     CRIME_TYPES,
@@ -93,6 +92,7 @@ from .terms import (
     Term,
     Triple,
     first_literal,
+    skolemize,
     skolemize_term,
     term_sort_key,
 )
@@ -472,7 +472,8 @@ class CaseGraph:
     # -- serialization --
 
     def to_turtle(self) -> str:
-        return serialize_turtle_canonical(self.graph)
+        """The case as canonical Turtle, its blank nodes skolemized."""
+        return serialize_turtle_canonical(skolemize(self.graph))
 
     def validate(self):
         return validate_graph(self.graph, self.schema, self.catalog)
@@ -498,15 +499,14 @@ def from_graph(g: Graph, schema: Schema | None = None,
                catalog: Catalog | None = None,
                case_iri: Iri | None = None,
                rng: random.Random | None = None) -> CaseGraph:
-    """Wrap an existing graph, locating its single Incident node."""
+    """Wrap an existing graph, locating its single Incident node: an IRI, as
+    a blank node is local to its document."""
     schema = schema or load_default_schema()
     catalog = catalog or load_default_catalog()
     if case_iri is None:
-        # one pass over the triples: an index built here would be thrown away
-        incidents = sorted(
-            (t.subject for t in g if t.predicate == RDF_TYPE and t.object == CLS_INCIDENT
-             and isinstance(t.subject, Iri)),
-            key=lambda i: i.value)
+        # the lists this lookup builds reach the case's graph through with_prefixes
+        incidents = sorted((t.subject for t in g.scan(None, RDF_TYPE, CLS_INCIDENT)
+                            if isinstance(t.subject, Iri)), key=lambda i: i.value)
         if not incidents:
             raise CaseMismatchError("graph contains no Incident node")
         if len(incidents) > 1:
@@ -537,19 +537,16 @@ def merge(a: CaseGraph, b: CaseGraph, allow_mismatch: bool = False) -> MergeOutc
             f"cases differ: {a.case_iri.value} vs {b.case_iri.value} "
             "(pass allow_mismatch to merge anyway)")
 
-    functional = {p.iri for p in a.schema.properties.values() if p.functional}
-    a_values: dict[tuple, set] = {}
-    for t in a.graph:
-        if t.predicate in functional:
-            a_values.setdefault((t.subject, t.predicate), set()).add(t.object)
-
-    dropped = sorted(
-        (t for t in b.graph if t.predicate in functional
-         and (mine := a_values.get((t.subject, t.predicate))) and t.object not in mine),
-        key=lambda t: (str(t.subject), t.predicate.value, str(t.object)))
-    # one conflict per (subject, property), naming the first value dropped
-    conflicts = [(skolemize_term(s), p, str(min(a_values[s, p], key=str)), str(next(ts).object))
-                 for (s, p), ts in groupby(dropped, key=lambda t: (t.subject, t.predicate))]
+    dropped, conflicts = [], []
+    for p in (q.iri for q in a.schema.properties.values() if q.functional):
+        mine = a.graph.column(p)
+        for s, objects in b.graph.column(p).items():
+            if (kept := mine.get(s)) and (lost := [o for o in objects if o not in kept]):
+                dropped += (Triple(s, p, o) for o in lost)
+                # one conflict per (subject, property), naming the first value dropped
+                conflicts.append((s, p, min(map(str, kept)), min(map(str, lost))))
+    conflicts = [(skolemize_term(s), p, kept, lost) for s, p, kept, lost in
+                 sorted(conflicts, key=lambda c: (str(c[0]), c[1].value))]
     merged_triples = a.graph.triples | b.graph.triples.difference(dropped)
     prefixes = dict(b.graph.prefixes)
     prefixes.update(a.graph.prefixes)

@@ -142,14 +142,12 @@ def cmd_diff(args) -> int:
 
 def cmd_merge(args) -> int:
     from . import casekit
-    from .catalog import load_default_catalog
 
     schema = _load_schema(args)
-    catalog = load_default_catalog()
-    a = casekit.from_graph(_read_graph(args.a), schema, catalog)
-    b = casekit.from_graph(_read_graph(args.b), schema, catalog)
+    a = casekit.from_graph(_read_graph(args.a), schema)
+    b = casekit.from_graph(_read_graph(args.b), schema)
     outcome = casekit.merge(a, b, allow_mismatch=args.allow_mismatch)
-    _emit(serialize_turtle_canonical(skolemize(outcome.merged.graph)), args.output)
+    _emit(outcome.merged.to_turtle(), args.output)
     # with -o, the conflicts take the merged graph's place on standard output
     (sys.stdout if args.output else sys.stderr).write(outcome.conflicts_text())
     return 1 if outcome.conflicts else 0
@@ -157,11 +155,9 @@ def cmd_merge(args) -> int:
 
 def cmd_report(args) -> int:
     from . import casekit
-    from .catalog import load_default_catalog
     from .report import render_markdown, summarize
 
-    schema = _load_schema(args)
-    c = casekit.from_graph(_read_graph(args.path), schema, load_default_catalog())
+    c = casekit.from_graph(_read_graph(args.path), _load_schema(args))
     summary = summarize(c)
     if args.format == "json":
         _emit(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
@@ -180,24 +176,22 @@ def cmd_iocs(args) -> int:
     import random
 
     from . import casekit
-    from .catalog import load_default_catalog
 
     schema = _load_schema(args)
-    catalog = load_default_catalog()
     with open(args.path, "rb") as f:
         data = f.read()
     g = _read_graph(args.path, data)
     if args.ioc_command == "export":
-        _emit(casekit.from_graph(g, schema, catalog).export_iocs(), args.output)
+        _emit(casekit.from_graph(g, schema).export_iocs(), args.output)
         return 0
     rows = read_text_file(args.csv)
     # new nodes' IRIs derive from the inputs, so equal inputs give equal output
     seed = hashlib.sha256(hashlib.sha256(data).digest() + rows.encode("utf-8")).digest()
-    c = casekit.from_graph(g, schema, catalog, rng=random.Random(seed))
+    c = casekit.from_graph(g, schema, rng=random.Random(seed))
     n = c.import_iocs(rows)
     for problem in c.ioc_import_errors:
         _err(problem)
-    _emit(serialize_turtle_canonical(skolemize(c.graph)), args.output)
+    _emit(c.to_turtle(), args.output)
     print(f"imported {n} IoC rows", file=sys.stderr)
     return 0
 

@@ -320,11 +320,10 @@ class Graph:
         return Graph(new, self._prefixes)
 
     def with_prefixes(self, prefixes: Mapping[str, Iri]) -> "Graph":
-        merged = dict(self._prefixes)
-        merged.update(_check_prefix_map(prefixes))
-        g = Graph(self._triples, merged)
-        # the same triples: built lists and columns serve both
-        g._by_s, g._by_p, g._by_o, g._columns = self._by_s, self._by_p, self._by_o, self._columns
+        g = Graph(prefixes={**self._prefixes, **_check_prefix_map(prefixes)})
+        # the same checked triples: the set, built lists and columns serve both
+        g._triples, g._by_s, g._by_p, g._by_o, g._columns = (
+            self._triples, self._by_s, self._by_p, self._by_o, self._columns)
         return g
 
     # -- growth, for casekit.CaseGraph only --

@@ -481,3 +481,36 @@ def column_branch_graphs() -> dict[str, Graph]:
             Triple(Iri("http://example.org/untyped"), PROP_TARGETS, grid),
             Triple(grid, PROP_CRIME_TYPE, Literal("IllegalAccess"))]),
     }
+
+
+def non_functional_pair():
+    """(a, b, threat): two versions of one case, each adding its own component
+    to the targets of the shared threat and its own CVE to the shared
+    technique node, values of non-functional properties only."""
+    from scopekit import casekit
+    from scopekit.namespaces import PROP_TARGETS, infrastructure, threats
+
+    base = casekit.new_case("non-functional", at="2100-01-01T00:00:00Z", rng=random.Random(4))
+    grid = base.add_component(infrastructure("EnergySystem"), "grid")
+    threat = base.add_threat(threats("Tampering"), grid)
+    base.attach_technique(threat, "T1190", cve="CVE-2021-44228")
+    sides = []
+    for seed, cve in ((5, "CVE-2023-4966"), (6, "CVE-2024-3400")):
+        side = casekit.from_graph(base.graph, rng=random.Random(seed))
+        plant = side.add_component(infrastructure("WaterSystem"), "plant")
+        side.add(Triple(threat, PROP_TARGETS, plant))
+        side.attach_technique(threat, "T1190", cve=cve)
+        sides.append(side)
+    return (*sides, threat)
+
+
+def blank_incident_text() -> str:
+    """N-Triples (and so Turtle) text of a graph whose only Incident is the
+    blank node _:x."""
+    from scopekit.namespaces import CLS_INCIDENT, PROP_NAME
+    from scopekit.ntriples import render_triple
+    from scopekit.terms import RDF_TYPE
+
+    x = BlankNode("x")
+    return "".join(f"{render_triple(t)}\n" for t in (
+        Triple(x, RDF_TYPE, CLS_INCIDENT), Triple(x, PROP_NAME, Literal("blank incident"))))

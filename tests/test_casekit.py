@@ -25,9 +25,11 @@ from scopekit.namespaces import (
     PROP_CUSTODY_ACTION,
     PROP_CUSTODY_OF,
     PROP_CUSTODY_SEQ,
+    PROP_CVE_ID,
     PROP_DESCRIPTION,
     PROP_MD5,
     PROP_NAME,
+    PROP_TARGETS,
     PROP_TECHNIQUE_ID,
     attackpatterns,
     evidence,
@@ -36,12 +38,26 @@ from scopekit.namespaces import (
     threats,
 )
 from scopekit.schema import load_default_schema
-from scopekit.terms import RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, Graph, Iri, Literal, Triple
-from scopekit.turtle import parse_turtle
+from scopekit.terms import (
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_INTEGER,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    skolemize,
+)
+from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 from scopekit.validation import validate_graph
 
 from conftest import FIXTURE_DIR
-from helpers import column_branch_graphs, stored_iocs_case
+from helpers import (
+    blank_incident_text,
+    column_branch_graphs,
+    non_functional_pair,
+    stored_iocs_case,
+)
 
 
 T0 = "2100-01-01T00:00:00Z"
@@ -443,6 +459,23 @@ class TestFromGraph:
         d = casekit.from_graph(g, case_iri=b.case_iri)
         assert d.case_iri == b.case_iri
 
+    def test_a_blank_node_incident_is_not_a_case_node(self):
+        blank = parse_turtle(blank_incident_text())
+        with pytest.raises(CaseMismatchError, match="^graph contains no Incident node$"):
+            casekit.from_graph(blank)
+        c = make_case()
+        assert casekit.from_graph(c.graph.insert_all(blank)).case_iri == c.case_iri
+
+    def test_to_turtle_skolemizes_a_case_read_with_a_blank_node(self, tmp_path):
+        path = tmp_path / "case.ttl"
+        path.write_text(make_case().to_turtle()
+                        + '_:b0 <http://example.org/name> "alice" .\n', encoding="utf-8")
+        c = casekit.from_graph(parse_turtle(path.read_bytes()))
+        assert c.graph.has_blank_nodes()
+        text = c.to_turtle()
+        assert text == serialize_turtle_canonical(skolemize(c.graph))
+        assert parse_turtle(text) == skolemize(c.graph)
+
 
 class TestDiffApply:
     def test_apply_diff_reaches_target(self):
@@ -534,6 +567,14 @@ class TestMerge:
              (items[1], PROP_MD5, f'"{"0" * 32}"', f'"{"d" * 32}"')],
             key=lambda c: c[0].value)
         assert out.merged.graph.triples == a.graph.triples
+
+    def test_non_functional_values_of_both_are_kept(self):
+        a, b, threat = non_functional_pair()
+        out = casekit.merge(a, b)
+        assert out.conflicts == [] and out.conflicts_text() == ""
+        assert out.merged.graph.triples == a.graph.triples | b.graph.triples
+        assert len(out.merged.graph.scan(threat, PROP_TARGETS)) == 3
+        assert len(out.merged.graph.scan(None, PROP_CVE_ID)) == 3
 
     def test_mismatched_cases_rejected(self):
         a, b = make_case(1, "one"), make_case(2, "two")
@@ -729,6 +770,35 @@ class TestOneIndex:
         built, code = self.count_index_builds(monkeypatch, lambda: cli.main(["report", path]))
         assert code == 0 and capsys.readouterr().out.startswith("#")
         assert len(built) == 1
+
+    @staticmethod
+    def indexed_pair():
+        """Two indexed versions of a built case: b adds a component, and a
+        second md5 value to an evidence item of a."""
+        a = build_components(2)
+        item = a.add_evidence(evidence("DeviceImage"), attrs={"md5": "0" * 32})
+        b = casekit.from_graph(a.graph, rng=random.Random(5))
+        b.add(Triple(item, PROP_MD5, Literal("f" * 32)))
+        b.add_component(infrastructure("WaterSystem"), "plant")
+        for c in (a, b):
+            c.graph.scan(c.case_iri)
+        return a, b
+
+    def test_cases_open_and_merge_through_the_index(self, monkeypatch):
+        want = casekit.merge(*self.indexed_pair())
+        a, b = self.indexed_pair()
+        load_default_schema(), load_default_catalog()
+
+        def no_iteration(self):
+            raise AssertionError("a graph was iterated")
+
+        monkeypatch.setattr(Graph, "__iter__", no_iteration)
+        opened = casekit.from_graph(a.graph)
+        out = casekit.merge(a, b)
+        monkeypatch.undo()
+        assert opened.case_iri == a.case_iri and opened.graph.triples is a.graph.triples
+        assert len(out.conflicts) == 1 and out.conflicts == want.conflicts
+        assert out.merged.graph.triples == want.merged.graph.triples
 
     def test_first_literal_is_the_terms_reader(self):
         assert casekit.first_literal is terms.first_literal

@@ -19,6 +19,7 @@ from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 
 from conftest import FIXTURE_DIR
 from helpers import (
+    blank_incident_text,
     doubled_sequence_case,
     malformed_sequence_graph,
     schemas_without_sequence_range,
@@ -299,6 +300,13 @@ class TestReport:
         assert main(["report", str(case_file), "--format", "json"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert d["case"]["name"] == "punggol-ransomware-triage"
+
+    def test_a_blank_node_incident_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "blank.ttl"
+        path.write_text(blank_incident_text(), encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "scopekit: graph contains no Incident node\n"
 
     def test_invalid_case_exits_one_with_findings(self, capsys, broken_file):
         assert main(["report", str(broken_file)]) == 1

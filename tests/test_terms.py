@@ -424,6 +424,13 @@ class TestGraph:
         assert Graph(prefixes={"ex": EX}).prefixes == {"ex": Iri(EX)}
         assert Graph().with_prefixes({"ex": EX}).prefixes == {"ex": Iri(EX)}
 
+    def test_with_prefixes_keeps_the_graphs_own_and_the_new_map_wins(self):
+        g = Graph([Triple(iri("s"), iri("p"), iri("o"))], {"ex": Iri(EX), "kb": Iri(EX + "kb/")})
+        other = g.with_prefixes({"kb": Iri(EX + "case/"), "zz": EX + "zz/"})
+        assert other.prefixes == {"ex": Iri(EX), "kb": Iri(EX + "case/"), "zz": Iri(EX + "zz/")}
+        assert g.prefixes == {"ex": Iri(EX), "kb": Iri(EX + "kb/")}
+        assert other == g and other.triples is g.triples
+
     def test_a_non_triple_is_refused(self):
         with pytest.raises(TypeError) as exc:
             Graph([(iri("s"), iri("p"), iri("o"))])

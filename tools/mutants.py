@@ -268,6 +268,58 @@ MUTANTS = [
      "", [_REGEX_TEST]),
     # a '-' before a class's closing ']' starts a range
     ("query.py", '        if ch == "]":\n            return i + 2\n', "", [_REGEX_TEST]),
+    # the Turtle writer starts a block or a predicate where the term object changes
+    ("turtle.py", "s, p, o = ranks[id(subject)], ranks[id(predicate)], ranks[id(value)]",
+     "s, p, o = id(subject), id(predicate), ranks[id(value)]", ["tests/test_turtle.py"]),
+    # the Turtle writer's predicate forms share the memo of its other forms
+    ("turtle.py", "    forms, verbs, chunks, last_s, last_p = {}, {}, [], None, None\n",
+     "    forms = verbs = {}\n    chunks, last_s, last_p = [], None, None\n",
+     ["tests/test_turtle.py"]),
+    # the Turtle writer renders an object at each of its occurrences
+    ("turtle.py", "obj = forms.get(o) or forms.setdefault(o, _render_term(value, abbreviate))",
+     "obj = _render_term(value, abbreviate)", ["tests/test_turtle.py"]),
+    # build_term hands out a new blank node or literal object at each sight
+    ("ntriples.py",
+     "lang and lang[1:]))\n    return interned.setdefault(term, term)\n",
+     "lang and lang[1:]))\n    return term\n",
+     ["tests/test_turtle.py", "tests/test_ntriples.py"]),
+    # a literal's datatype is built before its string decodes
+    ("ntriples.py", "Literal(unescape(q[1:-1]), datatype and datatype(), lang and lang[1:])",
+     "(lambda d: Literal(unescape(q[1:-1]), d, lang and lang[1:]))(datatype and datatype())",
+     ["tests/test_ntriples.py", "tests/test_parse_errors.py"]),
+    # a language tag's fault is placed where its literal starts
+    ("ntriples.py", """m.start("lang") if text[0] == '"' else m.end(group)""",
+     """m.start(group) if text[0] == '"' else m.end(group)""", ["tests/test_parse_errors.py"]),
+    # a prefixed name may end before the longest local name its text holds
+    ("turtle.py", r'_PNAME = rf"(?:{PREFIX_NAME}|{_WORD}):(?:[\w.-]*[\w-])?(?![\w.-]*[\w-])"',
+     r'_PNAME = rf"(?:{PREFIX_NAME}|{_WORD}):(?:[\w.-]*[\w-])?"',
+     ["tests/test_contracts.py::TestMutatedFixtures::test_errors_stay_inside_the_document"]),
+    # a Turtle statement may not end with ';' before its '.'
+    ("turtle.py", '\n| (?<=;){_SKIP}\\.""", re.X).match', '""", re.X).match',
+     ["tests/test_turtle.py"]),
+    # Turtle skips no comment
+    ("turtle.py", r'_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"',
+     r'_SKIP = r"[ \t\r\n]*"', ["tests/test_turtle.py"]),
+    # a string literal's escapes are not decoded
+    ("ntriples.py", '    if "\\\\" not in chars:\n        return chars\n', "    return chars\n",
+     ["tests/test_ntriples.py", "tests/test_turtle.py"]),
+    # merge takes every property for a functional one
+    ("casekit.py", "(q.iri for q in a.schema.properties.values() if q.functional)",
+     "(q.iri for q in a.schema.properties.values())", ["tests/test_casekit.py::TestMerge"]),
+    # merge drops b's values of a functional property, a's own included
+    ("casekit.py", "(lost := [o for o in objects if o not in kept])", "(lost := list(objects))",
+     ["tests/test_casekit.py::TestMerge"]),
+    # a blank node typed Incident is taken for the case node
+    ("casekit.py", "for t in g.scan(None, RDF_TYPE, CLS_INCIDENT)\n"
+     "                            if isinstance(t.subject, Iri))",
+     "for t in g.scan(None, RDF_TYPE, CLS_INCIDENT))",
+     ["tests/test_casekit.py::TestFromGraph"]),
+    # with_prefixes drops the graph's own prefixes
+    ("terms.py", "prefixes={**self._prefixes, **_check_prefix_map(prefixes)}",
+     "prefixes=_check_prefix_map(prefixes)", ["tests/test_terms.py::TestGraph"]),
+    # a case is written as canonical Turtle without skolemizing its blank nodes
+    ("casekit.py", "serialize_turtle_canonical(skolemize(self.graph))",
+     "serialize_turtle_canonical(self.graph)", ["tests/test_casekit.py::TestFromGraph"]),
 ]
 
 

@@ -17,10 +17,13 @@ in process and reports each one's stdout, stderr and exit code:
   and a graph whose diff from it sorts one way on terms and another
   bytewise, and on malformed records from tests/helpers.py: a custody
   record with two sequence numbers, and IoCs stored defanged or in
-  uppercase (also imported again from a feed that repeats them); and on
+  uppercase (also imported again from a feed that repeats them); on
   the graphs of helpers.column_branch_graphs: a node with two types,
   custody chains of one and three records, a record whose canonical first
   timestamp is malformed, and an untyped subject with a domain property;
+  on a graph whose only Incident is a blank node; and on two versions of
+  one case whose shared subjects hold a different non-functional value on
+  each side (helpers.non_functional_pair), which `diff` and `merge` read;
 - `validate` and `report` of a custody sequence of "+-5" or "\u00b2" under a
   schema copy that gives custodySequence no range;
 - the TSV of each of the 80 queries of the `analyst` benchmark (seed 1) on
@@ -165,6 +168,11 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
     # a diff whose lines sort one way on terms and another bytewise
     empty, order = write("empty.nt", ""), write("order.nt", ORDER_NT)
     pairs += [(empty, order), (order, empty)]
+    # one subject with a different non-functional value on each side
+    a, b, _ = helpers.non_functional_pair()
+    pairs.append((write("non-functional-a.ttl", a.to_turtle()),
+                  write("non-functional-b.ttl", b.to_turtle())))
+    write("blank-incident.ttl", helpers.blank_incident_text())
     write("doubled-sequence.ttl", helpers.doubled_sequence_case().to_turtle())
     write("stored-iocs.ttl", helpers.stored_iocs_case().to_turtle())
     for name, g in helpers.column_branch_graphs().items():
