@@ -513,8 +513,7 @@ def from_graph(g: Graph, schema: Schema | None = None,
             raise CaseMismatchError(
                 f"graph contains {len(incidents)} Incident nodes; pass case_iri to pick one")
         case_iri = incidents[0]
-    prefixes = dict(STANDARD_PREFIXES)
-    prefixes.update(g.prefixes)
+    prefixes = {**STANDARD_PREFIXES, **g.prefixes}
     return CaseGraph(g.with_prefixes(prefixes), case_iri, schema, catalog, rng=rng)
 
 
@@ -524,8 +523,8 @@ def diff(a: CaseGraph, b: CaseGraph) -> tuple[frozenset[Triple], frozenset[Tripl
 
 
 def apply_diff(a: CaseGraph, added: Iterable[Triple], removed: Iterable[Triple]) -> CaseGraph:
-    triples = (a.graph.triples - frozenset(removed)) | frozenset(added)
-    return CaseGraph(Graph(triples, a.graph.prefixes), a.case_iri, a.schema, a.catalog)
+    kept = Graph._of(a.graph.triples - frozenset(removed), a.graph.prefixes)
+    return CaseGraph(kept.insert_all(added), a.case_iri, a.schema, a.catalog)
 
 
 def merge(a: CaseGraph, b: CaseGraph, allow_mismatch: bool = False) -> MergeOutcome:
@@ -547,8 +546,6 @@ def merge(a: CaseGraph, b: CaseGraph, allow_mismatch: bool = False) -> MergeOutc
                 conflicts.append((s, p, min(map(str, kept)), min(map(str, lost))))
     conflicts = [(skolemize_term(s), p, kept, lost) for s, p, kept, lost in
                  sorted(conflicts, key=lambda c: (str(c[0]), c[1].value))]
-    merged_triples = a.graph.triples | b.graph.triples.difference(dropped)
-    prefixes = dict(b.graph.prefixes)
-    prefixes.update(a.graph.prefixes)
-    merged = CaseGraph(Graph(merged_triples, prefixes), a.case_iri, a.schema, a.catalog)
-    return MergeOutcome(merged, conflicts)
+    merged = Graph._of(a.graph.triples | b.graph.triples.difference(dropped),
+                       {**b.graph.prefixes, **a.graph.prefixes})
+    return MergeOutcome(CaseGraph(merged, a.case_iri, a.schema, a.catalog), conflicts)

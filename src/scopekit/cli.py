@@ -18,13 +18,12 @@ three); report adds casekit and report. Terms and records are plain slotted
 classes, so no command loads the standard class factory module or the inspect,
 ast and dis it imports. Annotations take their abstract types from
 collections.abc, and files are read with open and os.path, so no command loads
-typing or pathlib either.
+typing or pathlib either; json loads only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -54,9 +53,7 @@ def _read_graph(path: str, data: bytes | None = None) -> Graph:
     if data is None:
         with open(path, "rb") as f:
             data = f.read()
-    if path.endswith(".nt"):
-        return parse_ntriples(data)
-    return parse_turtle(data)
+    return (parse_ntriples if path.endswith(".nt") else parse_turtle)(data)
 
 
 def _write_graph(g: Graph, fmt: str) -> str:
@@ -65,7 +62,7 @@ def _write_graph(g: Graph, fmt: str) -> str:
         return serialize_ntriples_canonical(g)
     # fixed prefix profile, so conversion depends only on triple content and
     # ttl -> nt -> ttl comes back byte-identical
-    return serialize_turtle_canonical(Graph(g.triples, STANDARD_PREFIXES))
+    return serialize_turtle_canonical(Graph._of(g.triples, STANDARD_PREFIXES, g.has_blank_nodes()))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -102,6 +99,7 @@ def cmd_validate(args) -> int:
     g = _read_graph(args.path)
     report = validate_graph(g, _load_schema(args), load_default_catalog())
     if args.format == "json":
+        import json
         _emit(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
     else:
         _emit(report.to_text(), args.output)
@@ -160,6 +158,7 @@ def cmd_report(args) -> int:
     c = casekit.from_graph(_read_graph(args.path), _load_schema(args))
     summary = summarize(c)
     if args.format == "json":
+        import json
         _emit(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
     else:
         _emit(render_markdown(summary), args.output)

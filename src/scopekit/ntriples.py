@@ -312,7 +312,7 @@ def parse_ntriples(doc: str | bytes) -> Graph:
                 raise ParseError("unexpected trailing content after '.'", lineno, end + 1)
         elif s is not None or line[m.end():m.end() + 1] not in ("", "#"):
             raise _line_error(line, lineno, m, memo)
-    return Graph(triples)
+    return Graph._of(frozenset(triples), {})
 
 
 def render_term(term: Term) -> str:
@@ -341,7 +341,5 @@ def serialize_ntriples_canonical(g: Graph) -> str:
         raise BlankNodePresentError(
             "canonical N-Triples is defined for skolemized graphs; call skolemize() first")
     lines = sorted(render_triple(t) for t in g)
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
 

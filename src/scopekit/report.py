@@ -85,12 +85,8 @@ class CaseSummary(Record):
 
 def _label(g: Graph, node) -> str:
     """Display label: the node's name if set, else its IRI local name."""
-    name = first_literal(g, node, PROP_NAME)
-    if name:
-        return name
-    if isinstance(node, Iri):
-        return node.local_name()
-    return str(node)
+    return first_literal(g, node, PROP_NAME) or (
+        node.local_name() if isinstance(node, Iri) else str(node))
 
 
 def summarize(c: CaseGraph) -> CaseSummary:

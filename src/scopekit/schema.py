@@ -206,7 +206,7 @@ def load_schema(docs: Iterable[str | bytes], version: str = "custom") -> Schema:
                     f"prefix {name!r} bound to both {namespaces[name]} and {ns}")
             namespaces[name] = ns
         triples += g.triples
-    union = Graph(triples)
+    union = Graph._of(frozenset(triples), {})
 
     class_iris: set[Iri] = set()
     property_iris: set[Iri] = set()

@@ -14,19 +14,21 @@ and N-Triples parsers build one object per distinct term in a document, so
 equal terms in a parsed graph are the same object and container lookups on
 them succeed on identity, before any `==`. Each parse keeps its own memo, so
 nothing is shared across parses but the constants defined here. Graphs are
-immutable; insert/remove return new graphs, so a graph value can be
-shared freely across readers. A graph is its own index: on its first lookup
-it lists its triples by subject, predicate and object; `estimate` gives, in
-O(1), the length of the list a lookup would read, and per predicate it keeps
-a `column` of values by subject, which `first_literal` (a property that
-should hold one value) and `Graph.objects_of` read. A `casekit.CaseGraph`
-grows its own graph in place, lists included, and freezes it before any
-reader sees it; nothing adds to a graph after. A graph's table of canonical
-term ranks (keyed by the `id` of its term objects) and, per order of the
-three positions, one table of (term, term, term) rows sorted on those ranks,
-which canonical Turtle reads and query full scans return, are built on first
-use and kept too; a copied or unpickled graph builds its own, not another's
-ids.
+immutable; insert/remove return new graphs, so a graph value can be shared
+freely across readers. `Graph(...)` checks its triples and prefix map; the
+private `Graph._of` holds a checked frozenset and map as they are, for the
+parsers, set algebra on graphs and `skolemize`. A graph is its own index: on
+its first lookup it lists its triples by subject, predicate and object;
+`estimate` gives, in O(1), the length of the list a lookup would read, and per
+predicate it keeps a `column` of values by subject, which `first_literal` (a
+property that should hold one value) and `Graph.objects_of` read. A
+`casekit.CaseGraph` grows its own graph in place, lists included, and freezes
+it before any reader sees it; nothing adds to a graph after. A graph's table
+of canonical term ranks (keyed by the `id` of its term objects) and, per order
+of the three positions, one table of (term, term, term) rows sorted on those
+ranks, which canonical Turtle reads and query full scans return, are built on
+first use and kept too; a copied or unpickled graph builds its own, not
+another's ids. The `has_blank_nodes` answer is kept too, or handed in by `_of`.
 """
 
 from __future__ import annotations
@@ -229,6 +231,14 @@ def triple_sort_key(t: Triple):
     return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
 
 
+def _check_triples(triples: Iterable[Triple]) -> frozenset[Triple]:
+    triples = frozenset(triples)
+    for t in triples:
+        if not isinstance(t, Triple):
+            raise TypeError(f"not a triple: {t!r}")
+    return triples
+
+
 def _check_prefix_map(prefixes: Mapping[str, Iri]) -> dict[str, Iri]:
     out: dict[str, Iri] = {}
     for name, ns in prefixes.items():
@@ -250,23 +260,31 @@ class Graph:
     one `sorted_rows` table per order are built on first use too. All are
     kept; copies rebuild them (`__reduce__`). Canonical Turtle reads the kept
     (s, p, o) table, query full scans return a kept table; a read of one
-    subject's values of one predicate reads that predicate's column.
+    subject's values of one predicate reads that predicate's column, and
+    `has_blank_nodes` keeps its answer. `Graph(...)` checks its input; the
+    private `_of` takes checked triples, prefixes and any known answer as is.
 
     `_grown`, `_add_all` and `_freeze` are `casekit.CaseGraph`'s write path:
     it grows a private graph in place, and freezes it before a reader sees it.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_by_s", "_by_p", "_by_o", "_columns", "_ranks", "_rows")
+    __slots__ = ("_triples", "_prefixes", "_blanks", "_by_s", "_by_p", "_by_o", "_columns",
+                 "_ranks", "_rows")
 
     def __init__(self, triples: Iterable[Triple] = (), prefixes: Mapping[str, Iri] | None = None):
-        self._triples: frozenset[Triple] = frozenset(triples)
-        for t in self._triples:
-            if not isinstance(t, Triple):
-                raise TypeError(f"not a triple: {t!r}")
-        self._prefixes: dict[str, Iri] = _check_prefix_map(prefixes or {})
+        self._start(_check_triples(triples), _check_prefix_map(prefixes or {}), None)
+
+    @staticmethod
+    def _of(triples: frozenset[Triple], prefixes: dict[str, Iri], blanks=None) -> Graph:
+        """Checked triples and prefix map as they are; blanks: a known blank-node answer."""
+        return Graph.__new__(Graph)._start(triples, prefixes, blanks)
+
+    def _start(self, triples, prefixes, blanks) -> Graph:
+        self._triples, self._prefixes, self._blanks = triples, prefixes, blanks
         # built lazily; the graph is immutable, so they never go stale
         self._by_s = self._by_p = self._by_o = self._ranks = None
         self._columns, self._rows = {}, {}  # per predicate; per order of the three positions
+        return self
 
     # -- basic accessors --
     @property
@@ -301,38 +319,30 @@ class Graph:
         return f"<Graph {len(self._triples)} triples, {len(self._prefixes)} prefixes>"
 
     # -- functional updates --
-    def insert(self, t: Triple) -> "Graph":
+    def insert(self, t: Triple) -> Graph:
         """New graph with t added; no-op (same content) if already present."""
-        if t in self._triples:
-            return self
-        return Graph(self._triples | {t}, self._prefixes)
+        return self.insert_all((t,))
 
-    def remove(self, t: Triple) -> "Graph":
+    def remove(self, t: Triple) -> Graph:
         """New graph with t removed; no-op if absent."""
-        if t not in self._triples:
-            return self
-        return Graph(self._triples - {t}, self._prefixes)
+        return Graph._of(self._triples - {t}, self._prefixes) if t in self._triples else self
 
-    def insert_all(self, triples: Iterable[Triple]) -> "Graph":
-        new = self._triples | frozenset(triples)
-        if new == self._triples:
-            return self
-        return Graph(new, self._prefixes)
+    def insert_all(self, triples: Iterable[Triple]) -> Graph:
+        new = _check_triples(triples) - self._triples
+        return Graph._of(self._triples | new, self._prefixes) if new else self
 
-    def with_prefixes(self, prefixes: Mapping[str, Iri]) -> "Graph":
-        g = Graph(prefixes={**self._prefixes, **_check_prefix_map(prefixes)})
+    def with_prefixes(self, prefixes: Mapping[str, Iri]) -> Graph:
+        g = Graph._of(self._triples, {**self._prefixes, **_check_prefix_map(prefixes)}, self._blanks)
         # the same checked triples: the set, built lists and columns serve both
-        g._triples, g._by_s, g._by_p, g._by_o, g._columns = (
-            self._triples, self._by_s, self._by_p, self._by_o, self._columns)
+        g._by_s, g._by_p, g._by_o, g._columns = self._by_s, self._by_p, self._by_o, self._columns
         return g
 
     # -- growth, for casekit.CaseGraph only --
-    def _grown(self) -> "Graph":
+    def _grown(self) -> Graph:
         """A graph of the same triples that `_add_all` may grow: a copy of
         the set and of any built lists, made without re-reading the triples;
-        no columns. Unbuilt lists are built on its first lookup."""
-        g = Graph()
-        g._triples, g._prefixes = set(self._triples), self._prefixes
+        no columns, no blank-node answer. Unbuilt lists are built on first use."""
+        g = Graph._of(set(self._triples), self._prefixes)
         if self._by_s is not None:
             g._by_s, g._by_p, g._by_o = ({k: v.copy() for k, v in lists.items()}
                                          for lists in (self._by_s, self._by_p, self._by_o))
@@ -482,10 +492,10 @@ class Graph:
         return sorted(self.column(predicate).get(subject, ()), key=term_sort_key)
 
     def has_blank_nodes(self) -> bool:
-        for t in self._triples:
-            if isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode):
-                return True
-        return False
+        if self._blanks is None:  # worked out on the first ask and kept
+            self._blanks = any(isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode)
+                               for t in self)
+        return self._blanks
 
 
 def first_literal(g: Graph, subject, predicate) -> str | None:
@@ -508,5 +518,5 @@ def skolemize(g: Graph) -> Graph:
     if not g.has_blank_nodes():
         return g
     sk = skolemize_term
-    triples = [Triple(sk(t.subject), t.predicate, sk(t.object)) for t in g]
-    return Graph(triples, g.prefixes)
+    triples = frozenset(Triple(sk(t.subject), t.predicate, sk(t.object)) for t in g)
+    return Graph._of(triples, g._prefixes, False)

@@ -194,7 +194,7 @@ class _Parser:
             elif ns is not None:
                 self._bind(name, term(m, "ns"))
             elif m.end() == len(text):
-                return Graph(self.triples, self.prefixes)
+                return Graph._of(frozenset(self.triples), self.prefixes)
             pos = m.end()
 
     def _term(self, m: re.Match, group: str) -> Term:

@@ -8,12 +8,15 @@ join semantics without indexes so it can act as an oracle.
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
 import re
 import string
+import subprocess
 import sys
 from pathlib import Path
 
+import scopekit
 from scopekit.query import Pattern, Variable
 from scopekit.terms import (
     BlankNode,
@@ -36,6 +39,18 @@ LEXICAL_POOL = (
 )
 LANGS = ("en", "en-gb", "de", "zh-hans")
 CASEGEN = Path(__file__).resolve().parents[1] / "perfbench" / "casegen.py"
+SCENARIO1 = Path(__file__).resolve().parents[1] / "src" / "scopekit" / "fixtures" / "scenario1.ttl"
+
+
+def run_python(*args, timeout=120, **kwargs):
+    """`python ARGS` in a fresh interpreter on this source tree, its output
+    captured, stopped after timeout seconds; keyword arguments go to
+    subprocess.run."""
+    src = str(Path(scopekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
 
 
 def load_casegen():
@@ -514,3 +529,11 @@ def blank_incident_text() -> str:
     x = BlankNode("x")
     return "".join(f"{render_triple(t)}\n" for t in (
         Triple(x, RDF_TYPE, CLS_INCIDENT), Triple(x, PROP_NAME, Literal("blank incident"))))
+
+
+def blank_object_text(name: str) -> str:
+    """Turtle text of the scenario1 fixture plus a blank node named name,
+    which every writer skolemizes: cases built on one fixture, so two names
+    give two versions of one case."""
+    return (SCENARIO1.read_text(encoding="utf-8")
+            + f'<http://ex/s> <http://ex/p> _:b0 .\n_:b0 <http://ex/name> "{name}" .\n')

@@ -37,11 +37,13 @@ from scopekit.namespaces import (
     role,
     threats,
 )
+from scopekit.ntriples import parse_ntriples, serialize_ntriples_canonical
 from scopekit.schema import load_default_schema
 from scopekit.terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_INTEGER,
+    BlankNode,
     Graph,
     Iri,
     Literal,
@@ -51,9 +53,10 @@ from scopekit.terms import (
 from scopekit.turtle import parse_turtle, serialize_turtle_canonical
 from scopekit.validation import validate_graph
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, fixture_text
 from helpers import (
     blank_incident_text,
+    blank_object_text,
     column_branch_graphs,
     non_functional_pair,
     stored_iocs_case,
@@ -913,3 +916,121 @@ class TestOneIndex:
         for g in graphs:
             validate_graph(g, schema, catalog)
         assert scans and [(s, p) for s, p in scans if s is not None and p is not None] == []
+
+
+class TestCheckedDoor:
+    """Triples that are already checked reach a graph through `Graph._of`,
+    not through `Graph.__init__`'s check, and a graph works out whether it
+    holds a blank node once."""
+
+    FIXTURES = [str(FIXTURE_DIR / f"scenario{n}.ttl") for n in (1, 2, 3)]
+
+    def test_checked_triples_do_not_pass_the_public_door(self, monkeypatch, tmp_path, capsys):
+        feed = tmp_path / "feed.csv"
+        feed.write_text("kind,value,source\nDomain,example[.]test,unit\n", encoding="utf-8")
+        refused, init = [], Graph.__init__
+
+        def checked_door(self, triples=(), prefixes=None):
+            triples = tuple(triples)
+            if triples:
+                refused.append(len(triples))
+            init(self, triples, prefixes)
+
+        monkeypatch.setattr(Graph, "__init__", checked_door)
+        monkeypatch.setattr("scopekit.schema._DEFAULT_SCHEMA", None)
+        assert load_default_schema().classes
+        g = parse_turtle(blank_object_text("alice"))
+        assert parse_ntriples(serialize_ntriples_canonical(skolemize(g))) == skolemize(g)
+        a = make_case(3, "shared")
+        b = casekit.from_graph(a.graph, rng=random.Random(5))
+        b.add_component(infrastructure("WaterSystem"), "plant")
+        assert casekit.merge(a, b).merged.graph == b.graph
+        assert casekit.apply_diff(a, *casekit.diff(a, b)).graph == b.graph
+        codes = {}
+        for n, path in enumerate(self.FIXTURES, start=1):
+            nt, other = str(tmp_path / f"scenario{n}.nt"), self.FIXTURES[n % 3]
+            for argv in (["validate", path], ["validate", path, "--format", "json"],
+                         ["convert", path, "--to", "nt", "-o", nt], ["convert", nt, "--to", "ttl"],
+                         ["convert", path, "--to", "ttl"], ["convert", nt, "--to", "nt"],
+                         ["query", path, "-q", "?s ?p ?o"],
+                         ["query", nt, "--count", "-q", "?s a ?c"],
+                         ["diff", path, other], ["merge", path, path],
+                         ["merge", path, other, "--allow-mismatch"],
+                         ["report", path], ["report", path, "--format", "json"],
+                         ["iocs", "export", path], ["iocs", "import", path, str(feed)],
+                         ["init", "--scenario", str(n)]):
+                codes[" ".join(argv)] = cli.main(argv)
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert refused == []
+        assert {argv for argv, code in codes.items() if code} == {
+            f"diff {path} {self.FIXTURES[n % 3]}" for n, path in enumerate(self.FIXTURES, start=1)}
+
+    @staticmethod
+    def count_walks(monkeypatch, run):
+        """The lengths of the graphs that `has_blank_nodes` walks while run()
+        runs, and its result: a walk iterates the graph asked."""
+        walks, asking, asked, iterate = [], [], Graph.has_blank_nodes, Graph.__iter__
+
+        def counted_ask(self):
+            asking.append(self)
+            try:
+                return asked(self)
+            finally:
+                asking.pop()
+
+        def counted_iter(self):
+            if asking and asking[-1] is self:
+                walks.append(len(self))
+            return iterate(self)
+
+        monkeypatch.setattr(Graph, "has_blank_nodes", counted_ask)
+        monkeypatch.setattr(Graph, "__iter__", counted_iter)
+        result = run()
+        monkeypatch.undo()
+        return walks, result
+
+    @pytest.mark.parametrize("blank", [False, True], ids=["scenario1", "blank-object"])
+    @pytest.mark.parametrize("command", ["convert-nt", "convert-ttl", "merge", "iocs-import"])
+    def test_a_command_walks_for_blank_nodes_once(self, command, blank, monkeypatch, tmp_path,
+                                                 capsys):
+        load_default_schema(), load_default_catalog()
+        a, b = tmp_path / "a.ttl", tmp_path / "b.ttl"
+        for path, name in ((a, "alice"), (b, "bob")):
+            path.write_text(blank_object_text(name) if blank else fixture_text("scenario1"),
+                            encoding="utf-8")
+        feed = tmp_path / "feed.csv"
+        feed.write_text("kind,value,source\nDomain,example[.]test,unit\n", encoding="utf-8")
+        argv = {"convert-nt": ["convert", a, "--to", "nt"],
+                "convert-ttl": ["convert", a, "--to", "ttl"],
+                "merge": ["merge", a, b], "iocs-import": ["iocs", "import", a, feed]}[command]
+        walks, code = self.count_walks(monkeypatch, lambda: cli.main(list(map(str, argv))))
+        assert code == 0
+        assert ("urn:skolem:b0" in capsys.readouterr().out) is blank
+        assert len(walks) == 1  # at most one, and this count sees it
+
+    def test_a_graph_of_the_same_triples_is_handed_the_answer(self, monkeypatch):
+        g = parse_turtle(blank_object_text("alice"))
+
+        def ask():
+            first = [g.has_blank_nodes(), g.has_blank_nodes()]
+            return first + [h.has_blank_nodes() for h in (g.with_prefixes({}), skolemize(g))]
+
+        walks, answers = self.count_walks(monkeypatch, ask)
+        assert walks == [len(g)] and answers == [True, True, True, False]
+
+    def test_an_add_after_a_read_asks_again(self):
+        c = make_case()
+        assert not c.graph.has_blank_nodes()
+        c.add(Triple(c.case_iri, PROP_DESCRIPTION, BlankNode("b0")))
+        assert c.graph.has_blank_nodes()
+        assert "urn:skolem:b0" in c.to_turtle()
+
+    def test_a_merge_asks_again(self):
+        a = make_case()
+        assert not a.graph.has_blank_nodes()
+        b = casekit.from_graph(a.graph)
+        b.add(Triple(b.case_iri, PROP_DESCRIPTION, BlankNode("b0")))
+        merged = casekit.merge(a, b).merged
+        assert merged.graph.has_blank_nodes()
+        assert "urn:skolem:b0" in merged.to_turtle()

@@ -22,6 +22,7 @@ from helpers import (
     blank_incident_text,
     doubled_sequence_case,
     malformed_sequence_graph,
+    run_python,
     schemas_without_sequence_range,
 )
 
@@ -32,16 +33,6 @@ def run_module(*args, module="scopekit.cli", python=(), **kwargs):
     """`python PYTHON -m MODULE ARGS` in a fresh interpreter on this source
     tree; keyword arguments go to subprocess.run."""
     return run_python(*python, "-m", module, *args, **kwargs)
-
-
-def run_python(*args, **kwargs):
-    """`python ARGS` in a fresh interpreter on this source tree, its output
-    captured; keyword arguments go to subprocess.run."""
-    src = str(Path(scopekit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 @pytest.fixture()

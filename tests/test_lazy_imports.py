@@ -97,23 +97,27 @@ CASE = str(FIXTURE_DIR / "scenario3.ttl")
     (["init", "--scenario", "1"], set()),
     (["query", CASE, "--count", "-q", "?s ?p ?o"], {"query"}),
     (["validate", CASE], VALIDATE),
+    (["validate", CASE, "--format", "json"], VALIDATE),
     (["merge", CASE, CASE], CASEKIT),
     (["iocs", "export", CASE], CASEKIT),
     (["iocs", "import", CASE, "FEED"], CASEKIT),
     (["report", CASE, "--format", "json"], CASEKIT | {"report"}),
-], ids=["convert-nt", "convert-ttl", "diff", "init", "query", "validate", "merge", "iocs-export",
-        "iocs-import", "report"])
+], ids=["convert-nt", "convert-ttl", "diff", "init", "query", "validate", "validate-json",
+        "merge", "iocs-export", "iocs-import", "report"])
 def test_subcommand_loads_only_what_it_runs(argv, heavy, tmp_path):
     feed = tmp_path / "feed.csv"
     feed.write_text("kind,value,source\nDomain,example[.]test,lab\n", encoding="utf-8")
     argv = [str(feed) if arg == "FEED" else arg for arg in argv]
+    # json is looked for before the LOADED probe, which imports it
     code = ("import contextlib, io, sys\n"
             "from scopekit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(sys.argv[1:]) == 0\n" + LOADED + UNLOADED_FOUND)
-    modules, unloaded = map(json.loads, child(code, *argv).splitlines())
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(int('json' in sys.modules))\n" + LOADED + UNLOADED_FOUND)
+    json_loaded, modules, unloaded = map(json.loads, child(code, *argv).splitlines())
     assert set(modules) == LIGHT | heavy
     assert unloaded == []
+    assert json_loaded == ("json" in argv)
 
 
 def test_turtle_pattern_compiles_on_first_parse(tmp_path):

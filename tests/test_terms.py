@@ -436,6 +436,15 @@ class TestGraph:
             Graph([(iri("s"), iri("p"), iri("o"))])
         assert str(exc.value).startswith("not a triple: ")
 
+    @pytest.mark.parametrize("held", [0, 1], ids=["empty", "holding-t"])
+    def test_insert_refuses_a_non_triple(self, held):
+        t = Triple(iri("s"), iri("p"), iri("o"))
+        g = Graph([t][:held])
+        with pytest.raises(TypeError, match="^not a triple: 'x'$"):
+            g.insert("x")
+        with pytest.raises(TypeError, match="^not a triple: 'x'$"):
+            g.insert_all([t, "x"])
+
     def test_insert_remove_are_persistent(self):
         t1 = Triple(iri("s"), iri("p"), Literal("1"))
         t2 = Triple(iri("s"), iri("p"), Literal("2"))

@@ -315,11 +315,32 @@ MUTANTS = [
      "for t in g.scan(None, RDF_TYPE, CLS_INCIDENT))",
      ["tests/test_casekit.py::TestFromGraph"]),
     # with_prefixes drops the graph's own prefixes
-    ("terms.py", "prefixes={**self._prefixes, **_check_prefix_map(prefixes)}",
-     "prefixes=_check_prefix_map(prefixes)", ["tests/test_terms.py::TestGraph"]),
+    ("terms.py", "{**self._prefixes, **_check_prefix_map(prefixes)}",
+     "_check_prefix_map(prefixes)", ["tests/test_terms.py::TestGraph"]),
     # a case is written as canonical Turtle without skolemizing its blank nodes
     ("casekit.py", "serialize_turtle_canonical(skolemize(self.graph))",
      "serialize_turtle_canonical(self.graph)", ["tests/test_casekit.py::TestFromGraph"]),
+    # whitespace and comments can be matched many ways, so a failed step
+    # backtracks exponentially (killed by the tests' 10 s limit)
+    ("turtle.py", r'_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"',
+     r'_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"',
+     ["tests/test_contracts.py::test_failed_step_backtracks_in_linear_time"]),
+    # a grown case graph keeps the blank-node answer of the graph it copies
+    ("terms.py", "g = Graph._of(set(self._triples), self._prefixes)",
+     "g = Graph._of(set(self._triples), self._prefixes, self._blanks)",
+     ["tests/test_casekit.py::TestCheckedDoor"]),
+    # a merge takes a's blank-node answer, though b may add blank nodes
+    ("casekit.py", "{**b.graph.prefixes, **a.graph.prefixes})",
+     "{**b.graph.prefixes, **a.graph.prefixes}, a.graph.has_blank_nodes())",
+     ["tests/test_casekit.py::TestCheckedDoor"]),
+    # the CLI's prefix swap drops the answer, so a Turtle write walks twice
+    ("cli.py", "STANDARD_PREFIXES, g.has_blank_nodes())", "STANDARD_PREFIXES)",
+     ["tests/test_casekit.py::TestCheckedDoor"]),
+    # with_prefixes drops the answer, so its copy walks again
+    ("terms.py", "**_check_prefix_map(prefixes)}, self._blanks)", "**_check_prefix_map(prefixes)})",
+     ["tests/test_casekit.py::TestCheckedDoor"]),
+    # has_blank_nodes keeps no answer, so every ask walks the graph
+    ("terms.py", "if self._blanks is None:", "if True:", ["tests/test_casekit.py::TestCheckedDoor"]),
 ]
 
 

@@ -21,9 +21,11 @@ in process and reports each one's stdout, stderr and exit code:
   the graphs of helpers.column_branch_graphs: a node with two types,
   custody chains of one and three records, a record whose canonical first
   timestamp is malformed, and an untyped subject with a domain property;
-  on a graph whose only Incident is a blank node; and on two versions of
+  on a graph whose only Incident is a blank node; on two versions of
   one case whose shared subjects hold a different non-functional value on
   each side (helpers.non_functional_pair), which `diff` and `merge` read;
+  and on scenario1 plus a blank node named "alice" or "bob"
+  (helpers.blank_object_text), whose writes skolemize it, also as a pair;
 - `validate` and `report` of a custody sequence of "+-5" or "\u00b2" under a
   schema copy that gives custodySequence no range;
 - the TSV of each of the 80 queries of the `analyst` benchmark (seed 1) on
@@ -173,6 +175,9 @@ def build_inputs(work: Path) -> tuple[list[Path], list[tuple[Path, Path]]]:
     pairs.append((write("non-functional-a.ttl", a.to_turtle()),
                   write("non-functional-b.ttl", b.to_turtle())))
     write("blank-incident.ttl", helpers.blank_incident_text())
+    # a case with a blank node, which convert, merge and iocs import write
+    pairs.append(tuple(write(f"blank-object-{name}.ttl", helpers.blank_object_text(name))
+                       for name in ("alice", "bob")))
     write("doubled-sequence.ttl", helpers.doubled_sequence_case().to_turtle())
     write("stored-iocs.ttl", helpers.stored_iocs_case().to_turtle())
     for name, g in helpers.column_branch_graphs().items():
